@@ -37,11 +37,10 @@ import shutil  # noqa: E402
 import signal  # noqa: E402
 import socket  # noqa: E402
 import statistics  # noqa: E402
-import struct  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-import zlib  # noqa: E402
+from collections import Counter  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -97,60 +96,35 @@ WORKLOADS = {
     "store-replay-256": StoreReplay(nodes=256),
 }
 
-END_TO_END = {
-    "setup_s": "s",
-    "samples_per_s": "samples/s",
-    "latency_p50_ms": "ms",
-    "cpu_us_per_sample": "us",
-    "peak_rss_mb": "MiB",
-    "ok_frac": "ratio",
-}
+#: Metric name -> unit, as ``BENCHMARK.json`` lists them.
+_BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {m["name"]: m["unit"] for m in _BENCH["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in _BENCH["per_layer"]}
 
-PER_LAYER = {
-    "setup.import_s": "s",
-    "setup.build_s": "s",
-    "setup.detector_s": "s",
-    "setup.bind_s": "s",
-    "setup.wall_s": "s",
-    "protocol.decode_s": "s",
-    "protocol.frames": "count",
-    "protocol.bytes": "bytes",
-    "protocol.errors": "count",
-    "wal.append_s": "s",
-    "wal.sync_s": "s",
-    "wal.records": "count",
-    "wal.bytes": "bytes",
-    "wal.fsyncs": "count",
-    "checkpoint.save_s": "s",
-    "checkpoint.count": "count",
-    "checkpoint.bytes": "bytes",
-    "net.self_s": "s",
-    "net.barrier_wait_p50_ms": "ms",
-    "net.idle_frac": "ratio",
-    "net.idle_s": "s",
-    "net.wall_s": "s",
-    "guard.self_s": "s",
-    "guard.calls": "count",
-    "detector.self_s": "s",
-    "detector.events": "count",
-    "hotpath.tick_s": "s",
-    "hotpath.samples": "count",
-    "hotpath.windows": "count",
-    "rootcause.explain_s": "s",
-    "rootcause.explain_calls": "count",
-    "rootcause.block_sensors_calls": "count",
-    "alerts.sink_s": "s",
-    "alerts.events": "count",
-    "telestore.scan_s": "s",
-    "telestore.partitions": "count",
-    "telestore.bytes": "bytes",
-    "fastreplay.self_s": "s",
-    "loadgen.cpu_frac": "ratio",
-    "loadgen.late_ms_max": "ms",
-    "loadgen.latency_p90_ms": "ms",
-    "trace.overhead_frac": "ratio",
-    "trace.accounted_frac": "ratio",
-}
+#: Spans a traced run must record.  A layer the workload runs that
+#: records none was patched where its caller does not look it up.
+TRACED_SPANS = (
+    "setup.import",
+    "setup.build",
+    "detector.process_block",
+    "hotpath.tick",
+    "rootcause.explain",
+    "rootcause.block_sensors",
+)
+#: ``replay_from_store`` builds its detector itself, so only the
+#: serve workloads call ``build_detector``.
+SERVE_SPANS = (
+    "setup.detector",
+    "protocol.decode",
+    "guard.process_block",
+    "net.loop",
+    "idle",
+)
+DURABLE_SPANS = ("wal.append", "wal.sync", "checkpoint.save")
+STORE_SPANS = ("fastreplay.replay", "telestore.scan", "detector.process_blocks")
+#: Largest share of the serving window the layers' self times plus
+#: idle may miss or exceed in a traced serve run.
+ACCOUNTING_TOLERANCE = 0.05
 
 
 class BenchError(RuntimeError):
@@ -295,24 +269,18 @@ def reference_alerts(config, setup) -> bytes:
     return sink.text().encode("utf-8")
 
 
-#: ``repro-ticks/v1`` binary frame header, version 2 (layout documented
-#: in ``repro.service.protocol``): version, path_len, tick, n_sensors,
-#: m, crc32(path, crc32(values)).
-_HEADER2 = struct.Struct("<BHQHII")
-
-
 def tick_payloads(setup, n_ticks: int) -> list[list[bytes]]:
     """Per tick, the byte pieces of every node's binary frame.
 
-    Each distinct burst is encoded once with ``encode_binary`` (replicas
-    share their base node's matrix); per node only the header with its
-    path and path-extended checksum is packed.  The first frame is
-    checked against ``encode_binary`` with the real path.
+    Every frame comes from ``protocol.encode_binary``.  A binary frame
+    ends with its burst's values, which replicas share with their base
+    node, so per node only the part before the values is kept and the
+    values are stored once per distinct burst: whole frames of every
+    serve-1000 tick would take about 2 GiB.
     """
-    from repro.service.protocol import MAGIC, encode_binary
+    from repro.service.protocol import encode_binary
 
-    prefix = len(MAGIC) + 4 + _HEADER2.size
-    bodies: dict[tuple[int, int], tuple[bytes, int, int, int]] = {}
+    shared: dict[tuple[int, int], bytes] = {}
     ticks: list[list[bytes]] = []
     paths = sorted(setup.eval_data)
     for ti in range(n_ticks):
@@ -320,30 +288,16 @@ def tick_payloads(setup, n_ticks: int) -> list[list[bytes]]:
         parts: list[bytes] = []
         for path in paths:
             m = setup.eval_data[path]
-            key = (id(m), ti)
-            body = bodies.get(key)
-            if body is None:
-                block = m[:, lo : lo + CHUNK]
-                frame = encode_binary("", ti, block)
-                crc = _HEADER2.unpack_from(frame, len(MAGIC) + 4)[5]
-                body = (frame[prefix:], crc, block.shape[0], block.shape[1])
-                bodies[key] = body
-            values, crc, n, width = body
-            encoded = path.encode("utf-8")
-            header = (
-                MAGIC
-                + struct.pack("<I", _HEADER2.size + len(encoded) + len(values))
-                + _HEADER2.pack(
-                    2, len(encoded), ti, n, width, zlib.crc32(encoded, crc)
-                )
-                + encoded
-            )
-            parts += (header, values)
+            block = m[:, lo : lo + CHUNK]
+            frame = encode_binary(path, ti, block)
+            size = 8 * block.size
+            values = shared.get((id(m), ti))
+            if values is None:
+                values = shared[(id(m), ti)] = frame[-size:]
+            elif memoryview(frame)[-size:] != values:
+                raise BenchError("a binary frame does not end with its values")
+            parts += (frame[:-size], values)
         ticks.append(parts)
-    first = paths[0]
-    expected = encode_binary(first, 0, setup.eval_data[first][:, :CHUNK])
-    if ticks[0][0] + ticks[0][1] != expected:
-        raise BenchError("cached frame differs from protocol.encode_binary")
     return ticks
 
 
@@ -665,7 +619,12 @@ def run_serve(name, spec: Serve, seed, seconds, trace, rundir, children):
             children, config, rundir / "traced", ticks, samples, reference,
             spec=spec, cpu=svc_cpu, trace=True, deadline=deadline,
         )
-        metrics = layer_metrics(traced.trace, traced.ready, traced.setup_wall_s)
+        spans = TRACED_SPANS + SERVE_SPANS + (DURABLE_SPANS if spec.durable else ())
+        metrics, info, valid = layer_metrics(
+            traced.trace, traced.ready, traced.setup_wall_s,
+            expected=spans + (("alerts.sink",) if reference else ()),
+            serving=True,
+        )
         metrics["loadgen.cpu_frac"] = traced.loadgen_cpu_frac
         metrics["loadgen.late_ms_max"] = traced.loadgen_late_ms_max
         # The tail comes from the untraced server.
@@ -677,8 +636,7 @@ def run_serve(name, spec: Serve, seed, seconds, trace, rundir, children):
         else:
             overhead = 1.0 - traced.samples_per_s / base.samples_per_s
         metrics["trace.overhead_frac"] = overhead
-        runs = [base, traced]
-        return finish(runs, metrics, PER_LAYER)
+        return finish([base, traced], metrics, PER_LAYER, info, valid)
 
     setup_cpu: list[float] = []
     setup_wall: list[float] = []
@@ -809,9 +767,14 @@ def run_store(name, spec: StoreReplay, seed, seconds, trace, rundir, children):
             children, config, store, rundir / "traced", reference,
             cpu=svc_cpu, trace=True, deadline=deadline,
         )
-        metrics = layer_metrics(traced.trace, traced.ready, traced.setup_wall_s)
+        spans = TRACED_SPANS + STORE_SPANS
+        metrics, info, valid = layer_metrics(
+            traced.trace, traced.ready, traced.setup_wall_s,
+            expected=spans + (("alerts.sink",) if reference else ()),
+            serving=False,
+        )
         metrics["trace.overhead_frac"] = 1.0 - base.call_s / traced.call_s
-        return finish([base, traced], metrics, PER_LAYER)
+        return finish([base, traced], metrics, PER_LAYER, info, valid)
 
     # Enough replays to fill --seconds, at least SETUPS for set-up.
     replays = max(SETUPS, round(seconds / REPLAY_PROCESS_S))
@@ -843,7 +806,18 @@ def run_store(name, spec: StoreReplay, seed, seconds, trace, rundir, children):
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-def layer_metrics(trace_path: Path, ready: float, setup_wall_s: float) -> dict:
+def layer_metrics(
+    trace_path: Path, ready: float, setup_wall_s: float, *, expected, serving: bool
+) -> tuple[dict, dict, bool]:
+    """(per-layer metrics, other trace figures, whether the trace is valid).
+
+    The trace is invalid when a span name in ``expected`` was never
+    recorded, or, for a network server (``serving``), when the layers'
+    self times plus idle miss the serving window's wall time by more
+    than ``ACCOUNTING_TOLERANCE``.  A layer that does not run reports 0;
+    figures ``BENCHMARK.json`` does not list as metrics (the counts
+    fixed by the workload, ``trace.accounted_frac``) go to ``info``.
+    """
     sys.path.insert(0, str(HERE))
     from tracing import summarize
 
@@ -852,21 +826,28 @@ def layer_metrics(trace_path: Path, ready: float, setup_wall_s: float) -> dict:
     setup_end = out.pop("setup_end")
     out["setup.bind_s"] = max(0.0, ready - setup_end) if setup_end else 0.0
     out["setup.wall_s"] = setup_wall_s
-    out.setdefault("loadgen.cpu_frac", 0.0)
-    out.setdefault("loadgen.late_ms_max", 0.0)
-    out.setdefault("loadgen.latency_p90_ms", 0.0)
+    valid = True
+    recorded = Counter(doc["names"][span[0]] for span in doc["spans"])
+    untimed = [name for name in expected if not recorded[name]]
+    if untimed:
+        log(f"the trace holds no span of {untimed}: those layers were not timed")
+        valid = False
     acc = out["trace.accounted_frac"]
-    if acc and abs(acc - 1.0) > 0.05:
+    if serving and abs(acc - 1.0) > ACCOUNTING_TOLERANCE:
         log(f"layer self times + idle cover {acc:.3f} of server wall time")
-    return out
+        valid = False
+    metrics = {name: out.pop(name, 0.0) for name in PER_LAYER}
+    return metrics, out, valid
 
 
-def finish(runs, metrics: dict, units: dict, info: dict | None = None) -> dict:
+def finish(
+    runs, metrics: dict, units: dict, info: dict | None = None, valid: bool = True
+) -> dict:
     missing = set(units) - set(metrics)
     if missing:
         raise BenchError(f"metrics not measured: {sorted(missing)}")
     return {
-        "correct": all(r.correct for r in runs),
+        "correct": valid and all(r.correct for r in runs),
         "attempted": sum(r.attempted for r in runs),
         "failed": sum(r.failed for r in runs),
         "metrics": {

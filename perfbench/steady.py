@@ -1,24 +1,21 @@
 """Steadiness check: run the benchmark over several seeds, twice.
 
-    python3 perfbench/steady.py --seeds 10 --sets 2 [--workload NAME ...] \\
-        [--report perfbench/STEADINESS.md] [--raw FILE | --from-raw FILE]
+    python3 perfbench/steady.py
 
-Each set runs every workload once per seed (seeds 1..N in set 1,
-N+1..2N in set 2, ...), untraced.  For every end-to-end metric it
-prints the median, the first and third quartiles and the spread
-(interquartile range as a share of the median), per set, next to the
-metric's bound from ``BENCHMARK.json``, plus how far the later sets'
-medians moved from the first.  ``setup.wall_s`` (wall time to ready,
-which the benchmark does not use for ``setup_s``) is reported beside
-``setup_s``, and the serve workloads' tick latency p90 (``p90``).
-``--report`` also writes the table as Markdown, ``--raw`` saves every
-run's values, and ``--from-raw`` reports on such a file without
-running anything.
+Each of two sets runs every workload of ``BENCHMARK.json`` once per
+seed (seeds 1..10 in set 1, 11..20 in set 2), untraced.  For every
+end-to-end metric it prints the median, the first and third quartiles
+and the spread (interquartile range as a share of the median), per set,
+next to the metric's bound from ``BENCHMARK.json``, plus how far the
+second set's median moved from the first.  ``setup.wall_s`` (wall time
+to ready, which the benchmark does not use for ``setup_s``) is reported
+beside ``setup_s``, and the serve workloads' tick latency p90 (``p90``).
+The table is also written to ``perfbench/STEADINESS.md``; the exit code
+is 0 when every bounded spread and median shift is within its bound.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -28,6 +25,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+REPORT = HERE / "STEADINESS.md"
+SEEDS = 10
+SETS = 2
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -59,31 +59,17 @@ def run_one(workload: str, seed: int, seconds: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workload", action="append", default=None)
-    parser.add_argument("--report", default=None)
-    parser.add_argument("--raw", default=None, help="write every run's values as JSON")
-    parser.add_argument(
-        "--from-raw", default=None, help="report on a --raw file instead of running"
-    )
-    args = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     # results[workload][set] = list of per-run metric dicts
     results: dict[str, list[list[dict]]] = {w: [] for w in workloads}
-    if args.from_raw:
-        results = json.loads(Path(args.from_raw).read_text(encoding="utf-8"))
-        workloads = list(results)
-        args.sets = len(next(iter(results.values())))
-    for s in range(0 if args.from_raw else args.sets):
+    for s in range(SETS):
         for w in workloads:
             runs = []
-            for i in range(args.seeds):
-                seed = s * args.seeds + i + 1
+            for i in range(SEEDS):
+                seed = s * SEEDS + i + 1
                 t0 = time.perf_counter()
                 runs.append(run_one(w, seed, seconds))
                 print(
@@ -92,19 +78,15 @@ def main() -> int:
                     flush=True,
                 )
             results[w].append(runs)
-            if args.raw:
-                Path(args.raw).write_text(
-                    json.dumps(results, indent=1), encoding="utf-8"
-                )
 
     rows = []
     header = (
         "| workload | metric | bound | "
-        + " | ".join(f"set {s + 1} median [q1, q3] (spread)" for s in range(args.sets))
+        + " | ".join(f"set {s + 1} median [q1, q3] (spread)" for s in range(SETS))
         + " | median shift |"
     )
     rows.append(header)
-    rows.append("|" + "---|" * (4 + args.sets))
+    rows.append("|" + "---|" * (4 + SETS))
     ok = True
     for w in workloads:
         names = list(results[w][0][0])
@@ -117,7 +99,7 @@ def main() -> int:
                 spread = (q3 - q1) / med if med else 0.0
                 medians.append(med)
                 cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}] ({spread:.1%})")
-                if bound is not None and name != "setup_s" and spread > bound:
+                if bound is not None and spread > bound:
                     ok = False
             shift = max((abs(m / medians[0] - 1.0) for m in medians[1:]), default=0.0)
             if bound is not None and shift > bound:
@@ -131,19 +113,15 @@ def main() -> int:
     verdict = "steady: " + ("yes" if ok else "NO")
     print(table)
     print(verdict)
-    if args.report:
-        n_runs = len(next(iter(results.values()))[0])
-        header = (
-            "# Steadiness report\n\n"
-            f"`perfbench/steady.py`: {args.sets} sets x {n_runs} seeds per "
-            f"workload, {seconds} s runs, tracing off.  Spread = (q3 - q1) / "
-            "median over one set's runs; median shift = largest distance of a "
-            "later set's median from the first set's.  Host and method: "
-            "`perfbench/README.md`.\n\n"
-        )
-        Path(args.report).write_text(
-            header + table + "\n\n" + verdict + "\n", encoding="utf-8"
-        )
+    REPORT.write_text(
+        "# Steadiness report\n\n"
+        f"`perfbench/steady.py`: {SETS} sets x {SEEDS} seeds per workload, "
+        f"{seconds} s runs, tracing off.  Spread = (q3 - q1) / median over "
+        "one set's runs; median shift = distance of the second set's median "
+        "from the first set's.  Host and method: `perfbench/README.md`.\n\n"
+        + table + "\n\n" + verdict + "\n",
+        encoding="utf-8",
+    )
     return 0 if ok else 1
 
 

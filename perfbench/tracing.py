@@ -295,27 +295,6 @@ SELF_TIME = {
     "fastreplay.self_s": ("fastreplay.replay",),
 }
 
-COUNTERS = (
-    "protocol.frames",
-    "protocol.bytes",
-    "protocol.errors",
-    "wal.records",
-    "wal.bytes",
-    "wal.fsyncs",
-    "checkpoint.count",
-    "checkpoint.bytes",
-    "guard.calls",
-    "detector.events",
-    "hotpath.samples",
-    "hotpath.windows",
-    "rootcause.explain_calls",
-    "rootcause.block_sensors_calls",
-    "alerts.events",
-    "telestore.partitions",
-    "telestore.bytes",
-)
-
-
 def serving_window(names: list[str], spans: list) -> tuple[float, float] | None:
     """First decoded data to the end of the loop callback that
     processed the last tick (its sinks, journal watermark, ack and
@@ -343,7 +322,10 @@ def summarize(doc: dict) -> dict:
     ``net.idle_s`` (the loop blocked in ``select``), ``net.self_s``
     (loop callbacks minus every timed call below them) and
     ``trace.accounted_frac``: all layers' self times plus idle, over
-    the window's wall time.
+    the window's wall time.  ``net.self_s`` is a residual: time of a
+    layer whose patch never runs lands in it, so ``accounted_frac`` only
+    bounds the loop's own bookkeeping between callbacks.  The counters
+    are passed through as recorded.
     """
     names = doc["names"]
     spans = doc["spans"]
@@ -372,9 +354,7 @@ def summarize(doc: dict) -> dict:
         metric: sum(self_by_name.get(n, 0.0) for n in span_names)
         for metric, span_names in SELF_TIME.items()
     }
-    counters = doc["counters"]
-    for key in COUNTERS:
-        out[key] = float(counters.get(key, 0))
+    out.update(doc["counters"])
     out["setup.import_s"] = self_by_name.get("setup.import", 0.0)
     out["setup.build_s"] = self_by_name.get("setup.build", 0.0)
     out["setup.detector_s"] = self_by_name.get("setup.detector", 0.0)
