@@ -5,8 +5,9 @@ column-major partitions costs streaming-write throughput (MB/s), the
 zero-copy mmap scan reads it back at memory-bus-ish throughput without
 materializing the store, and replaying a recorded window through the
 detector — partition-sized blocks straight into the fused arena — beats
-guarded live per-tick ingestion of the same window by >= 5x at 64 nodes
-while producing a **byte-identical** alert stream (asserted here).
+guarded live per-tick ingestion of the same window (the serving loop,
+which runs the same arena) by >= 2x at 64 nodes while producing a
+**byte-identical** alert stream (asserted here).
 
 Results merge into ``results/store_replay.csv`` and a summary is
 written to ``BENCH_store.json``; ``tests/test_bench_guard.py`` fails if
@@ -95,43 +96,28 @@ def test_store_replay_beats_live(nodes, t, tmp_path_factory):
     scan_mb_s = mb / scan_s
 
     # --- live per-tick ingestion vs store replay ----------------------
-    # Interleave repetitions so machine drift hits all paths equally;
-    # keep the best of REPS per path.  The live baseline is the service
-    # *default*: the guarded staged serving loop at per-tick cadence
-    # (``replay()`` defaults to ``backend="staged"``).  The opt-in fused
-    # live loop is recorded alongside as a transparency row so the
-    # speedup attributable to the store (vs the fused arena itself)
-    # stays visible.
-    live_s = fused_s = fast_s = float("inf")
-    live = fused = fast = None
+    # Interleave repetitions so machine drift hits both paths equally;
+    # keep the best of REPS per path.  The live baseline is the guarded
+    # serving loop at per-tick cadence, so the speedup is what the store
+    # adds on top of the arena itself.
+    live_s = fast_s = float("inf")
+    live = fast = None
     for _ in range(REPS):
-        out = replay(
-            setup, chunk=LIVE_CHUNK, backend="staged", guard=True
-        )
+        out = replay(setup, chunk=LIVE_CHUNK, guard=True)
         if out.replay_time_s < live_s:
             live_s, live = out.replay_time_s, out
-        out = replay(
-            setup, chunk=LIVE_CHUNK, backend="fused", guard=True
-        )
-        if out.replay_time_s < fused_s:
-            fused_s, fused = out.replay_time_s, out
-        out = replay_from_store(setup, store, backend="fused")
+        out = replay_from_store(setup, store)
         if out.replay_time_s < fast_s:
             fast_s, fast = out.replay_time_s, out
     # The contract the speedup is only allowed to ride on: identical
-    # alert JSONL, byte for byte, against both live backends.
+    # alert JSONL, byte for byte, against live ingestion.
     live_jsonl = "\n".join(json.dumps(e) for e in live.events)
-    fused_jsonl = "\n".join(json.dumps(e) for e in fused.events)
     fast_jsonl = "\n".join(json.dumps(e) for e in fast.events)
     assert fast_jsonl == live_jsonl, (
-        "store replay diverged from guarded staged live ingestion"
-    )
-    assert fast_jsonl == fused_jsonl, (
-        "store replay diverged from guarded fused live ingestion"
+        "store replay diverged from guarded live ingestion"
     )
     assert fast.n_windows == live.n_windows > 0
     speedup = live_s / fast_s
-    speedup_fused = fused_s / fast_s
 
     _rows.extend(
         [
@@ -139,13 +125,10 @@ def test_store_replay_beats_live(nodes, t, tmp_path_factory):
              round(ingest_mb_s, 1), "", "", ""),
             (nodes, "scan mmap", "", round(mb, 1), round(scan_s, 4),
              round(scan_mb_s, 1), "", "", ""),
-            (nodes, f"live staged chunk={LIVE_CHUNK}", live.n_windows,
+            (nodes, f"live chunk={LIVE_CHUNK}", live.n_windows,
              "", round(live_s, 4), "",
              round(live.n_windows / live_s, 1), "", ""),
-            (nodes, f"live fused chunk={LIVE_CHUNK}", fused.n_windows,
-             "", round(fused_s, 4), "",
-             round(fused.n_windows / fused_s, 1), "", ""),
-            (nodes, "store fused", fast.n_windows, "", round(fast_s, 4),
+            (nodes, "store", fast.n_windows, "", round(fast_s, 4),
              "", round(fast.n_windows / fast_s, 1), round(speedup, 2),
              "yes"),
         ]
@@ -154,14 +137,10 @@ def test_store_replay_beats_live(nodes, t, tmp_path_factory):
     _summary[f"store_ingest_mb_s{suffix}"] = round(ingest_mb_s, 1)
     _summary[f"store_scan_mb_s{suffix}"] = round(scan_mb_s, 1)
     _summary[f"store_live_s{suffix}"] = round(live_s, 4)
-    _summary[f"store_live_fused_s{suffix}"] = round(fused_s, 4)
     _summary[f"store_replay_s{suffix}"] = round(fast_s, 4)
     _summary[f"store_replay_speedup{suffix}"] = round(speedup, 2)
-    _summary[f"store_replay_vs_fused_live{suffix}"] = round(
-        speedup_fused, 2
-    )
     # Noise floor, not the target: the committed headline is guarded at
-    # >= 2x by tests/test_bench_guard.py; the issue's claim is >= 5x.
+    # >= 2x by tests/test_bench_guard.py.
     assert speedup > 1.0, (
         f"{nodes}-node store replay slower than live ({speedup:.2f}x)"
     )

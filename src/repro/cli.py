@@ -249,21 +249,14 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         "healthy class; set explicitly for other --segment choices)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="ingestion shards (thread pool); never changes results",
+        "--backend", type=_fused_backend, default="fused",
+        help="tick path; only 'fused' (the preallocated tick arena) is "
+        "left, the flag is kept for existing scripts",
     )
     parser.add_argument(
-        "--backend", choices=("staged", "fused"), default="staged",
-        help="tick-path backend: 'staged' (default) or 'fused' "
-        "(preallocated zero-allocation arena; exact mode is "
-        "byte-identical to staged)",
-    )
-    parser.add_argument(
-        "--mode", choices=("exact", "float32", "quantized"),
-        default="exact",
-        help="fused signature arithmetic (default exact = float64, "
-        "bit-identical; float32/quantized trade accuracy for "
-        "throughput/memory and require --backend fused)",
+        "--mode", choices=("exact", "float32"), default="exact",
+        help="signature arithmetic (default exact = float64, "
+        "bit-identical; float32 trades accuracy for memory)",
     )
     parser.add_argument(
         "--model", default=None,
@@ -294,6 +287,16 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fused_backend(value: str) -> str:
+    """``--backend`` type: anything but ``fused`` exits with status 2."""
+    if value != "fused":
+        raise argparse.ArgumentTypeError(
+            f"backend {value!r} is retired: the fused tick arena is the "
+            "only tick path"
+        )
+    return value
+
+
 def _service_config(args: argparse.Namespace, *, chunk_default=None):
     """The :class:`repro.service.api.ServiceConfig` these flags describe.
 
@@ -318,7 +321,6 @@ def _service_config(args: argparse.Namespace, *, chunk_default=None):
         guard=not args.no_guard,
         model_path=args.model,
         cache_dir=args.cache_dir,
-        shards=args.shards,
         replicate=int(args.replicate or 0),
     )
     return ServiceConfig(**params)
@@ -362,8 +364,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             args.from_store,
             t0=args.t0,
             t1=args.t1,
-            shards=config.shards,
-            backend=config.backend,
             mode=config.mode,
             stamp_health=None if config.guard else False,
             sinks=sinks,

@@ -12,9 +12,10 @@ routes through this package:
   ``repro.datasets`` generates telemetry through;
 * :mod:`~repro.engine.streaming` — :class:`IncrementalSignatureCore`,
   the O(n)-per-emit core behind the online stream;
-* :mod:`~repro.engine.hotpath` — :class:`TickArena`, the fused
-  zero-allocation fleet tick path (absorb → signature → forest votes in
-  preallocated arenas, with exact/float32/quantized signature modes);
+* :mod:`~repro.engine.hotpath` — :class:`TickArena`, the service's one
+  fleet tick path: fused, zero-allocation absorb → signature → forest
+  votes in preallocated arenas, with exact (bit-identical to the
+  streaming core) and float32 signature modes;
 * :mod:`~repro.engine.trainer` — :class:`IncrementalCSTrainer`,
   streaming min-max + Welford co-moment training for drift retraining;
 * :mod:`~repro.engine.fleet` — :class:`FleetSignatureEngine`, per-node

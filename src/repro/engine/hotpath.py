@@ -1,6 +1,7 @@
-"""Fused single-pass tick hot path: preallocated per-shard arenas.
+"""Fused single-pass tick hot path: one preallocated arena per fleet.
 
-The staged service tick (``FleetIngest.push_blocks`` →
+A straightforward service tick (per-node
+:class:`~repro.engine.streaming.OnlineSignatureStream` ``push_block`` →
 ``signature_features`` → ``predict_with_proba``) allocates at every
 stage: each node's burst materializes an extended column buffer, fresh
 prefix sums, a complex signature block, a stacked feature matrix and a
@@ -8,15 +9,15 @@ new forest frontier per tree level.  Per tick that is dozens of numpy
 allocations *per node* — pure overhead once fleets reach hundreds of
 nodes and bursts shrink to serving size.
 
-:class:`TickArena` is the opt-in fused backend: every buffer the tick
-path touches is preallocated once at construction (sized by the fleet's
+:class:`TickArena` is the service's only tick path: every buffer the
+tick touches is preallocated once at construction (sized by the fleet's
 geometry and the maximum burst length), and a steady-state tick runs the
 whole pass — gather/sort, min-max normalize, running prefix sums,
 windowed value/derivative means, block reduction, feature layout and the
 lockstep forest walk — through ``out=`` kernels into those arenas.  A
 steady-state tick retains **zero** new numpy memory (asserted by a
 tracemalloc regression test) and its transient peak is bounded by a few
-index temporaries instead of the staged path's per-stage matrices.
+index temporaries instead of per-stage matrices.
 
 Exactness contract: in the default ``exact`` mode every floating-point
 operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
@@ -24,11 +25,10 @@ operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
 :func:`~repro.core.pipeline.signature_features` and the classifier
 replays ``_ForestStack.accumulate`` (sequential per-tree adds), so
 signatures, labels, confidences and therefore alert streams are
-**bit-identical** to the staged path.  ``float32`` mode runs the same
-pass in single precision (half the state, wider SIMD); ``quantized``
-mode additionally bins emitted signatures to uint8 (256 levels over each
-component's exact value range) and classifies the dequantized bin
-centers — the accuracy cost of both is measured per scenario in
+**bit-identical** to the per-node streaming oracle
+(:func:`repro.service.detector.detect_naive`).  ``float32`` mode runs
+the same pass in single precision (half the state, wider SIMD); its
+accuracy cost is measured per scenario in
 ``benchmarks/test_tick_hotpath.py`` and reported in ``EXPERIMENTS.md``.
 
 The forest walk cannot use ``_ForestStack.apply``'s shrinking frontier
@@ -51,12 +51,12 @@ from repro.engine.windows import partition_bounds
 
 __all__ = ["SIGNATURE_MODES", "TickArena"]
 
-#: Supported signature computation modes of the fused backend.
-SIGNATURE_MODES = ("exact", "float32", "quantized")
+#: Supported signature computation modes of the arena.
+SIGNATURE_MODES = ("exact", "float32")
 
 _LEAF = -1
 
-#: Re-anchor interval of the float32 modes: single-precision running
+#: Re-anchor interval of float32 mode: single-precision running
 #: sums lose absolute accuracy ~2^29 times faster than float64, so the
 #: arena re-anchors every 4096 samples (one subtraction per node every
 #: ~4k ticks — free) instead of every 2^22.
@@ -232,8 +232,8 @@ class _GroupState:
     """Arena of one geometry group: all nodes sharing a sensor count.
 
     State is stacked column-major ``(c, n, ...)`` — node, sensor row,
-    time — the same shape the staged ``_absorb`` works in, so every
-    kernel below is the batched twin of one staged line.
+    time — the same shape ``IncrementalSignatureCore._absorb`` works
+    in, so every kernel below is the batched twin of one of its lines.
     """
 
     def __init__(self, paths, models, l, wl, ws, max_m, dtype):
@@ -266,7 +266,7 @@ class _GroupState:
         self.span = np.where(degenerate, 1.0, span).astype(dtype)[:, :, None]
         # Retained per-node streaming state.  The ring stores the last
         # ``wl + 1`` normalized columns at position ``t % size`` (the
-        # staged core's layout): a tick writes only its new columns and
+        # streaming core's layout): a tick writes only its new columns and
         # derivative references read single columns — no chronological
         # tail is ever materialized.
         self.ring = np.zeros((c, n, self.size), dtype=dtype)
@@ -437,9 +437,8 @@ class TickArena:
     forest:
         The fitted shared :class:`~repro.ml.forest.RandomForestClassifier`.
     mode:
-        ``"exact"`` (float64, bit-identical to the staged path),
-        ``"float32"`` or ``"quantized"`` (float32 compute + uint8-binned
-        signatures).
+        ``"exact"`` (float64, bit-identical to the streaming core) or
+        ``"float32"``.
     max_chunk:
         Largest burst length the arenas are sized for; longer bursts are
         split into ``max_chunk`` sub-bursts, which is output-identical
@@ -484,7 +483,7 @@ class TickArena:
         lengths = {engine.signature_length(p) for p in wanted}
         if len(lengths) != 1:
             raise ValueError(
-                "fused backend needs one uniform signature length across "
+                "the tick arena needs one uniform signature length across "
                 f"the fleet, got {sorted(lengths)}"
             )
         self.blocks = lengths.pop()
@@ -534,11 +533,6 @@ class TickArena:
         k = max(k, 2 * self._capacity)
         self._capacity = k
         self._feat = np.empty((k, self.n_features), dtype=self.dtype)
-        self._qfeat = (
-            np.empty((k, self.n_features), dtype=np.uint8)
-            if self.mode == "quantized"
-            else None
-        )
         self._labels = np.empty(k, dtype=np.intp)
         self._conf = np.empty(k, dtype=np.float64)
         self._forest_ws.resize(k, self.dtype)
@@ -557,9 +551,9 @@ class TickArena:
     def signature(self, row: int) -> np.ndarray:
         """Complex signature of one emit row of the *last* tick.
 
-        Exact mode reconstructs the staged signature bit for bit (the
-        feature layout is lossless ``[real | imag]``); float32/quantized
-        modes return what the classifier actually saw.
+        Exact mode reconstructs the streaming core's signature bit for
+        bit (the feature layout is lossless ``[real | imag]``); float32
+        mode returns what the classifier actually saw.
         """
         f = self._feat[row]
         sig = np.empty(self.blocks, dtype=np.complex128)
@@ -573,9 +567,8 @@ class TickArena:
 
         Same layout as
         :meth:`repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        (the arena's per-node ring row *is* the staged core's ring), so
-        the service checkpoint layer can move state between backends in
-        exact mode without conversion.
+        (the arena's per-node ring row *is* the streaming core's ring),
+        so checkpoints store the streaming core's format unchanged.
         """
         g, i = self._node[path]
         entries = (
@@ -703,7 +696,6 @@ class TickArena:
         assigned = self._assigned
         assigned.clear()
         feat2 = self._feat
-        qfeat2 = self._qfeat
         row = 0
         for g in self.groups:
             present = [
@@ -720,20 +712,13 @@ class TickArena:
                     assigned[p] = (row + i * k_tick, k_tick)
                 hi = row + g.c * k_tick
                 feat3 = feat2[row:hi].reshape(g.c, k_tick, self.n_features)
-                qfeat3 = (
-                    qfeat2[row:hi].reshape(g.c, k_tick, self.n_features)
-                    if qfeat2 is not None
-                    else None
-                )
                 fifo = g.shared_view
                 off = 0
                 for lo in range(0, m, g.max_m):
                     B_sub = [
                         blocks[p][:, lo : lo + g.max_m] for _, p in present
                     ]
-                    off += self._feed(
-                        g, slice(0, g.c), fifo, B_sub, feat3, qfeat3, off
-                    )
+                    off += self._feed(g, slice(0, g.c), fifo, B_sub, feat3, off)
                 row = hi
             else:
                 g.degrade()
@@ -746,11 +731,6 @@ class TickArena:
                     assigned[p] = (row, k_i)
                     hi = row + k_i
                     feat3 = feat2[row:hi].reshape(1, k_i, self.n_features)
-                    qfeat3 = (
-                        qfeat2[row:hi].reshape(1, k_i, self.n_features)
-                        if qfeat2 is not None
-                        else None
-                    )
                     fifo = g.node_views[i]
                     off = 0
                     for lo in range(0, B.shape[1], g.max_m):
@@ -760,7 +740,6 @@ class TickArena:
                             fifo,
                             [B[:, lo : lo + g.max_m]],
                             feat3,
-                            qfeat3,
                             off,
                         )
                     row = hi
@@ -777,7 +756,7 @@ class TickArena:
         return out
 
     # ------------------------------------------------------------------
-    def _feed(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
+    def _feed(self, g, sl, fifo, node_blocks, feat3, off) -> int:
         """Route one sub-burst to the right fused kernel.
 
         Up to ``wl + 1`` columns every column owns a distinct ring slot,
@@ -790,14 +769,14 @@ class TickArena:
         routing never changes a single output bit.
         """
         if node_blocks[0].shape[1] <= g.size:
-            return self._absorb(g, sl, fifo, node_blocks, feat3, qfeat3, off)
-        return self._absorb_block(g, sl, fifo, node_blocks, feat3, qfeat3, off)
+            return self._absorb(g, sl, fifo, node_blocks, feat3, off)
+        return self._absorb_block(g, sl, fifo, node_blocks, feat3, off)
 
-    def _absorb(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
+    def _absorb(self, g, sl, fifo, node_blocks, feat3, off) -> int:
         """One fused sub-burst for the nodes ``sl`` of group ``g``.
 
         The batched twin of ``IncrementalSignatureCore._absorb``: every
-        numbered step mirrors one staged operation in the same
+        numbered step mirrors one of its operations in the same
         floating-point association order, into preallocated buffers.
         Returns the number of signatures emitted per node.
         """
@@ -871,11 +850,7 @@ class TickArena:
                 np.subtract(seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :])
             np.divide(rows, g.wl, out=rows)
             self._reduce(g, sl, rows, k)
-            self._store(
-                g, feat3[:, off : off + k, : g.l],
-                None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                k, sl, True,
-            )
+            feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
             for idx in range(k):
                 cnt = g.wl + (k_lo + idx) * g.ws
                 s = cnt - g.wl
@@ -896,11 +871,7 @@ class TickArena:
                 )
             np.divide(rows, g.wl, out=rows)
             self._reduce(g, sl, rows, k)
-            self._store(
-                g, feat3[:, off : off + k, g.l :],
-                None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                k, sl, False,
-            )
+            feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
             g.emitted[sl] += k
         # 4. Queue snapshots for windows completing after this burst.
         first_start = -(-t0 // g.ws) * g.ws
@@ -921,7 +892,7 @@ class TickArena:
             g.anchors[sl] = total
         return k
 
-    def _absorb_block(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
+    def _absorb_block(self, g, sl, fifo, node_blocks, feat3, off) -> int:
         """One fused sub-burst of *arbitrary* length (up to ``g.max_m``).
 
         The block-feed twin of :meth:`_absorb`: normalized columns are
@@ -1052,17 +1023,9 @@ class TickArena:
             if k:
                 # 7. Reduce + store: value rows, then derivative rows.
                 self._reduce(g, sl, g.rows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, : g.l],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                    k, sl, True,
-                )
+                feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
                 self._reduce(g, sl, g.drows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, g.l :],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                    k, sl, False,
-                )
+                feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
                 g.emitted[sl] += k
             g.counts[sl] = total
             if total - int(g.anchors[sl.start]) >= self._reanchor_every:
@@ -1074,7 +1037,7 @@ class TickArena:
                 g.anchors[sl] = total
             return k
         else:
-            # Quantized/float32 arenas normalize in the group dtype
+            # float32 arenas normalize in the group dtype
             # *after* the staged float64 gather lands in ``cols`` —
             # fusing into the float64 stage would change the rounding
             # story — so they keep the group-wide sweeps.
@@ -1136,17 +1099,9 @@ class TickArena:
                     )
                 np.divide(rows, g.wl, out=rows)
                 self._reduce(g, sl, rows, k)
-                self._store(
-                    g, feat3[:, off : off + k, : g.l],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                    k, sl, True,
-                )
+                feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
                 self._reduce(g, sl, g.drows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, g.l :],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                    k, sl, False,
-                )
+                feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
                 g.emitted[sl] += k
         # 6. Queue snapshots for windows completing after this burst.
         for s in range(first_start, total, g.ws):
@@ -1178,33 +1133,6 @@ class TickArena:
         np.subtract(sig, lo, out=sig)
         np.divide(sig, g.widths, out=sig)
 
-    def _store(self, g, feat_view, qview, k, sl, is_real: bool) -> None:
-        """Write ``g.sig`` into the feature rows, per the arena's mode."""
-        sig = g.sig[sl, :k, :]
-        if self.mode != "quantized":
-            feat_view[...] = sig
-            return
-        # uint8 binning over each component's exact value range —
-        # values in [0, 1], derivatives in [-1/wl, 1/wl].  The binned
-        # bytes are the mode's stored signatures; the classifier sees
-        # their dequantized bin centers.
-        if is_real:
-            np.multiply(sig, 255.0, out=sig)
-        else:
-            np.multiply(sig, float(g.wl), out=sig)
-            np.add(sig, 1.0, out=sig)
-            np.multiply(sig, 127.5, out=sig)
-        np.rint(sig, out=sig)
-        np.clip(sig, 0.0, 255.0, out=sig)
-        qview[...] = sig
-        if is_real:
-            np.divide(sig, 255.0, out=sig)
-        else:
-            np.divide(sig, 127.5, out=sig)
-            np.subtract(sig, 1.0, out=sig)
-            np.divide(sig, float(g.wl), out=sig)
-        feat_view[...] = sig
-
     # ------------------------------------------------------------------
     def memory_report(self) -> dict:
         """Bytes the arena retains and scratches, per node and total.
@@ -1220,7 +1148,6 @@ class TickArena:
         scratch = sum(g.scratch_nbytes() for g in self.groups)
         classify = (
             self._feat.nbytes
-            + (self._qfeat.nbytes if self._qfeat is not None else 0)
             + self._labels.nbytes
             + self._conf.nbytes
             + self._forest_ws.nbytes()

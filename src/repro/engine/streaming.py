@@ -39,7 +39,7 @@ from repro.engine.windows import WindowPlan, partition_bounds, segment_means
 __all__ = ["REANCHOR_INTERVAL", "IncrementalSignatureCore"]
 
 #: Samples between re-anchorings of running cumulative sums, shared by
-#: this core and the fused arena backend (`repro.engine.hotpath`) so the
+#: this core and the fused tick arena (`repro.engine.hotpath`) so the
 #: two paths re-anchor — and therefore diverge from an offline cumsum —
 #: at the exact same tick.
 REANCHOR_INTERVAL = 1 << 22
@@ -108,7 +108,7 @@ class IncrementalSignatureCore:
     @property
     def state_nbytes(self) -> int:
         """Bytes of retained streaming state (ring, sums, snapshots,
-        model rows) — the staged path's memory-per-node, compared
+        model rows) — the per-node streaming oracle's memory, compared
         against ``TickArena.memory_report()`` by the tick benchmark."""
         return (
             self._ring.nbytes

@@ -330,32 +330,6 @@ FLEET_DETECT = register(ScenarioSpec(
     }),
 ))
 
-FLEET_DETECT_FUSED = register(ScenarioSpec(
-    name="fleet-detect-fused",
-    kind="fleet-detect",
-    title="Online fleet fault detection — fused zero-allocation tick path",
-    description="The fleet-detect replay through the fused TickArena "
-    "backend (exact float64 mode): alert stream and scores are "
-    "bit-identical to the staged path, only the tick cost changes",
-    datasets=_fault_fleet(4, t=6000),
-    evaluation=pairs({
-        "blocks": 20,
-        "trees": 30,
-        "train_frac": 0.5,
-        "chunk": 256,
-        "open_after": 2,
-        "close_after": 2,
-        "seed": 0,
-        "backend": "fused",
-    }),
-    tags=("extra", "service", "fleet", "perf"),
-    smoke=pairs({
-        "datasets": _SMOKE_FLEET,
-        "evaluation": {"blocks": 8, "trees": 6, "chunk": 200,
-                       "backend": "fused"},
-    }),
-))
-
 FLEET_DETECT_SCALE = register(ScenarioSpec(
     name="fleet-detect-scale",
     kind="fleet-detect",
@@ -446,7 +420,7 @@ FLEET_REPLAY = register(ScenarioSpec(
     description="The fleet-detect feed recorded into a repro-telestore/v1 "
     "columnar store and replayed from disk at max speed (partition-sized "
     "blocks into the fused arena): alert JSONL byte-identical to guarded "
-    "live ingestion on every backend, wall-clock reported as speedup",
+    "live ingestion, wall-clock reported as speedup",
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
         "blocks": 20,
@@ -457,14 +431,12 @@ FLEET_REPLAY = register(ScenarioSpec(
         "close_after": 2,
         "seed": 0,
         "partition_ticks": 1024,
-        "backends": ("fused", "staged"),
     }),
     tags=("extra", "service", "fleet", "perf", "store"),
     smoke=pairs({
         "datasets": _SMOKE_FLEET,
         "evaluation": {"blocks": 8, "trees": 6, "chunk": 200,
-                       "partition_ticks": 400,
-                       "backends": ("fused",)},
+                       "partition_ticks": 400},
     }),
 ))
 

@@ -552,16 +552,16 @@ def _run_fleet_detect(
     fleet; ``fleet_sizes`` (optional) replays growing recipe prefixes so
     a single scenario sweeps fleet scale.  Rows report the alert
     stream's quality against the injected ground truth plus replay
-    throughput.  ``backend``/``mode`` select the detector's tick path
-    (staged, or the fused arena with exact/float32/quantized signature
-    arithmetic — see :class:`repro.service.detector.FleetFaultDetector`).
+    throughput.  ``mode`` selects the tick arena's signature arithmetic
+    (exact or float32 — see
+    :class:`repro.service.detector.FleetFaultDetector`).
 
     Plumbs through the :mod:`repro.service.api` facade: the evaluation
     dict's service keys become one :class:`ServiceConfig` (historically
     this kind ran unguarded, so ``guard`` defaults off here).
     """
     from repro.service.api import ServiceConfig, build_setup
-    from repro.service.api import replay as replay_config
+    from repro.service.api import replay as api_replay
 
     ev = spec.evaluation_dict()
     config = ServiceConfig.from_evaluation(
@@ -579,7 +579,7 @@ def _run_fleet_detect(
         setup = build_setup(
             config, recipes=spec.datasets[:size], context=ctx
         )
-        outcome = replay_config(config, setup)
+        outcome = api_replay(config, setup)
         outcomes.append(outcome)
         rows.append(
             outcome.row(f"{spec.datasets[0].segment}-fleet-{setup.n_nodes}")
@@ -601,11 +601,11 @@ def _run_fleet_replay(
 
     One guarded live replay of the fleet (the per-tick serving loop),
     then the same held-out feed recorded into a ``repro-telestore/v1``
-    store and replayed from disk through each configured backend —
-    partition-sized blocks fed straight into the detector.  The final
-    column asserts the byte-identity contract: every store replay's
-    alert JSONL must serialize byte-for-byte equal to the live run's,
-    and the drill raises if it does not.  ``Speedup`` is live wall-clock
+    store and replayed from disk — partition-sized blocks fed straight
+    into the detector.  The final column asserts the byte-identity
+    contract: the store replay's alert JSONL must serialize
+    byte-for-byte equal to the live run's, and the drill raises if it
+    does not.  ``Speedup`` is live wall-clock
     over store-replay wall-clock for the identical window.
     """
     import json
@@ -628,7 +628,6 @@ def _run_fleet_replay(
         top_blocks=int(param("top_blocks")),
     )
     partition_ticks = int(ev.get("partition_ticks", 1024))
-    backends = tuple(ev.get("backends", ("fused", "staged")))
     setup = prepare_fleet(
         spec.datasets,
         context=ctx,
@@ -658,8 +657,6 @@ def _run_fleet_replay(
     live = replay(setup, chunk=chunk, guard=True, **policy_kwargs)
     live_jsonl = jsonl(live.events)
     rows = [row(f"live chunk={chunk}", live, "", "")]
-    outcomes = [live]
-    mismatches = []
     with tempfile.TemporaryDirectory() as td:
         store = record_fleet(
             setup,
@@ -668,38 +665,24 @@ def _run_fleet_replay(
             chunk=chunk,
             guarded=True,
         )
-        for backend in backends:
-            fast = replay_from_store(setup, store, backend=backend,
-                                     **policy_kwargs)
-            identical = jsonl(fast.events) == live_jsonl
-            if not identical:
-                mismatches.append(backend)
-            speedup = (
-                round(live.replay_time_s / fast.replay_time_s, 2)
-                if fast.replay_time_s > 0
-                else float("inf")
-            )
-            rows.append(
-                row(
-                    f"store {backend}",
-                    fast,
-                    speedup,
-                    "yes" if identical else "NO",
-                )
-            )
-            outcomes.append(fast)
+        fast = replay_from_store(setup, store, **policy_kwargs)
+    identical = jsonl(fast.events) == live_jsonl
+    speedup = (
+        round(live.replay_time_s / fast.replay_time_s, 2)
+        if fast.replay_time_s > 0
+        else float("inf")
+    )
+    rows.append(row("store", fast, speedup, "yes" if identical else "NO"))
+    outcomes = [live, fast]
     notes = [
         f"store: {len(store.partitions)} partition(s) of "
         f"{partition_ticks} ticks, {store.nbytes / 1e6:.1f} MB",
         "byte-identity contract "
-        + ("held" if not mismatches else "VIOLATED")
+        + ("held" if identical else "VIOLATED")
         + ": store-replay alert JSONL vs guarded live ingestion",
     ]
-    if mismatches:
-        raise AssertionError(
-            "store-replay byte-identity contract violated for backend(s) "
-            f"{mismatches!r}"
-        )
+    if not identical:
+        raise AssertionError("store-replay byte-identity contract violated")
     return ScenarioResult(
         spec=spec,
         title=spec.title,
@@ -748,7 +731,6 @@ def _run_fleet_detect_chaos(
         close_after=int(param("close_after")),
         min_confidence=float(param("min_confidence")),
         top_blocks=int(param("top_blocks")),
-        backend=str(ev.get("backend", "staged")),
         mode=str(ev.get("mode", "exact")),
     )
     chaos = ChaosConfig(
@@ -857,7 +839,7 @@ def _run_fleet_serve(
     the trained fleet by reference before serving.
     """
     from repro.service.api import ServiceConfig, build_detector, build_setup
-    from repro.service.api import replay as replay_config
+    from repro.service.api import replay as api_replay
     from repro.service.net import FleetServer, ListAlertSink, loadgen
 
     ev = spec.evaluation_dict()
@@ -867,7 +849,7 @@ def _run_fleet_serve(
     n_nodes = len(setup.eval_data)
 
     ref_sink = ListAlertSink()
-    ref = replay_config(config, setup, sinks=(ref_sink,))
+    ref = api_replay(config, setup, sinks=(ref_sink,))
     rows = [
         (
             "in-process",
@@ -956,7 +938,7 @@ def _run_fleet_serve_chaos(
     is byte-for-byte the in-process replay's, on every repetition.
     """
     from repro.service.api import ServiceConfig, build_detector, build_setup
-    from repro.service.api import replay as replay_config
+    from repro.service.api import replay as api_replay
     from repro.service.net import FleetServer, ListAlertSink, loadgen
     from repro.service.netchaos import ChaosProxy, NetChaosConfig
 
@@ -983,7 +965,7 @@ def _run_fleet_serve_chaos(
     n_nodes = len(setup.eval_data)
 
     ref_sink = ListAlertSink()
-    ref = replay_config(config, setup, sinks=(ref_sink,))
+    ref = api_replay(config, setup, sinks=(ref_sink,))
     rows = [("in-process", n_nodes, "", ref.n_events, "", "", "", "", "")]
     mismatches = []
     faults_seen = 0

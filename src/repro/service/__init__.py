@@ -4,20 +4,18 @@ The paper's end goal is operational: signatures exist so a fleet can be
 *monitored* online, faults classified and causes localized.  This
 subpackage composes the existing layers into that one hot path:
 
-* :mod:`~repro.service.ingest` — sharded per-node ingestion: one
-  ring-buffered :class:`~repro.monitoring.streaming.OnlineSignatureStream`
-  per monitored node, keyed by
-  :class:`~repro.engine.fleet.FleetSignatureEngine` sensor-tree paths;
 * :mod:`~repro.service.classify` — training of the shared fault
-  classifier plus lockstep batched classification of every signature the
-  fleet emits in a tick (one stacked-forest predict call, not one per
-  node);
+  classifier over per-node CS signatures, keyed by
+  :class:`~repro.engine.fleet.FleetSignatureEngine` sensor-tree paths;
 * :mod:`~repro.service.alerts` — threshold + hysteresis alert policies
   and streaming JSONL / markdown alert sinks (reusing
   :mod:`repro.experiments.reporting`);
 * :mod:`~repro.service.detector` — :class:`FleetFaultDetector`, the
-  composed ingest → classify → alert hot path, plus the naive per-node
-  baseline loop it is benchmarked against;
+  composed ingest → classify → alert hot path running every tick
+  through the preallocated :class:`~repro.engine.hotpath.TickArena`
+  (one stacked-forest pass per tick for the whole fleet), plus
+  :func:`detect_naive`, the per-node oracle loop it is tested and
+  benchmarked against;
 * :mod:`~repro.service.replay` — the deterministic replay driver that
   feeds cached ``.npz`` segments (``monitoring.storage`` via the
   ``repro.scenarios`` :class:`~repro.scenarios.cache.ArtifactCache`)
@@ -33,8 +31,10 @@ subpackage composes the existing layers into that one hot path:
   and kill-and-restore drill that prove the two layers above;
 * :mod:`~repro.service.api` — the one public facade: a frozen
   :class:`ServiceConfig` replaces the historical ~20-kwarg sprawl, with
-  ``build_detector(config)`` / ``replay(config)`` / ``serve(config)``
-  as the only entry points callers need;
+  ``build_detector(config)`` / ``api.replay(config)`` /
+  ``serve(config)`` as the only entry points callers need.  The package
+  re-exports neither ``replay`` function, so ``repro.service.replay``
+  always names the replay-driver submodule;
 * :mod:`~repro.service.protocol` / :mod:`~repro.service.net` /
   :mod:`~repro.service.ops` — the network front: the
   ``repro-ticks/v1`` wire protocol (newline-JSON + CRC-checked binary
@@ -74,11 +74,9 @@ from repro.service.api import (
     ServiceConfig,
     build_detector,
     build_setup,
-    config_from_kwargs,
     replicate_setup,
     serve,
 )
-from repro.service.api import replay as replay_config
 from repro.service.chaos import ChaosConfig, ChaosInjector, run_with_kills
 from repro.service.checkpoint import (
     CheckpointError,
@@ -88,9 +86,8 @@ from repro.service.checkpoint import (
     save_checkpoint,
 )
 from repro.service.classify import FleetClassifier, TrainedFleet, train_fleet
-from repro.service.detector import BACKENDS, FleetFaultDetector, detect_naive
+from repro.service.detector import FleetFaultDetector, detect_naive
 from repro.service.guard import GuardConfig, GuardedDetector
-from repro.service.ingest import FleetIngest
 from repro.service.model_store import (
     ModelStoreError,
     load_fleet_npz,
@@ -102,7 +99,6 @@ from repro.service.replay import (
     fleet_recipes,
     node_path,
     prepare_fleet,
-    replay,
 )
 
 from repro.service.net import (
@@ -132,7 +128,6 @@ __all__ = [
     "AlertLog",
     "AlertPolicy",
     "AlertSink",
-    "BACKENDS",
     "BackpressureConfig",
     "ChaosConfig",
     "ChaosInjector",
@@ -140,7 +135,6 @@ __all__ = [
     "CheckpointError",
     "FleetClassifier",
     "FleetFaultDetector",
-    "FleetIngest",
     "FleetReplaySetup",
     "FleetServer",
     "Frame",
@@ -164,7 +158,6 @@ __all__ = [
     "WalWriter",
     "build_detector",
     "build_setup",
-    "config_from_kwargs",
     "detect_naive",
     "encode_binary",
     "encode_eof",
@@ -179,8 +172,6 @@ __all__ = [
     "parse_address",
     "prepare_fleet",
     "recover_wal",
-    "replay",
-    "replay_config",
     "replicate_setup",
     "restore_checkpoint",
     "run_with_kills",

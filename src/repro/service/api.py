@@ -6,7 +6,7 @@ Before this module, constructing the detection service meant threading
 the same plumbing).  The facade collapses that into:
 
 * :class:`ServiceConfig` — a frozen, validated dataclass holding every
-  service knob (fleet shape, training, detection, alerting, backend),
+  service knob (fleet shape, training, detection, alerting),
   with the same defaults as ``repro.service.replay.SERVICE_DEFAULTS``
   and the CLI presets;
 * :func:`build_setup` / :func:`build_detector` — materialize the
@@ -15,10 +15,7 @@ the same plumbing).  The facade collapses that into:
   the network-facing ingestion server against a config;
 * :func:`replicate_setup` — scale a trained fleet to N nodes by
   replicating models/data by reference (no retraining, near-zero extra
-  memory), which is how the load benchmarks reach thousands of nodes;
-* :func:`config_from_kwargs` — the one legacy adapter: accepts the old
-  loose-kwarg style with a :class:`DeprecationWarning` and returns a
-  :class:`ServiceConfig`.
+  memory), which is how the load benchmarks reach thousands of nodes.
 
 ``cli.py`` and ``repro.scenarios.evaluations`` both consume this module
 instead of re-plumbing kwargs.
@@ -27,13 +24,13 @@ instead of re-plumbing kwargs.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.engine.hotpath import SIGNATURE_MODES
 from repro.service.classify import TrainedFleet
-from repro.service.detector import BACKENDS, SIGNATURE_MODES, FleetFaultDetector
+from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardConfig, GuardedDetector
 from repro.service.replay import (
     SERVICE_DEFAULTS,
@@ -50,7 +47,6 @@ __all__ = [
     "build_context",
     "build_detector",
     "build_setup",
-    "config_from_kwargs",
     "replay",
     "replicate_setup",
     "serve",
@@ -73,8 +69,8 @@ class ServiceConfig:
     * training — ``blocks``, ``trees``, ``train_frac``, ``seed``,
       ``healthy_label``, ``model_path``;
     * detection — ``chunk``, ``open_after``, ``close_after``,
-      ``min_confidence``, ``top_blocks``, ``shards``, ``backend``,
-      ``mode``, ``guard``;
+      ``min_confidence``, ``top_blocks``, ``backend``, ``mode``,
+      ``guard``;
     * scale-out — ``replicate`` (0 = off; N = replicate the trained
       fleet to N nodes via :func:`replicate_setup`);
     * caching — ``cache_dir``.
@@ -94,8 +90,9 @@ class ServiceConfig:
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"]
     seed: int = SERVICE_DEFAULTS["seed"]
     healthy_label: int = SERVICE_DEFAULTS["healthy_label"]
-    shards: int | None = None
-    backend: str = "staged"
+    #: The tick path; ``"fused"`` (the :class:`~repro.engine.hotpath.
+    #: TickArena`) is the only one left.
+    backend: str = "fused"
     mode: str = "exact"
     guard: bool = True
     replicate: int = 0
@@ -115,9 +112,10 @@ class ServiceConfig:
             raise ValueError("open_after and close_after must be >= 1")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValueError("min_confidence must be in [0, 1]")
-        if self.backend not in BACKENDS:
+        if self.backend != "fused":
             raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend {self.backend!r} is retired: the fused tick "
+                "arena is the only tick path (backend must be 'fused')"
             )
         if self.mode not in SIGNATURE_MODES:
             raise ValueError(
@@ -163,33 +161,6 @@ class ServiceConfig:
             "min_confidence": self.min_confidence,
             "top_blocks": self.top_blocks,
         }
-
-
-def config_from_kwargs(**kwargs) -> ServiceConfig:
-    """Legacy adapter: loose service kwargs → :class:`ServiceConfig`.
-
-    .. deprecated::
-        Build a :class:`ServiceConfig` directly.  This shim exists so
-        pre-facade call sites (``nodes=..., t=..., blocks=...`` sprawl)
-        keep working; it warns once per call site and maps the old
-        spellings (``model`` → ``model_path``, ``no_guard`` → ``guard``)
-        onto the dataclass.
-    """
-    warnings.warn(
-        "loose service kwargs are deprecated; construct "
-        "repro.service.api.ServiceConfig directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if "model" in kwargs:
-        kwargs["model_path"] = kwargs.pop("model")
-    if "no_guard" in kwargs:
-        kwargs["guard"] = not kwargs.pop("no_guard")
-    names = {f.name for f in dataclasses.fields(ServiceConfig)}
-    unknown = sorted(set(kwargs) - names)
-    if unknown:
-        raise TypeError(f"unknown service kwargs: {', '.join(unknown)}")
-    return ServiceConfig(**kwargs)
 
 
 def build_context(config: ServiceConfig):
@@ -307,9 +278,7 @@ def build_detector(
         close_after=config.close_after,
         min_confidence=config.min_confidence,
         top_blocks=config.top_blocks,
-        shards=config.shards,
         record_history=record_history,
-        backend=config.backend,
         mode=config.mode,
         max_chunk=config.chunk,
     )
@@ -335,8 +304,6 @@ def replay(
     return _replay_loop(
         setup,
         chunk=config.chunk,
-        shards=config.shards,
-        backend=config.backend,
         mode=config.mode,
         guard=config.guard,
         **config.policy_kwargs(),

@@ -9,8 +9,7 @@ convention of :mod:`repro.monitoring.storage`):
 
 * per-node :class:`~repro.engine.streaming.IncrementalSignatureCore`
   state — normalization ring, running sum, pending window-start
-  snapshots, counts (backend-neutral: the fused arena exports the same
-  layout);
+  snapshots, counts (the tick arena exports exactly this layout);
 * per-node :class:`~repro.service.alerts.AlertPolicy` hysteresis state,
   including the open alert;
 * the alert events emitted so far plus replay bookkeeping
@@ -21,12 +20,12 @@ convention of :mod:`repro.monitoring.storage`):
   over every model array) plus the replay knobs, so a checkpoint can
   never silently resume against a different fleet or configuration.
 
-The contract — test-enforced per scenario and backend under a
-PYTHONHASHSEED subprocess sweep — is *byte identity*: crash → restore →
+The contract — test-enforced per scenario under a PYTHONHASHSEED
+subprocess sweep — is *byte identity*: crash → restore →
 replay-the-remaining-ticks produces alert JSONL identical to an
-uninterrupted run.  Cross-backend restores (staged checkpoint → fused
-resume and vice versa) are allowed in exact mode, where the two
-backends are bit-identical anyway; any geometry, knob, mode or lineage
+uninterrupted run.  Manifests record ``"backend": "fused"``; exact-mode
+checkpoints stamped ``"staged"`` by the retired backend hold the same
+state layout and still restore.  Any geometry, knob, mode or lineage
 mismatch raises :class:`CheckpointError` naming the offending field —
 never silent drift.
 """
@@ -153,7 +152,7 @@ def save_checkpoint(
     arrays: dict[str, np.ndarray] = {}
     node_meta: dict[str, dict] = {}
     for i, node in enumerate(paths):
-        st = detector.node_stream_state(node)
+        st = detector.arena.node_state(node)
         arrays[f"node{i}_ring"] = st["ring"]
         arrays[f"node{i}_csum"] = st["csum"]
         arrays[f"node{i}_pending_starts"] = st["pending_starts"]
@@ -170,7 +169,7 @@ def save_checkpoint(
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "alerts_schema": ALERTS_SCHEMA,
-        "backend": detector.backend,
+        "backend": "fused",
         "mode": detector.mode,
         "fingerprint": fingerprint,
         "chunk": int(chunk),
@@ -292,7 +291,7 @@ def restore_checkpoint(
 ) -> tuple[list[dict], int, int, int]:
     """Restore a checkpoint into a freshly constructed detector.
 
-    Validates lineage, geometry, mode/backend compatibility and every
+    Validates lineage, geometry, mode compatibility and every
     pinned replay knob before touching any state — a mismatch raises
     :class:`CheckpointError` with the offending ``field``.  Returns
     ``(events, next_lo, n_events, n_alerts)`` for the replay loop.
@@ -307,15 +306,8 @@ def restore_checkpoint(
     if m["mode"] != detector.mode:
         raise CheckpointError(
             f"checkpoint mode {m['mode']!r} is incompatible with a "
-            f"{detector.mode!r} resume; cross-backend restores are only "
-            "exact-mode (float32/quantized state is not bit-portable)",
+            f"{detector.mode!r} resume (float32 state is not bit-portable)",
             field="mode",
-        )
-    if m["backend"] != detector.backend and detector.mode != "exact":
-        raise CheckpointError(
-            f"checkpoint backend {m['backend']!r} cannot resume on "
-            f"{detector.backend!r} outside exact mode",
-            field="backend",
         )
     if int(m["chunk"]) != int(chunk):
         raise CheckpointError(
@@ -348,7 +340,7 @@ def restore_checkpoint(
             field="guard",
         )
     try:
-        detector.restore_stream_states(
+        detector.arena.restore_states(
             {
                 node: ckpt.node_state(i, node)
                 for i, node in enumerate(m["paths"])

@@ -13,9 +13,9 @@ store straight into the fused :class:`~repro.engine.hotpath.TickArena`
 (one fused pass per partition, no per-tick loop, no guard re-validation).
 
 **Byte-identity contract.**  The alert JSONL of a store replay is
-byte-identical to live ingestion of the same window — across backends
-and ``PYTHONHASHSEED``, like the PR 6/7 contracts.  Two mechanisms make
-that hold:
+byte-identical to live ingestion of the same window — across
+``PYTHONHASHSEED`` values, like the live replay's own contract.  Two
+mechanisms make that hold:
 
 * block-fed event *content* is already identical (the arena's block
   kernel is bit-exact vs the per-tick path); only the event *grouping*
@@ -183,8 +183,6 @@ def replay_from_store(
     close_after: int = SERVICE_DEFAULTS["close_after"],
     min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
-    shards: int | None = None,
-    backend: str = "fused",
     mode: str = "exact",
     stamp_health: bool | None = None,
     verify_fingerprint: bool = True,
@@ -261,9 +259,7 @@ def replay_from_store(
         close_after=close_after,
         min_confidence=min_confidence,
         top_blocks=top_blocks,
-        shards=shards,
         record_history=True,
-        backend=backend,
         mode=mode,
         max_chunk=max(1, max_block),
     )

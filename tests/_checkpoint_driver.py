@@ -2,7 +2,7 @@
 
 Invoked by ``tests/test_checkpoint_contract.py`` as::
 
-    python tests/_checkpoint_driver.py SCENARIO BACKEND CACHE_DIR OUT DIR MODE
+    python tests/_checkpoint_driver.py SCENARIO CACHE_DIR OUT DIR MODE
 
 Builds the named registered scenario's **smoke** fleet (through the
 shared artifact cache), then either:
@@ -16,8 +16,7 @@ shared artifact cache), then either:
 
 Chaos-kind scenarios replay under their configured fault injection in
 both modes, so the contract is exercised on hostile input too.  The
-test compares OUT bytes across modes, backends and PYTHONHASHSEED
-values.
+test compares OUT bytes across modes and PYTHONHASHSEED values.
 """
 
 import sys
@@ -33,7 +32,7 @@ from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
 
 
 def main() -> int:
-    scenario_name, backend, cache_dir, out, workdir, run_mode = sys.argv[1:7]
+    scenario_name, cache_dir, out, workdir, run_mode = sys.argv[1:6]
     spec = get_scenario(scenario_name)
     smoke = spec.smoke_dict()
     if "datasets" in smoke:
@@ -71,7 +70,6 @@ def main() -> int:
         close_after=int(param("close_after")),
         min_confidence=float(param("min_confidence")),
         top_blocks=int(param("top_blocks")),
-        backend=backend,
         mode=str(ev.get("mode", "exact")),
         guard=True,
         chaos=chaos,

@@ -1,7 +1,7 @@
-"""The crash-recovery contract, enforced per scenario and backend.
+"""The crash-recovery contract, enforced per scenario.
 
-For **every** registered ``fleet-detect*`` scenario at smoke size, on
-both backends: interrupting the replay at the middle tick and resuming
+For **every** registered ``fleet-detect*`` scenario at smoke size:
+interrupting the replay at the middle tick and resuming
 from the checkpoint must produce alert JSONL **byte-identical** to an
 uninterrupted run — with the two runs in separate processes under
 *different* ``PYTHONHASHSEED`` values, so no accidental hash-order
@@ -20,7 +20,7 @@ from repro.scenarios.registry import list_scenarios
 SRC = Path(__file__).resolve().parent.parent / "src"
 DRIVER = Path(__file__).resolve().parent / "_checkpoint_driver.py"
 
-#: Cycled across (scenario, backend, mode) runs so full and resume runs
+#: Cycled across scenario runs so full and resume runs
 #: of the same comparison always see different hash seeds.
 HASH_SEEDS = ("0", "7", "31337")
 
@@ -39,7 +39,6 @@ def test_sweep_covers_all_registered_fleet_scenarios():
     names = fleet_detect_scenarios()
     assert {
         "fleet-detect",
-        "fleet-detect-fused",
         "fleet-detect-scale",
         "fleet-detect-noise",
         "fleet-detect-chaos",
@@ -51,11 +50,11 @@ def contract_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("contract_cache"))
 
 
-def run_driver(scenario, backend, cache, out, workdir, mode, hash_seed):
+def run_driver(scenario, cache, out, workdir, mode, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     subprocess.run(
-        [sys.executable, str(DRIVER), scenario, backend, cache,
+        [sys.executable, str(DRIVER), scenario, cache,
          str(out), str(workdir), mode],
         check=True,
         env=env,
@@ -64,21 +63,17 @@ def run_driver(scenario, backend, cache, out, workdir, mode, hash_seed):
     )
 
 
-@pytest.mark.parametrize("backend", ("staged", "fused"))
 @pytest.mark.parametrize("scenario", fleet_detect_scenarios())
-def test_interrupt_resume_byte_identical(
-    scenario, backend, contract_cache, tmp_path
-):
+def test_interrupt_resume_byte_identical(scenario, contract_cache, tmp_path):
     full = tmp_path / "full.jsonl"
     resumed = tmp_path / "resumed.jsonl"
     # different hash seeds for the two runs of every comparison
-    idx = hash((scenario, backend)) % len(HASH_SEEDS)
+    idx = hash(scenario) % len(HASH_SEEDS)
     run_driver(
-        scenario, backend, contract_cache, full, tmp_path, "full",
-        HASH_SEEDS[idx],
+        scenario, contract_cache, full, tmp_path, "full", HASH_SEEDS[idx]
     )
     run_driver(
-        scenario, backend, contract_cache, resumed, tmp_path, "resume",
+        scenario, contract_cache, resumed, tmp_path, "resume",
         HASH_SEEDS[(idx + 1) % len(HASH_SEEDS)],
     )
     assert full.read_bytes() == resumed.read_bytes()

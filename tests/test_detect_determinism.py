@@ -1,10 +1,10 @@
-"""Golden alert-stream fixtures + cross-process backend determinism.
+"""Golden alert-stream fixtures + cross-process determinism.
 
 ``tests/golden/detect_smoke_alerts.jsonl`` freezes the byte-exact alert
-stream of ``repro detect --smoke``.  Every (PYTHONHASHSEED, backend)
-combination must reproduce it exactly in a fresh interpreter: the fused
-arena's exact mode is not allowed to drift from the staged pipeline by
-a single byte, across processes, ever.  A diff here means either a real
+stream of ``repro detect --smoke``.  Every PYTHONHASHSEED must
+reproduce it exactly in a fresh interpreter: the tick arena's exact
+mode is not allowed to drift by a single byte, across processes, ever.
+A diff here means either a real
 regression or an intentional output change — in the latter case the
 fixture is regenerated with::
 
@@ -25,11 +25,10 @@ SRC = HERE.parent / "src"
 GOLDEN = HERE / "golden" / "detect_smoke_alerts.jsonl"
 
 
-def _run_detect(alerts: Path, cache: Path, hash_seed: str, backend: str):
+def _run_detect(alerts: Path, cache: Path, hash_seed: str):
     subprocess.run(
         [
             sys.executable, "-m", "repro", "detect", "--smoke",
-            "--backend", backend,
             "--alerts", str(alerts),
             "--cache-dir", str(cache),
         ],
@@ -52,14 +51,10 @@ class TestGoldenAlertStream:
         for e in events:
             assert e["node"].startswith("rack")
 
-    @pytest.mark.parametrize("backend", ["staged", "fused"])
     @pytest.mark.parametrize("hash_seed", ["0", "31337"])
-    def test_detect_matches_golden_bytes(
-        self, tmp_path, backend, hash_seed
-    ):
-        """The ISSUE acceptance criterion: `repro detect` output is
-        byte-identical from both backends, across hash seeds, in fresh
-        processes — and equal to the committed golden stream."""
+    def test_detect_matches_golden_bytes(self, tmp_path, hash_seed):
+        """`repro detect` output is byte-identical across hash seeds, in
+        fresh processes — and equal to the committed golden stream."""
         alerts = tmp_path / "alerts.jsonl"
-        _run_detect(alerts, tmp_path / "cache", hash_seed, backend)
+        _run_detect(alerts, tmp_path / "cache", hash_seed)
         assert alerts.read_bytes() == GOLDEN.read_bytes()

@@ -42,12 +42,9 @@ def small_store(small_setup, tmp_path_factory):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", ["staged", "fused"])
-    def test_full_window_matches_guarded_live(
-        self, small_setup, small_store, backend
-    ):
-        live = replay(small_setup, chunk=10, backend="staged", guard=True)
-        fast = replay_from_store(small_setup, small_store, backend=backend)
+    def test_full_window_matches_guarded_live(self, small_setup, small_store):
+        live = replay(small_setup, chunk=10, guard=True)
+        fast = replay_from_store(small_setup, small_store)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.events, "drill needs a non-empty alert stream"
         assert fast.n_windows == live.n_windows
@@ -63,8 +60,8 @@ class TestByteIdentity:
             chunk=10,
             guarded=False,
         )
-        live = replay(small_setup, chunk=10, backend="fused", guard=False)
-        fast = replay_from_store(small_setup, store, backend="fused")
+        live = replay(small_setup, chunk=10, guard=False)
+        fast = replay_from_store(small_setup, store)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert all("health" not in e for e in fast.events)
 
@@ -72,9 +69,7 @@ class TestByteIdentity:
     def test_any_live_chunk_reproduced(
         self, small_setup, small_store, live_chunk
     ):
-        live = replay(
-            small_setup, chunk=live_chunk, backend="staged", guard=True
-        )
+        live = replay(small_setup, chunk=live_chunk, guard=True)
         fast = replay_from_store(
             small_setup, small_store, live_chunk=live_chunk
         )
@@ -84,15 +79,8 @@ class TestByteIdentity:
         self, small_setup, small_store
     ):
         t0, t1 = 200, 800
-        live = replay(
-            slice_setup(small_setup, t0, t1),
-            chunk=10,
-            backend="fused",
-            guard=True,
-        )
-        fast = replay_from_store(
-            small_setup, small_store, t0=t0, t1=t1, backend="staged"
-        )
+        live = replay(slice_setup(small_setup, t0, t1), chunk=10, guard=True)
+        fast = replay_from_store(small_setup, small_store, t0=t0, t1=t1)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.window_accuracy == live.window_accuracy
 
@@ -180,15 +168,14 @@ class TestOutOfCore:
 
 
 class TestCliDeterminism:
-    """`repro detect --from-store` byte-identity across processes,
-    backends and hash seeds — the PR 6/7 determinism contract extended
-    to the store path."""
+    """`repro detect --from-store` byte-identity across processes and
+    hash seeds — the live detector's determinism contract extended to
+    the store path."""
 
-    def _detect(self, alerts, cache, store, *, hash_seed, backend, extra=()):
+    def _detect(self, alerts, cache, store, *, hash_seed):
         cmd = [
             sys.executable, "-m", "repro", "detect", "--smoke",
             "--cache-dir", str(cache), "--alerts", str(alerts),
-            "--backend", backend, *extra,
         ]
         if store is not None:
             cmd += ["--from-store", str(store)]
@@ -213,15 +200,13 @@ class TestCliDeterminism:
             record, cwd=REPO, env=env, check=True, capture_output=True
         )
         live = self._detect(
-            tmp_path / "live.jsonl", cache, None,
-            hash_seed=0, backend="staged",
+            tmp_path / "live.jsonl", cache, None, hash_seed=0
         )
         runs = {
-            (backend, seed): self._detect(
-                tmp_path / f"{backend}-{seed}.jsonl", cache,
-                tmp_path / "store", hash_seed=seed, backend=backend,
+            seed: self._detect(
+                tmp_path / f"store-{seed}.jsonl", cache,
+                tmp_path / "store", hash_seed=seed,
             )
-            for backend in ("staged", "fused")
             for seed in (0, 31337)
         }
         assert live  # non-empty stream

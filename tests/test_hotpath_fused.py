@@ -1,11 +1,12 @@
 """Fused tick hot path: bit-exactness, raggedness, modes, allocations.
 
 The :class:`~repro.engine.hotpath.TickArena` contract: in ``exact`` mode
-every signature, label and confidence — and therefore every alert
-event — is **bit-identical** to the staged
-``FleetIngest → signature_features → forest`` pipeline, under uniform
-bursts, ragged bursts, missing nodes and sub-chunk splitting alike; and
-a steady-state tick retains zero new numpy memory.
+every signature is **bit-identical** to the per-node
+:class:`~repro.monitoring.streaming.OnlineSignatureStream` oracle and
+every alert event equals :func:`~repro.service.detector.detect_naive`'s
+(per-sample push, single-row forest predict), under uniform bursts,
+ragged bursts, missing nodes and sub-chunk splitting alike; and a
+steady-state tick retains zero new numpy memory.
 """
 
 import gc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
-from repro.service.detector import BACKENDS, FleetFaultDetector
+from repro.service.detector import FleetFaultDetector, detect_naive
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 
@@ -26,7 +27,7 @@ def small_setup():
     )
 
 
-def _staged_signatures(setup, path, upto):
+def _oracle_signatures(setup, path, upto):
     stream = setup.trained.engine.stream(path)
     return stream.push_block(setup.eval_data[path][:, :upto])
 
@@ -42,8 +43,14 @@ def _arena_signatures(arena, feeds):
     return got
 
 
+def _by_node(events):
+    """Events regrouped per node (stable, so window order is kept):
+    :func:`detect_naive` walks node by node, the arena tick by tick."""
+    return sorted(events, key=lambda e: (e["node"], e["window"]))
+
+
 class TestExactBitEquality:
-    def test_uniform_bursts_match_staged_streams(self, small_setup):
+    def test_uniform_bursts_match_streaming_oracle(self, small_setup):
         setup = small_setup
         t = min(m.shape[1] for m in setup.eval_data.values())
         arena = TickArena(
@@ -58,7 +65,7 @@ class TestExactBitEquality:
         ]
         got = _arena_signatures(arena, feeds)
         for path in setup.eval_data:
-            want = _staged_signatures(setup, path, t)
+            want = _oracle_signatures(setup, path, t)
             assert len(got[path]) == len(want) > 0
             for a, b in zip(got[path], want):
                 assert a.tobytes() == b.tobytes()
@@ -92,35 +99,34 @@ class TestExactBitEquality:
         got = _arena_signatures(arena, feeds)
         assert not all(g.uniform for g in arena.groups)
         for path in setup.eval_data:
-            want = _staged_signatures(setup, path, pos[path])
+            want = _oracle_signatures(setup, path, pos[path])
             assert len(got[path]) == len(want) > 0
             for a, b in zip(got[path], want):
                 assert a.tobytes() == b.tobytes()
 
-    def test_replay_events_identical_to_staged(self, small_setup):
-        staged = replay(small_setup, chunk=200, backend="staged")
-        fused = replay(small_setup, chunk=200, backend="fused")
-        assert fused.events == staged.events
-        assert fused.n_windows == staged.n_windows
-        assert len(staged.events) > 0
+    def test_replay_events_identical_to_naive(self, small_setup):
+        arena = replay(small_setup, chunk=200)
+        naive = detect_naive(small_setup.trained, small_setup.eval_data)
+        assert _by_node(arena.events) == _by_node(naive)
+        assert arena.n_windows == sum(
+            t.shape[0] for t in small_setup.truth.values()
+        )
+        assert len(naive) > 0
 
     def test_serving_chunk_events_identical(self, small_setup):
         """Small serving bursts split windows across many ticks."""
-        staged = replay(small_setup, chunk=10, backend="staged")
-        fused = replay(small_setup, chunk=10, backend="fused")
-        assert fused.events == staged.events
+        arena = replay(small_setup, chunk=10)
+        naive = detect_naive(small_setup.trained, small_setup.eval_data)
+        assert _by_node(arena.events) == _by_node(naive)
 
 
 class TestReducedPrecisionModes:
-    @pytest.mark.parametrize("mode", ["float32", "quantized"])
-    def test_mode_runs_and_mostly_agrees(self, small_setup, mode):
-        exact = replay(small_setup, chunk=200, backend="fused")
-        reduced = replay(small_setup, chunk=200, backend="fused", mode=mode)
+    def test_mode_runs_and_mostly_agrees(self, small_setup):
+        exact = replay(small_setup, chunk=200)
+        reduced = replay(small_setup, chunk=200, mode="float32")
         assert reduced.n_windows == exact.n_windows
-        det_e = FleetFaultDetector(small_setup.trained, backend="fused")
-        det_r = FleetFaultDetector(
-            small_setup.trained, backend="fused", mode=mode
-        )
+        det_e = FleetFaultDetector(small_setup.trained)
+        det_r = FleetFaultDetector(small_setup.trained, mode="float32")
         for det in (det_e, det_r):
             for lo in range(0, 600, 60):
                 det.process_block(
@@ -137,49 +143,19 @@ class TestReducedPrecisionModes:
             total += len(le)
         assert agree / total >= 0.95
 
-    def test_quantized_signatures_are_bin_centers(self, small_setup):
-        arena = TickArena(
-            small_setup.trained.engine,
-            small_setup.trained.classifier.forest,
-            mode="quantized",
-            max_chunk=100,
-        )
-        out = arena.tick(
-            {p: m[:, :100] for p, m in small_setup.eval_data.items()}
-        )
-        rows = sum(labels.shape[0] for _, labels, _, _ in out)
-        assert rows > 0
-        l = arena.blocks
-        for _, labels, _, row0 in out:
-            for j in range(labels.shape[0]):
-                sig = arena.signature(row0 + j)
-                # real bins: q/255 for integer q in 0..255
-                q = sig.real * 255.0
-                assert np.allclose(q, np.rint(q), atol=1e-6)
-                assert np.all((sig.real >= 0.0) & (sig.real <= 1.0))
-
-    def test_staged_backend_rejects_reduced_modes(self, small_setup):
-        with pytest.raises(ValueError, match="require backend='fused'"):
-            FleetFaultDetector(small_setup.trained, mode="float32")
-
     def test_unknown_backend_and_mode_raise(self, small_setup):
-        with pytest.raises(ValueError, match="unknown backend"):
-            FleetFaultDetector(small_setup.trained, backend="turbo")
+        with pytest.raises(TypeError, match="backend"):
+            FleetFaultDetector(small_setup.trained, backend="staged")
         with pytest.raises(ValueError, match="unknown signature mode"):
-            FleetFaultDetector(
-                small_setup.trained, backend="fused", mode="float16"
-            )
-        assert BACKENDS == ("staged", "fused")
-        assert SIGNATURE_MODES == ("exact", "float32", "quantized")
+            FleetFaultDetector(small_setup.trained, mode="float16")
+        assert SIGNATURE_MODES == ("exact", "float32")
 
 
 class TestMemory:
     def test_memory_report_shape_and_mode_ordering(self, small_setup):
         reports = {}
         for mode in SIGNATURE_MODES:
-            det = FleetFaultDetector(
-                small_setup.trained, backend="fused", mode=mode
-            )
+            det = FleetFaultDetector(small_setup.trained, mode=mode)
             rep = det.memory_report()
             assert rep["mode"] == mode
             assert rep["nodes"] == len(det.paths)
@@ -198,9 +174,6 @@ class TestMemory:
             reports["float32"]["state_bytes"]
             < reports["exact"]["state_bytes"]
         )
-        staged = FleetFaultDetector(small_setup.trained)
-        with pytest.raises(ValueError, match="backend='fused'"):
-            staged.memory_report()
 
     def test_steady_state_tick_retains_no_memory(self, small_setup):
         """The tracemalloc regression gate on the zero-allocation claim:
@@ -208,7 +181,6 @@ class TestMemory:
         single leaked column buffer would be tens of kilobytes here)."""
         detector = FleetFaultDetector(
             small_setup.trained,
-            backend="fused",
             record_history=False,
             max_chunk=50,
         )

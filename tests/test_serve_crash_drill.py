@@ -5,9 +5,8 @@ process with a WAL and networked checkpoints is SIGKILLed mid-stream
 — no atexit, no flush, no warning — restarted with the same flags, fed
 by a resuming client, and its final alert JSONL is byte-identical to
 an uninterrupted in-process replay.  Parametrized across
-``PYTHONHASHSEED`` values and both tick-path backends, because hash
-randomization and the fused arena are exactly where hidden
-iteration-order or buffering nondeterminism would surface.
+``PYTHONHASHSEED`` values, because hash randomization is exactly where
+hidden iteration-order nondeterminism would surface.
 """
 
 import os
@@ -49,15 +48,13 @@ def _wait_for(pred, timeout: float, what: str):
     pytest.fail(f"timed out after {timeout:.0f}s waiting for {what}")
 
 
-def _serve_cmd(tmp: Path, backend: str, *extra: str) -> list:
+def _serve_cmd(tmp: Path, *extra: str) -> list:
     return [
         sys.executable,
         "-m",
         "repro",
         "serve",
         "--smoke",
-        "--backend",
-        backend,
         "--listen",
         "127.0.0.1:0",
         "--port-file",
@@ -97,18 +94,16 @@ def _port(port_file: Path) -> int:
     return int(port_file.read_text().strip())
 
 
-@pytest.mark.parametrize(
-    "hashseed,backend", [("0", "staged"), ("1", "fused")]
-)
+@pytest.mark.parametrize("hashseed", ["0", "1"])
 def test_sigkill_restart_is_byte_identical(
-    setup, ref_bytes, tmp_path, hashseed, backend
+    setup, ref_bytes, tmp_path, hashseed
 ):
     port_file = tmp_path / "serve.port"
     alerts = tmp_path / "alerts.jsonl"
     ckpt = tmp_path / "ckpt.npz"
 
     # -- first life: serve, ingest a few ticks, die by SIGKILL -------
-    proc = _spawn(_serve_cmd(tmp_path, backend), hashseed)
+    proc = _spawn(_serve_cmd(tmp_path), hashseed)
     try:
         # First start trains the smoke fleet before binding.
         _wait_for(port_file.exists, 120, "first server to bind")
@@ -133,9 +128,7 @@ def test_sigkill_restart_is_byte_identical(
     port_file.unlink()
 
     # -- second life: recover, resume the feed, drain, exit 0 --------
-    proc = _spawn(
-        _serve_cmd(tmp_path, backend, "--exit-on-idle"), hashseed
-    )
+    proc = _spawn(_serve_cmd(tmp_path, "--exit-on-idle"), hashseed)
     try:
         _wait_for(port_file.exists, 120, "restarted server to bind")
         stats = loadgen(

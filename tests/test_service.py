@@ -1,8 +1,8 @@
 """Unit + equivalence tests for the online detection service layers.
 
-Covers sharded ingestion (bit-parity with the offline fleet transform),
-the threshold + hysteresis alert policy state machine, fleet training,
-and the batched detector's equivalence with the naive per-node loop.
+Covers the threshold + hysteresis alert policy state machine, fleet
+training, and the batched detector's equivalence with the naive
+per-node loop.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.ml.forest import RandomForestClassifier
 from repro.service.alerts import AlertPolicy, event_line
 from repro.service.classify import train_fleet
 from repro.service.detector import FleetFaultDetector, detect_naive
-from repro.service.ingest import FleetIngest, shard_of
 from repro.service.replay import fleet_recipes, node_path, prepare_fleet, replay
 
 
@@ -27,59 +26,6 @@ def small_setup():
 
 def _event_key(event):
     return (event["node"], event["window"], event["event"])
-
-
-class TestFleetIngest:
-    def test_push_blocks_matches_offline_transform(self, small_setup):
-        engine = small_setup.trained.engine
-        ingest = FleetIngest(engine)
-        sigs = ingest.push_blocks(small_setup.eval_data)
-        for path, matrix in small_setup.eval_data.items():
-            offline = engine.transform_node(path, matrix)
-            np.testing.assert_array_equal(sigs[path], offline)
-
-    def test_chunked_pushes_match_one_block(self, small_setup):
-        engine = small_setup.trained.engine
-        whole = FleetIngest(engine).push_blocks(small_setup.eval_data)
-        chunked = FleetIngest(engine)
-        parts = {}
-        horizon = max(m.shape[1] for m in small_setup.eval_data.values())
-        for lo in range(0, horizon, 97):  # awkward burst size on purpose
-            got = chunked.push_blocks(
-                {
-                    p: m[:, lo : lo + 97]
-                    for p, m in small_setup.eval_data.items()
-                    if lo < m.shape[1]
-                }
-            )
-            for p, s in got.items():
-                parts.setdefault(p, []).append(s)
-        for path in whole:
-            np.testing.assert_array_equal(
-                np.concatenate(parts[path]), whole[path]
-            )
-
-    def test_sharded_ingestion_is_bit_identical(self, small_setup):
-        engine = small_setup.trained.engine
-        plain = FleetIngest(engine).push_blocks(small_setup.eval_data)
-        sharded = FleetIngest(engine, shards=3).push_blocks(
-            small_setup.eval_data
-        )
-        assert sorted(plain) == sorted(sharded)
-        for path in plain:
-            np.testing.assert_array_equal(plain[path], sharded[path])
-
-    def test_shard_assignment_is_stable(self):
-        assert shard_of("rack0/node00", 4) == shard_of("rack0/node00", 4)
-        with pytest.raises(ValueError):
-            shard_of("rack0/node00", 0)
-
-    def test_unknown_path_raises(self, small_setup):
-        ingest = FleetIngest(small_setup.trained.engine)
-        with pytest.raises(KeyError):
-            ingest.push_blocks({"rack9/node99": np.zeros((3, 4))})
-        with pytest.raises(KeyError):
-            FleetIngest(small_setup.trained.engine, ["rack9/node99"])
 
 
 class TestAlertPolicy:
@@ -197,11 +143,6 @@ class TestDetectorEquivalence:
         assert sorted(outcome.events, key=_event_key) == sorted(
             naive, key=_event_key
         )
-
-    def test_sharded_detector_equals_default(self, small_setup):
-        plain = replay(small_setup, chunk=200)
-        sharded = replay(small_setup, chunk=200, shards=2)
-        assert plain.events == sharded.events
 
     def test_history_and_window_counts(self, small_setup):
         detector = FleetFaultDetector(small_setup.trained)

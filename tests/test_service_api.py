@@ -1,4 +1,4 @@
-"""Facade tests: ServiceConfig, the legacy-kwarg adapter, fleet
+"""Facade tests: ServiceConfig, the package's submodule names, fleet
 replication, the repro-alerts/v1 canonical payload, and the graceful
 SIGINT path (finish the in-flight tick, flush open alerts, write a
 final checkpoint, exit 130)."""
@@ -22,7 +22,6 @@ from repro.service.api import (
     ServiceConfig,
     build_detector,
     build_setup,
-    config_from_kwargs,
     replay,
     replicate_setup,
 )
@@ -44,7 +43,7 @@ class TestServiceConfig:
         for knob, value in SERVICE_DEFAULTS.items():
             assert getattr(config, knob) == value
         assert config.guard is True
-        assert config.backend == "staged"
+        assert config.backend == "fused"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -67,6 +66,23 @@ class TestServiceConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ServiceConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "field,value,cli_message",
+        [
+            ("backend", "staged", "'staged' is retired"),
+            ("mode", "quantized", "invalid choice: 'quantized'"),
+        ],
+    )
+    def test_retired_values_fail_fast(self, field, value, cli_message, capsys):
+        from repro import cli
+
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["detect", "--smoke", f"--{field}", value])
+        assert exc_info.value.code == 2
+        assert cli_message in capsys.readouterr().err
 
     def test_smoke_preset_matches_cli(self):
         smoke = ServiceConfig.smoke()
@@ -91,20 +107,14 @@ class TestServiceConfig:
         assert ServiceConfig(noise_std=0.05).noise_seed == 11
 
 
-class TestLegacyAdapter:
-    def test_warns_and_maps_old_spellings(self):
-        with pytest.warns(DeprecationWarning):
-            config = config_from_kwargs(
-                nodes=2, t=2500, model="fleet.npz", no_guard=True
-            )
-        assert config.model_path == "fleet.npz"
-        assert config.guard is False
-        assert config.nodes == 2
+class TestPackageNames:
+    def test_replay_submodule_is_not_shadowed(self):
+        """``repro.service.replay`` names the replay-driver module, not a
+        re-exported function of the same name."""
+        import repro.service.replay
 
-    def test_unknown_kwarg_is_typed_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="window_len"):
-                config_from_kwargs(window_len=30)
+        assert repro.service.replay.prepare_fleet is not None
+        assert not hasattr(repro.service, "replay_config")
 
 
 class TestReplicateSetup:

@@ -4,7 +4,7 @@ The injector's schedule must be a pure function of ``(seed, tick,
 node)`` — that statelessness is what makes killed-and-resumed chaos
 replays regenerate the same faults and hence the same alert bytes.  The
 fault-matrix tests assert each injected fault class lands on its
-documented guard policy, on both backends.
+documented guard policy.
 """
 
 import numpy as np
@@ -12,8 +12,6 @@ import pytest
 
 from repro.service.chaos import ChaosConfig, ChaosInjector, run_with_kills
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
-
-BACKENDS = ("staged", "fused")
 
 
 @pytest.fixture(scope="module")
@@ -97,26 +95,22 @@ class TestInjectorDeterminism:
 class TestFaultMapping:
     """Each single-fault config lands on its documented guard policy."""
 
-    def guarded_replay(self, setup, backend, **chaos_kw):
+    def guarded_replay(self, setup, **chaos_kw):
         return replay(
-            setup, chunk=200, guard=True, backend=backend,
+            setup, chunk=200, guard=True,
             chaos=ChaosConfig(seed=1, **chaos_kw),
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_drop_thins_windows_without_guard_events(
-        self, small_setup, backend
-    ):
-        out = self.guarded_replay(small_setup, backend, drop=0.3)
-        clean = replay(small_setup, chunk=200, guard=True, backend=backend)
+    def test_drop_thins_windows_without_guard_events(self, small_setup):
+        out = self.guarded_replay(small_setup, drop=0.3)
+        clean = replay(small_setup, chunk=200, guard=True)
         assert out.chaos_stats["drop"] > 0
         assert out.n_windows < clean.n_windows
         assert not [e for e in out.events if e["event"] == "guard"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_coalesces(self, small_setup, backend):
-        out = self.guarded_replay(small_setup, backend, duplicate=0.5)
-        clean = replay(small_setup, chunk=200, guard=True, backend=backend)
+    def test_duplicate_coalesces(self, small_setup):
+        out = self.guarded_replay(small_setup, duplicate=0.5)
+        clean = replay(small_setup, chunk=200, guard=True)
         ge = [e for e in out.events if e["event"] == "guard"]
         assert out.chaos_stats["duplicate"] > 0
         assert ge and all(e["fault"] == "duplicate-tick" for e in ge)
@@ -125,20 +119,18 @@ class TestFaultMapping:
         stripped = [e for e in out.events if e["event"] != "guard"]
         assert stripped == [e for e in clean.events if e["event"] != "guard"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reorder_maps_to_stale_tick(self, small_setup, backend):
-        out = self.guarded_replay(small_setup, backend, reorder=0.5)
+    def test_reorder_maps_to_stale_tick(self, small_setup):
+        out = self.guarded_replay(small_setup, reorder=0.5)
         ge = [e for e in out.events if e["event"] == "guard"]
         assert out.chaos_stats["reorder"] > 0
         assert ge and all(e["fault"] == "stale-tick" for e in ge)
         assert all(e["action"] == "reject" for e in ge)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_corrupt_maps_to_corrupt_values(self, small_setup, backend):
+    def test_corrupt_maps_to_corrupt_values(self, small_setup):
         from repro.service.guard import GuardConfig
 
         out = replay(
-            small_setup, chunk=200, backend=backend,
+            small_setup, chunk=200,
             guard=GuardConfig(quarantine_after=2, backoff_ticks=2),
             chaos=ChaosConfig(seed=1, corrupt=0.9),
         )
@@ -149,10 +141,9 @@ class TestFaultMapping:
         # persistent corruption quarantines
         assert any(e["action"] == "quarantine" for e in ge)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_fault_mix_never_crashes(self, small_setup, backend):
+    def test_full_fault_mix_never_crashes(self, small_setup):
         out = self.guarded_replay(
-            small_setup, backend,
+            small_setup,
             drop=0.1, duplicate=0.1, reorder=0.1, corrupt=0.1,
         )
         assert out.n_events == len(out.events)
@@ -160,20 +151,17 @@ class TestFaultMapping:
 
 
 class TestKillAndRestore:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chaos_kill_restore_identical(
-        self, small_setup, tmp_path, backend
-    ):
+    def test_chaos_kill_restore_identical(self, small_setup, tmp_path):
         chaos = ChaosConfig(seed=2, drop=0.05, duplicate=0.05,
                             reorder=0.05, corrupt=0.05)
         uninterrupted = replay(
-            small_setup, chunk=200, guard=True, backend=backend, chaos=chaos
+            small_setup, chunk=200, guard=True, chaos=chaos
         )
         killed = run_with_kills(
             small_setup,
             checkpoint_path=tmp_path / "chaos.npz",
             kills=[2, 5],
-            chunk=200, guard=True, backend=backend, chaos=chaos,
+            chunk=200, guard=True, chaos=chaos,
         )
         assert killed.events == uninterrupted.events
         assert killed.n_alerts == uninterrupted.n_alerts

@@ -1,16 +1,20 @@
 """Checkpoint/restore: byte-identity round trips and typed mismatches.
 
 The contract: crash -> restore -> replay-the-remaining-ticks produces an
-event stream identical to an uninterrupted run — across both backends in
-exact mode, in either direction.  Anything a checkpoint cannot honestly
+event stream identical to an uninterrupted run — including exact-mode
+checkpoints stamped ``"backend": "staged"`` by the retired staged tick
+path, whose state layout the arena shares.  Anything a checkpoint cannot honestly
 resume (different fleet lineage, geometry, knobs, signature mode, a
 corrupt archive) is a :class:`CheckpointError` naming the offending
 field — never silent drift, never a raw traceback.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.monitoring.storage import atomic_savez, load_npz_arrays
 from repro.service.alerts import JSONLAlertSink
 from repro.service.chaos import ChaosConfig, run_with_kills
 from repro.service.checkpoint import (
@@ -19,8 +23,6 @@ from repro.service.checkpoint import (
     load_checkpoint,
 )
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
-
-BACKENDS = ("staged", "fused")
 
 
 @pytest.fixture(scope="module")
@@ -38,16 +40,15 @@ def other_setup():
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_interrupt_resume_identical(self, small_setup, tmp_path, backend):
-        full = replay(small_setup, chunk=200, guard=True, backend=backend)
+    def test_interrupt_resume_identical(self, small_setup, tmp_path):
+        full = replay(small_setup, chunk=200, guard=True)
         ck = tmp_path / "ck.npz"
         replay(
-            small_setup, chunk=200, guard=True, backend=backend,
+            small_setup, chunk=200, guard=True,
             checkpoint_path=ck, checkpoint_every=1, stop_after=4,
         )
         resumed = replay(
-            small_setup, chunk=200, guard=True, backend=backend,
+            small_setup, chunk=200, guard=True,
             checkpoint_path=ck, checkpoint_every=1, resume=True,
         )
         assert resumed.events == full.events
@@ -55,24 +56,35 @@ class TestRoundTrip:
         assert resumed.n_windows == full.n_windows
         assert resumed.window_accuracy == full.window_accuracy
 
-    @pytest.mark.parametrize(
-        "save_backend,load_backend", [("staged", "fused"), ("fused", "staged")]
-    )
-    def test_cross_backend_exact_resume(
-        self, small_setup, tmp_path, save_backend, load_backend
-    ):
-        """Exact-mode checkpoints move freely between backends."""
-        full = replay(small_setup, chunk=200, guard=True)
-        ck = tmp_path / "cross.npz"
+    def test_staged_stamped_checkpoint_resumes(self, small_setup, tmp_path):
+        """An exact-mode manifest stamped ``"staged"`` (what the retired
+        staged tick path wrote) restores into the arena byte-identically."""
+        full_path = tmp_path / "full.jsonl"
         replay(
-            small_setup, chunk=200, guard=True, backend=save_backend,
+            small_setup, chunk=200, guard=True,
+            sinks=[JSONLAlertSink(full_path)],
+        )
+        ck = tmp_path / "staged.npz"
+        replay(
+            small_setup, chunk=200, guard=True,
             checkpoint_path=ck, checkpoint_every=1, stop_after=3,
         )
-        resumed = replay(
-            small_setup, chunk=200, guard=True, backend=load_backend,
-            checkpoint_path=ck, resume=True,
+        arrays = load_npz_arrays(ck)
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        assert manifest["backend"] == "fused"
+        manifest["backend"] = "staged"
+        arrays["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
         )
-        assert resumed.events == full.events
+        atomic_savez(ck, **arrays)
+        assert load_checkpoint(ck).manifest["backend"] == "staged"
+        resumed_path = tmp_path / "resumed.jsonl"
+        replay(
+            small_setup, chunk=200, guard=True,
+            checkpoint_path=ck, resume=True,
+            sinks=[JSONLAlertSink(resumed_path)],
+        )
+        assert resumed_path.read_bytes() == full_path.read_bytes()
 
     def test_resume_reemits_prefix_into_sinks(self, small_setup, tmp_path):
         full_path = tmp_path / "full.jsonl"
@@ -160,39 +172,26 @@ class TestTypedMismatches:
         err = self._resume_error(small_setup, ck, chunk=200, **{knob: value})
         assert err.field == knob
 
-    @pytest.mark.parametrize("mode", ("float32", "quantized"))
-    def test_non_exact_cross_mode_rejected(self, small_setup, tmp_path, mode):
-        """Staged (exact) checkpoint -> fused float32/quantized resume is a
-        typed incompatibility, never silent drift."""
+    def test_non_exact_cross_mode_rejected(self, small_setup, tmp_path):
+        """Exact checkpoint -> float32 resume is a typed incompatibility,
+        never silent drift."""
         ck = self._checkpoint(small_setup, tmp_path)
-        err = self._resume_error(
-            small_setup, ck, chunk=200, backend="fused", mode=mode
-        )
+        err = self._resume_error(small_setup, ck, chunk=200, mode="float32")
         assert err.field == "mode"
 
-    @pytest.mark.parametrize("mode", ("float32", "quantized"))
     def test_non_exact_checkpoint_rejected_by_exact_resume(
-        self, small_setup, tmp_path, mode
+        self, small_setup, tmp_path
     ):
-        ck = self._checkpoint(
-            small_setup, tmp_path, backend="fused", mode=mode
-        )
+        ck = self._checkpoint(small_setup, tmp_path, mode="float32")
         err = self._resume_error(small_setup, ck, chunk=200)
         assert err.field == "mode"
 
-    @pytest.mark.parametrize("mode", ("float32", "quantized"))
-    def test_non_exact_same_mode_resume_allowed(
-        self, small_setup, tmp_path, mode
-    ):
-        """Same backend + same mode resumes fine even off-exact."""
-        full = replay(
-            small_setup, chunk=200, guard=True, backend="fused", mode=mode
-        )
-        ck = self._checkpoint(
-            small_setup, tmp_path, backend="fused", mode=mode
-        )
+    def test_non_exact_same_mode_resume_allowed(self, small_setup, tmp_path):
+        """The same mode resumes fine even off-exact."""
+        full = replay(small_setup, chunk=200, guard=True, mode="float32")
+        ck = self._checkpoint(small_setup, tmp_path, mode="float32")
         resumed = replay(
-            small_setup, chunk=200, guard=True, backend="fused", mode=mode,
+            small_setup, chunk=200, guard=True, mode="float32",
             checkpoint_path=ck, resume=True,
         )
         assert resumed.events == full.events

@@ -2,8 +2,8 @@
 
 The acceptance property of the guard layer: every fault class maps to
 its documented degradation policy — quarantine/coalesce/reject/recover —
-and **no unhandled exception ever escapes** ``process_block``, on either
-backend.  Clean input must pass through bit-unchanged: a guarded replay
+and **no unhandled exception ever escapes** ``process_block``.  Clean
+input must pass through bit-unchanged: a guarded replay
 minus its guard bookkeeping equals the unguarded replay.
 """
 
@@ -19,10 +19,7 @@ from repro.service.guard import (
     GuardConfig,
     GuardedDetector,
 )
-from repro.service.ingest import shard_of
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
-
-BACKENDS = ("staged", "fused")
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +29,8 @@ def small_setup():
     )
 
 
-def make_guarded(small_setup, backend="staged", **config):
-    detector = FleetFaultDetector(small_setup.trained, backend=backend)
+def make_guarded(small_setup, **config):
+    detector = FleetFaultDetector(small_setup.trained)
     cfg = GuardConfig(**config) if config else None
     return GuardedDetector(detector, config=cfg)
 
@@ -50,9 +47,8 @@ def guard_events(events):
 # Fault matrix: each fault class -> documented policy, never a crash
 # ----------------------------------------------------------------------
 class TestFaultMatrix:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_corrupt_values_rejected(self, small_setup, backend):
-        g = make_guarded(small_setup, backend)
+    def test_corrupt_values_rejected(self, small_setup):
+        g = make_guarded(small_setup)
         bad = burst_at(small_setup, 0, 50)
         victim = sorted(bad)[0]
         bad[victim] = np.full_like(bad[victim], np.nan)
@@ -63,9 +59,8 @@ class TestFaultMatrix:
         assert ge[0]["node"] == victim
         assert g.health(victim).state == "degraded"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_tick_coalesced(self, small_setup, backend):
-        g = make_guarded(small_setup, backend)
+    def test_duplicate_tick_coalesced(self, small_setup):
+        g = make_guarded(small_setup)
         b = burst_at(small_setup, 0, 50)
         g.process_block(b, tick=0)
         before = {p: g.windows_seen(p) for p in g.paths}
@@ -78,9 +73,8 @@ class TestFaultMatrix:
         # retries are normal transport behavior: no health penalty
         assert all(g.health(p).state == "healthy" for p in g.paths)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stale_tick_rejected(self, small_setup, backend):
-        g = make_guarded(small_setup, backend)
+    def test_stale_tick_rejected(self, small_setup):
+        g = make_guarded(small_setup)
         g.process_block(burst_at(small_setup, 0, 50), tick=0)
         g.process_block(burst_at(small_setup, 50, 100), tick=1)
         events = g.process_block(burst_at(small_setup, 0, 50), tick=0)
@@ -88,9 +82,8 @@ class TestFaultMatrix:
         assert {e["fault"] for e in ge} == {"stale-tick"}
         assert all(e["action"] == "reject" for e in ge)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_shape_mismatch_rejected(self, small_setup, backend):
-        g = make_guarded(small_setup, backend)
+    def test_shape_mismatch_rejected(self, small_setup):
+        g = make_guarded(small_setup)
         b = burst_at(small_setup, 0, 50)
         victim = sorted(b)[0]
         b[victim] = b[victim][:3]  # wrong sensor count
@@ -103,9 +96,8 @@ class TestFaultMatrix:
         ge2 = guard_events(g.process_block(b2, tick=1))
         assert [e["fault"] for e in ge2] == ["shape-mismatch"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_node_rejected(self, small_setup, backend):
-        g = make_guarded(small_setup, backend)
+    def test_unknown_node_rejected(self, small_setup):
+        g = make_guarded(small_setup)
         b = burst_at(small_setup, 0, 50)
         b["rack9/node99"] = next(iter(b.values()))
         events = g.process_block(b, tick=0)
@@ -113,10 +105,9 @@ class TestFaultMatrix:
         assert [e["fault"] for e in ge] == ["unknown-node"]
         assert g.fleet_health()["unknown_nodes"] == {"rack9/node99": 1}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_exception_escapes_process_block(self, small_setup, backend):
+    def test_no_exception_escapes_process_block(self, small_setup):
         """The blanket guarantee over every fault class at once."""
-        g = make_guarded(small_setup, backend)
+        g = make_guarded(small_setup)
         clean = burst_at(small_setup, 0, 50)
         victim = sorted(clean)[0]
         hostile = [
@@ -199,7 +190,7 @@ class TestHealthLifecycle:
         g.process_block(b, tick=0)
         payload = g.fleet_health()
         assert set(payload) == {
-            "tick", "nodes", "states", "shards", "unknown_nodes",
+            "tick", "nodes", "states", "unknown_nodes",
         }
         assert sorted(payload["nodes"]) == paths
         assert payload["states"]["degraded"] == 1
@@ -208,10 +199,6 @@ class TestHealthLifecycle:
         assert node["state"] == "degraded"
         assert node["fault_counts"] == {"corrupt-values": 1}
         assert node["dropped_blocks"] == 1
-        # shard rollup reports each shard's worst node
-        shard = str(shard_of(paths[0], g.shards))
-        assert payload["shards"][shard] == "degraded"
-        assert all(s in HEALTH_STATES for s in payload["shards"].values())
 
     def test_alert_events_carry_health(self, small_setup):
         out = replay(small_setup, chunk=200, guard=True)
@@ -238,12 +225,9 @@ class TestHealthLifecycle:
 # Transparency: guarded clean replay == unguarded replay
 # ----------------------------------------------------------------------
 class TestGuardEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clean_replay_identical_minus_bookkeeping(
-        self, small_setup, backend
-    ):
-        plain = replay(small_setup, chunk=200, backend=backend)
-        guarded = replay(small_setup, chunk=200, backend=backend, guard=True)
+    def test_clean_replay_identical_minus_bookkeeping(self, small_setup):
+        plain = replay(small_setup, chunk=200)
+        guarded = replay(small_setup, chunk=200, guard=True)
         stripped = [
             {k: v for k, v in e.items() if k != "health"}
             for e in guarded.events
@@ -261,39 +245,11 @@ class TestGuardEquivalence:
         with pytest.raises(ValueError, match="requires guard"):
             replay(small_setup, chunk=200, chaos=ChaosConfig(drop=0.1))
 
-
-# ----------------------------------------------------------------------
-# Property: sharding and registration order never change results
-# ----------------------------------------------------------------------
-class TestShardInvariance:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        perm=st.permutations(list(range(6))),
-        shards=st.integers(1, 16),
-    )
-    def test_shard_assignment_ignores_registration_order(self, perm, shards):
-        paths = [f"rack{i // 2}/node{i:02d}" for i in range(6)]
-        baseline = {p: shard_of(p, shards) for p in paths}
-        shuffled = {paths[i]: shard_of(paths[i], shards) for i in perm}
-        assert shuffled == baseline
-        assert all(0 <= s < shards for s in baseline.values())
-
-    @pytest.mark.parametrize("shards", (1, 2, 3, 5))
-    def test_alert_stream_invariant_under_shard_count(
-        self, small_setup, shards
-    ):
-        baseline = replay(small_setup, chunk=200, guard=True)
-        sharded = replay(small_setup, chunk=200, guard=True, shards=shards)
-        assert sharded.events == baseline.events
-
     @settings(max_examples=10, deadline=None)
-    @given(perm=st.permutations(list(range(2))), shards=st.integers(1, 8))
-    def test_burst_key_order_never_changes_events(
-        self, small_setup, perm, shards
-    ):
+    @given(perm=st.permutations(list(range(2))))
+    def test_burst_key_order_never_changes_events(self, small_setup, perm):
         """Delivering the burst dict in any key order is equivalent."""
-        detector = FleetFaultDetector(small_setup.trained, shards=shards)
-        g = GuardedDetector(detector)
+        g = GuardedDetector(FleetFaultDetector(small_setup.trained))
         paths = sorted(small_setup.eval_data)
         reordered = {
             paths[i]: small_setup.eval_data[paths[i]][:, :200] for i in perm

@@ -69,11 +69,10 @@ class TestRoundTrip:
             wl=setup.wl,
             ws=setup.ws,
         )
-        for backend in ("staged", "fused"):
-            fresh = replay(setup, chunk=200, backend=backend)
-            reloaded = replay(loaded_setup, chunk=200, backend=backend)
-            assert reloaded.events == fresh.events
-            assert len(fresh.events) > 0
+        fresh = replay(setup, chunk=200)
+        reloaded = replay(loaded_setup, chunk=200)
+        assert reloaded.events == fresh.events
+        assert len(fresh.events) > 0
 
     def test_save_is_deterministic(self, setup, tmp_path):
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
