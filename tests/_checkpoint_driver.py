@@ -2,7 +2,7 @@
 
 Invoked by ``tests/test_checkpoint_contract.py`` as::
 
-    python tests/_checkpoint_driver.py SCENARIO CACHE_DIR OUT DIR MODE
+    python tests/_checkpoint_driver.py SCENARIO STAMP CACHE_DIR OUT DIR MODE
 
 Builds the named registered scenario's **smoke** fleet (through the
 shared artifact cache), then either:
@@ -12,18 +12,26 @@ shared artifact cache), then either:
   checkpoints, then a second replay in the *same process family* (fresh
   detector, fresh sinks) restoring the checkpoint and finishing.  OUT
   ends up holding the complete stream because resume re-emits the
-  checkpointed prefix into the truncating sink.
+  checkpointed prefix into the truncating sink.  Before restoring, the
+  checkpoint manifest's ``"backend"`` field is rewritten to STAMP, so a
+  ``staged`` stamp exercises checkpoints written by the retired staged
+  tick path.
 
 Chaos-kind scenarios replay under their configured fault injection in
 both modes, so the contract is exercised on hostile input too.  The
-test compares OUT bytes across modes and PYTHONHASHSEED values.
+test compares OUT bytes across modes, stamps and PYTHONHASHSEED
+values.
 """
 
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.monitoring.storage import atomic_savez, load_npz_arrays
 from repro.scenarios.cache import ArtifactCache, ExecutionContext
 from repro.scenarios.registry import get_scenario
 from repro.service.alerts import JSONLAlertSink
@@ -31,8 +39,21 @@ from repro.service.chaos import ChaosConfig
 from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
 
 
+def restamp_backend(path: Path, backend: str) -> str:
+    """Rewrite a checkpoint manifest's ``"backend"`` stamp in place and
+    return the stamp the writer left."""
+    arrays = load_npz_arrays(path)
+    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    written, manifest["backend"] = manifest["backend"], backend
+    arrays["manifest"] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+    )
+    atomic_savez(path, **arrays)
+    return written
+
+
 def main() -> int:
-    scenario_name, cache_dir, out, workdir, run_mode = sys.argv[1:6]
+    scenario_name, stamp, cache_dir, out, workdir, run_mode = sys.argv[1:7]
     spec = get_scenario(scenario_name)
     smoke = spec.smoke_dict()
     if "datasets" in smoke:
@@ -90,6 +111,9 @@ def main() -> int:
         stop_after=max(1, n_ticks // 2),
         **kwargs,
     )
+    written = restamp_backend(checkpoint, stamp)
+    if written != "fused":
+        raise SystemExit(f"checkpoint stamped {written!r}, expected 'fused'")
     replay(
         setup,
         sinks=[JSONLAlertSink(out)],

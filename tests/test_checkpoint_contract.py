@@ -6,6 +6,9 @@ from the checkpoint must produce alert JSONL **byte-identical** to an
 uninterrupted run — with the two runs in separate processes under
 *different* ``PYTHONHASHSEED`` values, so no accidental hash-order
 dependence can hide in either the replay or the checkpoint codecs.
+Each scenario resumes once from a checkpoint as written (stamped
+``"backend": "fused"``) and once from the same checkpoint restamped
+``"staged"``, the stamp of the retired staged tick path.
 """
 
 import os
@@ -20,7 +23,7 @@ from repro.scenarios.registry import list_scenarios
 SRC = Path(__file__).resolve().parent.parent / "src"
 DRIVER = Path(__file__).resolve().parent / "_checkpoint_driver.py"
 
-#: Cycled across scenario runs so full and resume runs
+#: Cycled across (scenario, stamp) runs so full and resume runs
 #: of the same comparison always see different hash seeds.
 HASH_SEEDS = ("0", "7", "31337")
 
@@ -50,11 +53,11 @@ def contract_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("contract_cache"))
 
 
-def run_driver(scenario, cache, out, workdir, mode, hash_seed):
+def run_driver(scenario, stamp, cache, out, workdir, mode, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     subprocess.run(
-        [sys.executable, str(DRIVER), scenario, cache,
+        [sys.executable, str(DRIVER), scenario, stamp, cache,
          str(out), str(workdir), mode],
         check=True,
         env=env,
@@ -63,17 +66,21 @@ def run_driver(scenario, cache, out, workdir, mode, hash_seed):
     )
 
 
+@pytest.mark.parametrize("stamp", ("staged", "fused"))
 @pytest.mark.parametrize("scenario", fleet_detect_scenarios())
-def test_interrupt_resume_byte_identical(scenario, contract_cache, tmp_path):
+def test_interrupt_resume_byte_identical(
+    scenario, stamp, contract_cache, tmp_path
+):
     full = tmp_path / "full.jsonl"
     resumed = tmp_path / "resumed.jsonl"
     # different hash seeds for the two runs of every comparison
-    idx = hash(scenario) % len(HASH_SEEDS)
+    idx = hash((scenario, stamp)) % len(HASH_SEEDS)
     run_driver(
-        scenario, contract_cache, full, tmp_path, "full", HASH_SEEDS[idx]
+        scenario, stamp, contract_cache, full, tmp_path, "full",
+        HASH_SEEDS[idx],
     )
     run_driver(
-        scenario, contract_cache, resumed, tmp_path, "resume",
+        scenario, stamp, contract_cache, resumed, tmp_path, "resume",
         HASH_SEEDS[(idx + 1) % len(HASH_SEEDS)],
     )
     assert full.read_bytes() == resumed.read_bytes()

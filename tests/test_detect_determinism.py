@@ -25,10 +25,10 @@ SRC = HERE.parent / "src"
 GOLDEN = HERE / "golden" / "detect_smoke_alerts.jsonl"
 
 
-def _run_detect(alerts: Path, cache: Path, hash_seed: str):
+def _run_detect(alerts: Path, cache: Path, hash_seed: str, flags=()):
     subprocess.run(
         [
-            sys.executable, "-m", "repro", "detect", "--smoke",
+            sys.executable, "-m", "repro", "detect", "--smoke", *flags,
             "--alerts", str(alerts),
             "--cache-dir", str(cache),
         ],
@@ -51,10 +51,14 @@ class TestGoldenAlertStream:
         for e in events:
             assert e["node"].startswith("rack")
 
+    @pytest.mark.parametrize(
+        "flags", [("--backend", "fused"), ()], ids=["fused", "default"]
+    )
     @pytest.mark.parametrize("hash_seed", ["0", "31337"])
-    def test_detect_matches_golden_bytes(self, tmp_path, hash_seed):
+    def test_detect_matches_golden_bytes(self, tmp_path, hash_seed, flags):
         """`repro detect` output is byte-identical across hash seeds, in
-        fresh processes — and equal to the committed golden stream."""
+        fresh processes, with ``--backend fused`` spelled out or left to
+        its default — and equal to the committed golden stream."""
         alerts = tmp_path / "alerts.jsonl"
-        _run_detect(alerts, tmp_path / "cache", hash_seed)
+        _run_detect(alerts, tmp_path / "cache", hash_seed, flags)
         assert alerts.read_bytes() == GOLDEN.read_bytes()

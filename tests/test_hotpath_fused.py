@@ -121,12 +121,15 @@ class TestExactBitEquality:
 
 
 class TestReducedPrecisionModes:
-    def test_mode_runs_and_mostly_agrees(self, small_setup):
+    @pytest.mark.parametrize(
+        "mode", [m for m in SIGNATURE_MODES if m != "exact"]
+    )
+    def test_mode_runs_and_mostly_agrees(self, small_setup, mode):
         exact = replay(small_setup, chunk=200)
-        reduced = replay(small_setup, chunk=200, mode="float32")
+        reduced = replay(small_setup, chunk=200, mode=mode)
         assert reduced.n_windows == exact.n_windows
         det_e = FleetFaultDetector(small_setup.trained)
-        det_r = FleetFaultDetector(small_setup.trained, mode="float32")
+        det_r = FleetFaultDetector(small_setup.trained, mode=mode)
         for det in (det_e, det_r):
             for lo in range(0, 600, 60):
                 det.process_block(

@@ -1,20 +1,19 @@
 """Checkpoint/restore: byte-identity round trips and typed mismatches.
 
 The contract: crash -> restore -> replay-the-remaining-ticks produces an
-event stream identical to an uninterrupted run — including exact-mode
-checkpoints stamped ``"backend": "staged"`` by the retired staged tick
-path, whose state layout the arena shares.  Anything a checkpoint cannot honestly
+event stream identical to an uninterrupted run — including checkpoints
+stamped ``"backend": "staged"`` by the retired staged tick path, whose
+state layout the arena shares.  Anything a checkpoint cannot honestly
 resume (different fleet lineage, geometry, knobs, signature mode, a
 corrupt archive) is a :class:`CheckpointError` naming the offending
 field — never silent drift, never a raw traceback.
 """
 
-import json
-
 import numpy as np
 import pytest
+from _checkpoint_driver import restamp_backend
 
-from repro.monitoring.storage import atomic_savez, load_npz_arrays
+from repro.engine.hotpath import SIGNATURE_MODES
 from repro.service.alerts import JSONLAlertSink
 from repro.service.chaos import ChaosConfig, run_with_kills
 from repro.service.checkpoint import (
@@ -23,6 +22,8 @@ from repro.service.checkpoint import (
     load_checkpoint,
 )
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
+
+REDUCED_MODES = tuple(m for m in SIGNATURE_MODES if m != "exact")
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +41,18 @@ def other_setup():
 
 
 class TestRoundTrip:
-    def test_interrupt_resume_identical(self, small_setup, tmp_path):
+    @pytest.mark.parametrize("backend", ("staged", "fused"))
+    def test_interrupt_resume_identical(self, small_setup, tmp_path, backend):
+        """The checkpoint is restamped ``backend`` before the resume:
+        ``"staged"`` is what the retired staged tick path wrote."""
         full = replay(small_setup, chunk=200, guard=True)
         ck = tmp_path / "ck.npz"
         replay(
             small_setup, chunk=200, guard=True,
             checkpoint_path=ck, checkpoint_every=1, stop_after=4,
         )
+        assert restamp_backend(ck, backend) == "fused"
+        assert load_checkpoint(ck).manifest["backend"] == backend
         resumed = replay(
             small_setup, chunk=200, guard=True,
             checkpoint_path=ck, checkpoint_every=1, resume=True,
@@ -55,36 +61,6 @@ class TestRoundTrip:
         assert resumed.n_alerts == full.n_alerts
         assert resumed.n_windows == full.n_windows
         assert resumed.window_accuracy == full.window_accuracy
-
-    def test_staged_stamped_checkpoint_resumes(self, small_setup, tmp_path):
-        """An exact-mode manifest stamped ``"staged"`` (what the retired
-        staged tick path wrote) restores into the arena byte-identically."""
-        full_path = tmp_path / "full.jsonl"
-        replay(
-            small_setup, chunk=200, guard=True,
-            sinks=[JSONLAlertSink(full_path)],
-        )
-        ck = tmp_path / "staged.npz"
-        replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=3,
-        )
-        arrays = load_npz_arrays(ck)
-        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-        assert manifest["backend"] == "fused"
-        manifest["backend"] = "staged"
-        arrays["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-        )
-        atomic_savez(ck, **arrays)
-        assert load_checkpoint(ck).manifest["backend"] == "staged"
-        resumed_path = tmp_path / "resumed.jsonl"
-        replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, resume=True,
-            sinks=[JSONLAlertSink(resumed_path)],
-        )
-        assert resumed_path.read_bytes() == full_path.read_bytes()
 
     def test_resume_reemits_prefix_into_sinks(self, small_setup, tmp_path):
         full_path = tmp_path / "full.jsonl"
@@ -172,26 +148,31 @@ class TestTypedMismatches:
         err = self._resume_error(small_setup, ck, chunk=200, **{knob: value})
         assert err.field == knob
 
-    def test_non_exact_cross_mode_rejected(self, small_setup, tmp_path):
-        """Exact checkpoint -> float32 resume is a typed incompatibility,
-        never silent drift."""
+    @pytest.mark.parametrize("mode", REDUCED_MODES)
+    def test_non_exact_cross_mode_rejected(self, small_setup, tmp_path, mode):
+        """Exact checkpoint -> reduced-precision resume is a typed
+        incompatibility, never silent drift."""
         ck = self._checkpoint(small_setup, tmp_path)
-        err = self._resume_error(small_setup, ck, chunk=200, mode="float32")
+        err = self._resume_error(small_setup, ck, chunk=200, mode=mode)
         assert err.field == "mode"
 
+    @pytest.mark.parametrize("mode", REDUCED_MODES)
     def test_non_exact_checkpoint_rejected_by_exact_resume(
-        self, small_setup, tmp_path
+        self, small_setup, tmp_path, mode
     ):
-        ck = self._checkpoint(small_setup, tmp_path, mode="float32")
+        ck = self._checkpoint(small_setup, tmp_path, mode=mode)
         err = self._resume_error(small_setup, ck, chunk=200)
         assert err.field == "mode"
 
-    def test_non_exact_same_mode_resume_allowed(self, small_setup, tmp_path):
+    @pytest.mark.parametrize("mode", REDUCED_MODES)
+    def test_non_exact_same_mode_resume_allowed(
+        self, small_setup, tmp_path, mode
+    ):
         """The same mode resumes fine even off-exact."""
-        full = replay(small_setup, chunk=200, guard=True, mode="float32")
-        ck = self._checkpoint(small_setup, tmp_path, mode="float32")
+        full = replay(small_setup, chunk=200, guard=True, mode=mode)
+        ck = self._checkpoint(small_setup, tmp_path, mode=mode)
         resumed = replay(
-            small_setup, chunk=200, guard=True, mode="float32",
+            small_setup, chunk=200, guard=True, mode=mode,
             checkpoint_path=ck, resume=True,
         )
         assert resumed.events == full.events
