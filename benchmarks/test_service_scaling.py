@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import SCALE, merge_csv
-from repro.service.detector import detect_naive
+from repro.service.detector import FleetFaultDetector, detect_naive
+from repro.service.guard import GuardedDetector
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,10 +98,14 @@ def test_batched_detection_beats_per_node_loop(nodes):
 def test_guarded_overhead_under_five_percent():
     """Input-hardening guard overhead at 64 nodes, serving cadence.
 
-    The guard validates every block of every tick (dict lookups, one
-    ``sum()`` reduction for the NaN/Inf check, health bookkeeping); the
-    acceptance bar is <5% over the unguarded tick.  Interleaved
-    best-of-3 so machine drift hits both variants equally.
+    The guard screens every block of every tick (dict lookups, health
+    bookkeeping, and the arena's NaN/Inf reduction over the gathered
+    columns); the acceptance bar is <5% over the unguarded tick.  A
+    plain and a guarded detector take turns on every tick (alternating
+    which goes first) and each sums its own ``process_block`` time, so
+    host drift hits both alike; best of 3 such passes.  Whole-replay
+    timing could not resolve the bar on a shared host: its best-of-3
+    spread from -5% to +16% for one build.
     """
     nodes = 64
     setup = prepare_fleet(
@@ -109,17 +114,29 @@ def test_guarded_overhead_under_five_percent():
         trees=TREES,
         seed=0,
     )
+    t = min(m.shape[1] for m in setup.eval_data.values())
+    ticks = [
+        {p: m[:, lo : lo + SERVE_CHUNK] for p, m in setup.eval_data.items()}
+        for lo in range(0, t, SERVE_CHUNK)
+    ]
     best = {"plain": float("inf"), "guarded": float("inf")}
-    events: dict[str, list] = {}
     for _ in range(3):
-        for variant in ("plain", "guarded"):
-            out = replay(
-                setup,
-                chunk=SERVE_CHUNK,
-                guard=(variant == "guarded") or None,
-            )
-            events[variant] = out.events
-            best[variant] = min(best[variant], out.replay_time_s)
+        plain = FleetFaultDetector(setup.trained)
+        guarded = GuardedDetector(FleetFaultDetector(setup.trained))
+        calls = {
+            "plain": lambda burst, tick: plain.process_block(burst),
+            "guarded": guarded.process_block,
+        }
+        spent = {"plain": 0.0, "guarded": 0.0}
+        events: dict[str, list] = {"plain": [], "guarded": []}
+        for tick, burst in enumerate(ticks):
+            for variant in sorted(calls, reverse=bool(tick % 2)):
+                start = time.perf_counter()
+                out = calls[variant](burst, tick)
+                spent[variant] += time.perf_counter() - start
+                events[variant].extend(out)
+        for variant in best:
+            best[variant] = min(best[variant], spent[variant])
     stripped = [
         {k: v for k, v in e.items() if k != "health"}
         for e in events["guarded"]

@@ -249,7 +249,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         "healthy class; set explicitly for other --segment choices)",
     )
     parser.add_argument(
-        "--backend", type=_fused_backend, default="fused",
+        "--backend", default="fused",
         help="tick path; only 'fused' (the preallocated tick arena) is "
         "left, the flag is kept for existing scripts",
     )
@@ -287,16 +287,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _fused_backend(value: str) -> str:
-    """``--backend`` type: anything but ``fused`` exits with status 2."""
-    if value != "fused":
-        raise argparse.ArgumentTypeError(
-            f"backend {value!r} is retired: the fused tick arena is the "
-            "only tick path"
-        )
-    return value
-
-
 def _service_config(args: argparse.Namespace, *, chunk_default=None):
     """The :class:`repro.service.api.ServiceConfig` these flags describe.
 
@@ -323,7 +313,11 @@ def _service_config(args: argparse.Namespace, *, chunk_default=None):
         cache_dir=args.cache_dir,
         replicate=int(args.replicate or 0),
     )
-    return ServiceConfig(**params)
+    try:
+        return ServiceConfig(**params)
+    except ValueError as exc:  # a flag value the service rejects
+        _status(f"error: {exc}")
+        raise SystemExit(2) from None
 
 
 def _build_service_setup(args: argparse.Namespace, *, chunk_default=None):

@@ -72,6 +72,38 @@ def _emits_between(t0: int, total: int, wl: int, ws: int) -> int:
     return max(0, k_hi - k_lo + 1)
 
 
+class _NonFinite(Exception):
+    """A fused sub-burst held NaN/Inf values; nothing retained changed."""
+
+    def __init__(self, paths):
+        super().__init__(paths)
+        self.paths = list(paths)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """True when ``x`` holds no NaN/Inf value.
+
+    NaN and Inf propagate through a sum, so one reduction clears the
+    common case; only a non-finite sum (a bad value, or finite values
+    whose sum overflows) pays the elementwise check.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.isfinite(np.add.reduce(x, axis=None)):
+            return True
+    return bool(np.isfinite(x).all())
+
+
+def _check_finite(seq: np.ndarray, cols: np.ndarray, paths) -> None:
+    """Raise :class:`_NonFinite` naming the nodes whose gathered columns
+    ``cols`` (a view into the contiguous ``seq``, whose first column is
+    the finite running sum) hold a NaN/Inf value."""
+    if _all_finite(seq):
+        return
+    bad = ~np.isfinite(cols).all(axis=(1, 2))
+    if bad.any():
+        raise _NonFinite(p for p, b in zip(paths, bad) if b)
+
+
 class _ForestWorkspace:
     """Preallocated lockstep forest evaluation over a fitted stack.
 
@@ -244,6 +276,9 @@ class _GroupState:
         self.wl, self.ws = int(wl), int(ws)
         self.size = self.wl + 1
         self.max_m = int(max_m)
+        #: Longest burst the in-ring kernel absorbs in a single call —
+        #: the bursts :meth:`TickArena.tick` can check after the gather.
+        self.check_max = min(self.size, self.max_m)
         self.dtype = dtype
         self.bstarts, self.bends = partition_bounds(n, self.l)
         self.widths = (self.bends - self.bstarts).astype(np.float64)
@@ -449,7 +484,16 @@ class TickArena:
         run the seq-staged block kernel — still bit-identical).
     paths:
         Optional subset of the engine's nodes; defaults to all of them.
+
+    Setting :attr:`reject_nonfinite` makes :meth:`tick` skip every
+    node whose burst holds a NaN/Inf value — that node's state stays
+    untouched — and list it in :attr:`nonfinite`.  Serving-size exact
+    bursts are checked on the gathered columns, one reduction per
+    geometry group; longer or float32 bursts are checked on the input.
     """
+
+    #: Skip (instead of absorbing) bursts that hold NaN/Inf values.
+    reject_nonfinite = False
 
     def __init__(
         self,
@@ -520,6 +564,9 @@ class TickArena:
         self._capacity = 0
         self._ensure_capacity(max(1, len(wanted) * per_tick))
         self._assigned: dict[str, tuple[int, int]] = {}
+        #: Nodes the last tick skipped for NaN/Inf values (only with
+        #: :attr:`reject_nonfinite` set), in sorted order.
+        self.nonfinite: list[str] = []
 
     # ------------------------------------------------------------------
     def _ensure_capacity(self, k: int) -> None:
@@ -673,6 +720,8 @@ class TickArena:
         missing = [p for p in order if p not in self._node]
         if missing:
             raise KeyError(f"unknown node path(s) {missing!r}")
+        nonfinite = self.nonfinite
+        nonfinite.clear()
         blocks: dict[str, np.ndarray] = {}
         for p in order:
             B = np.asarray(data[p], dtype=np.float64)
@@ -682,8 +731,18 @@ class TickArena:
                     f"block shape {B.shape} does not match ({g.n}, m) "
                     f"layout for node {p!r}"
                 )
-            if B.shape[1]:
-                blocks[p] = B
+            if not B.shape[1]:
+                continue
+            # Bursts the in-ring exact kernel absorbs in one call are
+            # checked there, on the gathered columns; the rest here.
+            if (
+                self.reject_nonfinite
+                and (g.stage is not None or B.shape[1] > g.check_max)
+                and not _all_finite(B)
+            ):
+                nonfinite.append(p)
+                continue
+            blocks[p] = B
         # Plan this tick's emit rows before touching any state.
         total_k = 0
         for p, B in blocks.items():
@@ -708,31 +767,43 @@ class TickArena:
                 m = ms.pop()
                 t0 = int(g.counts[0])
                 k_tick = _emits_between(t0, t0 + m, self.wl, self.ws)
-                for i, p in present:
-                    assigned[p] = (row + i * k_tick, k_tick)
                 hi = row + g.c * k_tick
                 feat3 = feat2[row:hi].reshape(g.c, k_tick, self.n_features)
                 fifo = g.shared_view
                 off = 0
-                for lo in range(0, m, g.max_m):
-                    B_sub = [
-                        blocks[p][:, lo : lo + g.max_m] for _, p in present
+                try:
+                    for lo in range(0, m, g.max_m):
+                        B_sub = [
+                            blocks[p][:, lo : lo + g.max_m]
+                            for _, p in present
+                        ]
+                        off += self._feed(
+                            g, slice(0, g.c), fifo, B_sub, feat3, off
+                        )
+                except _NonFinite as bad:
+                    # Raised before the group changed (bursts needing
+                    # several calls were screened on input, so only the
+                    # first call can raise): feed the clean nodes one by
+                    # one below.
+                    nonfinite.extend(bad.paths)
+                    present = [
+                        (i, p) for i, p in present if p not in bad.paths
                     ]
-                    off += self._feed(g, slice(0, g.c), fifo, B_sub, feat3, off)
-                row = hi
-            else:
-                g.degrade()
-                for i, p in present:
-                    B = blocks[p]
-                    t0 = int(g.counts[i])
-                    k_i = _emits_between(
-                        t0, t0 + B.shape[1], self.wl, self.ws
-                    )
-                    assigned[p] = (row, k_i)
-                    hi = row + k_i
-                    feat3 = feat2[row:hi].reshape(1, k_i, self.n_features)
-                    fifo = g.node_views[i]
-                    off = 0
+                else:
+                    for i, p in present:
+                        assigned[p] = (row + i * k_tick, k_tick)
+                    row = hi
+                    continue
+            g.degrade()
+            for i, p in present:
+                B = blocks[p]
+                t0 = int(g.counts[i])
+                k_i = _emits_between(t0, t0 + B.shape[1], self.wl, self.ws)
+                hi = row + k_i
+                feat3 = feat2[row:hi].reshape(1, k_i, self.n_features)
+                fifo = g.node_views[i]
+                off = 0
+                try:
                     for lo in range(0, B.shape[1], g.max_m):
                         off += self._feed(
                             g,
@@ -742,7 +813,12 @@ class TickArena:
                             feat3,
                             off,
                         )
-                    row = hi
+                except _NonFinite:
+                    nonfinite.append(p)
+                    continue
+                assigned[p] = (row, k_i)
+                row = hi
+        nonfinite.sort()
         if row:
             self._forest_ws.classify_into(
                 feat2[:row], self._labels, self._conf
@@ -797,46 +873,45 @@ class TickArena:
             ref = s - 1 if s > 0 else s
             if ref < t0:
                 refsnap[:, idx, :] = g.ring[sl, :, ref % size]
-        # 1. Gather into sorted row order *straight into the ring* (each
-        #    column at its position ``t % size``; sub-bursts never exceed
-        #    ``size`` columns, so positions are distinct — at most two
-        #    contiguous ring slices around the wrap point) + min-max
-        #    normalize in place (the batched _normalize): subtract,
-        #    divide, degenerate rows to 0.5, clip.
-        p0 = t0 % size
-        first = min(size - p0, m)
-        r1 = g.ring[sl, :, p0 : p0 + first]
-        r2 = g.ring[sl, :, : m - first] if m > first else None
+        # 1. Gather into sorted row order behind the running sum in a
+        #    contiguous ``(nodes, n, m + 1)`` view of the ``seq``
+        #    scratch, then min-max normalize in place (the batched
+        #    _normalize): subtract, divide, degenerate rows to 0.5,
+        #    clip.  Nothing retained has changed yet, so a non-finite
+        #    burst can still be refused here.
+        nodes = sl.stop - sl.start
+        seq = g.seq.reshape(-1)[: nodes * g.n * (m + 1)]
+        seq = seq.reshape(nodes, g.n, m + 1)
+        cols = seq[:, :, 1:]
         perm = g.perm
         i = sl.start
         if g.stage is None:
-            if r2 is None:
-                for j, B in enumerate(node_blocks):
-                    B.take(perm[i + j], axis=0, out=r1[j])
-            else:
-                for j, B in enumerate(node_blocks):
-                    B[:, :first].take(perm[i + j], axis=0, out=r1[j])
-                    B[:, first:].take(perm[i + j], axis=0, out=r2[j])
+            for j, B in enumerate(node_blocks):
+                B.take(perm[i + j], axis=0, out=cols[j])
         else:
             st = g.stage[:, :m]
             for j, B in enumerate(node_blocks):
                 B.take(perm[i + j], axis=0, out=st)
-                r1[j] = st[:, :first]
-                if r2 is not None:
-                    r2[j] = st[:, first:]
-        for part in (r1,) if r2 is None else (r1, r2):
-            np.subtract(part, g.lower[sl], out=part)
-            np.divide(part, g.span[sl], out=part)
-            if g.deg_any:
-                np.copyto(part, 0.5, where=g.deg_mask[sl])
-            np.clip(part, 0.0, 1.0, out=part)
-        # 2. Sequential prefix sums continuing the running sum (same
-        #    left-to-right association as repeated push()).
-        seq = g.seq[sl, :, : m + 1]
+                cols[j] = st
         seq[:, :, 0] = g.csum[sl]
-        seq[:, :, 1 : first + 1] = r1
-        if r2 is not None:
-            seq[:, :, first + 1 :] = r2
+        if self.reject_nonfinite and g.stage is None:
+            _check_finite(seq, cols, g.paths[sl])
+        np.subtract(cols, g.lower[sl], out=cols)
+        np.divide(cols, g.span[sl], out=cols)
+        if g.deg_any:
+            np.copyto(cols, 0.5, where=g.deg_mask[sl])
+        np.clip(cols, 0.0, 1.0, out=cols)
+        # 2. Write the normalized columns into the ring, each at its
+        #    position ``t % size`` (sub-bursts never exceed ``size``
+        #    columns, so positions are distinct — at most two contiguous
+        #    ring slices around the wrap point), then the sequential
+        #    prefix sums continuing the running sum (same left-to-right
+        #    association as repeated push()).
+        p0 = t0 % size
+        first = min(size - p0, m)
+        g.ring[sl, :, p0 : p0 + first] = cols[:, :, :first]
+        if m > first:
+            g.ring[sl, :, : m - first] = cols[:, :, first:]
         seq.cumsum(axis=2, out=seq)
         # 3. Emits due inside this sub-burst.
         if k:
@@ -879,8 +954,8 @@ class TickArena:
             if s + g.wl > total:
                 fifo.push(s)[...] = seq[:, :, s - t0]
         # 5. Advance retained state: running sum, counts, periodic
-        #    re-anchor.  The ring is already current — normalization
-        #    wrote this burst's columns in place in step 1.
+        #    re-anchor.  The ring is already current — step 2 wrote
+        #    this burst's normalized columns.
         g.csum[sl] = seq[:, :, m]
         g.counts[sl] = total
         if total - int(g.anchors[sl.start]) >= self._reanchor_every:

@@ -32,16 +32,17 @@ the wrapped detector, whose alert events gain a ``health`` field;
 :meth:`GuardedDetector.fleet_health` is the ``memory_report()``-style
 payload with per-node states and fleet-wide tallies.
 
-The guard's steady-state cost is a dict lookup and one ``sum()``
-reduction per block (NaN/Inf propagate to the sum, so a single
-``math.isfinite`` classifies the whole plane) — measured at <5% of the
-64-node tick in ``benchmarks/test_service_scaling.py`` and recorded in
+The guard's steady-state cost is a few dict lookups per block.  The
+NaN/Inf screen runs inside the wrapped detector's tick arena
+(:attr:`~repro.engine.hotpath.TickArena.reject_nonfinite`), on the
+columns it gathers anyway: one reduction per geometry group, and a
+corrupt node's state is never touched.  Measured at <5% of the 64-node
+tick in ``benchmarks/test_service_scaling.py`` and recorded in
 ``BENCH_service.json``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -212,6 +213,9 @@ class GuardedDetector:
             p: NodeHealth() for p in detector.paths
         }
         self._n_sensors = {p: detector.n_sensors(p) for p in detector.paths}
+        # The arena screens values on the columns it gathers anyway, so
+        # NaN/Inf costs the guard no pass of its own over the burst.
+        detector.arena.reject_nonfinite = True
         self._unknown: dict[str, int] = {}
         #: Next tick index when :meth:`process_block` is called without
         #: an explicit one (replay always passes the tick).
@@ -276,24 +280,6 @@ class GuardedDetector:
         event.update(extra)
         return event
 
-    def _validate(self, path: str, block) -> tuple[str | None, np.ndarray]:
-        """Classify one block's payload; return ``(fault, conformed)``."""
-        try:
-            B = np.asarray(block, dtype=np.float64)
-        except (TypeError, ValueError):
-            return "shape-mismatch", None
-        if B.ndim != 2 or B.shape[0] != self._n_sensors[path]:
-            return "shape-mismatch", None
-        # NaN/Inf propagate through the sum, so one scalar isfinite
-        # classifies the whole plane — no (n, m) isfinite temporary on
-        # the hot path.  Reducing a poisoned plane legitimately hits
-        # invalid/overflow; that's the signal, not a warning — the
-        # caller (``process_block``) holds one errstate around the whole
-        # tick so the suppression isn't paid per block.
-        if B.size and not math.isfinite(float(B.sum())):
-            return "corrupt-values", None
-        return None, B
-
     def _record_fault(
         self, path: str, tick: int, fault: str, events: list[dict]
     ) -> None:
@@ -325,23 +311,18 @@ class GuardedDetector:
             events.append(self._event(path, tick, fault, "reject"))
 
     def _admit(
-        self,
-        path: str,
-        block,
-        tick: int,
-        clean: dict[str, np.ndarray],
-        events: list[dict],
-    ) -> None:
-        """Validate one node's block; stage it in ``clean`` if it passes."""
+        self, path: str, block, tick: int, events: list[dict]
+    ) -> np.ndarray | None:
+        """Screen one node's block; return it if it may reach the arena."""
         h = self._health.get(path)
         if h is None:
             self._unknown[path] = self._unknown.get(path, 0) + 1
             events.append(self._event(path, tick, "unknown-node", "reject"))
-            return
+            return None
         if h.state == _QUARANTINED:
             if tick < h.quarantined_until:
                 h.dropped_blocks += 1  # silent drop: backoff still active
-                return
+                return None
             h.state = _DEGRADED  # probation: validate again, recover later
             events.append(self._event(path, tick, None, "probation"))
         if tick <= h.last_tick:
@@ -354,20 +335,16 @@ class GuardedDetector:
                 )
             else:
                 self._record_fault(path, tick, "stale-tick", events)
-            return
-        fault, B = self._validate(path, block)
-        if fault is not None:
-            h.last_tick = tick  # the delivery happened; its payload didn't
-            self._record_fault(path, tick, fault, events)
-            return
-        h.last_tick = tick
-        clean[path] = B
-        h.fault_streak = 0
-        h.clean_streak += 1
-        if h.state != _HEALTHY and h.clean_streak >= self.config.recover_after:
-            h.state = _HEALTHY
-            h.backoff = 0
-            events.append(self._event(path, tick, None, "recover"))
+            return None
+        h.last_tick = tick  # the delivery happened, whatever its payload
+        try:
+            B = np.asarray(block, dtype=np.float64)
+        except (TypeError, ValueError):
+            B = None
+        if B is None or B.ndim != 2 or B.shape[0] != self._n_sensors[path]:
+            self._record_fault(path, tick, "shape-mismatch", events)
+            return None
+        return B
 
     def process_block(
         self, data: Mapping[str, np.ndarray], tick: int | None = None
@@ -383,15 +360,35 @@ class GuardedDetector:
             tick = self.tick
         events: list[dict] = []
         clean: dict[str, np.ndarray] = {}
-        # One errstate for the whole tick: validation sums over poisoned
-        # planes raise invalid/overflow FP flags by design.
-        with np.errstate(invalid="ignore", over="ignore"):
-            for path in sorted(data):
-                self._admit(path, data[path], tick, clean, events)
-        if clean:
-            for event in self.inner.process_block(clean):
-                event["health"] = self._health[event["node"]].state
-                events.append(event)
+        #: (position in ``events``, path) of every forwarded block.
+        forwarded: list[tuple[int, str]] = []
+        for path in sorted(data):
+            B = self._admit(path, data[path], tick, events)
+            if B is not None:
+                clean[path] = B
+                forwarded.append((len(events), path))
+        alerts = self.inner.process_block(clean) if clean else []
+        corrupt = self.inner.arena.nonfinite if clean else ()
+        # Settle the forwarded blocks now the arena has screened their
+        # values; back to front, so each node's events land at its
+        # sorted position.
+        recover_after = self.config.recover_after
+        for at, path in reversed(forwarded):
+            if path in corrupt:
+                settled: list[dict] = []
+                self._record_fault(path, tick, "corrupt-values", settled)
+                events[at:at] = settled
+                continue
+            h = self._health[path]
+            h.fault_streak = 0
+            h.clean_streak += 1
+            if h.state != _HEALTHY and h.clean_streak >= recover_after:
+                h.state = _HEALTHY
+                h.backoff = 0
+                events.insert(at, self._event(path, tick, None, "recover"))
+        for event in alerts:
+            event["health"] = self._health[event["node"]].state
+            events.append(event)
         self.tick = tick + 1
         return events
 

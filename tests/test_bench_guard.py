@@ -229,15 +229,16 @@ class TestServiceGuard:
 
 class TestTickGuard:
     def test_headline_fused_tick_at_least_2x(self):
-        """Acceptance floor: the fused exact-mode tick path is >= 2x the
-        naive per-node loop at serving cadence on the 64-node fleet."""
+        """Acceptance floor: the fused exact-mode tick path is >= 3x the
+        naive per-node loop at serving cadence on the 64-node fleet
+        (the old 2x floor over the ~1.5x slower staged tick, rescaled)."""
         summary = _load_summary(TICK_SUMMARY_JSON)
         assert "tick_fused_speedup" in summary, (
             "BENCH_tick.json is missing the tick_fused_speedup headline"
         )
-        assert summary["tick_fused_speedup"] >= 2.0, (
+        assert summary["tick_fused_speedup"] >= 3.0, (
             f"fused tick path only {summary['tick_fused_speedup']}x the "
-            "naive per-node loop (floor: 2x)"
+            "naive per-node loop (floor: 3x)"
         )
 
     def test_memory_per_node_recorded_for_every_mode(self):

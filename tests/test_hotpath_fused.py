@@ -244,3 +244,91 @@ class TestArenaValidation:
         assert [(p, list(l), list(c)) for p, l, c, _ in out] == [
             (path, [], [])
         ]
+
+
+def _tick_record(arena, out):
+    """A tick's output as comparable bytes (labels, confidences and the
+    emitted signatures of every node)."""
+    return [
+        (
+            path,
+            labels.tolist(),
+            conf.tolist(),
+            [arena.signature(r0 + j).tobytes() for j in range(len(labels))],
+        )
+        for path, labels, conf, r0 in out
+    ]
+
+
+class TestNonFiniteScreen:
+    @pytest.mark.parametrize(
+        "mode, m",
+        # exact serving bursts are screened on the gathered columns;
+        # bursts longer than the ring and float32 bursts on the input.
+        [("exact", 10), ("exact", 100), ("float32", 10)],
+    )
+    def test_corrupt_burst_is_skipped_and_leaves_its_node_untouched(
+        self, small_setup, mode, m
+    ):
+        setup = small_setup
+        paths = sorted(setup.eval_data)
+        victim = paths[1]
+
+        def arena():
+            a = TickArena(
+                setup.trained.engine,
+                setup.trained.classifier.forest,
+                mode=mode,
+                max_chunk=64,
+            )
+            a.reject_nonfinite = True
+            return a
+
+        screened, reference = arena(), arena()
+        for t in range(8):
+            data = {
+                p: setup.eval_data[p][:, t * m : (t + 1) * m] for p in paths
+            }
+            want = dict(data)
+            if t in (2, 5):
+                before = screened.node_state(victim)
+                poisoned = data[victim].copy()
+                poisoned[3, m // 2] = np.nan if t == 2 else -np.inf
+                data[victim] = poisoned
+                del want[victim]
+            got = _tick_record(screened, screened.tick(data))
+            assert [r for r in got if r[0] in want] == _tick_record(
+                reference, reference.tick(want)
+            )
+            if t in (2, 5):
+                assert (victim, [], [], []) in got
+                assert screened.nonfinite == [victim]
+                after = screened.node_state(victim)
+                for key, value in before.items():
+                    assert np.array_equal(after[key], value), key
+            else:
+                assert screened.nonfinite == []
+
+    def test_finite_values_whose_sum_overflows_are_absorbed(
+        self, small_setup
+    ):
+        arena = TickArena(
+            small_setup.trained.engine,
+            small_setup.trained.classifier.forest,
+        )
+        arena.reject_nonfinite = True
+        huge = {p: np.full((128, 10), 1e306) for p in small_setup.eval_data}
+        with np.errstate(over="ignore"):
+            arena.tick(huge)
+        assert arena.nonfinite == []
+        assert all(arena.counts(p) == 10 for p in huge)
+
+    def test_screen_is_off_by_default(self, small_setup):
+        arena = TickArena(
+            small_setup.trained.engine,
+            small_setup.trained.classifier.forest,
+        )
+        path = next(iter(small_setup.eval_data))
+        arena.tick({path: np.full((128, 10), np.nan)})
+        assert arena.nonfinite == []
+        assert arena.counts(path) == 10

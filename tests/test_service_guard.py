@@ -59,6 +59,20 @@ class TestFaultMatrix:
         assert ge[0]["node"] == victim
         assert g.health(victim).state == "degraded"
 
+    def test_corrupt_values_event_keeps_sorted_node_order(self, small_setup):
+        """The arena screens values after the guard's own checks ran;
+        the corrupt node's event still lands at its sorted position."""
+        g = make_guarded(small_setup)
+        first, second = sorted(small_setup.eval_data)
+        b = burst_at(small_setup, 0, 10)
+        b[first] = np.full_like(b[first], np.inf)
+        b[second] = b[second][:3]
+        ge = guard_events(g.process_block(b, tick=0))
+        assert [(e["node"], e["fault"]) for e in ge] == [
+            (first, "corrupt-values"),
+            (second, "shape-mismatch"),
+        ]
+
     def test_duplicate_tick_coalesced(self, small_setup):
         g = make_guarded(small_setup)
         b = burst_at(small_setup, 0, 50)
