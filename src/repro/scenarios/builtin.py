@@ -19,8 +19,6 @@ __all__ = [
     "FIG5_WL_GRID",
     "FIG5_N_GRID",
     "FIG6_APPS",
-    "PAPER_SCENARIOS",
-    "EXTRA_SCENARIOS",
 ]
 
 #: The four ML-evaluation segments of Figures 3 and 4 (Cross-Architecture
@@ -176,10 +174,6 @@ CROSSARCH = register(ScenarioSpec(
     }),
 ))
 
-PAPER_SCENARIOS: tuple[ScenarioSpec, ...] = (
-    TABLE1, FIG3, FIG4, FIG5, FIG6, FIG7, CROSSARCH,
-)
-
 
 # ----------------------------------------------------------------------
 # Extended coverage: scenarios beyond the paper, specs only
@@ -308,13 +302,15 @@ _SMOKE_FLEET = _fault_fleet(2, t=2500)
 
 FLEET_DETECT = register(ScenarioSpec(
     name="fleet-detect",
-    kind="fleet-detect",
+    kind="fleet-contract",
     title="Online fleet fault detection — ingest, classify, alert",
     description="Deterministic replay of a 4-node fault fleet through "
     "repro.service: windowed detection, lockstep batched classification "
     "and threshold+hysteresis alerting scored against injected faults",
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
+        "drivers": (),
+        "guard": False,
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -332,13 +328,15 @@ FLEET_DETECT = register(ScenarioSpec(
 
 FLEET_DETECT_SCALE = register(ScenarioSpec(
     name="fleet-detect-scale",
-    kind="fleet-detect",
+    kind="fleet-contract",
     title="Online fleet fault detection — replay throughput vs fleet size",
     description="Service replay over growing fleets (2 -> 4 -> 8 fault "
     "nodes): alert quality stays flat while windows/second tracks the "
     "batched hot path",
     datasets=_fault_fleet(8, t=4000),
     evaluation=pairs({
+        "drivers": (),
+        "guard": False,
         "fleet_sizes": (2, 4, 8),
         "blocks": 20,
         "trees": 20,
@@ -358,13 +356,15 @@ FLEET_DETECT_SCALE = register(ScenarioSpec(
 
 FLEET_DETECT_NOISE = register(ScenarioSpec(
     name="fleet-detect-noise",
-    kind="fleet-detect",
+    kind="fleet-contract",
     title="Online fleet fault detection — noisy telemetry",
     description="The fleet-detect replay with 5% additive Gaussian "
     "sensor noise on every node: how much alert precision/recall "
     "survives degraded telemetry",
     datasets=_fault_fleet(3, t=6000, noise_std=0.05, noise_seed=11),
     evaluation=pairs({
+        "drivers": (),
+        "guard": False,
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -382,7 +382,7 @@ FLEET_DETECT_NOISE = register(ScenarioSpec(
 
 FLEET_DETECT_CHAOS = register(ScenarioSpec(
     name="fleet-detect-chaos",
-    kind="fleet-detect-chaos",
+    kind="fleet-contract",
     title="Online fleet fault detection — chaos injection + crash recovery",
     description="Guarded service replay under deterministic seeded fault "
     "injection (drop/duplicate/reorder/corrupt bursts) plus the "
@@ -390,6 +390,7 @@ FLEET_DETECT_CHAOS = register(ScenarioSpec(
     "equal the uninterrupted run's, event for event",
     datasets=_fault_fleet(3, t=6000),
     evaluation=pairs({
+        "drivers": ("kills",),
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -415,14 +416,15 @@ FLEET_DETECT_CHAOS = register(ScenarioSpec(
 
 FLEET_REPLAY = register(ScenarioSpec(
     name="fleet-replay",
-    kind="fleet-replay",
+    kind="fleet-contract",
     title="Telemetry store replay — byte-identical, faster than live",
     description="The fleet-detect feed recorded into a repro-telestore/v1 "
     "columnar store and replayed from disk at max speed (partition-sized "
     "blocks into the fused arena): alert JSONL byte-identical to guarded "
-    "live ingestion, wall-clock reported as speedup",
+    "live ingestion, both replay times reported",
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
+        "drivers": ("store",),
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -442,7 +444,7 @@ FLEET_REPLAY = register(ScenarioSpec(
 
 FLEET_SERVE = register(ScenarioSpec(
     name="fleet-serve",
-    kind="fleet-serve",
+    kind="fleet-contract",
     title="Network fleet serving — loopback transport equivalence",
     description="The fleet-detect fleet served over a loopback TCP "
     "socket: a FleetServer on an ephemeral port driven by the "
@@ -451,6 +453,7 @@ FLEET_SERVE = register(ScenarioSpec(
     "in-process replay, with samples/s and tick latency reported",
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
+        "drivers": ("net",),
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -470,7 +473,7 @@ FLEET_SERVE = register(ScenarioSpec(
 
 FLEET_SERVE_CHAOS = register(ScenarioSpec(
     name="fleet-serve-chaos",
-    kind="fleet-serve-chaos",
+    kind="fleet-contract",
     title="Network fleet serving through a seeded chaos proxy",
     description="The fleet-serve drill with a deterministic TCP chaos "
     "proxy in the path: byte corruption (caught by the binary frame "
@@ -480,6 +483,7 @@ FLEET_SERVE_CHAOS = register(ScenarioSpec(
     "is byte-identical to the in-process replay, every repetition",
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
+        "drivers": ("netchaos",),
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -519,16 +523,3 @@ CROSSARCH_LENGTHS = register(ScenarioSpec(
         "evaluation": {"trees": 4},
     }),
 ))
-
-EXTRA_SCENARIOS: tuple[ScenarioSpec, ...] = (
-    FLEET_SCALING,
-    FAULT_MIX,
-    NOISE_ROBUSTNESS,
-    SENSOR_DRIFT,
-    FLEET_DETECT,
-    FLEET_DETECT_SCALE,
-    FLEET_DETECT_NOISE,
-    FLEET_REPLAY,
-    FLEET_SERVE,
-    CROSSARCH_LENGTHS,
-)

@@ -4,8 +4,8 @@ Each strategy ("kind") interprets a :class:`ScenarioSpec` — its dataset
 recipes, method grid and ``evaluation`` parameters — and drives the
 existing engine/harness/ML layers, returning a :class:`ScenarioResult`.
 The seven paper reproductions and all extended scenarios are expressed
-as specs over these nine kinds; registering a *new* scenario requires
-no new runner code, only a new spec.
+as specs over these nine kinds (:func:`evaluation_kinds`); registering a
+*new* scenario requires no new runner code, only a new spec.
 
 Domain helpers that predate the registry (``segment_js_divergence``,
 ``application_heatmaps``, ``segment_summary``, ...) stay in their
@@ -16,7 +16,9 @@ their thin CLI shims.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -30,11 +32,8 @@ from repro.scenarios.cache import ExecutionContext
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "FLEET_CHAOS_HEADERS",
+    "FLEET_CONTRACT_HEADERS",
     "FLEET_DETECT_HEADERS",
-    "FLEET_REPLAY_HEADERS",
-    "FLEET_SERVE_CHAOS_HEADERS",
-    "FLEET_SERVE_HEADERS",
     "GRID_HEADERS",
     "LENGTH_SWEEP_HEADERS",
     "TIMING_HEADERS",
@@ -90,57 +89,9 @@ FLEET_DETECT_HEADERS: tuple[str, ...] = (
     "Win/s",
 )
 
-#: Columns of the store-replay equivalence drills (fleet-replay).
-FLEET_REPLAY_HEADERS: tuple[str, ...] = (
-    "Run",
-    "Nodes",
-    "Windows",
-    "Alerts",
-    "Window acc",
-    "Replay [s]",
-    "Win/s",
-    "Speedup",
-    "Identical",
-)
-
-#: Columns of the network-serving equivalence drills (fleet-serve).
-FLEET_SERVE_HEADERS: tuple[str, ...] = (
-    "Run",
-    "Nodes",
-    "Ticks",
-    "Events",
-    "Samples/s",
-    "p50 [ms]",
-    "p99 [ms]",
-    "Identical",
-)
-
-#: Columns of the chaos-proxy network serving drills (fleet-serve-chaos).
-FLEET_SERVE_CHAOS_HEADERS: tuple[str, ...] = (
-    "Run",
-    "Nodes",
-    "Ticks",
-    "Events",
-    "Reconnects",
-    "Resent frames",
-    "Corrupted",
-    "Resets",
-    "Identical",
-)
-
-#: Columns of the chaos-injection robustness drills (fleet-detect-chaos).
-FLEET_CHAOS_HEADERS: tuple[str, ...] = (
-    "Run",
-    "Nodes",
-    "Windows",
-    "Alerts",
-    "Events",
-    "Faults injected",
-    "Blocks dropped",
-    "Precision",
-    "Recall",
-    "Resume identical",
-)
+#: Columns of the fleet-contract drills: the reference replay's row
+#: layout plus whether a driver's alert JSONL matched the reference's.
+FLEET_CONTRACT_HEADERS: tuple[str, ...] = FLEET_DETECT_HEADERS + ("Identical",)
 
 
 @dataclass
@@ -539,37 +490,70 @@ def _run_fleet(spec: ScenarioSpec, ctx: ExecutionContext) -> ScenarioResult:
     )
 
 
+
+
 # ----------------------------------------------------------------------
-# Online fleet fault detection (repro.service routing)
+# The fleet contract: one in-process reference, many drivers
 # ----------------------------------------------------------------------
-@evaluation("fleet-detect")
-def _run_fleet_detect(
+@evaluation("fleet-contract")
+def _run_fleet_contract(
     spec: ScenarioSpec, ctx: ExecutionContext
 ) -> ScenarioResult:
-    """Deterministic replay through the online detection service.
+    """Online fleet detection: an in-process reference, then its drivers.
 
     Each dataset recipe contributes its components as nodes of one
-    fleet; ``fleet_sizes`` (optional) replays growing recipe prefixes so
-    a single scenario sweeps fleet scale.  Rows report the alert
+    fleet; ``fleet_sizes`` (optional) repeats the drill over growing
+    recipe prefixes.  The evaluation dict's service keys become one
+    :class:`~repro.service.api.ServiceConfig` and its chaos keys one
+    seeded fault schedule
+    (:meth:`~repro.service.chaos.ChaosConfig.from_evaluation`).  Per
+    fleet size the fleet is trained once and replayed in process as the
+    reference — under the fault schedule when the spec names one, after
+    a clean replay row to compare against.  Rows report the alert
     stream's quality against the injected ground truth plus replay
-    throughput.  ``mode`` selects the tick arena's signature arithmetic
-    (exact or float32 — see
-    :class:`repro.service.detector.FleetFaultDetector`).
+    throughput.  Then every name in ``drivers`` re-drives the same
+    fleet:
 
-    Plumbs through the :mod:`repro.service.api` facade: the evaluation
-    dict's service keys become one :class:`ServiceConfig` (historically
-    this kind ran unguarded, so ``guard`` defaults off here).
+    * ``kills`` — the replay killed before each tick in ``kills`` and
+      restored from its checkpoints
+      (:func:`~repro.service.chaos.run_with_kills`);
+    * ``store`` — the feed recorded into a ``repro-telestore/v1`` store
+      and replayed from disk
+      (:func:`~repro.service.fastreplay.replay_from_store`);
+    * ``net`` — a loopback :class:`~repro.service.net.FleetServer` fed
+      by :func:`~repro.service.net.loadgen`, once per entry in
+      ``formats``;
+    * ``netchaos`` — the same through a seeded
+      :class:`~repro.service.netchaos.ChaosProxy` with a resuming
+      client, ``chaos_repeats`` times.
+
+    The contract: every driver's canonical ``repro-alerts/v1`` JSONL
+    equals the reference's byte for byte.  The kind raises
+    ``AssertionError`` naming every run that differs.
     """
     from repro.service.api import ServiceConfig, build_setup
     from repro.service.api import replay as api_replay
+    from repro.service.chaos import ChaosConfig
+    from repro.service.net import ListAlertSink
 
     ev = spec.evaluation_dict()
-    config = ServiceConfig.from_evaluation(
-        ev, guard=bool(ev.get("guard", False))
-    )
+    config = ServiceConfig.from_evaluation(ev)
+    chaos = ChaosConfig.from_evaluation(ev)
+    drivers = tuple(ev.get("drivers", ()))
+    unknown = sorted(set(drivers) - set(_DRIVERS))
+    if unknown:
+        raise ValueError(f"unknown fleet-contract driver(s) {unknown}")
+    if chaos is not None and set(drivers) - {"kills"}:
+        raise ValueError(
+            "only the kills driver replays the in-process fault schedule"
+        )
     sizes = tuple(ev.get("fleet_sizes", ())) or (len(spec.datasets),)
-    rows = []
+    rows: list[tuple] = []
+    notes: list[str] = []
     outcomes = []
+    mismatches: list[str] = []
+    if chaos is not None:
+        notes.append(f"chaos: {chaos}")
     for size in sizes:
         size = int(size)
         if not 1 <= size <= len(spec.datasets):
@@ -579,371 +563,183 @@ def _run_fleet_detect(
         setup = build_setup(
             config, recipes=spec.datasets[:size], context=ctx
         )
-        outcome = api_replay(config, setup)
-        outcomes.append(outcome)
-        rows.append(
-            outcome.row(f"{spec.datasets[0].segment}-fleet-{setup.n_nodes}")
+        label = f"{spec.datasets[0].segment}-fleet-{setup.n_nodes}"
+        if chaos is not None:
+            rows.append(api_replay(config, setup).row(label) + ("",))
+            label += "+chaos"
+        ref_sink = ListAlertSink()
+        ref = api_replay(config, setup, sinks=(ref_sink,), chaos=chaos)
+        outcomes.append(ref)
+        rows.append(ref.row(label) + ("",))
+        if chaos is not None:
+            notes.append(_fault_note(label, ref))
+        for name in drivers:
+            for row, text in _DRIVERS[name](config, setup, ev, notes):
+                identical = text == ref_sink.text()
+                if not identical:
+                    mismatches.append(row[0])
+                rows.append(row + ("yes" if identical else "NO",))
+    if mismatches:
+        raise AssertionError(
+            f"{spec.name}: alert JSONL of {mismatches} differs from the "
+            "in-process reference"
         )
+    if drivers:
+        notes.append("contract held: every driver's alert JSONL is "
+                     "byte-identical to the in-process reference")
     return ScenarioResult(
         spec=spec,
         title=spec.title,
-        headers=FLEET_DETECT_HEADERS,
+        headers=FLEET_CONTRACT_HEADERS,
         rows=rows,
+        notes=notes,
         extras={"outcomes": outcomes},
     )
 
 
-@evaluation("fleet-replay")
-def _run_fleet_replay(
-    spec: ScenarioSpec, ctx: ExecutionContext
-) -> ScenarioResult:
-    """Store-replay equivalence drill over the detection service.
+def _fault_note(run: str, outcome) -> str:
+    """Faults a chaos run injected and blocks its guard dropped."""
+    stats = outcome.chaos_stats
+    injected = stats["drop"] + stats["duplicate"] + stats["reorder"]
+    injected += stats["corrupt"]
+    dropped = sum(
+        n["dropped_blocks"] for n in outcome.health["nodes"].values()
+    )
+    return f"{run}: {injected} fault(s) injected, {dropped} block(s) dropped"
 
-    One guarded live replay of the fleet (the per-tick serving loop),
-    then the same held-out feed recorded into a ``repro-telestore/v1``
-    store and replayed from disk — partition-sized blocks fed straight
-    into the detector.  The final column asserts the byte-identity
-    contract: the store replay's alert JSONL must serialize
-    byte-for-byte equal to the live run's, and the drill raises if it
-    does not.  ``Speedup`` is live wall-clock
-    over store-replay wall-clock for the identical window.
+
+def _kills_driver(config, setup, ev, notes):
+    """The reference replay killed at ``kills`` and resumed each time.
+
+    Every segment gets a fresh sink; a resumed segment re-emits the
+    checkpointed prefix, so the last sink holds the whole stream.  Its
+    fault count covers only the ticks the final segments processed
+    (injector statistics are not checkpointed; the schedule is a pure
+    function of ``(seed, tick, node)`` and needs no state).
     """
-    import json
-    import tempfile
-    from pathlib import Path
+    from repro.service.chaos import ChaosConfig, run_with_kills
+    from repro.service.net import ListAlertSink
 
-    from repro.service.fastreplay import record_fleet, replay_from_store
-    from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
+    kills = tuple(int(k) for k in ev.get("kills", (2, 5)))
+    chaos = ChaosConfig.from_evaluation(ev)
+    sinks: list = []
 
-    ev = spec.evaluation_dict()
+    def fresh_sink():
+        sinks.append(ListAlertSink())
+        return sinks[-1:]
 
-    def param(name: str):
-        return ev.get(name, SERVICE_DEFAULTS[name])
-
-    chunk = int(param("chunk"))
-    policy_kwargs = dict(
-        open_after=int(param("open_after")),
-        close_after=int(param("close_after")),
-        min_confidence=float(param("min_confidence")),
-        top_blocks=int(param("top_blocks")),
-    )
-    partition_ticks = int(ev.get("partition_ticks", 1024))
-    setup = prepare_fleet(
-        spec.datasets,
-        context=ctx,
-        blocks=int(param("blocks")),
-        trees=int(param("trees")),
-        train_frac=float(param("train_frac")),
-        seed=int(param("seed")),
-        healthy_label=int(param("healthy_label")),
-    )
-
-    def jsonl(events: list[dict]) -> str:
-        return "\n".join(json.dumps(e) for e in events)
-
-    def row(name, outcome, speedup, identical):
-        return (
-            name,
-            outcome.n_nodes,
-            outcome.n_windows,
-            outcome.n_alerts,
-            round(outcome.window_accuracy, 4),
-            round(outcome.replay_time_s, 4),
-            round(outcome.windows_per_s, 1),
-            speedup,
-            identical,
+    with tempfile.TemporaryDirectory() as td:
+        outcome = run_with_kills(
+            setup,
+            checkpoint_path=Path(td) / "checkpoint.npz",
+            kills=kills,
+            checkpoint_every=int(ev.get("checkpoint_every", 1)),
+            sink_factory=fresh_sink,
+            chaos=chaos,
+            **config.replay_kwargs(),
         )
+    run = f"kills@{','.join(map(str, kills))}"
+    if chaos is not None:
+        notes.append(_fault_note(run, outcome))
+    yield outcome.row(run), sinks[-1].text()
 
-    live = replay(setup, chunk=chunk, guard=True, **policy_kwargs)
-    live_jsonl = jsonl(live.events)
-    rows = [row(f"live chunk={chunk}", live, "", "")]
+
+def _store_driver(config, setup, ev, notes):
+    """The feed recorded into a telemetry store and replayed from disk."""
+    from repro.service.fastreplay import record_fleet, replay_from_store
+    from repro.service.net import ListAlertSink
+
+    partition_ticks = int(ev.get("partition_ticks", 1024))
+    sink = ListAlertSink()
     with tempfile.TemporaryDirectory() as td:
         store = record_fleet(
             setup,
             Path(td) / "store",
             partition_ticks=partition_ticks,
-            chunk=chunk,
-            guarded=True,
-        )
-        fast = replay_from_store(setup, store, **policy_kwargs)
-    identical = jsonl(fast.events) == live_jsonl
-    speedup = (
-        round(live.replay_time_s / fast.replay_time_s, 2)
-        if fast.replay_time_s > 0
-        else float("inf")
-    )
-    rows.append(row("store", fast, speedup, "yes" if identical else "NO"))
-    outcomes = [live, fast]
-    notes = [
-        f"store: {len(store.partitions)} partition(s) of "
-        f"{partition_ticks} ticks, {store.nbytes / 1e6:.1f} MB",
-        "byte-identity contract "
-        + ("held" if identical else "VIOLATED")
-        + ": store-replay alert JSONL vs guarded live ingestion",
-    ]
-    if not identical:
-        raise AssertionError("store-replay byte-identity contract violated")
-    return ScenarioResult(
-        spec=spec,
-        title=spec.title,
-        headers=FLEET_REPLAY_HEADERS,
-        rows=rows,
-        notes=notes,
-        extras={"outcomes": outcomes},
-    )
-
-
-@evaluation("fleet-detect-chaos")
-def _run_fleet_detect_chaos(
-    spec: ScenarioSpec, ctx: ExecutionContext
-) -> ScenarioResult:
-    """Chaos-injection robustness drill over the detection service.
-
-    Three guarded replays of the same fleet: a clean baseline, a replay
-    under deterministic seeded fault injection
-    (:class:`repro.service.chaos.ChaosInjector` — drop / duplicate /
-    reorder / corrupt per the evaluation's fractions), and the same
-    chaos replay again but killed at the configured ticks and restored
-    from checkpoints (:func:`repro.service.chaos.run_with_kills`).  The
-    final column asserts the crash-recovery contract: the killed run's
-    event stream must equal the uninterrupted chaos run's, event for
-    event.
-
-    The killed run's "Faults injected" count covers only the ticks its
-    final segments actually processed — injector *statistics* are not
-    checkpointed (the fault schedule is a pure function of
-    ``(seed, tick, node)``, so the schedule itself needs no state).
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.service.chaos import ChaosConfig, run_with_kills
-    from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
-
-    ev = spec.evaluation_dict()
-
-    def param(name: str):
-        return ev.get(name, SERVICE_DEFAULTS[name])
-
-    service_kwargs = dict(
-        chunk=int(param("chunk")),
-        open_after=int(param("open_after")),
-        close_after=int(param("close_after")),
-        min_confidence=float(param("min_confidence")),
-        top_blocks=int(param("top_blocks")),
-        mode=str(ev.get("mode", "exact")),
-    )
-    chaos = ChaosConfig(
-        seed=int(ev.get("chaos_seed", 0)),
-        drop=float(ev.get("drop", 0.05)),
-        duplicate=float(ev.get("duplicate", 0.05)),
-        reorder=float(ev.get("reorder", 0.05)),
-        corrupt=float(ev.get("corrupt", 0.05)),
-        start_tick=int(ev.get("start_tick", 0)),
-    )
-    kills = tuple(int(k) for k in ev.get("kills", (2, 5)))
-    setup = prepare_fleet(
-        spec.datasets,
-        context=ctx,
-        blocks=int(param("blocks")),
-        trees=int(param("trees")),
-        train_frac=float(param("train_frac")),
-        seed=int(param("seed")),
-        healthy_label=int(param("healthy_label")),
-    )
-
-    def dropped(outcome) -> int:
-        return sum(
-            n["dropped_blocks"] for n in outcome.health["nodes"].values()
-        )
-
-    def injected(outcome) -> int:
-        s = outcome.chaos_stats
-        if s is None:
-            return 0
-        return s["drop"] + s["duplicate"] + s["reorder"] + s["corrupt"]
-
-    def chaos_row(name, outcome, resume_identical):
-        return (
-            name,
-            outcome.n_nodes,
-            outcome.n_windows,
-            outcome.n_alerts,
-            outcome.n_events,
-            injected(outcome),
-            dropped(outcome),
-            round(outcome.alert_precision, 4),
-            round(outcome.episode_recall, 4),
-            resume_identical,
-        )
-
-    clean = replay(setup, guard=True, **service_kwargs)
-    chaotic = replay(setup, guard=True, chaos=chaos, **service_kwargs)
-    with tempfile.TemporaryDirectory() as td:
-        killed = run_with_kills(
-            setup,
-            checkpoint_path=Path(td) / "chaos_checkpoint.npz",
-            kills=kills,
-            checkpoint_every=int(ev.get("checkpoint_every", 1)),
-            guard=True,
-            chaos=chaos,
-            **service_kwargs,
-        )
-    resume_identical = killed.events == chaotic.events
-    rows = [
-        chaos_row("clean", clean, ""),
-        chaos_row("chaos", chaotic, ""),
-        chaos_row(f"chaos+kills@{','.join(map(str, kills))}", killed,
-                  "yes" if resume_identical else "NO"),
-    ]
-    notes = [
-        f"chaos: seed={chaos.seed} drop={chaos.drop} "
-        f"duplicate={chaos.duplicate} reorder={chaos.reorder} "
-        f"corrupt={chaos.corrupt}",
-        "resume contract "
-        + ("held" if resume_identical else "VIOLATED")
-        + ": killed-and-restored event stream vs uninterrupted chaos run",
-    ]
-    if not resume_identical:
-        raise AssertionError(
-            "crash-recovery contract violated: killed-and-restored replay "
-            "diverged from the uninterrupted chaos run"
-        )
-    return ScenarioResult(
-        spec=spec,
-        title=spec.title,
-        headers=FLEET_CHAOS_HEADERS,
-        rows=rows,
-        notes=notes,
-        extras={
-            "outcomes": [clean, chaotic, killed],
-            "resume_identical": resume_identical,
-        },
-    )
-
-
-@evaluation("fleet-serve")
-def _run_fleet_serve(
-    spec: ScenarioSpec, ctx: ExecutionContext
-) -> ScenarioResult:
-    """Network-serving equivalence drill over the ingestion server.
-
-    One guarded in-process replay of the fleet (the reference run),
-    then the same fleet served over a loopback TCP socket: a
-    :class:`repro.service.net.FleetServer` on an ephemeral port, driven
-    by the deterministic :func:`repro.service.net.loadgen` feeder in
-    each configured frame encoding.  The final column asserts the
-    transport-identity contract — alert JSONL ingested over the network
-    must be byte-for-byte equal to the in-process replay's — and the
-    drill raises if it does not hold.  ``replicate`` (optional) scales
-    the trained fleet by reference before serving.
-    """
-    from repro.service.api import ServiceConfig, build_detector, build_setup
-    from repro.service.api import replay as api_replay
-    from repro.service.net import FleetServer, ListAlertSink, loadgen
-
-    ev = spec.evaluation_dict()
-    config = ServiceConfig.from_evaluation(ev, guard=True)
-    formats = tuple(ev.get("formats", ("binary", "json")))
-    setup = build_setup(config, recipes=spec.datasets, context=ctx)
-    n_nodes = len(setup.eval_data)
-
-    ref_sink = ListAlertSink()
-    ref = api_replay(config, setup, sinks=(ref_sink,))
-    rows = [
-        (
-            "in-process",
-            n_nodes,
-            "",
-            ref.n_events,
-            "",
-            "",
-            "",
-            "",
-        )
-    ]
-    mismatches = []
-    stats_by_fmt = {}
-    for fmt in formats:
-        net_sink = ListAlertSink()
-        server = FleetServer(
-            build_detector(config, setup),
-            sinks=(net_sink,),
-            exit_on_idle=True,
-        )
-        thread = server.start_background()
-        if not server.ready.wait(30):
-            raise RuntimeError("ingestion server failed to start")
-        loadgen(
-            setup,
-            ("127.0.0.1", server.port),
             chunk=config.chunk,
-            fmt=fmt,
+            guarded=config.guard,
         )
-        thread.join(120)
-        if thread.is_alive():
-            raise RuntimeError("ingestion server failed to drain")
-        stats = server.stats.snapshot()
-        stats_by_fmt[fmt] = stats
-        identical = net_sink.text() == ref_sink.text()
-        if not identical:
-            mismatches.append(fmt)
-        rows.append(
-            (
-                f"served {fmt}",
-                n_nodes,
-                stats["ticks"],
-                stats["events"],
-                stats["samples_per_s"],
-                stats["tick_latency_p50_ms"],
-                stats["tick_latency_p99_ms"],
-                "yes" if identical else "NO",
-            )
+        outcome = replay_from_store(
+            setup,
+            store,
+            mode=config.mode,
+            sinks=(sink,),
+            **config.policy_kwargs(),
         )
-    notes = [
-        "transport-identity contract "
-        + ("held" if not mismatches else "VIOLATED")
-        + ": network-ingested alert JSONL vs in-process replay",
-    ]
-    if mismatches:
-        raise AssertionError(
-            "network transport byte-identity contract violated for "
-            f"format(s) {mismatches!r}"
+        notes.append(
+            f"store: {len(store.partitions)} partition(s) of "
+            f"{partition_ticks} ticks, {store.nbytes / 1e6:.1f} MB"
         )
-    return ScenarioResult(
-        spec=spec,
-        title=spec.title,
-        headers=FLEET_SERVE_HEADERS,
-        rows=rows,
-        notes=notes,
-        extras={"reference": ref, "stats": stats_by_fmt},
+    yield outcome.row("store"), sink.text()
+
+
+def _serve_once(config, setup, sink, *, netchaos=None, server_kwargs=None,
+                **loadgen_kwargs):
+    """Serve the fleet once on a loopback server fed by ``loadgen``,
+    through a :class:`~repro.service.netchaos.ChaosProxy` when
+    ``netchaos`` is given.  Returns the server stats, the loadgen stats
+    and the proxy stats (``None`` without a proxy)."""
+    from repro.service.api import build_detector
+    from repro.service.net import FleetServer, loadgen
+    from repro.service.netchaos import ChaosProxy
+
+    server = FleetServer(
+        build_detector(config, setup),
+        sinks=(sink,),
+        exit_on_idle=True,
+        **(server_kwargs or {}),
+    )
+    thread = server.start_background()
+    if not server.ready.wait(30):
+        raise RuntimeError("ingestion server failed to start")
+    address = ("127.0.0.1", server.port)
+    proxy = None
+    if netchaos is not None:
+        proxy = ChaosProxy(address, netchaos)
+        proxy.start()
+        address = ("127.0.0.1", proxy.port)
+    try:
+        gen = loadgen(setup, address, chunk=config.chunk, **loadgen_kwargs)
+    finally:
+        proxy_stats = proxy.stop() if proxy is not None else None
+    thread.join(120)
+    if thread.is_alive():
+        raise RuntimeError("ingestion server failed to drain")
+    return server.stats.snapshot(), gen, proxy_stats
+
+
+def _served_row(run: str, setup, stats: dict) -> tuple:
+    """A served run's row: the server counts no windows or scores."""
+    return (
+        run, setup.n_nodes, "", stats["alerts_opened"], "", "", "",
+        round(stats["elapsed_s"], 4), "",
     )
 
 
-@evaluation("fleet-serve-chaos")
-def _run_fleet_serve_chaos(
-    spec: ScenarioSpec, ctx: ExecutionContext
-) -> ScenarioResult:
-    """Network serving through a hostile, *seeded* TCP path.
+def _net_driver(config, setup, ev, notes):
+    """The fleet served over loopback TCP, once per frame encoding."""
+    from repro.service.net import ListAlertSink
 
-    The fleet-serve drill with a :class:`repro.service.netchaos.ChaosProxy`
-    spliced between the load generator and the ingestion server: byte
-    corruption (caught by the binary frame CRC and dropped), hard
-    connection resets, silent truncation and short partitions, all
-    drawn deterministically from ``(seed, connection, byte offset)``.
-    The client runs in ``--resume`` mode — it follows per-tick acks and
-    resends everything after the last acked tick across reconnects — so
-    the contract under test is *convergence*: however the schedule
-    mangles the transport, the alert JSONL that comes out the far side
-    is byte-for-byte the in-process replay's, on every repetition.
-    """
-    from repro.service.api import ServiceConfig, build_detector, build_setup
-    from repro.service.api import replay as api_replay
-    from repro.service.net import FleetServer, ListAlertSink, loadgen
-    from repro.service.netchaos import ChaosProxy, NetChaosConfig
+    for fmt in ev.get("formats", ("binary", "json")):
+        sink = ListAlertSink()
+        stats, _, _ = _serve_once(config, setup, sink, fmt=fmt)
+        run = f"net {fmt}"
+        notes.append(
+            f"{run}: {stats['ticks']} ticks, {stats['samples_per_s']} "
+            f"samples/s, p50/p99 {stats['tick_latency_p50_ms']}/"
+            f"{stats['tick_latency_p99_ms']} ms"
+        )
+        yield _served_row(run, setup, stats), sink.text()
 
-    ev = spec.evaluation_dict()
-    config = ServiceConfig.from_evaluation(ev, guard=True)
+
+def _netchaos_driver(config, setup, ev, notes):
+    """The net driver through a seeded chaos proxy, with a resuming
+    client (it resends everything after its last acked tick across
+    reconnects), ``chaos_repeats`` times.  Raises when no fault landed:
+    a drill the schedule never touched proves nothing."""
+    from repro.service.net import ListAlertSink
+    from repro.service.netchaos import NetChaosConfig
+
     # Rate calibration: frames here are a couple hundred KB, and a
     # corrupted or truncated frame costs a full ack-timeout stall plus a
     # resend round.  Keep the *per-frame* fault expectation well below 1
@@ -952,7 +748,7 @@ def _run_fleet_serve_chaos(
     # get "more chaotic".  Resets and partitions are cheap (immediate
     # reconnect / short delay), but resets also restart the in-flight
     # frame, so the same ceiling applies.
-    chaos = NetChaosConfig(
+    netchaos = NetChaosConfig(
         seed=int(ev.get("chaos_seed", 0)),
         corrupt_per_mb=float(ev.get("corrupt_per_mb", 2.0)),
         reset_per_mb=float(ev.get("reset_per_mb", 0.5)),
@@ -960,99 +756,45 @@ def _run_fleet_serve_chaos(
         partition_per_mb=float(ev.get("partition_per_mb", 4.0)),
         partition_ms=float(ev.get("partition_ms", 10.0)),
     )
-    repeats = int(ev.get("chaos_repeats", 2))
-    setup = build_setup(config, recipes=spec.datasets, context=ctx)
-    n_nodes = len(setup.eval_data)
-
-    ref_sink = ListAlertSink()
-    ref = api_replay(config, setup, sinks=(ref_sink,))
-    rows = [("in-process", n_nodes, "", ref.n_events, "", "", "", "", "")]
-    mismatches = []
-    faults_seen = 0
-    run_stats = []
-    for rep in range(repeats):
-        net_sink = ListAlertSink()
-        server = FleetServer(
-            build_detector(config, setup),
-            sinks=(net_sink,),
-            exit_on_idle=True,
+    notes.append(f"netchaos: {netchaos}")
+    faults = 0
+    for rep in range(int(ev.get("chaos_repeats", 2))):
+        sink = ListAlertSink()
+        stats, gen, proxy = _serve_once(
+            config,
+            setup,
+            sink,
+            netchaos=netchaos,
             # Partial ticks are timing, not data; a generous barrier
             # keeps the replayed tick boundaries exact under stalls.
-            tick_timeout=float(ev.get("tick_timeout", 60.0)),
+            server_kwargs={"tick_timeout": float(ev.get("tick_timeout", 60.0))},
+            # The CRC-checked encoding: corruption must be *detected*,
+            # never silently mis-parsed.
+            fmt="binary",
+            resume=True,
+            ack_timeout=float(ev.get("ack_timeout", 2.0)),
+            total_timeout=float(ev.get("total_timeout", 240.0)),
         )
-        thread = server.start_background()
-        if not server.ready.wait(30):
-            raise RuntimeError("ingestion server failed to start")
-        upstream = ("127.0.0.1", server.port)
-        proxy = ChaosProxy(upstream, chaos)
-        proxy.start()
-        try:
-            gen = loadgen(
-                setup,
-                ("127.0.0.1", proxy.port),
-                chunk=config.chunk,
-                fmt="binary",  # the CRC-checked encoding: corruption
-                # must be *detected*, never silently mis-parsed
-                resume=True,
-                ack_timeout=float(ev.get("ack_timeout", 2.0)),
-                total_timeout=float(ev.get("total_timeout", 240.0)),
-            )
-        finally:
-            proxy_stats = proxy.stop()
-        thread.join(120)
-        if thread.is_alive():
-            raise RuntimeError("ingestion server failed to drain")
-        faults = (
-            proxy_stats["corrupted"]
-            + proxy_stats["resets"]
-            + (1 if proxy_stats["truncated_bytes"] else 0)
-            + proxy_stats["partitions"]
+        faults += proxy["corrupted"] + proxy["resets"] + proxy["partitions"]
+        faults += bool(proxy["truncated_bytes"])
+        run = f"netchaos rep {rep}"
+        notes.append(
+            f"{run}: {gen['reconnects']} reconnect(s), "
+            f"{gen['resent_frames']} resent frame(s), "
+            f"{proxy['corrupted']} corruption(s), {proxy['resets']} reset(s)"
         )
-        faults_seen += faults
-        stats = server.stats.snapshot()
-        run_stats.append(
-            {"loadgen": gen, "server": stats, "proxy": proxy_stats}
-        )
-        identical = net_sink.text() == ref_sink.text()
-        if not identical:
-            mismatches.append(rep)
-        rows.append(
-            (
-                f"chaos rep {rep}",
-                n_nodes,
-                stats["ticks"],
-                stats["events"],
-                gen["reconnects"],
-                gen["resent_frames"],
-                proxy_stats["corrupted"],
-                proxy_stats["resets"],
-                "yes" if identical else "NO",
-            )
-        )
-    notes = [
-        f"netchaos: seed={chaos.seed} corrupt={chaos.corrupt_per_mb}/MB "
-        f"reset={chaos.reset_per_mb}/MB truncate={chaos.truncate_per_mb}/MB "
-        f"partition={chaos.partition_per_mb}/MB",
-        "convergence contract "
-        + ("held" if not mismatches else "VIOLATED")
-        + f" across {repeats} repetition(s): chaos-proxied alert JSONL "
-        "vs in-process replay",
-    ]
-    if mismatches:
-        raise AssertionError(
-            "chaos-proxy convergence contract violated on "
-            f"repetition(s) {mismatches!r}"
-        )
-    if ev.get("expect_faults", True) and faults_seen == 0:
+        yield _served_row(run, setup, stats), sink.text()
+    if ev.get("expect_faults", True) and faults == 0:
         raise AssertionError(
             "chaos proxy injected no faults — the drill was vacuous "
             "(raise the *_per_mb rates or feed size)"
         )
-    return ScenarioResult(
-        spec=spec,
-        title=spec.title,
-        headers=FLEET_SERVE_CHAOS_HEADERS,
-        rows=rows,
-        notes=notes,
-        extras={"reference": ref, "runs": run_stats},
-    )
+
+
+#: The ``fleet-contract`` drivers, by the names specs list in ``drivers``.
+_DRIVERS = {
+    "kills": _kills_driver,
+    "store": _store_driver,
+    "net": _net_driver,
+    "netchaos": _netchaos_driver,
+}

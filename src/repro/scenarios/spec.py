@@ -83,7 +83,7 @@ class ScenarioSpec:
         Evaluation strategy (see ``repro.scenarios.evaluations``):
         ``grid``, ``length-sweep``, ``timing``, ``app-heatmap``,
         ``arch-heatmap``, ``merged-crossarch``, ``segment-summary``,
-        ``fleet``, ``fleet-detect``.
+        ``fleet``, ``fleet-contract``.
     title:
         Table title printed above results.
     description:

@@ -162,6 +162,16 @@ class ServiceConfig:
             "top_blocks": self.top_blocks,
         }
 
+    def replay_kwargs(self) -> dict:
+        """The tick-loop knobs, as ``repro.service.replay.replay``
+        keyword arguments."""
+        return {
+            "chunk": self.chunk,
+            "mode": self.mode,
+            "guard": self.guard,
+            **self.policy_kwargs(),
+        }
+
 
 def build_context(config: ServiceConfig):
     """An :class:`~repro.scenarios.cache.ExecutionContext` honouring
@@ -301,14 +311,7 @@ def replay(
     """
     if setup is None:
         setup = build_setup(config)
-    return _replay_loop(
-        setup,
-        chunk=config.chunk,
-        mode=config.mode,
-        guard=config.guard,
-        **config.policy_kwargs(),
-        **runtime,
-    )
+    return _replay_loop(setup, **config.replay_kwargs(), **runtime)
 
 
 def serve(

@@ -34,14 +34,18 @@ between a load generator and ``repro serve --listen`` — keyed on
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = ["ChaosConfig", "ChaosInjector", "run_with_kills"]
+
+#: The per-(tick, node) fault rates, in schedule draw order.
+_RATES = ("drop", "duplicate", "reorder", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class ChaosConfig:
     start_tick: int = 0
 
     def __post_init__(self):
-        for name in ("drop", "duplicate", "reorder", "corrupt"):
+        for name in _RATES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -79,6 +83,21 @@ class ChaosConfig:
             raise ValueError("corrupt_fraction must be in (0, 1]")
         if self.start_tick < 0:
             raise ValueError("start_tick must be >= 0")
+
+    @classmethod
+    def from_evaluation(cls, ev: Mapping[str, Any]) -> "ChaosConfig | None":
+        """The fault schedule a scenario's ``evaluation`` dict names.
+
+        ``None`` when the dict names none of the ``drop`` /
+        ``duplicate`` / ``reorder`` / ``corrupt`` rates.  ``chaos_seed``
+        is the schedule's seed; the other keys name fields (the
+        counterpart of ``ServiceConfig.from_evaluation``).
+        """
+        if not any(k in ev for k in _RATES):
+            return None
+        names = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+        kwargs = {k: v for k, v in ev.items() if k in names}
+        return cls(seed=int(ev.get("chaos_seed", 0)), **kwargs)
 
 
 class ChaosInjector:

@@ -55,7 +55,7 @@ __all__ = [
 
 #: Canonical service knob defaults — the single source shared by the
 #: :func:`prepare_fleet` / :func:`replay` signatures, the
-#: ``fleet-detect`` evaluation kind and the ``repro serve`` /
+#: ``fleet-contract`` evaluation kind and the ``repro serve`` /
 #: ``repro detect`` CLI presets, so the "same" configuration cannot
 #: silently drift between entry points (alert streams and cache keys
 #: both depend on these values).
@@ -265,7 +265,7 @@ class ReplayOutcome:
         return self.n_windows / self.replay_time_s
 
     def row(self, fleet_label: str) -> tuple:
-        """The summary row both ``repro detect`` and the ``fleet-detect``
+        """The summary row both ``repro detect`` and the ``fleet-contract``
         scenario kind report (column order of ``FLEET_DETECT_HEADERS``)."""
         return (
             fleet_label,

@@ -17,10 +17,10 @@ shared artifact cache), then either:
   ``staged`` stamp exercises checkpoints written by the retired staged
   tick path.
 
-Chaos-kind scenarios replay under their configured fault injection in
-both modes, so the contract is exercised on hostile input too.  The
-test compares OUT bytes across modes, stamps and PYTHONHASHSEED
-values.
+Scenarios that name a fault schedule replay under it in both modes, so
+the contract is exercised on hostile input too.  Every replay is
+guarded, whatever the spec's ``guard`` says.  The test compares OUT
+bytes across modes, stamps and PYTHONHASHSEED values.
 """
 
 import json
@@ -35,8 +35,8 @@ from repro.monitoring.storage import atomic_savez, load_npz_arrays
 from repro.scenarios.cache import ArtifactCache, ExecutionContext
 from repro.scenarios.registry import get_scenario
 from repro.service.alerts import JSONLAlertSink
+from repro.service.api import ServiceConfig, build_setup, replay
 from repro.service.chaos import ChaosConfig
-from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
 
 
 def restamp_backend(path: Path, backend: str) -> str:
@@ -61,65 +61,42 @@ def main() -> int:
     if "evaluation" in smoke:
         spec = spec.with_evaluation(**dict(smoke["evaluation"]))
     ev = spec.evaluation_dict()
-
-    def param(name):
-        return ev.get(name, SERVICE_DEFAULTS[name])
-
-    context = ExecutionContext(ArtifactCache(cache_dir))
-    setup = prepare_fleet(
-        spec.datasets,
-        context=context,
-        blocks=int(param("blocks")),
-        trees=int(param("trees")),
-        train_frac=float(param("train_frac")),
-        seed=int(param("seed")),
-        healthy_label=int(param("healthy_label")),
-    )
-    chunk = int(param("chunk"))
-    chaos = None
-    if spec.kind == "fleet-detect-chaos":
-        chaos = ChaosConfig(
-            seed=int(ev.get("chaos_seed", 0)),
-            drop=float(ev.get("drop", 0.05)),
-            duplicate=float(ev.get("duplicate", 0.05)),
-            reorder=float(ev.get("reorder", 0.05)),
-            corrupt=float(ev.get("corrupt", 0.05)),
-        )
-    kwargs = dict(
-        chunk=chunk,
-        open_after=int(param("open_after")),
-        close_after=int(param("close_after")),
-        min_confidence=float(param("min_confidence")),
-        top_blocks=int(param("top_blocks")),
-        mode=str(ev.get("mode", "exact")),
-        guard=True,
-        chaos=chaos,
+    # Guarded whatever the spec says, so the guard's checkpointed state
+    # is under the contract too.
+    config = ServiceConfig.from_evaluation(ev, guard=True)
+    chaos = ChaosConfig.from_evaluation(ev)
+    setup = build_setup(
+        config,
+        recipes=spec.datasets,
+        context=ExecutionContext(ArtifactCache(cache_dir)),
     )
     if run_mode == "full":
-        replay(setup, sinks=[JSONLAlertSink(out)], **kwargs)
+        replay(config, setup, sinks=[JSONLAlertSink(out)], chaos=chaos)
         return 0
     if run_mode != "resume":
         raise SystemExit(f"unknown run mode {run_mode!r}")
     horizon = max(m.shape[1] for m in setup.eval_data.values())
-    n_ticks = -(-horizon // chunk)
+    n_ticks = -(-horizon // config.chunk)
     checkpoint = Path(workdir) / "contract_checkpoint.npz"
     replay(
+        config,
         setup,
         sinks=[JSONLAlertSink(out)],
+        chaos=chaos,
         checkpoint_path=checkpoint,
         checkpoint_every=1,
         stop_after=max(1, n_ticks // 2),
-        **kwargs,
     )
     written = restamp_backend(checkpoint, stamp)
     if written != "fused":
         raise SystemExit(f"checkpoint stamped {written!r}, expected 'fused'")
     replay(
+        config,
         setup,
         sinks=[JSONLAlertSink(out)],
+        chaos=chaos,
         checkpoint_path=checkpoint,
         resume=True,
-        **kwargs,
     )
     return 0
 

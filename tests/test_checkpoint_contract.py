@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios.registry import list_scenarios
+from repro.scenarios.registry import scenario_names
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DRIVER = Path(__file__).resolve().parent / "_checkpoint_driver.py"
@@ -30,9 +30,7 @@ HASH_SEEDS = ("0", "7", "31337")
 
 def fleet_detect_scenarios() -> list[str]:
     return sorted(
-        s.name
-        for s in list_scenarios()
-        if s.kind.startswith("fleet-detect")
+        name for name in scenario_names() if name.startswith("fleet-detect")
     )
 
 

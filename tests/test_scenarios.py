@@ -317,3 +317,90 @@ class TestExecute:
         )
         by_method = {row[1]: row[2] for row in result.rows}
         assert by_method == {"cs-5": 10, "cs-10": 20}
+
+
+class TestFleetContract:
+    """The fleet-contract kind: every driver's alert JSONL must equal the
+    in-process reference's byte for byte."""
+
+    FLEET_SCENARIOS = (
+        "fleet-detect", "fleet-detect-scale", "fleet-detect-noise",
+        "fleet-detect-chaos", "fleet-replay", "fleet-serve",
+        "fleet-serve-chaos",
+    )
+
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("contract_cache"))
+
+    def test_one_kind_runs_every_fleet_scenario(self):
+        from repro.scenarios.evaluations import evaluation_kinds
+
+        kinds = set(evaluation_kinds())
+        assert "fleet-contract" in kinds
+        assert not kinds & {"fleet-detect", "fleet-replay",
+                            "fleet-detect-chaos", "fleet-serve",
+                            "fleet-serve-chaos"}
+        for name in self.FLEET_SCENARIOS:
+            assert get_scenario(name).kind == "fleet-contract"
+
+    def test_kills_int_vs_float_is_a_mismatch(self, cache_dir, monkeypatch):
+        """``1`` and ``1.0`` compare equal as values but serialize
+        differently; the contract compares the serialized bytes."""
+        import repro.service.chaos as chaos
+        from repro.service.alerts import AlertSink
+
+        class FloatFirstWindow(AlertSink):
+            def __init__(self, inner):
+                self.inner = inner
+                self.done = False
+
+            def emit(self, event):
+                if not self.done:
+                    event = {**event, "window": float(event["window"])}
+                    self.done = True
+                self.inner.emit(event)
+
+        real = chaos.run_with_kills
+
+        def skewed(setup, *, sink_factory, **kwargs):
+            def factory():
+                return [FloatFirstWindow(s) for s in sink_factory()]
+
+            return real(setup, sink_factory=factory, **kwargs)
+
+        monkeypatch.setattr(chaos, "run_with_kills", skewed)
+        with pytest.raises(AssertionError, match=r"fleet-detect-chaos.*kills@2,4"):
+            execute(
+                get_scenario("fleet-detect-chaos"),
+                options=RunOptions(smoke=True, cache_dir=cache_dir),
+            )
+
+    def test_store_lost_byte_is_a_mismatch(self, cache_dir, monkeypatch):
+        import repro.service.fastreplay as fastreplay
+
+        real = fastreplay.replay_from_store
+
+        def lossy(setup, store, *, sinks, **kwargs):
+            outcome = real(setup, store, sinks=sinks, **kwargs)
+            sinks[0].lines[0] = sinks[0].lines[0][:-1]
+            return outcome
+
+        monkeypatch.setattr(fastreplay, "replay_from_store", lossy)
+        with pytest.raises(AssertionError, match=r"fleet-replay.*'store'"):
+            execute(
+                get_scenario("fleet-replay"),
+                options=RunOptions(smoke=True, cache_dir=cache_dir),
+            )
+
+    def test_unknown_driver_rejected(self):
+        spec = get_scenario("fleet-detect").with_evaluation(drivers=("ftp",))
+        with pytest.raises(ValueError, match="unknown fleet-contract driver"):
+            execute(spec, options=RunOptions(smoke=True))
+
+    def test_fault_schedule_only_with_kills(self):
+        spec = get_scenario("fleet-detect-chaos").with_evaluation(
+            drivers=("kills", "store")
+        )
+        with pytest.raises(ValueError, match="only the kills driver"):
+            execute(spec, options=RunOptions(smoke=True))

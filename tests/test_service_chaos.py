@@ -150,6 +150,22 @@ class TestFaultMapping:
         assert out.health is not None
 
 
+class TestFromEvaluation:
+    def test_no_named_rate_means_no_schedule(self):
+        assert ChaosConfig.from_evaluation({"chaos_seed": 7, "blocks": 8}) is None
+
+    def test_named_rates_build_the_schedule(self):
+        ev = {"chaos_seed": 7, "drop": 0.1, "corrupt": 0.2, "start_tick": 3,
+              "blocks": 8, "kills": (2, 4)}
+        assert ChaosConfig.from_evaluation(ev) == ChaosConfig(
+            seed=7, drop=0.1, corrupt=0.2, start_tick=3
+        )
+
+    def test_rates_are_validated(self):
+        with pytest.raises(ValueError, match="sum to"):
+            ChaosConfig.from_evaluation({"drop": 0.6, "reorder": 0.6})
+
+
 class TestKillAndRestore:
     def test_chaos_kill_restore_identical(self, small_setup, tmp_path):
         chaos = ChaosConfig(seed=2, drop=0.05, duplicate=0.05,
