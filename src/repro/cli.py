@@ -49,6 +49,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -149,35 +150,22 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Online detection service (repro serve / repro detect / repro loadgen)
 # ----------------------------------------------------------------------
-def _service_defaults() -> dict[str, float | int]:
-    """Full-size preset: field defaults of the one canonical
-    ``repro.service.api.ServiceConfig`` (imported lazily so ``repro
-    list``/``run`` don't pay the service imports)."""
+def _service_preset(smoke: bool = False) -> dict:
+    """Field values of the canonical ``repro.service.api.ServiceConfig``:
+    the full-size defaults, or with ``smoke`` its seconds-scale
+    ``ServiceConfig.smoke()`` preset CI exercises (imported lazily so
+    ``repro list``/``run`` don't pay the service imports)."""
     import dataclasses
 
     from repro.service.api import ServiceConfig
 
-    return {
-        f.name: f.default
-        for f in dataclasses.fields(ServiceConfig)
-        if f.default is not dataclasses.MISSING
-    }
-
-
-def _service_smoke() -> dict[str, float | int]:
-    """The --smoke preset CI exercises (seconds-scale)."""
-    return {
-        **_service_defaults(),
-        "nodes": 2,
-        "t": 2500,
-        "blocks": 8,
-        "trees": 6,
-        "chunk": 200,
-    }
+    return dataclasses.asdict(
+        ServiceConfig.smoke() if smoke else ServiceConfig()
+    )
 
 
 def _add_service_options(parser: argparse.ArgumentParser) -> None:
-    defaults = _service_defaults()
+    defaults = _service_preset()
     parser.add_argument(
         "--nodes", type=int, default=None,
         help="fleet size (independently seeded fault nodes; "
@@ -296,7 +284,7 @@ def _service_config(args: argparse.Namespace, *, chunk_default=None):
     """
     from repro.service.api import ServiceConfig
 
-    preset = _service_smoke() if args.smoke else _service_defaults()
+    preset = _service_preset(args.smoke)
     params = {}
     for name, fallback in preset.items():
         explicit = getattr(args, name, None)
@@ -524,10 +512,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--checkpoint alone)"
         )
         return 2
-    if args.supervise:
-        if not args.listen:
-            _status("error: --supervise requires --listen")
+    if args.supervise and not args.listen:
+        _status("error: --supervise requires --listen")
+        return 2
+    backpressure = None
+    if args.listen:
+        # Rejected here, not after the fleet trains: a supervisor would
+        # otherwise restart a child that fails the same way every time.
+        try:
+            backpressure = _listen_options(args)
+        except ValueError as exc:
+            _status(f"error: {exc}")
             return 2
+    if args.supervise:
         return _supervise_serve(args)
 
     from repro.service.api import replay, serve
@@ -537,7 +534,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pid_file.parent.mkdir(parents=True, exist_ok=True)
         pid_file.write_text(f"{os.getpid()}\n", encoding="utf-8")
     try:
-        return _run_serve(args, replay, serve)
+        return _run_serve(args, replay, serve, backpressure)
     finally:
         if pid_file is not None:
             try:
@@ -546,12 +543,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
 
 
-def _run_serve(args: argparse.Namespace, replay, serve) -> int:
+def _listen_options(args: argparse.Namespace):
+    """Validate the ``serve --listen`` flags; return the backpressure
+    config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
+    address or a ``--checkpoint-every``/``--queue-max`` below 1."""
+    from repro.service.net import BackpressureConfig, parse_address
+
+    parse_address(args.listen)
+    if args.ops:
+        parse_address(args.ops)
+    if args.checkpoint_every < 1:
+        raise ValueError(
+            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+        )
+    return BackpressureConfig(
+        queue_max=int(args.queue_max), policy=args.backpressure
+    )
+
+
+def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
     setup, config, _ = _build_service_setup(args, chunk_default=30)
     sinks = _serve_sinks(args)
     if args.listen:
-        from repro.service.net import BackpressureConfig
-
         durability = ""
         if args.wal:
             durability = f", wal={args.wal} (fsync={args.wal_fsync})"
@@ -569,9 +582,7 @@ def _run_serve(args: argparse.Namespace, replay, serve) -> int:
             listen=args.listen,
             ops=args.ops,
             sinks=tuple(sinks),
-            backpressure=BackpressureConfig(
-                queue_max=int(args.queue_max), policy=args.backpressure
-            ),
+            backpressure=backpressure,
             tick_timeout=float(args.tick_timeout),
             exit_on_idle=args.exit_on_idle,
             port_file=args.port_file,
@@ -655,13 +666,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if bool(args.connect) == bool(args.port_file):
         _status("error: exactly one of --connect/--port-file is required")
         return 2
-    setup, config, _ = _build_service_setup(args, chunk_default=30)
     if args.port_file:
         address = _port_file_address(args.port_file)
         target = f"port-file {args.port_file}"
     else:
-        address = parse_address(args.connect)
+        try:
+            address = parse_address(args.connect)
+        except ValueError as exc:
+            _status(f"error: {exc}")
+            return 2
         target = args.connect
+    setup, config, _ = _build_service_setup(args, chunk_default=30)
     _status(
         f"[loadgen] {setup.n_nodes} nodes -> {target} "
         f"({args.format} frames, burst={config.chunk}"
@@ -898,12 +913,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # No prefix matching anywhere: an abbreviated flag would slip past
+    # the supervisor's exact-spelling filter (``_child_argv``).
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="repro",
         description="Declarative scenario runner for the CS reproduction "
         "(paper figures/tables plus extended coverage).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=strict
+    )
 
     p_list = sub.add_parser("list", help="show registered scenarios")
     p_list.add_argument("--tag", default=None, help="filter by tag")
@@ -1223,7 +1243,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record and manage the columnar telemetry store "
         "(repro-telestore/v1)",
     )
-    store_sub = p_store.add_subparsers(dest="store_command", required=True)
+    store_sub = p_store.add_subparsers(
+        dest="store_command", required=True, parser_class=strict
+    )
 
     p_record = store_sub.add_parser(
         "record",

@@ -41,7 +41,6 @@ node array equals ``apply``'s bit for bit.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping
 
 import numpy as np
@@ -63,13 +62,20 @@ _LEAF = -1
 _F32_REANCHOR_INTERVAL = 1 << 12
 
 
-def _emits_between(t0: int, total: int, wl: int, ws: int) -> int:
-    """Signatures due while the sample count grows from ``t0`` to
-    ``total`` — the closed form of ``WindowPlan.emits_at`` over
-    ``count = wl + k*ws`` with ``t0 < count <= total``."""
+def _emits_between(t0: int, total: int, wl: int, ws: int) -> range:
+    """Starts of the windows that complete while the sample count grows
+    from ``t0`` to ``total`` — the closed form of ``WindowPlan.emits_at``
+    over ``count = wl + k*ws`` with ``t0 < count <= total``."""
     k_lo = max(0, -(-(t0 + 1 - wl) // ws))
     k_hi = (total - wl) // ws
-    return max(0, k_hi - k_lo + 1)
+    return range(k_lo * ws, max(k_lo, k_hi + 1) * ws, ws)
+
+
+def _open_starts(count: int, wl: int, ws: int) -> range:
+    """Starts of the windows open at sample ``count``: begun
+    (``start < count``) but not yet complete (``start + wl > count``).
+    At most ``ceil(wl / ws)`` of them, in ascending order."""
+    return range(max(0, ((count - wl) // ws + 1) * ws), count, ws)
 
 
 class _NonFinite(Exception):
@@ -266,6 +272,11 @@ class _GroupState:
     State is stacked column-major ``(c, n, ...)`` — node, sensor row,
     time — the same shape ``IncrementalSignatureCore._absorb`` works
     in, so every kernel below is the batched twin of one of its lines.
+    Each node keeps its own sample count and re-anchor point.  Pending
+    window snapshots are addressed by window start (:meth:`pending`),
+    so a node's pending set follows from its count alone: nodes with
+    equal counts and anchors share one batched kernel call, whatever
+    ragged ticks came before.
     """
 
     def __init__(self, paths, models, l, wl, ws, max_m, dtype):
@@ -309,18 +320,14 @@ class _GroupState:
         self.counts = np.zeros(c, dtype=np.int64)
         self.anchors = np.zeros(c, dtype=np.int64)
         self.emitted = np.zeros(c, dtype=np.int64)
-        #: Snapshot ring: bounded FIFO slots for pending window starts
-        #: (at most ceil(wl/ws)+1 live at once; +1 slack).
+        #: Pending running-sum snapshots, one per open window: the
+        #: window starting at ``s`` keeps its snapshot in slot
+        #: ``(s // ws) % P``.  The open starts are consecutive multiples
+        #: of ``ws`` in ``(count - wl, count)`` — at most ``ceil(wl/ws)``
+        #: of them, so with ``P`` slots they never share one, and a slot
+        #: is always rewritten before it is read again.
         self.P = -(-self.wl // self.ws) + 2
         self.pending_buf = np.empty((c, self.P, n), dtype=dtype)
-        #: While every node of the group has seen the same samples the
-        #: FIFO is shared (one deque of (start, slot) for all c nodes);
-        #: the first ragged tick splits it into per-node FIFOs for good.
-        self.uniform = True
-        self.shared_fifo: deque[tuple[int, int]] = deque()
-        self.shared_slot = 0
-        self.node_fifos: list[deque[tuple[int, int]]] | None = None
-        self.node_slots: list[int] | None = None
         # Tick scratch (content never survives a tick).
         self.kmax = self.max_m // self.ws + 1
         self.refsnap = np.empty((c, self.kmax, n), dtype=dtype)
@@ -366,24 +373,12 @@ class _GroupState:
         ):
             if opt is not None:
                 opt.fill(0)
-        self.shared_view = _SharedFifo(self)
-        self.node_views: list[_NodeFifo] | None = None
 
-    # -- pending FIFO views -------------------------------------------
-    def degrade(self) -> None:
-        """Split the shared FIFO into per-node FIFOs (first ragged tick).
-
-        Entries and slot cursors are copied verbatim, so the transition
-        changes no node's pending state.  The group never re-unifies:
-        per-node processing stays bit-identical, merely less batched.
-        """
-        if not self.uniform:
-            return
-        self.uniform = False
-        self.node_fifos = [deque(self.shared_fifo) for _ in range(self.c)]
-        self.node_slots = [self.shared_slot] * self.c
-        self.node_views = [_NodeFifo(self, i) for i in range(self.c)]
-        self.shared_fifo.clear()
+    def pending(self, nodes, start) -> np.ndarray:
+        """Snapshot slot of window ``start`` for ``nodes`` (a node index
+        or a slice of them): a view, or a copy when ``start`` is an
+        array of starts."""
+        return self.pending_buf[nodes, (start // self.ws) % self.P, :]
 
     def state_nbytes(self) -> int:
         """Retained (non-scratch) bytes of the whole group."""
@@ -410,55 +405,6 @@ class _GroupState:
         return total
 
 
-class _SharedFifo:
-    """Pending-snapshot access for a whole uniform group."""
-
-    def __init__(self, group: _GroupState):
-        self.g = group
-
-    def push(self, start: int) -> np.ndarray:
-        g = self.g
-        slot = g.shared_slot
-        g.shared_slot = (slot + 1) % g.P
-        g.shared_fifo.append((start, slot))
-        return g.pending_buf[:, slot, :]
-
-    def pop(self, start: int) -> np.ndarray:
-        g = self.g
-        s, slot = g.shared_fifo.popleft()
-        assert s == start, f"pending start {s} != expected {start}"
-        return g.pending_buf[:, slot, :]
-
-    def views(self):
-        g = self.g
-        return [g.pending_buf[:, slot, :] for _, slot in g.shared_fifo]
-
-
-class _NodeFifo:
-    """Pending-snapshot access for one node of a degraded group."""
-
-    def __init__(self, group: _GroupState, i: int):
-        self.g = group
-        self.i = i
-
-    def push(self, start: int) -> np.ndarray:
-        g, i = self.g, self.i
-        slot = g.node_slots[i]
-        g.node_slots[i] = (slot + 1) % g.P
-        g.node_fifos[i].append((start, slot))
-        return g.pending_buf[i : i + 1, slot, :]
-
-    def pop(self, start: int) -> np.ndarray:
-        g, i = self.g, self.i
-        s, slot = g.node_fifos[i].popleft()
-        assert s == start, f"pending start {s} != expected {start}"
-        return g.pending_buf[i : i + 1, slot, :]
-
-    def views(self):
-        g, i = self.g, self.i
-        return [g.pending_buf[i : i + 1, slot, :] for _, slot in g.node_fifos[i]]
-
-
 class TickArena:
     """Preallocated fused tick path for a trained fleet.
 
@@ -467,7 +413,7 @@ class TickArena:
     engine:
         The trained :class:`~repro.engine.fleet.FleetSignatureEngine`
         (one CS model per node).  Every node must resolve to the same
-        signature length ``l`` — the service classifier requires uniform
+        signature length ``l`` — the service classifier requires equal
         feature lengths anyway.
     forest:
         The fitted shared :class:`~repro.ml.forest.RandomForestClassifier`.
@@ -484,6 +430,11 @@ class TickArena:
         run the seq-staged block kernel — still bit-identical).
     paths:
         Optional subset of the engine's nodes; defaults to all of them.
+
+    A tick feeds each geometry group in one batched kernel call when
+    every node brings one burst length from one sample count and one
+    re-anchor point, and node by node otherwise — bit-identical either
+    way, so a group that re-aligns after ragged ticks batches again.
 
     Setting :attr:`reject_nonfinite` makes :meth:`tick` skip every
     node whose burst holds a NaN/Inf value — that node's state stays
@@ -527,7 +478,7 @@ class TickArena:
         lengths = {engine.signature_length(p) for p in wanted}
         if len(lengths) != 1:
             raise ValueError(
-                "the tick arena needs one uniform signature length across "
+                "the tick arena needs one signature length across "
                 f"the fleet, got {sorted(lengths)}"
             )
         self.blocks = lengths.pop()
@@ -618,22 +569,13 @@ class TickArena:
         so checkpoints store the streaming core's format unchanged.
         """
         g, i = self._node[path]
-        entries = (
-            list(g.shared_fifo) if g.uniform else list(g.node_fifos[i])
-        )
-        k = len(entries)
-        starts = np.fromiter(
-            (s for s, _ in entries), dtype=np.int64, count=k
-        )
-        snaps = (
-            np.stack([g.pending_buf[i, slot].copy() for _, slot in entries])
-            if k
-            else np.empty((0, g.n), dtype=g.dtype)
-        )
+        count = int(g.counts[i])
+        starts = np.array(_open_starts(count, g.wl, g.ws), dtype=np.int64)
+        snaps = g.pending(i, starts)  # fancy index: a (k, n) copy
         return {
             "ring": g.ring[i].copy(),
             "csum": g.csum[i].copy(),
-            "count": int(g.counts[i]),
+            "count": count,
             "emitted": int(g.emitted[i]),
             "anchor": int(g.anchors[i]),
             "pending_starts": starts,
@@ -643,22 +585,23 @@ class TickArena:
     def restore_states(self, states: Mapping[str, dict]) -> None:
         """Restore a :meth:`node_state` snapshot for **every** node.
 
-        When all nodes of a geometry group restore to the same sample
-        count with identical pending starts the group keeps its shared
-        FIFO (the batched uniform path); otherwise it degrades to
-        per-node FIFOs — bit-identical either way, merely less batched.
+        Each node's ``pending_starts`` must be exactly the windows open
+        at its ``count`` (what :meth:`node_state` and the streaming
+        core write); anything else is a corrupt state and raises
+        ``ValueError``.  Nothing about batching is restored: the next
+        tick batches whichever nodes share a count and anchor.
         """
         missing = [p for p in self.paths if p not in states]
         if missing:
             raise KeyError(f"missing restore state for node(s) {missing!r}")
         for g in self.groups:
-            per = []
             for i, p in enumerate(g.paths):
                 st = states[p]
                 ring = np.asarray(st["ring"], dtype=g.dtype)
                 csum = np.asarray(st["csum"], dtype=g.dtype)
                 starts = np.asarray(st["pending_starts"], dtype=np.int64)
                 snaps = np.asarray(st["pending_snaps"], dtype=g.dtype)
+                count = int(st["count"])
                 if ring.shape != (g.n, g.size):
                     raise ValueError(
                         f"node {p!r}: ring shape {ring.shape} does not "
@@ -675,37 +618,20 @@ class TickArena:
                         f"{snaps.shape} does not match "
                         f"({starts.shape[0]}, {g.n})"
                     )
-                if starts.shape[0] > g.P:
+                open_starts = list(_open_starts(count, g.wl, g.ws))
+                if starts.tolist() != open_starts:
                     raise ValueError(
-                        f"node {p!r}: {starts.shape[0]} pending snapshots "
-                        f"exceed the arena's {g.P} FIFO slots"
+                        f"node {p!r}: pending starts {starts.tolist()} "
+                        f"are not the windows open at count {count} "
+                        f"({open_starts})"
                     )
                 g.ring[i] = ring
                 g.csum[i] = csum
-                g.counts[i] = int(st["count"])
+                g.counts[i] = count
                 g.emitted[i] = int(st["emitted"])
                 g.anchors[i] = int(st["anchor"])
-                per.append((starts, snaps))
-            starts0 = per[0][0]
-            uniform = g.uniform and all(
-                starts.shape == starts0.shape
-                and bool((starts == starts0).all())
-                for starts, _ in per
-            ) and len({int(g.counts[i]) for i in range(g.c)}) == 1
-            g.shared_fifo.clear()
-            if uniform:
-                g.shared_slot = 0
-                for k_idx, s in enumerate(starts0):
-                    buf = g.shared_view.push(int(s))
-                    for i, (_, snaps) in enumerate(per):
-                        buf[i] = snaps[k_idx]
-            else:
-                g.degrade()
-                for i, (starts, snaps) in enumerate(per):
-                    g.node_fifos[i].clear()
-                    g.node_slots[i] = 0
-                    for k_idx, s in enumerate(starts):
-                        g.node_views[i].push(int(s))[0] = snaps[k_idx]
+                for s, snap in zip(open_starts, snaps):
+                    g.pending(i, s)[...] = snap
 
     # ------------------------------------------------------------------
     def tick(self, data: Mapping[str, np.ndarray]):
@@ -747,10 +673,8 @@ class TickArena:
         total_k = 0
         for p, B in blocks.items():
             g, i = self._node[p]
-            total_k += _emits_between(
-                int(g.counts[i]), int(g.counts[i]) + B.shape[1],
-                self.wl, self.ws,
-            )
+            t0 = int(g.counts[i])
+            total_k += len(_emits_between(t0, t0 + B.shape[1], self.wl, self.ws))
         self._ensure_capacity(total_k)
         assigned = self._assigned
         assigned.clear()
@@ -762,24 +686,25 @@ class TickArena:
             ]
             if not present:
                 continue
-            ms = {blocks[p].shape[1] for _, p in present}
-            if g.uniform and len(present) == g.c and len(ms) == 1:
-                m = ms.pop()
+            m = blocks[present[0][1]].shape[1]
+            # One batched call when every node brings one burst length
+            # from one count and one anchor; otherwise node by node.
+            if (
+                len(present) == g.c
+                and all(blocks[p].shape[1] == m for _, p in present)
+                and g.counts.min() == g.counts.max()
+                and g.anchors.min() == g.anchors.max()
+            ):
                 t0 = int(g.counts[0])
-                k_tick = _emits_between(t0, t0 + m, self.wl, self.ws)
+                k_tick = len(_emits_between(t0, t0 + m, self.wl, self.ws))
                 hi = row + g.c * k_tick
-                feat3 = feat2[row:hi].reshape(g.c, k_tick, self.n_features)
-                fifo = g.shared_view
-                off = 0
                 try:
-                    for lo in range(0, m, g.max_m):
-                        B_sub = [
-                            blocks[p][:, lo : lo + g.max_m]
-                            for _, p in present
-                        ]
-                        off += self._feed(
-                            g, slice(0, g.c), fifo, B_sub, feat3, off
-                        )
+                    self._feed(
+                        g,
+                        slice(0, g.c),
+                        [blocks[p] for _, p in present],
+                        feat2[row:hi].reshape(g.c, k_tick, self.n_features),
+                    )
                 except _NonFinite as bad:
                     # Raised before the group changed (bursts needing
                     # several calls were screened on input, so only the
@@ -794,25 +719,18 @@ class TickArena:
                         assigned[p] = (row + i * k_tick, k_tick)
                     row = hi
                     continue
-            g.degrade()
             for i, p in present:
                 B = blocks[p]
                 t0 = int(g.counts[i])
-                k_i = _emits_between(t0, t0 + B.shape[1], self.wl, self.ws)
+                k_i = len(_emits_between(t0, t0 + B.shape[1], self.wl, self.ws))
                 hi = row + k_i
-                feat3 = feat2[row:hi].reshape(1, k_i, self.n_features)
-                fifo = g.node_views[i]
-                off = 0
                 try:
-                    for lo in range(0, B.shape[1], g.max_m):
-                        off += self._feed(
-                            g,
-                            slice(i, i + 1),
-                            fifo,
-                            [B[:, lo : lo + g.max_m]],
-                            feat3,
-                            off,
-                        )
+                    self._feed(
+                        g,
+                        slice(i, i + 1),
+                        [B],
+                        feat2[row:hi].reshape(1, k_i, self.n_features),
+                    )
                 except _NonFinite:
                     nonfinite.append(p)
                     continue
@@ -832,23 +750,44 @@ class TickArena:
         return out
 
     # ------------------------------------------------------------------
-    def _feed(self, g, sl, fifo, node_blocks, feat3, off) -> int:
-        """Route one sub-burst to the right fused kernel.
+    def _feed(self, g, sl, node_blocks, feat3) -> None:
+        """Absorb one burst per node of ``sl`` into the emit rows
+        ``feat3`` (every node at one count and one anchor).
 
-        Up to ``wl + 1`` columns every column owns a distinct ring slot,
-        so normalization can run in place inside the ring
-        (:meth:`_absorb` — the serving-cadence path, untouched by block
-        feeds).  Longer sub-bursts stage their normalized columns in the
-        ``seq`` scratch instead (:meth:`_absorb_block` — the store
-        replayer's whole-partition path).  Both kernels execute the same
-        floating-point operations in the same association order, so the
-        routing never changes a single output bit.
+        Bursts longer than ``g.max_m`` run as consecutive sub-bursts
+        (``push_block`` composes exactly).  Up to ``wl + 1`` columns
+        every column owns a distinct ring slot, so normalization can run
+        in place inside the ring (:meth:`_absorb` — the serving-cadence
+        path, untouched by block feeds).  Longer sub-bursts stage their
+        normalized columns in the ``seq`` scratch instead
+        (:meth:`_absorb_block` — the store replayer's whole-partition
+        path).  Both kernels execute the same floating-point operations
+        in the same association order, so the routing never changes a
+        single output bit.
         """
-        if node_blocks[0].shape[1] <= g.size:
-            return self._absorb(g, sl, fifo, node_blocks, feat3, off)
-        return self._absorb_block(g, sl, fifo, node_blocks, feat3, off)
+        off = 0
+        for lo in range(0, node_blocks[0].shape[1], g.max_m):
+            sub = [B[:, lo : lo + g.max_m] for B in node_blocks]
+            if sub[0].shape[1] <= g.size:
+                off += self._absorb(g, sl, sub, feat3, off)
+            else:
+                off += self._absorb_block(g, sl, sub, feat3, off)
 
-    def _absorb(self, g, sl, fifo, node_blocks, feat3, off) -> int:
+    def _advance(self, g, sl, total: int) -> None:
+        """Step the nodes ``sl`` to ``total`` samples and periodically
+        re-anchor: subtract the running sum from itself and from every
+        snapshot slot (the streaming core's ``_reanchor``; stale slots
+        shift harmlessly, they are rewritten before they are read)."""
+        g.counts[sl] = total
+        if total - int(g.anchors[sl.start]) >= self._reanchor_every:
+            base = g.base_scratch[sl]
+            base[...] = g.csum[sl]
+            np.subtract(g.csum[sl], base, out=g.csum[sl])
+            snaps = g.pending_buf[sl]
+            np.subtract(snaps, base[:, None, :], out=snaps)
+            g.anchors[sl] = total
+
+    def _absorb(self, g, sl, node_blocks, feat3, off) -> int:
         """One fused sub-burst for the nodes ``sl`` of group ``g``.
 
         The batched twin of ``IncrementalSignatureCore._absorb``: every
@@ -864,12 +803,10 @@ class TickArena:
         #    sub-burst live at ring positions the new columns are about
         #    to overwrite — snapshot them first (at most kmax single
         #    columns; ``ref >= t0 - wl`` so they are all still live).
-        k_lo = max(0, -(-(t0 + 1 - g.wl) // g.ws))
-        k_hi = (total - g.wl) // g.ws
-        k = max(0, k_hi - k_lo + 1)
+        starts = _emits_between(t0, total, g.wl, g.ws)
+        k = len(starts)
         refsnap = g.refsnap[sl]
-        for idx in range(k):
-            s = (k_lo + idx) * g.ws
+        for idx, s in enumerate(starts):
             ref = s - 1 if s > 0 else s
             if ref < t0:
                 refsnap[:, idx, :] = g.ring[sl, :, ref % size]
@@ -916,19 +853,15 @@ class TickArena:
         # 3. Emits due inside this sub-burst.
         if k:
             rows = g.rows[sl, :k, :]
-            for idx in range(k):
-                cnt = g.wl + (k_lo + idx) * g.ws
-                s = cnt - g.wl
-                start_cs = (
-                    seq[:, :, s - t0] if s >= t0 else fifo.pop(s)
-                )
+            for idx, s in enumerate(starts):
+                cnt = s + g.wl
+                start_cs = seq[:, :, s - t0] if s >= t0 else g.pending(sl, s)
                 np.subtract(seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :])
             np.divide(rows, g.wl, out=rows)
             self._reduce(g, sl, rows, k)
             feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-            for idx in range(k):
-                cnt = g.wl + (k_lo + idx) * g.ws
-                s = cnt - g.wl
+            for idx, s in enumerate(starts):
+                cnt = s + g.wl
                 ref = s - 1 if s > 0 else s
                 # ``cnt - 1 >= t0`` always (cnt > t0), so the window's
                 # last column is one of this burst's ring writes; the
@@ -948,26 +881,19 @@ class TickArena:
             self._reduce(g, sl, rows, k)
             feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
             g.emitted[sl] += k
-        # 4. Queue snapshots for windows completing after this burst.
-        first_start = -(-t0 // g.ws) * g.ws
-        for s in range(first_start, total, g.ws):
-            if s + g.wl > total:
-                fifo.push(s)[...] = seq[:, :, s - t0]
+        # 4. Snapshot the windows this burst opened and leaves open
+        #    (every pending read of step 3 is done).
+        for s in _open_starts(total, g.wl, g.ws):
+            if s >= t0:
+                g.pending(sl, s)[...] = seq[:, :, s - t0]
         # 5. Advance retained state: running sum, counts, periodic
         #    re-anchor.  The ring is already current — step 2 wrote
         #    this burst's normalized columns.
         g.csum[sl] = seq[:, :, m]
-        g.counts[sl] = total
-        if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-            basebuf = g.base_scratch[sl]
-            basebuf[...] = g.csum[sl]
-            np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
-            for snap in fifo.views():
-                np.subtract(snap, basebuf, out=snap)
-            g.anchors[sl] = total
+        self._advance(g, sl, total)
         return k
 
-    def _absorb_block(self, g, sl, fifo, node_blocks, feat3, off) -> int:
+    def _absorb_block(self, g, sl, node_blocks, feat3, off) -> int:
         """One fused sub-burst of *arbitrary* length (up to ``g.max_m``).
 
         The block-feed twin of :meth:`_absorb`: normalized columns are
@@ -983,9 +909,9 @@ class TickArena:
         t0 = int(g.counts[sl.start])
         total = t0 + m
         size = g.size
-        k_lo = max(0, -(-(t0 + 1 - g.wl) // g.ws))
-        k_hi = (total - g.wl) // g.ws
-        k = max(0, k_hi - k_lo + 1)
+        emits = _emits_between(t0, total, g.wl, g.ws)
+        k = len(emits)
+        opened = [s for s in _open_starts(total, g.wl, g.ws) if s >= t0]
         seq = g.seq[sl, :, : m + 1]
         cols = seq[:, :, 1:]  # (c, n, m) staged normalized columns
         perm = g.perm
@@ -999,7 +925,6 @@ class TickArena:
         kcols = total - rstart
         p0 = rstart % size
         first = min(size - p0, kcols)
-        first_start = -(-t0 // g.ws) * g.ws
         if g.stage is None:
             # Steps 1-6 fused into one *time-major* pass per node:
             # gather, normalize, derivative rows, ring refresh, prefix
@@ -1014,15 +939,13 @@ class TickArena:
             # sensor-independent cumsum) with per-node operands
             # identical to the group-wide form — IEEE addition is
             # commutative, so seeding the first tick with the running
-            # sum reproduces the chained cumsum bit for bit.  FIFO pops
-            # and pushes are hoisted out of the node loop in window
-            # order — exactly the order the group-wide sweep issues
-            # them; each node reads its popped rows before writing its
-            # pushed rows, so slot reuse is safe.
+            # sum reproduces the chained cumsum bit for bit.  Snapshot
+            # slot views are resolved once, outside the node loop; each
+            # node reads its pending rows before writing the windows it
+            # opens, so a slot both read and rewritten is safe.
             if k:
-                cnts = g.wl + (k_lo + np.arange(k)) * g.ws
-                starts = cnts - g.wl
-                end_idx = cnts - t0
+                starts = np.arange(emits.start, emits.stop, g.ws)
+                end_idx = starts + (g.wl - t0)
                 dv_idx = end_idx - 1
                 refs = np.where(starts > 0, starts - 1, starts)
                 from_st = refs >= t0
@@ -1031,15 +954,11 @@ class TickArena:
                 from_seq = starts >= t0
                 seq_start = (starts - t0)[from_seq]
                 pend = [
-                    (idx, fifo.pop(int(starts[idx])))
-                    for idx in range(k)
-                    if starts[idx] < t0
+                    (idx, g.pending(sl, s))
+                    for idx, s in enumerate(emits)
+                    if s < t0
                 ]
-            pushes = [
-                (s - t0, fifo.push(s))
-                for s in range(first_start, total, g.ws)
-                if s + g.wl > total
-            ]
+            pushes = [(s - t0, g.pending(sl, s)) for s in opened]
             tT = g.block_stage[:m]
             sT = g.block_psum[: m + 1]
             for j, B in enumerate(node_blocks):
@@ -1102,14 +1021,7 @@ class TickArena:
                 self._reduce(g, sl, g.drows[sl, :k, :], k)
                 feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
                 g.emitted[sl] += k
-            g.counts[sl] = total
-            if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-                basebuf = g.base_scratch[sl]
-                basebuf[...] = g.csum[sl]
-                np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
-                for snap in fifo.views():
-                    np.subtract(snap, basebuf, out=snap)
-                g.anchors[sl] = total
+            self._advance(g, sl, total)
             return k
         else:
             # float32 arenas normalize in the group dtype
@@ -1132,9 +1044,8 @@ class TickArena:
             #    untouched in the ring (only refreshed in step 3).
             if k:
                 drows = g.drows[sl, :k, :]
-                for idx in range(k):
-                    cnt = g.wl + (k_lo + idx) * g.ws
-                    s = cnt - g.wl
+                for idx, s in enumerate(emits):
+                    cnt = s + g.wl
                     ref = s - 1 if s > 0 else s
                     ref_col = (
                         cols[:, :, ref - t0]
@@ -1160,15 +1071,13 @@ class TickArena:
             seq[:, :, 0] = g.csum[sl]
             seq.cumsum(axis=2, out=seq)
             # 5. Emits due inside this burst: value means from the
-            #    prefix sums (pending starts pop from the FIFO in the
-            #    same order the in-ring kernel pops them), then the
-            #    precomputed derivative rows.
+            #    prefix sums (windows opened before the burst read their
+            #    snapshot slot), then the precomputed derivative rows.
             if k:
                 rows = g.rows[sl, :k, :]
-                for idx in range(k):
-                    cnt = g.wl + (k_lo + idx) * g.ws
-                    s = cnt - g.wl
-                    start_cs = seq[:, :, s - t0] if s >= t0 else fifo.pop(s)
+                for idx, s in enumerate(emits):
+                    cnt = s + g.wl
+                    start_cs = seq[:, :, s - t0] if s >= t0 else g.pending(sl, s)
                     np.subtract(
                         seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :]
                     )
@@ -1178,20 +1087,12 @@ class TickArena:
                 self._reduce(g, sl, g.drows[sl, :k, :], k)
                 feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
                 g.emitted[sl] += k
-        # 6. Queue snapshots for windows completing after this burst.
-        for s in range(first_start, total, g.ws):
-            if s + g.wl > total:
-                fifo.push(s)[...] = seq[:, :, s - t0]
+        # 6. Snapshot the windows this burst opened and leaves open.
+        for s in opened:
+            g.pending(sl, s)[...] = seq[:, :, s - t0]
         # 7. Advance retained state (ring already refreshed in step 3).
         g.csum[sl] = seq[:, :, m]
-        g.counts[sl] = total
-        if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-            basebuf = g.base_scratch[sl]
-            basebuf[...] = g.csum[sl]
-            np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
-            for snap in fifo.views():
-                np.subtract(snap, basebuf, out=snap)
-            g.anchors[sl] = total
+        self._advance(g, sl, total)
         return k
 
     def _reduce(self, g, sl, rows, k) -> None:

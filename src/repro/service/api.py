@@ -350,7 +350,7 @@ def serve(
     if checkpoint_path is not None:
         checkpoint = ServerCheckpoint(
             path=Path(checkpoint_path),
-            every=int(checkpoint_every) or 1,
+            every=int(checkpoint_every),
             fingerprint=fleet_fingerprint(setup.trained),
             chunk=config.chunk,
         )

@@ -87,11 +87,10 @@ TIMEOUT_STREAK_DEGRADED = 3
 def parse_address(address: str) -> tuple[str, int]:
     """``"host:port"`` → ``(host, port)`` (port 0 = ephemeral)."""
     host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"listen address must be host:port, got {address!r}"
-        )
-    return host, int(port)
+    if sep and host and port.isascii() and port.isdigit():
+        if int(port) <= 65535:
+            return host, int(port)
+    raise ValueError(f"address must be host:port, got {address!r}")
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ class TestExactBitEquality:
             assert arena.emitted(path) == len(want)
 
     def test_ragged_bursts_and_missing_nodes_match(self, small_setup):
-        """Random burst lengths + node dropout degrade the shared FIFO
-        to per-node FIFOs; output must not change by a bit."""
+        """Random burst lengths + node dropout (node-by-node feeds) and
+        sub-chunk splitting; output must not change by a bit."""
         setup = small_setup
         rng = np.random.default_rng(7)
         t = min(m.shape[1] for m in setup.eval_data.values())
@@ -97,9 +97,57 @@ class TestExactBitEquality:
             if data:
                 feeds.append(data)
         got = _arena_signatures(arena, feeds)
-        assert not all(g.uniform for g in arena.groups)
+        n_nodes = len(setup.eval_data)
+        assert any(
+            len(d) < n_nodes or len({b.shape[1] for b in d.values()}) > 1
+            for d in feeds
+        )
         for path in setup.eval_data:
             want = _oracle_signatures(setup, path, pos[path])
+            assert len(got[path]) == len(want) > 0
+            for a, b in zip(got[path], want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_realigned_group_batches_again(self, small_setup, monkeypatch):
+        """Ragged and missing-node ticks feed node by node; once counts
+        line up again the whole group takes one batched call, and the
+        output stays bit-identical to the streaming oracle."""
+        setup = small_setup
+        arena = TickArena(
+            setup.trained.engine,
+            setup.trained.classifier.forest,
+            mode="exact",
+            max_chunk=64,
+        )
+        widths = []
+        feed = arena._feed
+
+        def spy(g, sl, node_blocks, feat3):
+            widths.append(sl.stop - sl.start)
+            return feed(g, sl, node_blocks, feat3)
+
+        monkeypatch.setattr(arena, "_feed", spy)
+        paths = sorted(setup.eval_data)
+        plan = [(10, 20, 30), (30, 20, None), (None, None, 10)]
+        plan += [(25, 25, 25)] * 8
+        pos = dict.fromkeys(paths, 0)
+        got = {}
+        for lengths in plan:
+            data = {}
+            for p, c in zip(paths, lengths):
+                if c is not None:
+                    data[p] = setup.eval_data[p][:, pos[p] : pos[p] + c]
+                    pos[p] += c
+            widths.clear()
+            for path, labels, _, row0 in arena.tick(data):
+                got.setdefault(path, []).extend(
+                    arena.signature(row0 + j) for j in range(len(labels))
+                )
+            batched = widths == [len(paths)]
+            assert batched == (len(set(lengths)) == 1)
+        assert set(pos.values()) == {240}
+        for path in paths:
+            want = _oracle_signatures(setup, path, 240)
             assert len(got[path]) == len(want) > 0
             for a, b in zip(got[path], want):
                 assert a.tobytes() == b.tobytes()
@@ -198,7 +246,7 @@ class TestMemory:
                     }
                 )
 
-        run(0, 4)  # warm-up: buffers sized, pending FIFOs filled
+        run(0, 4)  # warm-up: buffers sized, pending snapshots filled
         gc.collect()
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
@@ -258,6 +306,78 @@ def _tick_record(arena, out):
         )
         for path, labels, conf, r0 in out
     ]
+
+
+class TestRestore:
+    @staticmethod
+    def _arena(setup):
+        arena = TickArena(
+            setup.trained.engine,
+            setup.trained.classifier.forest,
+            mode="exact",
+            max_chunk=64,
+        )
+        arena._reanchor_every = 50  # several re-anchors in-run
+        return arena
+
+    def test_equal_counts_unequal_anchors_restore_exactly(self, small_setup):
+        """Counts 80/80/80 with re-anchor points 60/80/60: the restored
+        arena must not batch the group on one node's anchor.  Restored
+        == uninterrupted == a per-node streaming reference re-anchoring
+        on the same interval, tick for tick."""
+        setup = small_setup
+        paths = sorted(setup.eval_data)
+        streams = {}
+        for p in paths:
+            streams[p] = setup.trained.engine.stream(p)
+            streams[p]._core._REANCHOR_INTERVAL = 50
+        pos = dict.fromkeys(paths, 0)
+
+        def feed(lengths):
+            data = {}
+            for p, c in zip(paths, lengths):
+                if c is not None:
+                    data[p] = setup.eval_data[p][:, pos[p] : pos[p] + c]
+                    pos[p] += c
+            return data
+
+        live = self._arena(setup)
+        for lengths in [(30, 30, 30), (30, 50, 30), (20, None, 20)]:
+            data = feed(lengths)
+            live.tick(data)
+            for p, B in data.items():
+                streams[p].push_block(B)
+        states = {p: live.node_state(p) for p in paths}
+        assert [s["count"] for s in states.values()] == [80, 80, 80]
+        assert [s["anchor"] for s in states.values()] == [60, 80, 60]
+        restored = self._arena(setup)
+        restored.restore_states(states)
+        for _ in range(20):
+            data = feed((20, 20, 20))
+            want = _tick_record(live, live.tick(data))
+            assert _tick_record(restored, restored.tick(data)) == want
+            for path, _, _, sigs in want:
+                ref = streams[path].push_block(data[path])
+                assert sigs == [r.tobytes() for r in ref]
+
+    def test_pending_starts_must_be_the_open_windows(self, small_setup):
+        setup = small_setup
+        arena = self._arena(setup)
+        arena.tick({p: m[:, :75] for p, m in setup.eval_data.items()})
+        states = {p: arena.node_state(p) for p in setup.eval_data}
+        path = sorted(states)[1]
+        assert states[path]["pending_starts"].tolist() == [20, 30, 40, 50, 60, 70]
+        fresh = self._arena(setup)
+        fresh.restore_states(states)  # the genuine state restores
+        shifted = dict(states[path])
+        shifted["pending_starts"] = shifted["pending_starts"] + 10
+        with pytest.raises(ValueError, match="not the windows open"):
+            fresh.restore_states({**states, path: shifted})
+        dropped = dict(states[path])
+        dropped["pending_starts"] = dropped["pending_starts"][1:]
+        dropped["pending_snaps"] = dropped["pending_snaps"][1:]
+        with pytest.raises(ValueError, match="not the windows open"):
+            fresh.restore_states({**states, path: dropped})
 
 
 class TestNonFiniteScreen:

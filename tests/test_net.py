@@ -52,6 +52,12 @@ def reference(setup):
     return outcome, sink.text()
 
 
+def _unreachable(*args, **kwargs):
+    """Patched over a step a rejected command line must never reach
+    (training, spawning a supervised child)."""
+    raise AssertionError("must not be reached")
+
+
 def _serve(setup, *, config=CFG, **kwargs):
     server = FleetServer(
         build_detector(config, setup), exit_on_idle=True, **kwargs
@@ -68,6 +74,13 @@ class TestParseAddress:
     def test_rejects_bare_port(self):
         with pytest.raises(ValueError):
             parse_address("7000")
+
+    @pytest.mark.parametrize(
+        "bad", ["host:", ":7000", "host:http", "host:-1", "host:65536"]
+    )
+    def test_rejects_malformed(self, bad):
+        with pytest.raises(ValueError, match="host:port"):
+            parse_address(bad)
 
 
 class TestBackpressureQueue:
@@ -366,6 +379,95 @@ class TestServeListenFlagConflicts:
 
         assert cli.main(["serve", *extra]) == 2
         assert "--listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("supervise", [[], ["--supervise"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--queue-max", "0"],
+            ["--checkpoint-every", "-1"],
+            ["--listen", "localhost"],
+            ["--ops", "127.0.0.1:http"],
+        ],
+    )
+    def test_rejected_flags_fail_before_training(
+        self, extra, supervise, monkeypatch, capsys
+    ):
+        """Bad --listen flags exit 2 before the fleet trains and before
+        a supervisor spawns a child (which would fail the same way on
+        every restart)."""
+        from repro import cli
+        from repro.service import api
+
+        monkeypatch.setattr(api, "build_setup", _unreachable)
+        monkeypatch.setattr(cli, "_supervise_serve", _unreachable)
+        argv = ["serve", "--smoke", "--listen", "127.0.0.1:0", *extra]
+        assert cli.main([*argv, *supervise]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_loadgen_rejects_bad_connect_before_training(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+        from repro.service import api
+
+        monkeypatch.setattr(api, "build_setup", _unreachable)
+        assert cli.main(["loadgen", "--smoke", "--connect", "nohost"]) == 2
+        assert "host:port" in capsys.readouterr().err
+
+
+class TestSupervisorArgv:
+    def test_abbreviated_flags_are_rejected(self, monkeypatch):
+        """``--sup`` must not parse as ``--supervise``: the supervisor
+        strips only exact spellings from the child argv, so a prefix
+        match would make the child a supervisor too."""
+        from repro import cli
+
+        monkeypatch.setattr(cli, "_supervise_serve", _unreachable)
+        for k in range(3, len("--supervise")):
+            with pytest.raises(SystemExit) as exc_info:
+                cli.main(["serve", "--listen", "127.0.0.1:0", "--supervise"[:k]])
+            assert exc_info.value.code == 2
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["serve", "--listen", "127.0.0.1:0", "--max-re", "1"])
+        assert exc_info.value.code == 2
+
+    def test_every_parser_disables_prefix_matching(self):
+        import argparse
+
+        from repro import cli
+
+        pending = [cli.build_parser()]
+        seen = 0
+        while pending:
+            parser = pending.pop()
+            assert parser.allow_abbrev is False, parser.prog
+            seen += 1
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    pending.extend(action.choices.values())
+        assert seen > 10
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--supervise"],
+            ["--supervise", "--max-restarts", "3", "--min-uptime=2"],
+            ["--restart-backoff", "0.1", "--supervise", "--min-uptime", "1"],
+        ],
+    )
+    def test_child_argv_never_supervises(self, flags):
+        from repro import cli
+
+        argv = ["serve", "--smoke", "--listen", "127.0.0.1:0", *flags]
+        parser = cli.build_parser()
+        assert parser.parse_args(argv).supervise is True
+        child = parser.parse_args(cli._child_argv(argv))
+        assert child.supervise is False
+        assert (child.max_restarts, child.restart_backoff, child.min_uptime) == (
+            5, 0.5, 5.0
+        )
+        assert child.listen == "127.0.0.1:0" and child.smoke
 
 
 class TestDrainAndTimeout:

@@ -85,9 +85,20 @@ class TestServiceConfig:
         assert cli_message in capsys.readouterr().err
 
     def test_smoke_preset_matches_cli(self):
+        """``--smoke`` parses to ``ServiceConfig.smoke()`` (``serve``
+        with its 30-sample serving burst)."""
+        from repro import cli
+
         smoke = ServiceConfig.smoke()
         assert (smoke.nodes, smoke.t, smoke.blocks, smoke.trees,
                 smoke.chunk) == (2, 2500, 8, 6, 200)
+        parser = cli.build_parser()
+        detect = parser.parse_args(["detect", "--smoke"])
+        assert cli._service_config(detect) == smoke
+        serve = parser.parse_args(["serve", "--smoke"])
+        assert cli._service_config(serve, chunk_default=30) == (
+            ServiceConfig.smoke(chunk=30)
+        )
 
     def test_replace_revalidates(self):
         config = ServiceConfig().replace(chunk=64)
