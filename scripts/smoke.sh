@@ -78,13 +78,18 @@ python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
 cmp "$SMOKE_DIR/net.jsonl" "$SMOKE_DIR/inproc.jsonl"
 python -m repro run fleet-serve --smoke --cache-dir "$SMOKE_DIR/cache"
 
-echo "== rejected serve flags: exit 2 before training or supervising =="
+echo "== rejected serve and netchaos flags: exit 2 before any work =="
 # A flag the server rejects must fail fast with a usage error (exit 2),
 # never after the fleet trains and never as a supervised crash loop.
 rc=0
 timeout 30 python -m repro serve --smoke --listen 127.0.0.1:0 \
     --supervise --queue-max 0 2> "$SMOKE_DIR/reject.err" || rc=$?
 [[ $rc -eq 2 ]] || { echo "rejected flags exited $rc, not 2"; exit 1; }
+grep -q "error:" "$SMOKE_DIR/reject.err"
+rc=0
+timeout 30 python -m repro netchaos --listen 127.0.0.1:0 \
+    --upstream 127.0.0.1:1 --latency-ms -1 2> "$SMOKE_DIR/reject.err" || rc=$?
+[[ $rc -eq 2 ]] || { echo "rejected netchaos value exited $rc, not 2"; exit 1; }
 grep -q "error:" "$SMOKE_DIR/reject.err"
 
 echo "== durable serve smoke: supervised kill -9 under network chaos =="

@@ -44,6 +44,12 @@ Subcommands
     ``stat``/``verify``/``compact``/``prune`` it.  ``repro detect
     --from-store DIR`` replays a recorded window through the detector at
     max speed with byte-identical alert JSONL to live ingestion.
+
+The service flags of ``detect``/``serve``/``loadgen``/``store record``
+and the fault flags of ``netchaos`` are not written here: they are
+generated from the fields of ``ServiceConfig`` and ``NetChaosConfig``
+(help text included) by :mod:`repro.service.knobs`, so a new config
+field is a new flag.
 """
 
 from __future__ import annotations
@@ -74,6 +80,12 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _usage_error(message: str) -> int:
+    """Report a rejected command line; exit status 2, as argparse uses."""
+    _status(f"error: {message}")
+    return 2
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     specs = list_scenarios(tag=args.tag)
     rows = [
@@ -99,8 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = get_scenario(args.name)
     except KeyError as exc:
-        _status(f"error: {exc.args[0]}")
-        return 2
+        return _usage_error(exc.args[0])
     options = options_from_args(args)
     result = execute(spec, options=options, sinks=sinks_from_args(args))
     stats = result.cache_stats
@@ -150,162 +161,43 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Online detection service (repro serve / repro detect / repro loadgen)
 # ----------------------------------------------------------------------
-def _service_preset(smoke: bool = False) -> dict:
-    """Field values of the canonical ``repro.service.api.ServiceConfig``:
-    the full-size defaults, or with ``smoke`` its seconds-scale
-    ``ServiceConfig.smoke()`` preset CI exercises (imported lazily so
-    ``repro list``/``run`` don't pay the service imports)."""
-    import dataclasses
-
-    from repro.service.api import ServiceConfig
-
-    return dataclasses.asdict(
-        ServiceConfig.smoke() if smoke else ServiceConfig()
-    )
-
-
 def _add_service_options(parser: argparse.ArgumentParser) -> None:
-    defaults = _service_preset()
-    parser.add_argument(
-        "--nodes", type=int, default=None,
-        help="fleet size (independently seeded fault nodes; "
-        f"default {defaults['nodes']})",
-    )
-    parser.add_argument(
-        "--t", type=int, default=None,
-        help="samples per node; the leading --train-frac trains the "
-        f"fleet, the rest replays (default {defaults['t']})",
-    )
-    parser.add_argument(
-        "--segment", default="fault",
-        help="labeled segment generator behind every node (default: fault)",
-    )
-    parser.add_argument(
-        "--noise-std", type=float, default=0.0,
-        help="additive Gaussian sensor noise as a fraction of each "
-        "sensor's std (default 0)",
-    )
-    parser.add_argument(
-        "--blocks", type=int, default=None,
-        help=f"signature length l (default {defaults['blocks']})",
-    )
-    parser.add_argument(
-        "--trees", type=int, default=None,
-        help="shared fault-classifier forest size "
-        f"(default {defaults['trees']})",
-    )
-    parser.add_argument(
-        "--train-frac", type=float, default=None,
-        help="leading fraction of each node's history used for "
-        f"training (default {defaults['train_frac']})",
-    )
-    parser.add_argument(
-        "--chunk", type=int, default=None,
-        help=f"samples per ingested burst (default {defaults['chunk']}; "
-        "serve uses 30 unless set)",
-    )
-    parser.add_argument(
-        "--open-after", type=int, default=None,
-        help="consecutive faulty windows before an alert opens "
-        f"(default {defaults['open_after']})",
-    )
-    parser.add_argument(
-        "--close-after", type=int, default=None,
-        help="consecutive healthy windows before an open alert closes "
-        f"(default {defaults['close_after']})",
-    )
-    parser.add_argument(
-        "--min-confidence", type=float, default=None,
-        help="faulty predictions below this confidence are treated as "
-        f"healthy (default {defaults['min_confidence']})",
-    )
-    parser.add_argument(
-        "--top-blocks", type=int, default=None,
-        help="deviating signature blocks attributed per opening alert "
-        f"(default {defaults['top_blocks']})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="base seed: node i uses seed+i for generation, and the "
-        f"classifier forest uses it directly "
-        f"(default {defaults['seed']})",
-    )
-    parser.add_argument(
-        "--healthy-label", type=int, default=None,
-        help="integer class treated as 'no fault' "
-        f"(default {defaults['healthy_label']}, the fault segment's "
-        "healthy class; set explicitly for other --segment choices)",
-    )
-    parser.add_argument(
-        "--backend", default="fused",
-        help="tick path; only 'fused' (the preallocated tick arena) is "
-        "left, the flag is kept for existing scripts",
-    )
-    parser.add_argument(
-        "--mode", choices=("exact", "float32"), default="exact",
-        help="signature arithmetic (default exact = float64, "
-        "bit-identical; float32 trades accuracy for memory)",
-    )
-    parser.add_argument(
-        "--model", default=None,
-        help="fleet model .npz: loaded if present (skips retraining, "
-        "validated against this run's geometry), written after "
-        "training otherwise",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed artifact cache; re-runs replay the "
-        "cached .npz segments instead of regenerating",
-    )
-    parser.add_argument(
-        "--no-guard", action="store_true",
-        help="disable the input-hardening guard (on by default: "
-        "malformed/late/duplicate bursts degrade or quarantine the "
-        "offending node instead of crashing, guard events join the "
-        "stream and alerts carry the node health state)",
-    )
-    parser.add_argument(
-        "--replicate", type=int, default=None, metavar="N",
-        help="replicate the trained fleet to N nodes by reference "
-        "(no retraining; how load tests reach thousands of nodes)",
-    )
+    """One generated flag per ``ServiceConfig`` field, plus ``--smoke``."""
+    from repro.service.api import ServiceConfig
+    from repro.service.knobs import add_flags
+
+    add_flags(parser, ServiceConfig)
     parser.add_argument(
         "--smoke", action="store_true",
         help="seconds-scale preset (2 nodes, t=2500, 6 trees) used by CI",
     )
 
 
+def _config_from_args(args: argparse.Namespace, base):
+    """``base`` with the command line's generated flags applied; a value
+    the config rejects is a usage error (exit 2), not a traceback."""
+    from repro.service.knobs import from_args
+
+    try:
+        return from_args(args, base)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from None
+
+
 def _service_config(args: argparse.Namespace, *, chunk_default=None):
     """The :class:`repro.service.api.ServiceConfig` these flags describe.
 
-    Explicit flags beat the preset (``--smoke`` or full-size);
-    ``chunk_default`` overrides the preset chunk when the flag is unset
-    (``repro serve``/``loadgen`` default to 30-sample live bursts).
+    Explicit flags beat the preset (``ServiceConfig.smoke()`` with
+    ``--smoke``, else the full-size defaults); ``chunk_default``
+    overrides the preset chunk when the flag is unset (``repro
+    serve``/``loadgen`` default to 30-sample live bursts).
     """
     from repro.service.api import ServiceConfig
 
-    preset = _service_preset(args.smoke)
-    params = {}
-    for name, fallback in preset.items():
-        explicit = getattr(args, name, None)
-        params[name] = fallback if explicit is None else explicit
-    if args.chunk is None and chunk_default is not None:
-        params["chunk"] = chunk_default
-    params.update(
-        segment=args.segment,
-        noise_std=float(args.noise_std),
-        backend=args.backend,
-        mode=args.mode,
-        guard=not args.no_guard,
-        model_path=args.model,
-        cache_dir=args.cache_dir,
-        replicate=int(args.replicate or 0),
-    )
-    try:
-        return ServiceConfig(**params)
-    except ValueError as exc:  # a flag value the service rejects
-        _status(f"error: {exc}")
-        raise SystemExit(2) from None
+    base = ServiceConfig.smoke() if args.smoke else ServiceConfig()
+    if chunk_default is not None:
+        base = base.replace(chunk=chunk_default)
+    return _config_from_args(args, base)
 
 
 def _build_service_setup(args: argparse.Namespace, *, chunk_default=None):
@@ -317,25 +209,27 @@ def _build_service_setup(args: argparse.Namespace, *, chunk_default=None):
     return setup, config, context
 
 
+def _alert_sinks(args: argparse.Namespace) -> list:
+    """``--alerts`` JSON lines, or the event stream on stdout."""
+    from repro.service.alerts import JSONLAlertSink, StreamAlertSink
+
+    if args.alerts:
+        return [JSONLAlertSink(args.alerts)]
+    return [StreamAlertSink(sys.stdout)]
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table, save_csv
     from repro.scenarios.evaluations import FLEET_DETECT_HEADERS
-    from repro.service.alerts import (
-        JSONLAlertSink,
-        MarkdownAlertSink,
-        StreamAlertSink,
-    )
+    from repro.service.alerts import MarkdownAlertSink
     from repro.service.api import replay
 
     if args.from_store and (args.checkpoint or args.resume):
-        _status("error: --from-store and --checkpoint/--resume are exclusive")
-        return 2
+        return _usage_error(
+            "--from-store and --checkpoint/--resume are exclusive"
+        )
     setup, config, context = _build_service_setup(args)
-    sinks = []
-    if args.alerts:
-        sinks.append(JSONLAlertSink(args.alerts))
-    else:
-        sinks.append(StreamAlertSink(sys.stdout))
+    sinks = _alert_sinks(args)
     if args.markdown:
         sinks.append(MarkdownAlertSink(args.markdown))
     if args.from_store:
@@ -363,7 +257,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             resume=args.resume,
             stop_after=args.stop_after,
         )
-    row = outcome.row(f"{args.segment}-fleet-{setup.n_nodes}")
+    row = outcome.row(f"{config.segment}-fleet-{setup.n_nodes}")
     _status(
         format_table(
             FLEET_DETECT_HEADERS, [row], title="Fleet detection replay"
@@ -393,14 +287,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"{stats['segment_misses']} misses"
         )
     return 0
-
-
-def _serve_sinks(args: argparse.Namespace) -> list:
-    from repro.service.alerts import JSONLAlertSink, StreamAlertSink
-
-    if args.alerts:
-        return [JSONLAlertSink(args.alerts)]
-    return [StreamAlertSink(sys.stdout)]
 
 
 #: ``repro serve`` flags consumed by the supervisor itself; stripped
@@ -500,21 +386,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.listen and args.interval:
         # Pacing only drives the in-process replay loop; silently
         # ignoring it would surprise an operator expecting throttling.
-        _status(
-            "error: --interval applies to in-process serving only and "
-            "cannot be combined with --listen"
+        return _usage_error(
+            "--interval applies to in-process serving only and cannot be "
+            "combined with --listen"
         )
-        return 2
     if args.wal and not args.listen:
-        _status(
-            "error: --wal journals network ingestion and requires --listen "
+        return _usage_error(
+            "--wal journals network ingestion and requires --listen "
             "(in-process serving is already deterministic; use "
             "--checkpoint alone)"
         )
-        return 2
     if args.supervise and not args.listen:
-        _status("error: --supervise requires --listen")
-        return 2
+        return _usage_error("--supervise requires --listen")
     backpressure = None
     if args.listen:
         # Rejected here, not after the fleet trains: a supervisor would
@@ -522,8 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             backpressure = _listen_options(args)
         except ValueError as exc:
-            _status(f"error: {exc}")
-            return 2
+            return _usage_error(str(exc))
     if args.supervise:
         return _supervise_serve(args)
 
@@ -563,7 +445,7 @@ def _listen_options(args: argparse.Namespace):
 
 def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
     setup, config, _ = _build_service_setup(args, chunk_default=30)
-    sinks = _serve_sinks(args)
+    sinks = _alert_sinks(args)
     if args.listen:
         durability = ""
         if args.wal:
@@ -646,36 +528,40 @@ def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
     return 0
 
 
-def _port_file_address(path: str | Path, host: str = "127.0.0.1"):
-    """Address callable re-reading a ``--port-file`` on every connect
-    attempt — a supervised server restart lands on a fresh ephemeral
+def _address(flags: str, address: str | None, port_file: str | None):
+    """The ``(address, label)`` that exactly one of ``flags`` (``--X``
+    HOST:PORT / ``--X-port-file`` PATH) names.  Raises ``ValueError``
+    for neither, both, or a malformed address.
+
+    A port file yields a callable that re-reads it on every connect
+    attempt: a supervised server restart lands on a fresh ephemeral
     port, and the next reconnect follows it there.  A missing or
     still-empty file raises (``OSError``/``ValueError``), which the
-    connect backoff treats as retryable."""
-    path = Path(path)
+    connect backoff treats as retryable.
+    """
+    from repro.service.net import parse_address
+
+    if bool(address) == bool(port_file):
+        raise ValueError(f"exactly one of {flags} is required")
+    if address:
+        return parse_address(address), address
+    path = Path(port_file)
 
     def resolve() -> tuple[str, int]:
-        return (host, int(path.read_text(encoding="utf-8").strip()))
+        return ("127.0.0.1", int(path.read_text(encoding="utf-8").strip()))
 
-    return resolve
+    return resolve, f"port-file {port_file}"
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.net import loadgen, parse_address
+    from repro.service.net import loadgen
 
-    if bool(args.connect) == bool(args.port_file):
-        _status("error: exactly one of --connect/--port-file is required")
-        return 2
-    if args.port_file:
-        address = _port_file_address(args.port_file)
-        target = f"port-file {args.port_file}"
-    else:
-        try:
-            address = parse_address(args.connect)
-        except ValueError as exc:
-            _status(f"error: {exc}")
-            return 2
-        target = args.connect
+    try:
+        address, target = _address(
+            "--connect/--port-file", args.connect, args.port_file
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     setup, config, _ = _build_service_setup(args, chunk_default=30)
     _status(
         f"[loadgen] {setup.n_nodes} nodes -> {target} "
@@ -717,29 +603,16 @@ def _cmd_netchaos(args: argparse.Namespace) -> int:
     from repro.service.net import parse_address
     from repro.service.netchaos import ChaosProxy, NetChaosConfig
 
-    if bool(args.upstream) == bool(args.upstream_port_file):
-        _status(
-            "error: exactly one of --upstream/--upstream-port-file is "
-            "required"
+    try:
+        upstream, origin = _address(
+            "--upstream/--upstream-port-file",
+            args.upstream,
+            args.upstream_port_file,
         )
-        return 2
-    if args.upstream:
-        upstream = parse_address(args.upstream)
-        origin = args.upstream
-    else:
-        upstream = _port_file_address(args.upstream_port_file)
-        origin = f"port-file {args.upstream_port_file}"
-    host, port = parse_address(args.listen)
-    config = NetChaosConfig(
-        seed=int(args.seed or 0),
-        latency_ms=float(args.latency_ms),
-        jitter_ms=float(args.jitter_ms),
-        corrupt_per_mb=float(args.corrupt_per_mb),
-        reset_per_mb=float(args.reset_per_mb),
-        truncate_per_mb=float(args.truncate_per_mb),
-        partition_per_mb=float(args.partition_per_mb),
-        partition_ms=float(args.partition_ms),
-    )
+        host, port = parse_address(args.listen)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    config = _config_from_args(args, NetChaosConfig())
     proxy = ChaosProxy(
         upstream, config, host=host, port=port, port_file=args.port_file
     )
@@ -769,11 +642,16 @@ def _cmd_netchaos(args: argparse.Namespace) -> int:
 def _cmd_store_record(args: argparse.Namespace) -> int:
     from repro.service.fastreplay import record_fleet
 
+    if args.partition_ticks < 1:
+        # Rejected here, not after the fleet trains.
+        return _usage_error(
+            f"--partition-ticks must be >= 1, got {args.partition_ticks}"
+        )
     setup, config, _ = _build_service_setup(args)
     store = record_fleet(
         setup,
         args.root,
-        partition_ticks=int(args.partition_ticks),
+        partition_ticks=args.partition_ticks,
         chunk=config.chunk,
         guarded=config.guard,
     )
@@ -884,15 +762,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import subprocess
 
     if args.all and args.suite:
-        _status("error: --all and --suite are mutually exclusive")
-        return 2
+        return _usage_error("--all and --suite are mutually exclusive")
     root = _repo_root()
     if not (root / "benchmarks").is_dir():
-        _status(
-            "error: benchmarks/ not found next to src/ — `repro bench` "
-            "runs from a source checkout"
+        return _usage_error(
+            "benchmarks/ not found next to src/ — `repro bench` runs from "
+            "a source checkout"
         )
-        return 2
     env = os.environ.copy()
     env["PYTHONPATH"] = str(root / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -913,6 +789,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The service and chaos flags are generated from their config
+    # dataclasses (see ``repro.service.knobs``).
+    from repro.service.knobs import add_flags
+    from repro.service.netchaos import NetChaosConfig
+
     # No prefix matching anywhere: an abbreviated flag would slip past
     # the supervisor's exact-spelling filter (``_child_argv``).
     strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
@@ -1199,43 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port-file", default=None, metavar="PATH",
         help="write the proxy's bound port here once listening",
     )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-schedule seed: plans are a pure function of "
-        "(seed, connection, byte offset) (default 0)",
-    )
-    p_chaos.add_argument(
-        "--latency-ms", type=float, default=0.0,
-        help="fixed added latency per 4 KiB span (default 0)",
-    )
-    p_chaos.add_argument(
-        "--jitter-ms", type=float, default=0.0,
-        help="additional uniform random latency per span (default 0)",
-    )
-    p_chaos.add_argument(
-        "--corrupt-per-mb", type=float, default=0.0,
-        help="expected single-byte XOR corruptions per forwarded MB "
-        "(default 0)",
-    )
-    p_chaos.add_argument(
-        "--reset-per-mb", type=float, default=0.0,
-        help="expected hard connection resets (RST) per forwarded MB "
-        "(default 0)",
-    )
-    p_chaos.add_argument(
-        "--truncate-per-mb", type=float, default=0.0,
-        help="expected span truncations (silently dropped bytes) per "
-        "forwarded MB (default 0)",
-    )
-    p_chaos.add_argument(
-        "--partition-per-mb", type=float, default=0.0,
-        help="expected short partitions (stalls) per forwarded MB "
-        "(default 0)",
-    )
-    p_chaos.add_argument(
-        "--partition-ms", type=float, default=50.0,
-        help="stall length per partition event (default 50 ms)",
-    )
+    add_flags(p_chaos, NetChaosConfig)
     p_chaos.set_defaults(func=_cmd_netchaos)
 
     p_store = sub.add_parser(

@@ -32,6 +32,7 @@ from repro.engine.hotpath import SIGNATURE_MODES
 from repro.service.classify import TrainedFleet
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardConfig, GuardedDetector
+from repro.service.knobs import knob
 from repro.service.replay import (
     SERVICE_DEFAULTS,
     FleetReplaySetup,
@@ -52,11 +53,6 @@ __all__ = [
     "serve",
 ]
 
-#: Fleet-shape defaults of the full-size CLI preset (the knob defaults
-#: come from ``SERVICE_DEFAULTS``; these two are the CLI's).
-_FLEET_DEFAULTS = {"nodes": 3, "t": 6000}
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Every knob of the online detection service, validated once.
@@ -76,28 +72,91 @@ class ServiceConfig:
     * caching — ``cache_dir``.
     """
 
-    nodes: int = _FLEET_DEFAULTS["nodes"]
-    t: int = _FLEET_DEFAULTS["t"]
-    segment: str = "fault"
-    noise_std: float = 0.0
-    blocks: int = SERVICE_DEFAULTS["blocks"]
-    trees: int = SERVICE_DEFAULTS["trees"]
-    train_frac: float = SERVICE_DEFAULTS["train_frac"]
-    chunk: int = SERVICE_DEFAULTS["chunk"]
-    open_after: int = SERVICE_DEFAULTS["open_after"]
-    close_after: int = SERVICE_DEFAULTS["close_after"]
-    min_confidence: float = SERVICE_DEFAULTS["min_confidence"]
-    top_blocks: int = SERVICE_DEFAULTS["top_blocks"]
-    seed: int = SERVICE_DEFAULTS["seed"]
-    healthy_label: int = SERVICE_DEFAULTS["healthy_label"]
-    #: The tick path; ``"fused"`` (the :class:`~repro.engine.hotpath.
-    #: TickArena`) is the only one left.
-    backend: str = "fused"
-    mode: str = "exact"
-    guard: bool = True
-    replicate: int = 0
-    model_path: str | None = None
-    cache_dir: str | None = None
+    # The fleet shape of the full-size preset; the knob defaults come
+    # from ``SERVICE_DEFAULTS``.
+    nodes: int = knob(3, "fleet size: independently seeded fault nodes")
+    t: int = knob(
+        6000,
+        "samples per node; the leading --train-frac trains the fleet, the "
+        "rest replays",
+    )
+    segment: str = knob("fault", "labeled segment generator behind every node")
+    noise_std: float = knob(
+        0.0,
+        "additive Gaussian sensor noise as a fraction of each sensor's std",
+    )
+    blocks: int = knob(SERVICE_DEFAULTS["blocks"], "signature length l")
+    trees: int = knob(
+        SERVICE_DEFAULTS["trees"], "shared fault-classifier forest size"
+    )
+    train_frac: float = knob(
+        SERVICE_DEFAULTS["train_frac"],
+        "leading fraction of each node's history used for training",
+    )
+    chunk: int = knob(
+        SERVICE_DEFAULTS["chunk"],
+        "samples per ingested burst; serve and loadgen use 30 unless set",
+    )
+    open_after: int = knob(
+        SERVICE_DEFAULTS["open_after"],
+        "consecutive faulty windows before an alert opens",
+    )
+    close_after: int = knob(
+        SERVICE_DEFAULTS["close_after"],
+        "consecutive healthy windows before an open alert closes",
+    )
+    min_confidence: float = knob(
+        SERVICE_DEFAULTS["min_confidence"],
+        "faulty predictions below this confidence are treated as healthy",
+    )
+    top_blocks: int = knob(
+        SERVICE_DEFAULTS["top_blocks"],
+        "deviating signature blocks attributed per opening alert",
+    )
+    seed: int = knob(
+        SERVICE_DEFAULTS["seed"],
+        "base seed: node i uses seed+i for generation, and the classifier "
+        "forest uses it directly",
+    )
+    healthy_label: int = knob(
+        SERVICE_DEFAULTS["healthy_label"],
+        "integer class treated as 'no fault': the fault segment's healthy "
+        "class; set it explicitly for other --segment choices",
+    )
+    backend: str = knob(
+        "fused",
+        "tick path; only 'fused' (the preallocated tick arena) is left, "
+        "the flag is kept for existing scripts",
+    )
+    mode: str = knob(
+        "exact",
+        "signature arithmetic: exact = float64, bit-identical; float32 "
+        "trades accuracy for memory",
+        choices=SIGNATURE_MODES,
+    )
+    guard: bool = knob(
+        True,
+        "input-hardening guard (malformed/late/duplicate bursts degrade or "
+        "quarantine the offending node instead of crashing; guard events "
+        "join the stream and alerts carry the node health state)",
+    )
+    replicate: int = knob(
+        0,
+        "replicate the trained fleet to N nodes by reference, without "
+        "retraining; how load tests reach thousands of nodes, 0 = off",
+        metavar="N",
+    )
+    model_path: str | None = knob(
+        None,
+        "fleet model .npz: loaded if present (skips retraining, validated "
+        "against this run's geometry), written after training otherwise",
+        flag="model",
+    )
+    cache_dir: str | None = knob(
+        None,
+        "content-addressed artifact cache; re-runs replay the cached .npz "
+        "segments instead of regenerating",
+    )
 
     def __post_init__(self):
         if self.nodes < 1:

@@ -32,6 +32,7 @@ JSONL still equals the clean in-process replay byte for byte
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 import threading
@@ -40,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from repro.service.knobs import knob
 
 __all__ = ["ChaosProxy", "NetChaosConfig", "WINDOW"]
 
@@ -54,27 +57,31 @@ class NetChaosConfig:
     """Fault rates for one proxy (all ``*_per_mb`` are expected events
     per forwarded megabyte; 0 disables that fault class)."""
 
-    seed: int = 0
-    latency_ms: float = 0.0
-    jitter_ms: float = 0.0
-    corrupt_per_mb: float = 0.0
-    reset_per_mb: float = 0.0
-    truncate_per_mb: float = 0.0
-    partition_per_mb: float = 0.0
-    partition_ms: float = 50.0
+    seed: int = knob(
+        0,
+        "fault-schedule seed: plans are a pure function of (seed, "
+        "connection, byte offset)",
+    )
+    latency_ms: float = knob(0.0, "fixed added latency per 4 KiB span")
+    jitter_ms: float = knob(0.0, "additional uniform random latency per span")
+    corrupt_per_mb: float = knob(
+        0.0, "expected single-byte XOR corruptions per forwarded MB"
+    )
+    reset_per_mb: float = knob(
+        0.0, "expected hard connection resets (RST) per forwarded MB"
+    )
+    truncate_per_mb: float = knob(
+        0.0, "expected span truncations (silently dropped bytes) per forwarded MB"
+    )
+    partition_per_mb: float = knob(
+        0.0, "expected short partitions (stalls) per forwarded MB"
+    )
+    partition_ms: float = knob(50.0, "stall length per partition event, in ms")
 
     def __post_init__(self):
-        for name in (
-            "latency_ms",
-            "jitter_ms",
-            "corrupt_per_mb",
-            "reset_per_mb",
-            "truncate_per_mb",
-            "partition_per_mb",
-            "partition_ms",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for field in dataclasses.fields(self):
+            if field.name != "seed" and getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be >= 0")
 
     @property
     def active(self) -> bool:

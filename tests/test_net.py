@@ -415,6 +415,49 @@ class TestServeListenFlagConflicts:
         assert cli.main(["loadgen", "--smoke", "--connect", "nohost"]) == 2
         assert "host:port" in capsys.readouterr().err
 
+    def test_store_record_rejects_partition_ticks_before_training(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro import cli
+        from repro.service import api
+
+        monkeypatch.setattr(api, "build_setup", _unreachable)
+        argv = ["store", "record", str(tmp_path / "st"), "--smoke"]
+        assert cli.main([*argv, "--partition-ticks", "0"]) == 2
+        assert "--partition-ticks" in capsys.readouterr().err
+        assert not (tmp_path / "st").exists()
+
+
+class TestNetChaosFlagErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--latency-ms", "-1"], "latency_ms must be >= 0"),
+            (["--partition-ms", "-5"], "partition_ms must be >= 0"),
+            (["--upstream-port-file", "p"], "exactly one of --upstream/"),
+            (["--listen", "nohost"], "host:port"),
+            (["--upstream", "127.0.0.1:http"], "host:port"),
+        ],
+        ids=["latency", "partition-ms", "two-upstreams", "listen", "upstream"],
+    )
+    def test_rejected_values_exit_2(self, argv, message, monkeypatch, capsys):
+        """A bad fault rate or address is a usage error (exit 2), not a
+        traceback, and no proxy starts."""
+        from repro import cli
+        from repro.service import netchaos
+
+        monkeypatch.setattr(netchaos, "ChaosProxy", _unreachable)
+        base = {"--listen": "127.0.0.1:0", "--upstream": "127.0.0.1:1"}
+        for flag, value in zip(argv[::2], argv[1::2]):
+            base[flag] = value
+        try:
+            rc = cli.main(["netchaos", *(t for kv in base.items() for t in kv)])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
 
 class TestSupervisorArgv:
     def test_abbreviated_flags_are_rejected(self, monkeypatch):
