@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The CLI smokes: the service commands EXPERIMENTS.md documents, at
 # --smoke scale, each checking its alert stream byte for byte.  Needs
-# only numpy and scipy; run from anywhere.  scripts/ci.sh runs it after
-# the test suite.
+# only numpy (no CLI command imports scipy); run from anywhere.
+# scripts/ci.sh runs it after the test suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,49 +100,56 @@ echo "== durable serve smoke: supervised kill -9 under network chaos =="
 # file; the supervisor respawns it, recovery replays checkpoint + WAL,
 # the proxy and client follow the port file onto the fresh ephemeral
 # port — and the final alert JSONL must still equal the in-process
-# replay, byte for byte.
-rm -rf "$SMOKE_DIR/wal"
-rm -f "$SMOKE_DIR/dport" "$SMOKE_DIR/cport" "$SMOKE_DIR/serve.pid" \
-    "$SMOKE_DIR/durable.jsonl" "$SMOKE_DIR/durable.npz"
-python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --chunk 200 --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/dport" \
-    --exit-on-idle --supervise --pid-file "$SMOKE_DIR/serve.pid" \
-    --wal "$SMOKE_DIR/wal" --wal-fsync tick \
-    --checkpoint "$SMOKE_DIR/durable.npz" --checkpoint-every 1 \
-    --model "$SMOKE_DIR/fleet.npz" \
-    --alerts "$SMOKE_DIR/durable.jsonl" &
-SUP_PID=$!
-for _ in $(seq 1 150); do
-    [[ -s "$SMOKE_DIR/dport" ]] && break
-    sleep 0.2
-done
-[[ -s "$SMOKE_DIR/dport" ]] || { echo "supervised serve never bound"; exit 1; }
-python -m repro netchaos --listen 127.0.0.1:0 \
-    --upstream-port-file "$SMOKE_DIR/dport" \
-    --port-file "$SMOKE_DIR/cport" \
-    --seed 0 --corrupt-per-mb 2 --truncate-per-mb 0.5 &
-CHAOS_PID=$!
-for _ in $(seq 1 50); do
-    [[ -s "$SMOKE_DIR/cport" ]] && break
-    sleep 0.2
-done
-[[ -s "$SMOKE_DIR/cport" ]] || { echo "chaos proxy never bound"; exit 1; }
-# Pace the feed so the kill below reliably lands mid-stream.
-python -m repro loadgen --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --chunk 200 --interval 0.25 --resume \
-    --port-file "$SMOKE_DIR/cport" &
-LOAD_PID=$!
-# A checkpoint on disk proves durable progress; then kill -9 the child.
-for _ in $(seq 1 300); do
-    [[ -f "$SMOKE_DIR/durable.npz" ]] && break
-    sleep 0.1
-done
-[[ -f "$SMOKE_DIR/durable.npz" ]] || { echo "no checkpoint before kill"; exit 1; }
-kill -9 "$(cat "$SMOKE_DIR/serve.pid")"
-wait "$LOAD_PID"
-wait "$SUP_PID"
-kill "$CHAOS_PID" 2>/dev/null || true
-cmp "$SMOKE_DIR/detect.jsonl" "$SMOKE_DIR/durable.jsonl"
+# replay, byte for byte.  Extra arguments go to `repro serve`.
+durable_drill() {
+    rm -rf "$SMOKE_DIR/wal"
+    rm -f "$SMOKE_DIR/dport" "$SMOKE_DIR/cport" "$SMOKE_DIR/serve.pid" \
+        "$SMOKE_DIR/durable.jsonl" "$SMOKE_DIR/durable.npz"
+    python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
+        --chunk 200 --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/dport" \
+        --exit-on-idle --supervise --pid-file "$SMOKE_DIR/serve.pid" \
+        --wal "$SMOKE_DIR/wal" --wal-fsync tick \
+        --checkpoint "$SMOKE_DIR/durable.npz" --checkpoint-every 1 \
+        --model "$SMOKE_DIR/fleet.npz" \
+        --alerts "$SMOKE_DIR/durable.jsonl" "$@" &
+    SUP_PID=$!
+    for _ in $(seq 1 150); do
+        [[ -s "$SMOKE_DIR/dport" ]] && break
+        sleep 0.2
+    done
+    [[ -s "$SMOKE_DIR/dport" ]] || { echo "supervised serve never bound"; exit 1; }
+    python -m repro netchaos --listen 127.0.0.1:0 \
+        --upstream-port-file "$SMOKE_DIR/dport" \
+        --port-file "$SMOKE_DIR/cport" \
+        --seed 0 --corrupt-per-mb 2 --truncate-per-mb 0.5 &
+    CHAOS_PID=$!
+    for _ in $(seq 1 50); do
+        [[ -s "$SMOKE_DIR/cport" ]] && break
+        sleep 0.2
+    done
+    [[ -s "$SMOKE_DIR/cport" ]] || { echo "chaos proxy never bound"; exit 1; }
+    # Pace the feed so the kill below reliably lands mid-stream.
+    python -m repro loadgen --smoke --cache-dir "$SMOKE_DIR/cache" \
+        --chunk 200 --interval 0.25 --resume \
+        --port-file "$SMOKE_DIR/cport" &
+    LOAD_PID=$!
+    # A checkpoint on disk proves durable progress; then kill -9 the child.
+    for _ in $(seq 1 300); do
+        [[ -f "$SMOKE_DIR/durable.npz" ]] && break
+        sleep 0.1
+    done
+    [[ -f "$SMOKE_DIR/durable.npz" ]] || { echo "no checkpoint before kill"; exit 1; }
+    kill -9 "$(cat "$SMOKE_DIR/serve.pid")"
+    wait "$LOAD_PID"
+    wait "$SUP_PID"
+    kill "$CHAOS_PID" 2>/dev/null || true
+    cmp "$SMOKE_DIR/detect.jsonl" "$SMOKE_DIR/durable.jsonl"
+}
+durable_drill
+echo "== durable serve smoke again, with a 1 s barrier deadline =="
+# Again with a barrier deadline shorter than the client's ack stall: a
+# tick lost in the proxy must be re-sent, never skipped and acked.
+durable_drill --tick-timeout 1
 python -m repro run fleet-serve-chaos --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "Smokes passed."

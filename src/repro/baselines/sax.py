@@ -9,12 +9,16 @@ Approximated (PAA) to ``segments`` means, each mean is mapped to one of
 ``alphabet`` symbols via Gaussian breakpoints computed from the row's
 training statistics, and the integer symbols of all rows are concatenated
 into the signature.  The signature length is ``n * segments``.
+
+SAX is the only scipy user in the package (``norm.ppf`` for the
+breakpoints), so scipy is imported when a ``SAXSignature`` is built, not
+when this module loads: serving and every CLI command stay numpy-only.
+Install it with ``pip install repro-cs[baselines]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.baselines.base import SignatureMethod, register_method
 from repro.core.blocks import block_bounds
@@ -43,6 +47,12 @@ class SAXSignature(SignatureMethod):
             raise ValueError("alphabet must be in [2, 26]")
         self.segments = int(segments)
         self.alphabet = int(alphabet)
+        try:
+            from scipy.stats import norm
+        except ImportError as exc:
+            raise ImportError(
+                "SAXSignature needs scipy: pip install repro-cs[baselines]"
+            ) from exc
         # Gaussian breakpoints dividing N(0, 1) into equiprobable regions.
         self._breakpoints = norm.ppf(np.arange(1, alphabet) / alphabet)
         self._mean: np.ndarray | None = None

@@ -587,6 +587,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         resume_note = (
             f"; {stats['acked_ticks']} ticks acked, "
             f"{stats['reconnects']} reconnects, "
+            f"{stats['rewinds']} rewinds, "
             f"{stats['resent_frames']} frames resent"
         )
     _status(
@@ -728,6 +729,7 @@ BENCH_SUITES: dict[str, str] = {
     "tick": "test_tick_hotpath.py",
     "store": "test_store_scaling.py",
     "net": "test_net_serve.py",
+    "cold-start": "test_cold_start.py",
 }
 
 
@@ -929,7 +931,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--tick-timeout", type=float, default=5.0,
         help="seconds the tick barrier waits for a complete fleet "
-        "before processing a partial burst (default 5)",
+        "before processing a partial burst; a hole a resuming "
+        "(ack-subscribed) sender can fill is re-requested instead "
+        "(default 5)",
     )
     p_serve.add_argument(
         "--exit-on-idle", action="store_true",

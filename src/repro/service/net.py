@@ -21,7 +21,14 @@ Design decisions:
   has a frame queued (the lockstep the batched tick path is built
   for); a ``tick_timeout`` breaks the barrier for partial fleets so a
   dead agent cannot stall the world.  Frames older than the cursor are
-  dropped as late.
+  dropped as late, unjournaled.
+* **Acks never cover a hole.**  A connection that sends ``{"op":
+  "acks"}`` gets the current watermark (last processed tick) at once
+  and a cumulative ack per processed tick after that.  When the
+  deadline finds a hole a subscribed sender fed, the server holds the
+  barrier and re-sends that sender its last ack, which tells it to go
+  back to the next tick; skipping the tick would ack data that never
+  arrived.
 * **Malformed input degrades, never crashes.**  Protocol-level garbage
   resynchronizes the decoder; frame errors that still name a node are
   injected as poison blocks so the PR 7 guard quarantines the sender;
@@ -315,7 +322,10 @@ class FleetServer:
     tick_timeout:
         Seconds the tick barrier waits for a complete fleet before
         processing a partial burst (a dead agent must not stall the
-        world).
+        world).  A node an ack-subscribed connection has fed is never
+        skipped this way: that sender is re-sent the last ack to fill
+        the hole instead.  A restarted server arms the deadline only
+        once a sender has connected.
     exit_on_idle:
         Stop once at least one connection was served and all
         connections have closed with every queue drained (CI/loadgen
@@ -431,6 +441,11 @@ class FleetServer:
         self._timeout_streak = 0
         #: Writers of connections that opted into per-tick acks.
         self._ack_subs: set = set()
+        #: Registered node -> writer of the latest ack-subscribed
+        #: connection to send it a frame: a hole at such a node can
+        #: still be filled, so the barrier deadline holds it (bounded
+        #: by the fleet size).
+        self._feeders: dict[str, object] = {}
         #: Bound ports, valid once :attr:`ready` is set.
         self.port: int | None = None
         self.ops_bound_port: int | None = None
@@ -452,11 +467,16 @@ class FleetServer:
             return
         samples = self._frame_samples(frame.values)
         self.stats.observe_frame(samples)
+        queue = self._queues.get(frame.node)
+        if queue is not None and frame.tick < self._cursor:
+            # Already processed (a resend after lost acks): it changes
+            # no state, so it is not journaled either.
+            self.stats.late_dropped += 1
+            return
         if self._wal is not None and not self._recovering:
             # Journal before queueing: once routing mutates state, the
             # frame must be replayable or a crash diverges.
             self._wal.append_frame(frame.node, frame.tick, frame.values)
-        queue = self._queues.get(frame.node)
         if queue is None:
             # Unknown node: hand it to the guard at the next tick so
             # the stray shows up as an `unknown-node` guard event.
@@ -470,9 +490,6 @@ class FleetServer:
                 self._pending[frame.node] = frame.values
             else:
                 self.stats.stray_dropped += 1
-            return
-        if frame.tick < self._cursor:
-            self.stats.late_dropped += 1
             return
         queue.push(frame.tick, frame.values, samples)
 
@@ -498,6 +515,7 @@ class FleetServer:
         self._open_conns += 1
         self._had_conn = True
         decoder = FrameDecoder()
+        subscribed = False
         try:
             while True:
                 data = await reader.read(1 << 16)
@@ -507,8 +525,13 @@ class FleetServer:
                 for frame in frames:
                     if frame.control == "acks":
                         # The sender wants per-tick acks (reconnecting
-                        # clients resume from the last acked tick).
+                        # clients resume from the last acked tick):
+                        # start it at the current watermark.
+                        subscribed = True
                         self._ack_subs.add(writer)
+                        self._send_ack((writer,), self._cursor - 1)
+                    elif subscribed and frame.node in self._queues:
+                        self._feeders[frame.node] = writer
                     self._route_frame(frame)
                 for error in errors:
                     self._route_error(error)
@@ -608,27 +631,49 @@ class FleetServer:
                 # "tick" syncs here, making everything up to and
                 # including this tick replayable after kill -9.
                 self._wal.append_watermark(cursor)
-            self._broadcast_ack(cursor)
+            self._send_ack(self._ack_subs, cursor)
             if (
                 self.checkpoint is not None
                 and self._ticks_done % self.checkpoint.every == 0
             ):
                 self._write_checkpoint()
 
-    def _broadcast_ack(self, tick: int) -> None:
-        """Tell subscribed clients tick ``tick`` is processed (and, per
-        fsync policy, journaled) — their resume point moves forward."""
-        if not self._ack_subs:
+    def _send_ack(self, writers, tick: int) -> None:
+        """Tell subscribed ``writers`` every tick through ``tick`` is
+        processed (and, per fsync policy, journaled): their resume
+        point.  Acks are cumulative, so ``tick`` is never past a hole."""
+        if not writers:
             return
         data = encode_ack(tick)
         dead = []
-        for writer in self._ack_subs:
+        for writer in writers:
             try:
                 writer.write(data)
             except Exception:
                 dead.append(writer)
         for writer in dead:
             self._ack_subs.discard(writer)
+
+    def _hold_hole(self) -> bool:
+        """On a barrier timeout, hold a hole a subscribed sender fed.
+
+        True when some node missing at the cursor was fed by an
+        ack-subscribed connection: that sender can still fill the hole,
+        so it is re-sent its last ack (its cue to go back to the tick
+        after it) and the tick waits.  False means only unsubscribed
+        senders are missing, and the partial-fleet break goes ahead.
+        """
+        cursor = self._cursor
+        feeders = {
+            self._feeders.get(path)
+            for path, q in self._queues.items()
+            if not (q.entries and q.entries[0][0] == cursor)
+        }
+        feeders.discard(None)
+        if not feeders:
+            return False
+        self._send_ack(feeders & self._ack_subs, cursor - 1)
+        return True
 
     def _advance_to_next_queued(self) -> None:
         """Jump the cursor to the earliest queued tick (partial fleet)."""
@@ -665,18 +710,21 @@ class FleetServer:
                 deadline = None
                 await asyncio.sleep(0)
                 continue
-            if self._any_queued():
+            # Only a sender can be dead: a restarted server holds its
+            # recovered queues until the first connection arrives.
+            if self._had_conn and self._any_queued():
                 now = loop.time()
                 if deadline is None:
                     deadline = now + self.tick_timeout
                 if now >= deadline:
-                    # Partial fleet: this data has waited a full
-                    # tick_timeout — process what arrived so a dead
-                    # agent can't stall ticks.
-                    self._advance_to_next_queued()
-                    self._process_tick()
                     self._timeout_streak += 1
                     deadline = None
+                    if not self._hold_hole():
+                        # Partial fleet: this data has waited a full
+                        # tick_timeout — process what arrived so a dead
+                        # agent can't stall ticks.
+                        self._advance_to_next_queued()
+                        self._process_tick()
                     await asyncio.sleep(0)
                     continue
                 timeout = deadline - now
@@ -1020,6 +1068,11 @@ class _AckStall(ConnectionError):
     """The server stopped acking: reconnect and resend from the tail."""
 
 
+class _Rewind(Exception):
+    """The server repeated its last ack (a hole at the next tick):
+    resend from there on the same connection."""
+
+
 def _connect_with_backoff(address, *, timeout: float):
     """Connect to ``address`` (a ``(host, port)`` pair or a callable
     returning one — callables re-resolve per attempt, which is how a
@@ -1080,17 +1133,22 @@ def loadgen(
     ack stall (``ack_timeout`` seconds without progress — the shape a
     corrupted-and-dropped frame leaves behind) it reconnects with
     backoff and go-back-N resends every tick after the last acked one.
-    At most ``max_window`` unacked ticks are in flight, and the eof
-    control frame is only sent once every tick is acked — which is what
-    lets a server behind a chaos proxy (or SIGKILLed and supervised
-    back up) still converge to the clean byte-identical alert stream.
+    The first ack on each connection is the server's watermark, so
+    ticks it already processed are skipped; a later repeat of the last
+    ack reports a hole and rewinds the same connection to the tick
+    after it.  At most ``max_window`` unacked ticks are in flight, and
+    the eof control frame is only sent once every tick is acked — which
+    is what lets a server behind a chaos proxy (or SIGKILLed and
+    supervised back up) still converge to the clean byte-identical
+    alert stream.
 
     Payload bytes are cached per underlying eval matrix, so replicated
     fleets (:func:`repro.service.api.replicate_setup`) encode each
     distinct burst once regardless of fleet size.
 
     Returns ``{"ticks", "frames", "bytes", "seconds"}`` plus — in
-    resume mode — ``{"reconnects", "resent_frames", "acked_ticks"}``.
+    resume mode — ``{"reconnects", "rewinds", "resent_frames",
+    "acked_ticks"}``.
     """
     import select
 
@@ -1114,6 +1172,7 @@ def loadgen(
         "bytes": 0,
         "seconds": 0.0,
         "reconnects": 0,
+        "rewinds": 0,
         "resent_frames": 0,
         "acked_ticks": 0,
     }
@@ -1175,6 +1234,8 @@ def loadgen(
     sock = None
     decoder = FrameDecoder()
     last_acked = -1
+    # Whether this connection's first ack (the watermark) arrived.
+    synced = False
 
     def teardown() -> None:
         nonlocal sock
@@ -1186,29 +1247,39 @@ def loadgen(
             sock = None
 
     def ensure_conn() -> None:
-        nonlocal sock, decoder
+        nonlocal sock, decoder, synced
         if sock is not None:
             return
         sock = _connect_with_backoff(address, timeout=connect_timeout)
         decoder = FrameDecoder()
+        synced = False
         sock.sendall(encode_acks_subscribe())
 
     def drain_acks(block_s: float) -> None:
-        """Consume whatever acks are readable (advances last_acked)."""
-        nonlocal last_acked
+        """Consume whatever acks are readable (advances last_acked);
+        raise ``_Rewind`` if the server repeated its last ack."""
+        nonlocal last_acked, synced
+        rewind = False
         wait = block_s
         while True:
             readable, _, _ = select.select([sock], [], [], wait)
             if not readable:
-                return
+                break
             data = sock.recv(1 << 16)
             if not data:
                 raise ConnectionResetError("server closed the ack stream")
             frames, _ = decoder.feed(data)
             for frame in frames:
-                if frame.control == "ack" and frame.tick > last_acked:
-                    last_acked = frame.tick
+                if frame.control != "ack":
+                    continue
+                if frame.tick > last_acked:
+                    last_acked, rewind = frame.tick, False
+                elif frame.tick == last_acked and synced:
+                    rewind = True
+                synced = True
             wait = 0.0
+        if rewind:
+            raise _Rewind
 
     def await_progress(target: int) -> None:
         """Block until ``last_acked`` reaches ``target`` or stall out."""
@@ -1232,6 +1303,7 @@ def loadgen(
         ConnectionRefusedError,
         BrokenPipeError,
         _AckStall,
+        _Rewind,
         OSError,
     )
     ti = 0
@@ -1239,7 +1311,11 @@ def loadgen(
         check_overall()
         try:
             ensure_conn()
-            while ti < n_ticks:
+            while True:
+                # Never resend what the server already acked.
+                ti = max(ti, last_acked + 1)
+                if ti >= n_ticks:
+                    break
                 check_overall()
                 if ti - last_acked > max_window:
                     await_progress(ti - max_window)
@@ -1252,9 +1328,12 @@ def loadgen(
                 if interval > 0.0:
                     time.sleep(interval)
             await_progress(n_ticks - 1)
-        except retryable:
-            teardown()
-            stats["reconnects"] += 1
+        except retryable as exc:
+            if isinstance(exc, _Rewind):
+                stats["rewinds"] += 1
+            else:
+                teardown()
+                stats["reconnects"] += 1
             resend_from = last_acked + 1
             stats["resent_frames"] += max(ti - resend_from, 0) * len(paths)
             ti = resend_from

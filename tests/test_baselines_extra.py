@@ -92,6 +92,25 @@ class TestSAXSignature:
         with pytest.raises(ValueError):
             SAXSignature(alphabet=27)
 
+    def test_breakpoints_are_scipy_norm_ppf_bit_for_bit(self):
+        # The lazy import must not change a single breakpoint bit (an
+        # inverse-CDF stand-in such as statistics.NormalDist drifts by
+        # an ulp at most alphabet sizes, which would move SAX symbols).
+        from scipy.stats import norm
+
+        for a in range(2, 27):
+            expected = norm.ppf(np.arange(1, a) / a)
+            got = SAXSignature(alphabet=a)._breakpoints
+            assert got.tobytes() == expected.tobytes(), a
+
+    def test_without_scipy_names_the_extra(self, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        with pytest.raises(ImportError, match=r"pip install repro-cs\[baselines\]"):
+            SAXSignature()
+
 
 class TestCorrMatSignature:
     def test_feature_length_quadratic(self):

@@ -6,7 +6,8 @@ presorted/batched ML engine over the frozen seed implementation in
 cached scenario runtimes in ``BENCH_scenarios.json``;
 ``benchmarks/test_service_scaling.py`` records batched vs per-node fleet
 detection in ``BENCH_service.json`` (``benchmarks/test_net_serve.py``
-adds the loopback network-serving headline to the same file); ``benchmarks/test_datagen_scaling.py``
+adds the loopback network-serving headline to the same file, and
+``benchmarks/test_cold_start.py`` the serving cold-import cost); ``benchmarks/test_datagen_scaling.py``
 records the vectorized cold generation path vs the frozen seed
 recurrences in ``BENCH_datagen.json``; ``benchmarks/test_tick_hotpath.py``
 records the fused single-pass tick arena vs the naive per-node loop in
@@ -213,6 +214,24 @@ class TestServiceGuard:
         )
         assert summary.get("net_wal_byte_identical") == 1, (
             "journaled alert stream diverged from the in-process replay"
+        )
+
+    def test_serving_cold_start_is_numpy_only(self):
+        """``benchmarks/test_cold_start.py`` records the median
+        cold-import CPU of the serving modules over that of ``import
+        numpy`` (about 2.9 numpy-only, about 11 while SAX's scipy import
+        sat on the serving path) and how many scipy modules it loaded."""
+        summary = _load_summary(SERVICE_SUMMARY_JSON)
+        assert "cold_import_ratio" in summary, (
+            "BENCH_service.json is missing cold_import_ratio "
+            "(run pytest benchmarks/test_cold_start.py -m slow)"
+        )
+        assert summary["cold_import_ratio"] <= 5.0, (
+            f"serving cold import is {summary['cold_import_ratio']}x "
+            "import numpy (ceiling: 5x)"
+        )
+        assert summary["cold_import_scipy_modules"] == 0, (
+            "the serving import pulled in scipy"
         )
 
     def test_no_service_speedup_below_one(self):

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.service import net
 from repro.service.api import (
     ServiceConfig,
     build_detector,
@@ -29,7 +30,12 @@ from repro.service.net import (
     ServerCheckpoint,
     loadgen,
 )
-from repro.service.protocol import encode_binary, encode_eof
+from repro.service.protocol import (
+    FrameDecoder,
+    encode_acks_subscribe,
+    encode_binary,
+    encode_eof,
+)
 
 CFG = ServiceConfig.smoke()
 
@@ -380,3 +386,155 @@ class TestConnectBackoff:
             _connect_with_backoff(
                 ("127.0.0.1", 1), timeout=0.3
             )
+
+
+def _tick_frames(setup, tick):
+    """Every node's binary frame for ``tick``, in loadgen's order."""
+    lo = tick * CFG.chunk
+    return b"".join(
+        encode_binary(path, tick, setup.eval_data[path][:, lo : lo + CFG.chunk])
+        for path in sorted(setup.eval_data)
+    )
+
+
+class TestResumeAcks:
+    """Acks are cumulative, so a subscribed sender must never be acked
+    past a tick the server skipped: it would never resend the data."""
+
+    def test_skipped_tick_is_resent_not_acked(
+        self, setup, reference, monkeypatch
+    ):
+        """The first transmission of tick 1 is lost; the barrier
+        deadline (much shorter than the client's ack stall) must make
+        the server ask for it again, not process ticks 2+ without it."""
+        _, ref_text = reference
+        real_patch = net._patch_binary_path
+        lost: set = set()
+
+        def lose_tick_1_once(frame, path):
+            out = real_patch(frame, path)
+            (decoded,), _ = FrameDecoder().feed(out)
+            if decoded.tick == 1 and path not in lost:
+                lost.add(path)
+                return b""
+            return out
+
+        monkeypatch.setattr(net, "_patch_binary_path", lose_tick_1_once)
+        sink = ListAlertSink()
+        server = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink,),
+            exit_on_idle=True,
+            tick_timeout=0.3,
+        )
+        thread = server.start_background()
+        assert server.ready.wait(10)
+        stats = loadgen(
+            setup,
+            ("127.0.0.1", server.port),
+            chunk=CFG.chunk,
+            resume=True,
+            ack_timeout=30.0,
+            total_timeout=60.0,
+        )
+        thread.join(60)
+        assert not thread.is_alive()
+        assert lost == set(setup.eval_data)
+        assert sink.text() == ref_text
+        assert stats["acked_ticks"] == stats["ticks"]
+        assert stats["rewinds"] >= 1 and stats["reconnects"] == 0
+
+    def test_reconnect_resending_processed_ticks_gets_acked(
+        self, setup, reference, tmp_path
+    ):
+        """A client whose acks were lost reconnects and resends ticks
+        the server already processed: it must be acked at once (the
+        subscribe watermark), and the resends must not be journaled."""
+        _, ref_text = reference
+        sink = ListAlertSink()
+        server = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink,),
+            exit_on_idle=True,
+            idle_grace=10.0,
+            wal=tmp_path / "wal",
+        )
+        thread = server.start_background()
+        assert server.ready.wait(10)
+        resent = b"".join(_tick_frames(setup, t) for t in range(3))
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(encode_acks_subscribe() + resent)
+            assert _wait(lambda: server.stats.ticks == 3)
+        # The acks of that connection are gone with it.
+        next_index = server._wal.next_index
+        late = server.stats.late_dropped
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.settimeout(10.0)
+            sock.sendall(encode_acks_subscribe() + resent)
+            decoder = FrameDecoder()
+            acks: list = []
+            while 2 not in acks:
+                frames, _ = decoder.feed(sock.recv(1 << 16))
+                acks += [f.tick for f in frames if f.control == "ack"]
+            n_resent = 3 * len(setup.eval_data)
+            assert _wait(lambda: server.stats.late_dropped == late + n_resent)
+        assert server._wal.next_index == next_index
+        stats = loadgen(
+            setup,
+            ("127.0.0.1", server.port),
+            chunk=CFG.chunk,
+            resume=True,
+            total_timeout=60.0,
+        )
+        thread.join(60)
+        assert not thread.is_alive()
+        assert sink.text() == ref_text
+        assert stats["acked_ticks"] == stats["ticks"]
+
+    def test_recovered_hole_waits_for_a_sender(self, setup, reference, tmp_path):
+        """A restart recovers queues with a hole at the cursor (tick 1
+        lost, ticks 2-3 journaled).  No sender is connected yet, so the
+        barrier deadline must not skip the hole before the resuming
+        client is back to fill it."""
+        _, ref_text = reference
+        server_a = FleetServer(
+            build_detector(CFG, setup), tick_timeout=60.0, wal=tmp_path / "live"
+        )
+        thread_a = server_a.start_background()
+        assert server_a.ready.wait(10)
+        with socket.create_connection(("127.0.0.1", server_a.port)) as sock:
+            sock.sendall(
+                encode_acks_subscribe()
+                + b"".join(_tick_frames(setup, t) for t in (0, 2, 3))
+            )
+            assert _wait(lambda: server_a.stats.frames == 3 * len(setup.eval_data))
+            assert server_a.stats.ticks == 1
+            server_a._wal.sync()
+            shutil.copytree(tmp_path / "live", tmp_path / "crash")
+        server_a.request_stop()
+        thread_a.join(30)
+        assert not thread_a.is_alive()
+
+        sink = ListAlertSink()
+        server_b = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink,),
+            exit_on_idle=True,
+            tick_timeout=0.1,
+            wal=tmp_path / "crash",
+        )
+        thread_b = server_b.start_background()
+        assert server_b.ready.wait(30)
+        time.sleep(0.5)
+        assert server_b.health()["tick"] == 1
+        stats = loadgen(
+            setup,
+            ("127.0.0.1", server_b.port),
+            chunk=CFG.chunk,
+            resume=True,
+            total_timeout=60.0,
+        )
+        thread_b.join(60)
+        assert not thread_b.is_alive()
+        assert sink.text() == ref_text
+        assert stats["acked_ticks"] == stats["ticks"]
