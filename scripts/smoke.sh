@@ -50,6 +50,14 @@ python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --from-store "$SMOKE_DIR/telestore" \
     --alerts "$SMOKE_DIR/store.jsonl"
 cmp "$SMOKE_DIR/detect.jsonl" "$SMOKE_DIR/store.jsonl"
+# float32 has no oracle; its live stream (200-sample bursts) and its
+# store replay (whole partitions) must still agree byte for byte.
+python -m repro detect --smoke --mode float32 --cache-dir "$SMOKE_DIR/cache" \
+    --alerts "$SMOKE_DIR/detect32.jsonl"
+python -m repro detect --smoke --mode float32 --cache-dir "$SMOKE_DIR/cache" \
+    --from-store "$SMOKE_DIR/telestore" \
+    --alerts "$SMOKE_DIR/store32.jsonl"
+cmp "$SMOKE_DIR/detect32.jsonl" "$SMOKE_DIR/store32.jsonl"
 python -m repro run fleet-replay --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "== network serve smoke: loopback ingestion must match in-process =="

@@ -19,6 +19,14 @@ steady-state tick retains **zero** new numpy memory (asserted by a
 tracemalloc regression test) and its transient peak is bounded by a few
 index temporaries instead of per-stage matrices.
 
+Two kernels absorb a burst.  The group kernel (``TickArena._absorb``)
+stages a whole geometry group's normalized columns behind its running
+sums and sweeps them together; it takes every float32 burst and every
+exact burst up to the ``wl + 1``-column ring.  Longer exact bursts —
+the store replayer's whole partitions — take a time-major kernel that
+walks one node at a time while its burst is cache-resident
+(``TickArena._absorb_block``).
+
 Exactness contract: in the default ``exact`` mode every floating-point
 operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
 (same association order, same tie-breaks), the feature layout replays
@@ -76,6 +84,23 @@ def _open_starts(count: int, wl: int, ws: int) -> range:
     (``start < count``) but not yet complete (``start + wl > count``).
     At most ``ceil(wl / ws)`` of them, in ascending order."""
     return range(max(0, ((count - wl) // ws + 1) * ws), count, ws)
+
+
+def _ring_runs(t0: int, total: int, size: int) -> list:
+    """Where a burst's staged tail lands in the ring: the last ``size``
+    columns (all of them for shorter bursts), each at its ``t % size``
+    slot, as at most two ``(ring slice, burst slice)`` runs around the
+    wrap point.  Later bursts then see exactly the state a chain of
+    single-column pushes would have left."""
+    rstart = max(t0, total - size)
+    kcols = total - rstart
+    p0 = rstart % size
+    first = min(size - p0, kcols)
+    lo = rstart - t0
+    runs = [(slice(p0, p0 + first), slice(lo, lo + first))]
+    if kcols > first:
+        runs.append((slice(0, kcols - first), slice(lo + first, None)))
+    return runs
 
 
 class _NonFinite(Exception):
@@ -287,8 +312,12 @@ class _GroupState:
         self.wl, self.ws = int(wl), int(ws)
         self.size = self.wl + 1
         self.max_m = int(max_m)
-        #: Longest burst the in-ring kernel absorbs in a single call —
-        #: the bursts :meth:`TickArena.tick` can check after the gather.
+        #: Exact arenas absorb bursts longer than the ring in the
+        #: time-major :meth:`TickArena._absorb_block` kernel; float32
+        #: arenas run every burst through the group kernel.
+        self.exact = dtype == np.float64
+        #: Longest burst the group kernel absorbs in exact mode — the
+        #: bursts :meth:`TickArena.tick` can check after the gather.
         self.check_max = min(self.size, self.max_m)
         self.dtype = dtype
         self.bstarts, self.bends = partition_bounds(n, self.l)
@@ -328,51 +357,60 @@ class _GroupState:
         #: is always rewritten before it is read again.
         self.P = -(-self.wl // self.ws) + 2
         self.pending_buf = np.empty((c, self.P, n), dtype=dtype)
-        # Tick scratch (content never survives a tick).
+        # Tick scratch (content never survives a tick).  ``seq`` stages
+        # the group kernel's normalized columns behind the running sum,
+        # so it spans the longest burst that kernel takes.
         self.kmax = self.max_m // self.ws + 1
-        self.refsnap = np.empty((c, self.kmax, n), dtype=dtype)
-        self.seq = np.empty((c, n, self.max_m + 1), dtype=dtype)
+        seq_m = self.check_max if self.exact else self.max_m
+        self.seq = np.empty((c, n, seq_m + 1), dtype=dtype)
         self.rows = np.empty((c, self.kmax, n), dtype=dtype)
-        #: Second rows buffer for the block kernel: derivative windows
-        #: are computed *before* the in-place cumsum destroys the staged
-        #: normalized columns, so they need their own landing area.
+        #: Derivative rows: computed from the staged normalized columns
+        #: *before* the in-place cumsum overwrites them, so they need
+        #: their own landing area.
         self.drows = np.empty((c, self.kmax, n), dtype=dtype)
         self.psum = np.empty((c, self.kmax, n + 1), dtype=dtype)
         self.sig = np.empty((c, self.kmax, self.l), dtype=dtype)
         self.sig2 = np.empty((c, self.kmax, self.l), dtype=dtype)
         self.base_scratch = np.empty((c, n), dtype=dtype)
-        self.stage = (
-            np.empty((n, self.max_m)) if dtype != np.float64 else None
-        )
-        #: Block-path staging for the float64 kernel, *time-major*: one
-        #: node's gathered burst ``(m, n)`` plus its prefix sums
-        #: ``(m+1, n)``.  Store planes are column-major ``(n, ticks)``,
-        #: so their transpose is C-contiguous time-major — gathers read
-        #: contiguous tick-columns, the cumsum runs down axis 0 with
-        #: SIMD across sensors, and the whole burst stays cache-resident
-        #: through normalize/derivative/window sweeps instead of five
-        #: full-group RAM passes.  ``block_rows`` is the row-major
-        #: landing pad for C-ordered (non-store) block sources.
-        if dtype == np.float64:
+        #: float32 gathers land in float64 first, then round once.
+        self.stage = None if self.exact else np.empty((n, self.max_m))
+        #: Time-major staging of the exact long-burst kernel: one node's
+        #: gathered burst ``(m, n)``, its prefix sums ``(m+1, n)`` and
+        #: its window-start rows ``(kmax, n)``.  Store planes are
+        #: column-major ``(n, ticks)``, so their transpose is
+        #: C-contiguous time-major — gathers read contiguous
+        #: tick-columns, the cumsum runs down axis 0 with SIMD across
+        #: sensors, and the whole burst stays cache-resident through
+        #: normalize/derivative/window sweeps instead of five full-group
+        #: RAM passes.  ``block_rows`` is the row-major landing pad for
+        #: C-ordered (non-store) block sources.
+        if self.exact:
             self.block_stage = np.empty((self.max_m, n))
             self.block_psum = np.empty((self.max_m + 1, n))
             self.block_rows = np.empty((n, self.max_m))
+            self.block_ref = np.empty((self.kmax, n))
         else:
-            self.block_stage = self.block_psum = self.block_rows = None
+            self.block_stage = self.block_psum = None
+            self.block_rows = self.block_ref = None
         # Pre-fault the tick scratches: at partition-sized ``max_m`` the
-        # ``seq`` staging area alone spans tens of MB, and first-touch
-        # page faults inside the first fused burst cost an order of
-        # magnitude more than this one-time streaming fill at build time.
-        for scratch in (
-            self.pending_buf, self.refsnap, self.seq, self.rows,
-            self.drows, self.psum, self.sig, self.sig2,
-        ):
+        # staging areas span tens of MB, and first-touch page faults
+        # inside the first fused burst cost an order of magnitude more
+        # than this one-time streaming fill at build time.
+        self.pending_buf.fill(0)
+        for scratch in self.scratches():
             scratch.fill(0)
-        for opt in (
-            self.stage, self.block_stage, self.block_psum, self.block_rows,
-        ):
-            if opt is not None:
-                opt.fill(0)
+
+    def scratches(self) -> list:
+        """Every tick scratch buffer (content never survives a tick)."""
+        return [
+            b
+            for b in (
+                self.seq, self.rows, self.drows, self.psum, self.sig,
+                self.sig2, self.base_scratch, self.stage, self.block_stage,
+                self.block_psum, self.block_rows, self.block_ref,
+            )
+            if b is not None
+        ]
 
     def pending(self, nodes, start) -> np.ndarray:
         """Snapshot slot of window ``start`` for ``nodes`` (a node index
@@ -390,19 +428,7 @@ class _GroupState:
         )
 
     def scratch_nbytes(self) -> int:
-        total = (
-            self.refsnap.nbytes + self.seq.nbytes + self.rows.nbytes
-            + self.drows.nbytes + self.psum.nbytes + self.sig.nbytes
-            + self.sig2.nbytes + self.base_scratch.nbytes
-        )
-        if self.stage is not None:
-            total += self.stage.nbytes
-        if self.block_stage is not None:
-            total += (
-                self.block_stage.nbytes + self.block_psum.nbytes
-                + self.block_rows.nbytes
-            )
-        return total
+        return sum(b.nbytes for b in self.scratches())
 
 
 class TickArena:
@@ -426,8 +452,11 @@ class TickArena:
         (``push_block`` composes exactly).  Scratch memory scales with
         it: serving loops keep the default, the store replayer passes
         its partition/block size so whole recorded partitions absorb in
-        one fused pass (sub-bursts beyond the ``wl + 1`` ring capacity
-        run the seq-staged block kernel — still bit-identical).
+        one fused pass.  Exact arenas run sub-bursts beyond the
+        ``wl + 1`` ring capacity through a time-major kernel and size
+        the group kernel's staging area to the ring alone; float32
+        arenas stage every sub-burst group-wide — bit-identical either
+        way.
     paths:
         Optional subset of the engine's nodes; defaults to all of them.
 
@@ -487,11 +516,9 @@ class TickArena:
         by_n: dict[int, list[str]] = {}
         for p in wanted:
             by_n.setdefault(engine.model(p).n_sensors, []).append(p)
-        # Scratch is sized for full ``max_chunk`` sub-bursts: up to
-        # ``wl + 1`` columns the in-ring kernel runs (every column owns
-        # a distinct ring position), longer sub-bursts take the
-        # seq-staged block kernel — both bit-identical, so callers pick
-        # ``max_chunk`` purely as a burst-capacity/memory trade-off.
+        # Scratch is sized for full ``max_chunk`` sub-bursts; both
+        # kernels are bit-identical, so callers pick ``max_chunk``
+        # purely as a burst-capacity/memory trade-off.
         self.groups = [
             _GroupState(
                 ps,
@@ -659,11 +686,12 @@ class TickArena:
                 )
             if not B.shape[1]:
                 continue
-            # Bursts the in-ring exact kernel absorbs in one call are
-            # checked there, on the gathered columns; the rest here.
+            # Exact bursts the group kernel absorbs in one call are
+            # checked there, on the gathered columns; the rest, float32
+            # bursts included, here on the input.
             if (
                 self.reject_nonfinite
-                and (g.stage is not None or B.shape[1] > g.check_max)
+                and (not g.exact or B.shape[1] > g.check_max)
                 and not _all_finite(B)
             ):
                 nonfinite.append(p)
@@ -755,23 +783,23 @@ class TickArena:
         ``feat3`` (every node at one count and one anchor).
 
         Bursts longer than ``g.max_m`` run as consecutive sub-bursts
-        (``push_block`` composes exactly).  Up to ``wl + 1`` columns
-        every column owns a distinct ring slot, so normalization can run
-        in place inside the ring (:meth:`_absorb` — the serving-cadence
-        path, untouched by block feeds).  Longer sub-bursts stage their
-        normalized columns in the ``seq`` scratch instead
-        (:meth:`_absorb_block` — the store replayer's whole-partition
-        path).  Both kernels execute the same floating-point operations
-        in the same association order, so the routing never changes a
-        single output bit.
+        (``push_block`` composes exactly).  Each sub-burst runs the
+        group-wide kernel (:meth:`_absorb`), except exact sub-bursts
+        longer than the ``wl + 1`` ring — the store replayer's whole
+        partitions — which run the time-major kernel
+        (:meth:`_absorb_block`), whose node-at-a-time sweep keeps the
+        burst cache-resident: a 256-node x 1024-column exact feed took
+        17-33% longer through the group kernel.  Both kernels execute
+        the same floating-point operations in the same association
+        order, so the routing never changes a single output bit.
         """
         off = 0
         for lo in range(0, node_blocks[0].shape[1], g.max_m):
             sub = [B[:, lo : lo + g.max_m] for B in node_blocks]
-            if sub[0].shape[1] <= g.size:
-                off += self._absorb(g, sl, sub, feat3, off)
-            else:
+            if g.exact and sub[0].shape[1] > g.size:
                 off += self._absorb_block(g, sl, sub, feat3, off)
+            else:
+                off += self._absorb(g, sl, sub, feat3, off)
 
     def _advance(self, g, sl, total: int) -> None:
         """Step the nodes ``sl`` to ``total`` samples and periodically
@@ -788,41 +816,34 @@ class TickArena:
             g.anchors[sl] = total
 
     def _absorb(self, g, sl, node_blocks, feat3, off) -> int:
-        """One fused sub-burst for the nodes ``sl`` of group ``g``.
+        """One fused sub-burst (up to ``g.max_m`` columns) for the nodes
+        ``sl`` of group ``g``, group-wide.
 
         The batched twin of ``IncrementalSignatureCore._absorb``: every
         numbered step mirrors one of its operations in the same
         floating-point association order, into preallocated buffers.
-        Returns the number of signatures emitted per node.
+        Normalized columns are staged in the ``seq`` scratch, not the
+        ring, so the burst length is not capped by the ring's
+        ``wl + 1`` slots.  Returns the number of signatures emitted per
+        node.
         """
         m = node_blocks[0].shape[1]
         t0 = int(g.counts[sl.start])
         total = t0 + m
         size = g.size
-        # 0. Emit plan.  Derivative reference columns predating this
-        #    sub-burst live at ring positions the new columns are about
-        #    to overwrite — snapshot them first (at most kmax single
-        #    columns; ``ref >= t0 - wl`` so they are all still live).
         starts = _emits_between(t0, total, g.wl, g.ws)
         k = len(starts)
-        refsnap = g.refsnap[sl]
-        for idx, s in enumerate(starts):
-            ref = s - 1 if s > 0 else s
-            if ref < t0:
-                refsnap[:, idx, :] = g.ring[sl, :, ref % size]
         # 1. Gather into sorted row order behind the running sum in a
         #    contiguous ``(nodes, n, m + 1)`` view of the ``seq``
-        #    scratch, then min-max normalize in place (the batched
-        #    _normalize): subtract, divide, degenerate rows to 0.5,
-        #    clip.  Nothing retained has changed yet, so a non-finite
-        #    burst can still be refused here.
+        #    scratch.  Nothing retained has changed yet, so a
+        #    non-finite burst can still be refused here.
         nodes = sl.stop - sl.start
         seq = g.seq.reshape(-1)[: nodes * g.n * (m + 1)]
         seq = seq.reshape(nodes, g.n, m + 1)
         cols = seq[:, :, 1:]
         perm = g.perm
         i = sl.start
-        if g.stage is None:
+        if g.exact:
             for j, B in enumerate(node_blocks):
                 B.take(perm[i + j], axis=0, out=cols[j])
         else:
@@ -831,79 +852,84 @@ class TickArena:
                 B.take(perm[i + j], axis=0, out=st)
                 cols[j] = st
         seq[:, :, 0] = g.csum[sl]
-        if self.reject_nonfinite and g.stage is None:
+        if self.reject_nonfinite and g.exact:
             _check_finite(seq, cols, g.paths[sl])
+        # 2. Min-max normalize in place (the batched _normalize):
+        #    subtract, divide, degenerate rows to 0.5, clip.
         np.subtract(cols, g.lower[sl], out=cols)
         np.divide(cols, g.span[sl], out=cols)
         if g.deg_any:
             np.copyto(cols, 0.5, where=g.deg_mask[sl])
         np.clip(cols, 0.0, 1.0, out=cols)
-        # 2. Write the normalized columns into the ring, each at its
-        #    position ``t % size`` (sub-bursts never exceed ``size``
-        #    columns, so positions are distinct — at most two contiguous
-        #    ring slices around the wrap point), then the sequential
-        #    prefix sums continuing the running sum (same left-to-right
-        #    association as repeated push()).
-        p0 = t0 % size
-        first = min(size - p0, m)
-        g.ring[sl, :, p0 : p0 + first] = cols[:, :, :first]
-        if m > first:
-            g.ring[sl, :, : m - first] = cols[:, :, first:]
+        # 3. Derivative rows need the raw normalized columns, which the
+        #    in-place cumsum of step 5 overwrites; references predating
+        #    this burst still sit untouched in the ring (``ref >= t0 -
+        #    wl``, refreshed only in step 4).
+        if k:
+            drows = g.drows[sl, :k, :]
+            for idx, s in enumerate(starts):
+                ref = s - 1 if s > 0 else s
+                ref_col = (
+                    cols[:, :, ref - t0]
+                    if ref >= t0
+                    else g.ring[sl, :, ref % size]
+                )
+                np.subtract(
+                    cols[:, :, s + g.wl - 1 - t0], ref_col,
+                    out=drows[:, idx, :],
+                )
+            np.divide(drows, g.wl, out=drows)
+        # 4. Ring refresh from the staged tail.
+        for ring_run, burst_run in _ring_runs(t0, total, size):
+            g.ring[sl, :, ring_run] = cols[:, :, burst_run]
+        # 5. Sequential prefix sums continuing the running sum, in place
+        #    (same left-to-right association as repeated push()).
         seq.cumsum(axis=2, out=seq)
-        # 3. Emits due inside this sub-burst.
+        # 6. Emits due inside this sub-burst: value means from the
+        #    prefix sums (windows opened before the burst read their
+        #    snapshot slot), then the derivative rows of step 3.
         if k:
             rows = g.rows[sl, :k, :]
             for idx, s in enumerate(starts):
-                cnt = s + g.wl
                 start_cs = seq[:, :, s - t0] if s >= t0 else g.pending(sl, s)
-                np.subtract(seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :])
+                np.subtract(
+                    seq[:, :, s + g.wl - t0], start_cs, out=rows[:, idx, :]
+                )
             np.divide(rows, g.wl, out=rows)
             self._reduce(g, sl, rows, k)
             feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-            for idx, s in enumerate(starts):
-                cnt = s + g.wl
-                ref = s - 1 if s > 0 else s
-                # ``cnt - 1 >= t0`` always (cnt > t0), so the window's
-                # last column is one of this burst's ring writes; the
-                # reference column is either also in-burst or was
-                # snapshotted in step 0.
-                ref_col = (
-                    g.ring[sl, :, ref % size]
-                    if ref >= t0
-                    else refsnap[:, idx, :]
-                )
-                np.subtract(
-                    g.ring[sl, :, (cnt - 1) % size],
-                    ref_col,
-                    out=rows[:, idx, :],
-                )
-            np.divide(rows, g.wl, out=rows)
-            self._reduce(g, sl, rows, k)
+            self._reduce(g, sl, g.drows[sl, :k, :], k)
             feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
             g.emitted[sl] += k
-        # 4. Snapshot the windows this burst opened and leaves open
-        #    (every pending read of step 3 is done).
+        # 7. Snapshot the windows this burst opened and leaves open
+        #    (every pending read of step 6 is done).
         for s in _open_starts(total, g.wl, g.ws):
             if s >= t0:
                 g.pending(sl, s)[...] = seq[:, :, s - t0]
-        # 5. Advance retained state: running sum, counts, periodic
-        #    re-anchor.  The ring is already current — step 2 wrote
-        #    this burst's normalized columns.
+        # 8. Advance retained state: running sum, counts, periodic
+        #    re-anchor (the ring is already current after step 4).
         g.csum[sl] = seq[:, :, m]
         self._advance(g, sl, total)
         return k
 
     def _absorb_block(self, g, sl, node_blocks, feat3, off) -> int:
-        """One fused sub-burst of *arbitrary* length (up to ``g.max_m``).
+        """One fused exact sub-burst longer than the ring, node by node.
 
-        The block-feed twin of :meth:`_absorb`: normalized columns are
-        staged in the ``seq`` scratch instead of the ring, so the burst
-        length is not capped by the ring's ``wl + 1`` slots — a whole
-        telemetry-store partition absorbs in one pass (one cumsum, one
-        window sweep, one forest batch).  Every numbered step reuses the
-        exact operation its in-ring twin runs, merely reading the
-        normalized columns from the staging area, so the output is
-        bit-identical column for column.
+        The same steps as :meth:`_absorb`, fused into one *time-major*
+        pass per node: gather, normalize, derivative rows, ring refresh,
+        prefix sums, value rows and pending snapshots all touch one
+        node's burst while it is cache-resident, instead of full-group
+        RAM sweeps (only single prefix-sum rows leave the cache).  Store
+        planes are column-major, so their transpose is C-contiguous
+        time-major: gathers read contiguous tick-columns and the cumsum
+        runs down axis 0 with SIMD across sensors.  Every operation is
+        elementwise (or a sensor-independent cumsum) with per-node
+        operands identical to the group-wide form — IEEE addition is
+        commutative, so seeding the first tick with the running sum
+        reproduces the chained cumsum bit for bit.  Snapshot slot views
+        are resolved once, outside the node loop; each node reads its
+        pending rows before writing the windows it opens, so a slot
+        both read and rewritten is safe.
         """
         m = node_blocks[0].shape[1]
         t0 = int(g.counts[sl.start])
@@ -911,187 +937,84 @@ class TickArena:
         size = g.size
         emits = _emits_between(t0, total, g.wl, g.ws)
         k = len(emits)
-        opened = [s for s in _open_starts(total, g.wl, g.ws) if s >= t0]
-        seq = g.seq[sl, :, : m + 1]
-        cols = seq[:, :, 1:]  # (c, n, m) staged normalized columns
         perm = g.perm
         i = sl.start
-        # Ring-refresh geometry (step 3): the staged tail — the last
-        # ``size`` columns (or all of them for shorter bursts), each at
-        # its ``t % size`` slot, at most two contiguous runs around the
-        # wrap point.  Future bursts then see exactly the state a chain
-        # of in-ring sub-bursts would have left.
-        rstart = max(t0, total - size)
-        kcols = total - rstart
-        p0 = rstart % size
-        first = min(size - p0, kcols)
-        if g.stage is None:
-            # Steps 1-6 fused into one *time-major* pass per node:
-            # gather, normalize, derivative rows, ring refresh, prefix
-            # sums, value rows and pending snapshots all touch one
-            # node's burst while it is cache-resident, instead of five
-            # full-slab RAM sweeps (the group ``seq`` slab is never
-            # materialized — only single prefix-sum rows leave the
-            # cache).  Store planes are column-major, so their transpose
-            # is C-contiguous time-major: gathers read contiguous
-            # tick-columns and the cumsum runs down axis 0 with SIMD
-            # across sensors.  Every operation is elementwise (or a
-            # sensor-independent cumsum) with per-node operands
-            # identical to the group-wide form — IEEE addition is
-            # commutative, so seeding the first tick with the running
-            # sum reproduces the chained cumsum bit for bit.  Snapshot
-            # slot views are resolved once, outside the node loop; each
-            # node reads its pending rows before writing the windows it
-            # opens, so a slot both read and rewritten is safe.
-            if k:
-                starts = np.arange(emits.start, emits.stop, g.ws)
-                end_idx = starts + (g.wl - t0)
-                dv_idx = end_idx - 1
-                refs = np.where(starts > 0, starts - 1, starts)
-                from_st = refs >= t0
-                st_ref = (refs - t0)[from_st]
-                ring_ref = (refs % size)[~from_st]
-                from_seq = starts >= t0
-                seq_start = (starts - t0)[from_seq]
-                pend = [
-                    (idx, g.pending(sl, s))
-                    for idx, s in enumerate(emits)
-                    if s < t0
-                ]
-            pushes = [(s - t0, g.pending(sl, s)) for s in opened]
-            tT = g.block_stage[:m]
-            sT = g.block_psum[: m + 1]
-            for j, B in enumerate(node_blocks):
-                a = i + j
-                # 1. Gather into sorted row order, time-major.
-                if B.flags.f_contiguous:
-                    np.take(B.T, perm[a], axis=1, out=tT)
-                else:
-                    rows = g.block_rows[:, :m]
-                    np.take(B, perm[a], axis=0, out=rows)
-                    tT[...] = rows.T
-                # 2. Min-max normalize (the batched _normalize).
-                np.subtract(tT, g.lower[a].T, out=tT)
-                np.divide(tT, g.span[a].T, out=tT)
-                if g.deg_any:
-                    np.copyto(tT, 0.5, where=g.deg_mask[a].T)
-                np.clip(tT, 0.0, 1.0, out=tT)
-                if k:
-                    # 3. Derivative rows need the raw normalized
-                    #    columns; references predating the burst still
-                    #    sit untouched in the ring (refreshed in 4).
-                    refsnap = g.refsnap[a, :k, :]
-                    refsnap[from_st] = tT[st_ref]
-                    refsnap[~from_st] = g.ring[a].T[ring_ref]
-                    drows = g.drows[a, :k, :]
-                    np.subtract(tT[dv_idx], refsnap, out=drows)
-                    np.divide(drows, g.wl, out=drows)
-                # 4. Ring refresh from the staged tail.
-                g.ring[a, :, p0 : p0 + first] = tT[
-                    rstart - t0 : rstart - t0 + first
-                ].T
-                if kcols > first:
-                    g.ring[a, :, : kcols - first] = tT[
-                        rstart - t0 + first :
-                    ].T
-                # 5. Sequential prefix sums continuing the running sum
-                #    (same left-to-right association as repeated
-                #    push(): the first tick absorbs the running sum,
-                #    then cumsum walks down the time axis).
-                np.add(tT[0], g.csum[a], out=tT[0])
-                sT[0] = g.csum[a]
-                np.cumsum(tT, axis=0, out=sT[1:])
-                if k:
-                    # 6a. Value rows from the still-warm prefix sums.
-                    vstart = refsnap  # drows already materialized
-                    vstart[from_seq] = sT[seq_start]
-                    for idx, slab in pend:
-                        vstart[idx] = slab[j]
-                    rows = g.rows[a, :k, :]
-                    np.subtract(sT[end_idx], vstart, out=rows)
-                    np.divide(rows, g.wl, out=rows)
-                # 6b. Pending snapshots + running sum for the next burst.
-                for s_rel, slab in pushes:
-                    slab[j] = sT[s_rel]
-                g.csum[a] = sT[m]
-            if k:
-                # 7. Reduce + store: value rows, then derivative rows.
-                self._reduce(g, sl, g.rows[sl, :k, :], k)
-                feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-                self._reduce(g, sl, g.drows[sl, :k, :], k)
-                feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
-                g.emitted[sl] += k
-            self._advance(g, sl, total)
-            return k
-        else:
-            # float32 arenas normalize in the group dtype
-            # *after* the staged float64 gather lands in ``cols`` —
-            # fusing into the float64 stage would change the rounding
-            # story — so they keep the group-wide sweeps.
-            # 1. Gather + normalize.
-            st = g.stage[:, :m]
-            for j, B in enumerate(node_blocks):
-                B.take(perm[i + j], axis=0, out=st)
-                cols[j] = st
-            np.subtract(cols, g.lower[sl], out=cols)
-            np.divide(cols, g.span[sl], out=cols)
-            if g.deg_any:
-                np.copyto(cols, 0.5, where=g.deg_mask[sl])
-            np.clip(cols, 0.0, 1.0, out=cols)
-            # 2. Derivative windows first: they need raw normalized
-            #    columns, which the in-place cumsum of step 4
-            #    overwrites; references predating this burst still sit
-            #    untouched in the ring (only refreshed in step 3).
-            if k:
-                drows = g.drows[sl, :k, :]
-                for idx, s in enumerate(emits):
-                    cnt = s + g.wl
-                    ref = s - 1 if s > 0 else s
-                    ref_col = (
-                        cols[:, :, ref - t0]
-                        if ref >= t0
-                        else g.ring[sl, :, ref % size]
-                    )
-                    np.subtract(
-                        cols[:, :, cnt - 1 - t0], ref_col,
-                        out=drows[:, idx, :],
-                    )
-                np.divide(drows, g.wl, out=drows)
-            # 3. Ring refresh from the staged tail.
-            g.ring[sl, :, p0 : p0 + first] = cols[
-                :, :, rstart - t0 : rstart - t0 + first
+        runs = _ring_runs(t0, total, size)
+        if k:
+            starts = np.arange(emits.start, emits.stop, g.ws)
+            end_idx = starts + (g.wl - t0)
+            dv_idx = end_idx - 1
+            refs = np.where(starts > 0, starts - 1, starts)
+            from_st = refs >= t0
+            st_ref = (refs - t0)[from_st]
+            ring_ref = (refs % size)[~from_st]
+            from_seq = starts >= t0
+            seq_start = (starts - t0)[from_seq]
+            pend = [
+                (idx, g.pending(sl, s))
+                for idx, s in enumerate(emits)
+                if s < t0
             ]
-            if kcols > first:
-                g.ring[sl, :, : kcols - first] = cols[
-                    :, :, rstart - t0 + first :
-                ]
-            # 4. Sequential prefix sums continuing the running sum, in
-            #    place over the staged columns (same association as
-            #    repeated push(): cumsum left to right).
-            seq[:, :, 0] = g.csum[sl]
-            seq.cumsum(axis=2, out=seq)
-            # 5. Emits due inside this burst: value means from the
-            #    prefix sums (windows opened before the burst read their
-            #    snapshot slot), then the precomputed derivative rows.
+        pushes = [
+            (s - t0, g.pending(sl, s))
+            for s in _open_starts(total, g.wl, g.ws)
+            if s >= t0
+        ]
+        tT = g.block_stage[:m]
+        sT = g.block_psum[: m + 1]
+        ref_rows = g.block_ref[:k]
+        for j, B in enumerate(node_blocks):
+            a = i + j
+            # 1. Gather into sorted row order, time-major.
+            if B.flags.f_contiguous:
+                np.take(B.T, perm[a], axis=1, out=tT)
+            else:
+                rows = g.block_rows[:, :m]
+                np.take(B, perm[a], axis=0, out=rows)
+                tT[...] = rows.T
+            # 2. Min-max normalize (the batched _normalize).
+            np.subtract(tT, g.lower[a].T, out=tT)
+            np.divide(tT, g.span[a].T, out=tT)
+            if g.deg_any:
+                np.copyto(tT, 0.5, where=g.deg_mask[a].T)
+            np.clip(tT, 0.0, 1.0, out=tT)
             if k:
-                rows = g.rows[sl, :k, :]
-                for idx, s in enumerate(emits):
-                    cnt = s + g.wl
-                    start_cs = seq[:, :, s - t0] if s >= t0 else g.pending(sl, s)
-                    np.subtract(
-                        seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :]
-                    )
+                # 3. Derivative rows; references predating the burst
+                #    still sit untouched in the ring (refreshed in 4).
+                ref_rows[from_st] = tT[st_ref]
+                ref_rows[~from_st] = g.ring[a].T[ring_ref]
+                drows = g.drows[a, :k, :]
+                np.subtract(tT[dv_idx], ref_rows, out=drows)
+                np.divide(drows, g.wl, out=drows)
+            # 4. Ring refresh from the staged tail.
+            for ring_run, burst_run in runs:
+                g.ring[a, :, ring_run] = tT[burst_run].T
+            # 5. Sequential prefix sums continuing the running sum (same
+            #    left-to-right association as repeated push(): the first
+            #    tick absorbs the running sum, then cumsum walks down
+            #    the time axis).
+            np.add(tT[0], g.csum[a], out=tT[0])
+            sT[0] = g.csum[a]
+            np.cumsum(tT, axis=0, out=sT[1:])
+            if k:
+                # 6. Value rows from the still-warm prefix sums.
+                ref_rows[from_seq] = sT[seq_start]
+                for idx, slab in pend:
+                    ref_rows[idx] = slab[j]
+                rows = g.rows[a, :k, :]
+                np.subtract(sT[end_idx], ref_rows, out=rows)
                 np.divide(rows, g.wl, out=rows)
-                self._reduce(g, sl, rows, k)
-                feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-                self._reduce(g, sl, g.drows[sl, :k, :], k)
-                feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
-                g.emitted[sl] += k
-        # 6. Snapshot the windows this burst opened and leaves open.
-        for s in opened:
-            g.pending(sl, s)[...] = seq[:, :, s - t0]
-        # 7. Advance retained state (ring already refreshed in step 3).
-        g.csum[sl] = seq[:, :, m]
+            # 7. Pending snapshots + running sum for the next burst.
+            for s_rel, slab in pushes:
+                slab[j] = sT[s_rel]
+            g.csum[a] = sT[m]
+        if k:
+            # 8. Reduce + store: value rows, then derivative rows.
+            self._reduce(g, sl, g.rows[sl, :k, :], k)
+            feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
+            self._reduce(g, sl, g.drows[sl, :k, :], k)
+            feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
+            g.emitted[sl] += k
         self._advance(g, sl, total)
         return k
 

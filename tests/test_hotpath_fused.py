@@ -194,6 +194,41 @@ class TestReducedPrecisionModes:
             total += len(le)
         assert agree / total >= 0.95
 
+    @pytest.mark.parametrize("mode", SIGNATURE_MODES)
+    def test_outputs_do_not_depend_on_burst_lengths(self, small_setup, mode):
+        """float32 has no oracle, so pin it (and exact) to itself: the
+        per-node labels, confidences and signature bytes are the same
+        whatever burst lengths feed the arena — bursts within the
+        ``wl + 1 = 61``-column ring and beyond it, whole or split into
+        ``max_chunk`` sub-bursts.  The feed stays under 4096 samples,
+        float32's re-anchor interval, so every feed re-anchors alike."""
+        setup = small_setup
+        t = min(m.shape[1] for m in setup.eval_data.values())
+        assert t < 4096
+
+        def outputs(chunk, max_chunk):
+            arena = TickArena(
+                setup.trained.engine,
+                setup.trained.classifier.forest,
+                mode=mode,
+                max_chunk=max_chunk,
+            )
+            got = {}
+            for lo in range(0, t, chunk):
+                data = {p: m[:, lo : lo + chunk] for p, m in setup.eval_data.items()}
+                for path, labels, conf, sigs in _tick_record(arena, arena.tick(data)):
+                    rec = got.setdefault(path, ([], [], []))
+                    for acc, new in zip(rec, (labels, conf, sigs)):
+                        acc.extend(new)
+            return got
+
+        want = outputs(10, 256)
+        assert all(len(rec[0]) > 0 for rec in want.values())
+        for chunk, max_chunk in [
+            (61, 256), (62, 256), (200, 256), (700, 1024), (333, 100)
+        ]:
+            assert outputs(chunk, max_chunk) == want, (chunk, max_chunk)
+
     def test_unknown_backend_and_mode_raise(self, small_setup):
         with pytest.raises(TypeError, match="backend"):
             FleetFaultDetector(small_setup.trained, backend="staged")
@@ -226,37 +261,73 @@ class TestMemory:
             < reports["exact"]["state_bytes"]
         )
 
+    def test_exact_staging_does_not_grow_with_max_chunk(self, small_setup):
+        """Exact bursts longer than the ring run the time-major kernel,
+        so the group kernel's ``seq`` staging stays ring-sized however
+        long the bursts an exact arena is built for; float32 stages
+        whole bursts group-wide."""
+
+        def seq_shape(mode, max_chunk):
+            arena = TickArena(
+                small_setup.trained.engine,
+                small_setup.trained.classifier.forest,
+                mode=mode,
+                max_chunk=max_chunk,
+            )
+            return arena.groups[0].seq.shape
+
+        ring = small_setup.trained.engine.wl + 1
+        assert seq_shape("exact", 1024) == seq_shape("exact", 64)
+        assert seq_shape("exact", 1024)[-1] == ring + 1
+        assert seq_shape("float32", 1024)[-1] == 1024 + 1
+
+    @staticmethod
+    def _retained_bytes(setup, mode, chunk):
+        """Traced bytes a run of steady-state ``chunk``-sample ticks
+        retains after a 4-tick warm-up (buffers sized, pending
+        snapshots filled)."""
+        detector = FleetFaultDetector(
+            setup.trained,
+            record_history=False,
+            mode=mode,
+            max_chunk=chunk,
+        )
+        t = min(m.shape[1] for m in setup.eval_data.values())
+
+        def run(lo_start, n_ticks):
+            for i in range(n_ticks):
+                lo = lo_start + i * chunk
+                detector.process_block(
+                    {p: m[:, lo : lo + chunk] for p, m in setup.eval_data.items()}
+                )
+
+        run(0, 4)
+        gc.collect()
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        run(4 * chunk, min(10, (t - 4 * chunk) // chunk))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return after - before
+
     def test_steady_state_tick_retains_no_memory(self, small_setup):
         """The tracemalloc regression gate on the zero-allocation claim:
         after warm-up, a run of ticks must not grow traced memory (a
         single leaked column buffer would be tens of kilobytes here)."""
-        detector = FleetFaultDetector(
-            small_setup.trained,
-            record_history=False,
-            max_chunk=50,
-        )
+        retained = self._retained_bytes(small_setup, "exact", 50)
+        assert retained < 8192, f"steady-state ticks retained {retained} bytes"
 
-        def run(lo_start, n_ticks):
-            for i in range(n_ticks):
-                lo = lo_start + i * 50
-                detector.process_block(
-                    {
-                        p: m[:, lo : lo + 50]
-                        for p, m in small_setup.eval_data.items()
-                    }
-                )
-
-        run(0, 4)  # warm-up: buffers sized, pending snapshots filled
-        gc.collect()
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        run(200, 10)
-        gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert after - before < 8192, (
-            f"steady-state ticks retained {after - before} bytes"
-        )
+    @pytest.mark.parametrize(
+        "mode, chunk",
+        # float32 bursts of either length run the group kernel; exact
+        # bursts longer than the wl + 1 = 61-column ring the time-major
+        # one.
+        [("float32", 50), ("exact", 100), ("float32", 100)],
+    )
+    def test_every_kernel_retains_no_memory(self, small_setup, mode, chunk):
+        retained = self._retained_bytes(small_setup, mode, chunk)
+        assert retained < 8192, f"steady-state ticks retained {retained} bytes"
 
 
 class TestArenaValidation:
