@@ -12,10 +12,16 @@ fleet while producing the **same** alert events in ``exact`` mode
 window accuracy is recorded alongside so the tradeoff is a number, not
 a claim.
 
+A fleet-scale case replicates the trained nodes to 1000 and times the
+arena's tick alone at serving bursts (30 samples, exact, the service's
+``max_chunk``), recording the median tick and the arena's tick-scratch
+bytes: the cache-blocked kernel sizes that scratch per node tile, so it
+must not grow with the fleet.
+
 Results merge into ``results/tick_hotpath.csv`` and a summary is
 written to ``BENCH_tick.json``; ``tests/test_bench_guard.py`` fails if
-the recorded headline drops below the committed 2x floor or any
-recorded speedup falls below 1x.
+the recorded headline drops below the committed 2x floor, any recorded
+speedup falls below 1x or the 1000-node tick scratch exceeds 8 MiB.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import SCALE, TREES, merge_csv
-from repro.engine.hotpath import SIGNATURE_MODES
+from repro.engine.hotpath import SIGNATURE_MODES, TickArena
+from repro.service.api import replicate_setup
 from repro.service.detector import FleetFaultDetector, detect_naive
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
@@ -51,6 +59,9 @@ BLOCKS = 20
 #: larger chunk shows the per-tick overhead amortizing.
 CHUNKS = (10, 30)
 REPS = 3
+#: Fleet-scale case: replicas of the trained nodes, serving bursts.
+FLEET = 1000
+FLEET_CHUNK = 30
 
 _rows: list[tuple] = []
 _summary: dict[str, float] = {}
@@ -142,6 +153,31 @@ def test_fused_tick_beats_naive(setup64, chunk):
             f"chunk={chunk} fused/{mode} slower than the naive loop "
             f"({speedup:.2f}x)"
         )
+
+
+def test_fleet1000_tick(setup64):
+    """Median in-process arena tick and tick-scratch bytes at 1000
+    replicated nodes (exact, 30-sample bursts)."""
+    fleet = replicate_setup(setup64, FLEET)
+    arena = TickArena(
+        fleet.trained.engine,
+        fleet.trained.classifier.forest,
+        mode="exact",
+        max_chunk=FLEET_CHUNK,
+    )
+    paths = sorted(fleet.eval_data)
+    t = min(m.shape[1] for m in fleet.eval_data.values())
+    times = []
+    for lo in range(0, t - FLEET_CHUNK + 1, FLEET_CHUNK):
+        data = {p: fleet.eval_data[p][:, lo : lo + FLEET_CHUNK] for p in paths}
+        start = time.perf_counter()
+        arena.tick(data)
+        times.append(time.perf_counter() - start)
+    # The first ticks fill the pending windows; time the steady state.
+    steady = times[3:]
+    assert len(steady) >= 10
+    _summary["tick_fleet1000_ms"] = round(1e3 * float(np.median(steady)), 2)
+    _summary["scratch_bytes_fleet1000"] = arena.memory_report()["scratch_bytes"]
 
 
 def test_zz_write_summary():

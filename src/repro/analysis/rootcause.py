@@ -44,6 +44,17 @@ def block_sensors(model: CSModel, l: int, block: int) -> tuple[str, ...]:
     return tuple(model.sensor_names[i] for i in rows)
 
 
+def _cached_block_sensors(model: CSModel, l: int, block: int) -> tuple[str, ...]:
+    """:func:`block_sensors`, kept on the model per signature length and
+    block: replicas share their model, so a fleet builds each block's
+    names once per distinct model."""
+    key = (l, block)
+    names = model._block_names.get(key)
+    if names is None:
+        names = model._block_names[key] = block_sensors(model, l, block)
+    return names
+
+
 @dataclass(frozen=True)
 class BlockFinding:
     """One deviating block with its provenance."""
@@ -119,7 +130,7 @@ def explain_difference(
                 block=int(b),
                 delta_real=float(delta.real[b]),
                 delta_imag=float(delta.imag[b]),
-                sensors=block_sensors(model, l, int(b)),
+                sensors=_cached_block_sensors(model, l, int(b)),
             )
         )
     return findings

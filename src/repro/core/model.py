@@ -52,6 +52,9 @@ class CSModel:
     upper: np.ndarray
     sensor_names: tuple[str, ...] | None = None
     _inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: Sensor names per (signature length, block), filled by
+    #: :mod:`repro.analysis.rootcause` on first use.
+    _block_names: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.permutation = np.asarray(self.permutation, dtype=np.intp)

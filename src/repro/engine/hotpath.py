@@ -19,13 +19,21 @@ steady-state tick retains **zero** new numpy memory (asserted by a
 tracemalloc regression test) and its transient peak is bounded by a few
 index temporaries instead of per-stage matrices.
 
-Two kernels absorb a burst.  The group kernel (``TickArena._absorb``)
-stages a whole geometry group's normalized columns behind its running
-sums and sweeps them together; it takes every float32 burst and every
-exact burst up to the ``wl + 1``-column ring.  Longer exact bursts —
-the store replayer's whole partitions — take a time-major kernel that
-walks one node at a time while its burst is cache-resident
-(``TickArena._absorb_block``).
+One kernel absorbs a burst (``TickArena._absorb``).  It is
+cache-blocked and time-major: a geometry group's nodes are taken in
+tiles of ``T`` nodes whose staging — the running sums followed by the
+burst's normalized samples, ``(m + 1, T, n)``, so each time step is
+one contiguous row of the tile's sensors — fits ``_TILE_BYTES``, and
+each tile runs every step (gather, normalize, derivative rows, ring
+refresh, prefix sums, value rows, block reduction, snapshots) while it
+is cache-resident, instead of one RAM sweep of the whole group per
+step.  ``T`` follows from the burst length, sensor count and dtype: 33
+nodes at 30-sample exact bursts of 128 sensors, one node for the store
+replayer's 1024-sample partitions (which run as two 512-sample
+halves, so one node's staging fits).  All tick scratch is sized per
+tile, so it is bounded by the tile budget: it does not grow with the
+fleet, nor with ``max_chunk`` beyond the longest sub-burst the budget
+admits.
 
 Exactness contract: in the default ``exact`` mode every floating-point
 operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
@@ -49,6 +57,7 @@ node array equals ``apply``'s bit for bit.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -69,6 +78,21 @@ _LEAF = -1
 #: ~4k ticks — free) instead of every 2^22.
 _F32_REANCHOR_INTERVAL = 1 << 12
 
+#: Byte budget of one node tile's ``(m + 1, T, n)`` staging.  Picked by
+#: measurement: a tile this size and its row scratch stay L2-resident
+#: through the whole absorb, and 1000-node serving ticks ran fastest
+#: here among 256 KiB-4 MiB (see ``EXPERIMENTS.md``).
+_TILE_BYTES = 1 << 20
+
+#: Prefix sums run as sequential row adds down the time axis once a
+#: tile row holds this many lanes (one ufunc call per sample amortizes
+#: over the whole tile); narrower tiles use ``cumsum`` along time.  Both
+#: add left to right, so they are bit-identical.  Neither path serves
+#: both shapes: at 33 x 128 lanes a cumsum runs 7-15x slower than row
+#: adds, while on the store replayer's one-node 512-sample tiles row
+#: adds alone cut its throughput by 16% (see ``EXPERIMENTS.md``).
+_ROW_ADD_LANES = 256
+
 
 def _emits_between(t0: int, total: int, wl: int, ws: int) -> range:
     """Starts of the windows that complete while the sample count grows
@@ -88,10 +112,10 @@ def _open_starts(count: int, wl: int, ws: int) -> range:
 
 def _ring_runs(t0: int, total: int, size: int) -> list:
     """Where a burst's staged tail lands in the ring: the last ``size``
-    columns (all of them for shorter bursts), each at its ``t % size``
+    samples (all of them for shorter bursts), each at its ``t % size``
     slot, as at most two ``(ring slice, burst slice)`` runs around the
     wrap point.  Later bursts then see exactly the state a chain of
-    single-column pushes would have left."""
+    single-sample pushes would have left."""
     rstart = max(t0, total - size)
     kcols = total - rstart
     p0 = rstart % size
@@ -103,12 +127,57 @@ def _ring_runs(t0: int, total: int, size: int) -> list:
     return runs
 
 
-class _NonFinite(Exception):
-    """A fused sub-burst held NaN/Inf values; nothing retained changed."""
+class _BurstPlan:
+    """What one ``m``-sample burst from sample count ``t0`` reads and
+    writes — computed once per kernel call and shared by its tiles.
 
-    def __init__(self, paths):
-        super().__init__(paths)
-        self.paths = list(paths)
+    Staging rows: ``cols[j]`` is sample ``t0 + j`` and ``seq[j]`` the
+    running sum after ``t0 + j`` samples.  Emitted windows start
+    ``ws`` apart, so the reads of those lying inside the burst are one
+    strided slice each (``*_rest``); the few reaching back before it —
+    into the ring or the pending snapshots — are read one by one
+    (``*_each``).
+    """
+
+    __slots__ = (
+        "m", "total", "k", "d_each", "d_rest", "v_each", "v_rest",
+        "ring_runs", "opens",
+    )
+
+    def __init__(self, t0: int, m: int, wl: int, ws: int, size: int):
+        total = t0 + m
+        emits = _emits_between(t0, total, wl, ws)
+        self.m, self.total, self.k = m, total, len(emits)
+
+        def stride(idx: int, first: int):
+            return slice(first, first + (self.k - idx - 1) * ws + 1, ws)
+
+        # Derivative rows: the window's last sample minus the sample
+        # before its start (the start itself for window 0), ``ref``
+        # relative to the burst (negative: still in ring row ``slot``).
+        self.d_each = []
+        self.d_rest = None
+        for idx, s in enumerate(emits):
+            if s > t0:
+                self.d_rest = (
+                    idx, stride(idx, s + wl - 1 - t0), stride(idx, s - 1 - t0)
+                )
+                break
+            ref = s - 1 if s > 0 else s
+            self.d_each.append((idx, s + wl - 1 - t0, ref - t0, ref % size))
+        # Value rows: the running sum at the window's end minus the one
+        # at its start (a pending snapshot for windows begun earlier).
+        self.v_each = []
+        self.v_rest = None
+        for idx, s in enumerate(emits):
+            if s >= t0:
+                self.v_rest = (idx, stride(idx, s + wl - t0), stride(idx, s - t0))
+                break
+            self.v_each.append((idx, s + wl - t0, s))
+        self.ring_runs = _ring_runs(t0, total, size)
+        self.opens = [
+            (s, s - t0) for s in _open_starts(total, wl, ws) if s >= t0
+        ]
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -124,15 +193,15 @@ def _all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(x).all())
 
 
-def _check_finite(seq: np.ndarray, cols: np.ndarray, paths) -> None:
-    """Raise :class:`_NonFinite` naming the nodes whose gathered columns
-    ``cols`` (a view into the contiguous ``seq``, whose first column is
-    the finite running sum) hold a NaN/Inf value."""
-    if _all_finite(seq):
-        return
-    bad = ~np.isfinite(cols).all(axis=(1, 2))
-    if bad.any():
-        raise _NonFinite(p for p, b in zip(paths, bad) if b)
+def _true_runs(ok: np.ndarray) -> list:
+    """``(lo, hi)`` bounds of the runs of True in the boolean ``ok``."""
+    edges = np.flatnonzero(np.diff(ok, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous ``shape`` view over the front of the flat ``buf``."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 class _ForestWorkspace:
@@ -294,14 +363,20 @@ class _ForestWorkspace:
 class _GroupState:
     """Arena of one geometry group: all nodes sharing a sensor count.
 
-    State is stacked column-major ``(c, n, ...)`` — node, sensor row,
-    time — the same shape ``IncrementalSignatureCore._absorb`` works
-    in, so every kernel below is the batched twin of one of its lines.
-    Each node keeps its own sample count and re-anchor point.  Pending
-    window snapshots are addressed by window start (:meth:`pending`),
-    so a node's pending set follows from its count alone: nodes with
-    equal counts and anchors share one batched kernel call, whatever
-    ragged ticks came before.
+    State is stacked node-major and sensor-innermost — ``(c, ..., n)``:
+    the ring is ``(c, wl + 1, n)``, so every time step of a node is one
+    contiguous row of ``n`` sensors, and each kernel step below is the
+    batched twin of one line of ``IncrementalSignatureCore._absorb``
+    running over whole rows.  Each node keeps its own sample count and
+    re-anchor point.  Pending window snapshots are addressed by window
+    start (:meth:`pending`), so a node's pending set follows from its
+    count alone: nodes with equal counts and anchors share one batched
+    kernel call, whatever ragged ticks came before.
+
+    Tick scratch is flat and sized for one node *tile* (:meth:`tile`),
+    not for the group: a kernel call views the front of each buffer in
+    the shape its tile needs, so the scratch bytes are bounded by the
+    tile budget, whatever the group size and ``max_m``.
     """
 
     def __init__(self, paths, models, l, wl, ws, max_m, dtype):
@@ -311,15 +386,15 @@ class _GroupState:
         self.c, self.n, self.l = c, n, int(l)
         self.wl, self.ws = int(wl), int(ws)
         self.size = self.wl + 1
-        self.max_m = int(max_m)
-        #: Exact arenas absorb bursts longer than the ring in the
-        #: time-major :meth:`TickArena._absorb_block` kernel; float32
-        #: arenas run every burst through the group kernel.
         self.exact = dtype == np.float64
-        #: Longest burst the group kernel absorbs in exact mode — the
-        #: bursts :meth:`TickArena.tick` can check after the gather.
-        self.check_max = min(self.size, self.max_m)
         self.dtype = dtype
+        self.itemsize = np.dtype(dtype).itemsize
+        self.tile_bytes = _TILE_BYTES
+        #: Longest sub-burst one kernel call takes: ``max_m``, capped so
+        #: one node's ``(m + 1, n)`` staging fits the tile budget.
+        self.max_m = max(
+            1, min(int(max_m), self.tile_bytes // (n * self.itemsize) - 1)
+        )
         self.bstarts, self.bends = partition_bounds(n, self.l)
         self.widths = (self.bends - self.bstarts).astype(np.float64)
         if dtype != np.float64:
@@ -327,24 +402,24 @@ class _GroupState:
         # Per-node model parameters, permuted row order (cf.
         # IncrementalSignatureCore.__init__).
         self.perm = np.empty((c, n), dtype=np.intp)
-        self.lower = np.empty((c, n, 1), dtype=dtype)
+        self.lower = np.empty((c, n), dtype=dtype)
         span = np.empty((c, n), dtype=np.float64)
         for j, model in enumerate(models):
             perm = model.permutation
             self.perm[j] = perm
             lo = model.lower[perm]
-            self.lower[j, :, 0] = lo
+            self.lower[j] = lo
             span[j] = model.upper[perm] - lo
         degenerate = span <= 0.0
-        self.deg_mask = degenerate[:, :, None]
+        self.deg_mask = degenerate
         self.deg_any = bool(degenerate.any())
-        self.span = np.where(degenerate, 1.0, span).astype(dtype)[:, :, None]
+        self.span = np.where(degenerate, 1.0, span).astype(dtype)
         # Retained per-node streaming state.  The ring stores the last
-        # ``wl + 1`` normalized columns at position ``t % size`` (the
-        # streaming core's layout): a tick writes only its new columns and
-        # derivative references read single columns — no chronological
-        # tail is ever materialized.
-        self.ring = np.zeros((c, n, self.size), dtype=dtype)
+        # ``wl + 1`` normalized samples at row ``t % size`` (the
+        # streaming core's ring, transposed): a tick writes only its new
+        # rows and derivative references read single rows — no
+        # chronological tail is ever materialized.
+        self.ring = np.zeros((c, self.size, n), dtype=dtype)
         self.csum = np.zeros((c, n), dtype=dtype)
         self.counts = np.zeros(c, dtype=np.int64)
         self.anchors = np.zeros(c, dtype=np.int64)
@@ -357,59 +432,51 @@ class _GroupState:
         #: is always rewritten before it is read again.
         self.P = -(-self.wl // self.ws) + 2
         self.pending_buf = np.empty((c, self.P, n), dtype=dtype)
-        # Tick scratch (content never survives a tick).  ``seq`` stages
-        # the group kernel's normalized columns behind the running sum,
-        # so it spans the longest burst that kernel takes.
-        self.kmax = self.max_m // self.ws + 1
-        seq_m = self.check_max if self.exact else self.max_m
-        self.seq = np.empty((c, n, seq_m + 1), dtype=dtype)
-        self.rows = np.empty((c, self.kmax, n), dtype=dtype)
-        #: Derivative rows: computed from the staged normalized columns
-        #: *before* the in-place cumsum overwrites them, so they need
-        #: their own landing area.
-        self.drows = np.empty((c, self.kmax, n), dtype=dtype)
-        self.psum = np.empty((c, self.kmax, n + 1), dtype=dtype)
-        self.sig = np.empty((c, self.kmax, self.l), dtype=dtype)
-        self.sig2 = np.empty((c, self.kmax, self.l), dtype=dtype)
-        self.base_scratch = np.empty((c, n), dtype=dtype)
-        #: float32 gathers land in float64 first, then round once.
-        self.stage = None if self.exact else np.empty((n, self.max_m))
-        #: Time-major staging of the exact long-burst kernel: one node's
-        #: gathered burst ``(m, n)``, its prefix sums ``(m+1, n)`` and
-        #: its window-start rows ``(kmax, n)``.  Store planes are
-        #: column-major ``(n, ticks)``, so their transpose is
-        #: C-contiguous time-major — gathers read contiguous
-        #: tick-columns, the cumsum runs down axis 0 with SIMD across
-        #: sensors, and the whole burst stays cache-resident through
-        #: normalize/derivative/window sweeps instead of five full-group
-        #: RAM passes.  ``block_rows`` is the row-major landing pad for
-        #: C-ordered (non-store) block sources.
-        if self.exact:
-            self.block_stage = np.empty((self.max_m, n))
-            self.block_psum = np.empty((self.max_m + 1, n))
-            self.block_rows = np.empty((n, self.max_m))
-            self.block_ref = np.empty((self.kmax, n))
-        else:
-            self.block_stage = self.block_psum = None
-            self.block_rows = self.block_ref = None
-        # Pre-fault the tick scratches: at partition-sized ``max_m`` the
-        # staging areas span tens of MB, and first-touch page faults
-        # inside the first fused burst cost an order of magnitude more
-        # than this one-time streaming fill at build time.
+        # Tick scratch (content never survives a tick), flat, sized for
+        # the largest tile any burst up to ``max_m`` samples takes:
+        # ``seq`` stages the running sum and the normalized samples,
+        # ``rows``/``drows`` the value and derivative row means (the
+        # latter are read off the staged samples *before* the in-place
+        # prefix sums overwrite them, so they need their own landing
+        # area), ``psum``/``sig``/``sig2`` the block reduction.
+        cap = dict.fromkeys(("seq", "rows", "psum", "sig", "tile"), 0)
+        for m in range(1, self.max_m + 1):
+            t, k = self.tile(m), m // self.ws + 1
+            cap["seq"] = max(cap["seq"], t * (m + 1) * n)
+            cap["rows"] = max(cap["rows"], t * k * n)
+            cap["psum"] = max(cap["psum"], t * k * (n + 1))
+            cap["sig"] = max(cap["sig"], t * k * self.l)
+            cap["tile"] = max(cap["tile"], t)
+        self.seq = np.empty(cap["seq"], dtype=dtype)
+        self.rows = np.empty(cap["rows"], dtype=dtype)
+        self.drows = np.empty(cap["rows"], dtype=dtype)
+        self.psum = np.empty(cap["psum"], dtype=dtype)
+        self.sig = np.empty(cap["sig"], dtype=dtype)
+        self.sig2 = np.empty(cap["sig"], dtype=dtype)
+        self.base_scratch = np.empty(cap["tile"] * n, dtype=dtype)
+        #: One node's gathered float64 burst, for the sources the
+        #: gather cannot land in ``seq`` directly: row-major blocks
+        #: (transposed on the copy in), float32 gathers (rounded once
+        #: on the copy in) and store planes bound for a strided tile row.
+        self.stage = np.empty(self.max_m * n)
+        # Pre-fault the scratches once at build time, not inside the
+        # first tick.
         self.pending_buf.fill(0)
         for scratch in self.scratches():
             scratch.fill(0)
 
+    def tile(self, m: int) -> int:
+        """Nodes per tile for ``m``-sample bursts: as many as fit one
+        ``(m + 1, n)`` staging each in the tile budget (at least one,
+        at most the group)."""
+        per_node = (m + 1) * self.n * self.itemsize
+        return max(1, min(self.c, self.tile_bytes // per_node))
+
     def scratches(self) -> list:
         """Every tick scratch buffer (content never survives a tick)."""
         return [
-            b
-            for b in (
-                self.seq, self.rows, self.drows, self.psum, self.sig,
-                self.sig2, self.base_scratch, self.stage, self.block_stage,
-                self.block_psum, self.block_rows, self.block_ref,
-            )
-            if b is not None
+            self.seq, self.rows, self.drows, self.psum, self.sig,
+            self.sig2, self.base_scratch, self.stage,
         ]
 
     def pending(self, nodes, start) -> np.ndarray:
@@ -449,14 +516,15 @@ class TickArena:
     max_chunk:
         Largest burst length the arenas are sized for; longer bursts are
         split into ``max_chunk`` sub-bursts, which is output-identical
-        (``push_block`` composes exactly).  Scratch memory scales with
-        it: serving loops keep the default, the store replayer passes
-        its partition/block size so whole recorded partitions absorb in
-        one fused pass.  Exact arenas run sub-bursts beyond the
-        ``wl + 1`` ring capacity through a time-major kernel and size
-        the group kernel's staging area to the ring alone; float32
-        arenas stage every sub-burst group-wide — bit-identical either
-        way.
+        (``push_block`` composes exactly).  Serving loops keep the
+        default, the store replayer passes its partition/block size so
+        whole recorded partitions absorb in as few passes as the tile
+        budget allows: a sub-burst is also capped so one node's
+        ``(m + 1, n)`` staging fits it (1023 exact samples of 128
+        sensors; a 1024-sample partition runs as two halves).  Tick
+        scratch is sized per node tile, so it is bounded by the tile
+        budget: it does not grow with the fleet, nor with
+        ``max_chunk`` beyond that sub-burst cap.
     paths:
         Optional subset of the engine's nodes; defaults to all of them.
 
@@ -467,9 +535,9 @@ class TickArena:
 
     Setting :attr:`reject_nonfinite` makes :meth:`tick` skip every
     node whose burst holds a NaN/Inf value — that node's state stays
-    untouched — and list it in :attr:`nonfinite`.  Serving-size exact
-    bursts are checked on the gathered columns, one reduction per
-    geometry group; longer or float32 bursts are checked on the input.
+    untouched — and list it in :attr:`nonfinite`.  Exact bursts up to
+    ``max_chunk`` are checked on the gathered samples, one reduction
+    per node tile; longer or float32 bursts are checked on the input.
     """
 
     #: Skip (instead of absorbing) bursts that hold NaN/Inf values.
@@ -516,9 +584,6 @@ class TickArena:
         by_n: dict[int, list[str]] = {}
         for p in wanted:
             by_n.setdefault(engine.model(p).n_sensors, []).append(p)
-        # Scratch is sized for full ``max_chunk`` sub-bursts; both
-        # kernels are bit-identical, so callers pick ``max_chunk``
-        # purely as a burst-capacity/memory trade-off.
         self.groups = [
             _GroupState(
                 ps,
@@ -592,15 +657,16 @@ class TickArena:
 
         Same layout as
         :meth:`repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        (the arena's per-node ring row *is* the streaming core's ring),
-        so checkpoints store the streaming core's format unchanged.
+        (the arena's per-node ring is the streaming core's ``(n, wl +
+        1)`` ring transposed back), so checkpoints store the streaming
+        core's format unchanged.
         """
         g, i = self._node[path]
         count = int(g.counts[i])
         starts = np.array(_open_starts(count, g.wl, g.ws), dtype=np.int64)
         snaps = g.pending(i, starts)  # fancy index: a (k, n) copy
         return {
-            "ring": g.ring[i].copy(),
+            "ring": g.ring[i].T.copy(),
             "csum": g.csum[i].copy(),
             "count": count,
             "emitted": int(g.emitted[i]),
@@ -652,7 +718,7 @@ class TickArena:
                         f"are not the windows open at count {count} "
                         f"({open_starts})"
                     )
-                g.ring[i] = ring
+                g.ring[i] = ring.T
                 g.csum[i] = csum
                 g.counts[i] = count
                 g.emitted[i] = int(st["emitted"])
@@ -686,12 +752,12 @@ class TickArena:
                 )
             if not B.shape[1]:
                 continue
-            # Exact bursts the group kernel absorbs in one call are
-            # checked there, on the gathered columns; the rest, float32
-            # bursts included, here on the input.
+            # Exact bursts the kernel absorbs in one call are checked
+            # there, tile by tile on the gathered samples; the rest,
+            # float32 bursts included, here on the input.
             if (
                 self.reject_nonfinite
-                and (not g.exact or B.shape[1] > g.check_max)
+                and (not g.exact or B.shape[1] > g.max_m)
                 and not _all_finite(B)
             ):
                 nonfinite.append(p)
@@ -726,40 +792,31 @@ class TickArena:
                 t0 = int(g.counts[0])
                 k_tick = len(_emits_between(t0, t0 + m, self.wl, self.ws))
                 hi = row + g.c * k_tick
-                try:
-                    self._feed(
-                        g,
-                        slice(0, g.c),
-                        [blocks[p] for _, p in present],
-                        feat2[row:hi].reshape(g.c, k_tick, self.n_features),
-                    )
-                except _NonFinite as bad:
-                    # Raised before the group changed (bursts needing
-                    # several calls were screened on input, so only the
-                    # first call can raise): feed the clean nodes one by
-                    # one below.
-                    nonfinite.extend(bad.paths)
-                    present = [
-                        (i, p) for i, p in present if p not in bad.paths
-                    ]
-                else:
-                    for i, p in present:
+                bad = self._feed(
+                    g,
+                    slice(0, g.c),
+                    [blocks[p] for _, p in present],
+                    feat2[row:hi].reshape(g.c, k_tick, self.n_features),
+                )
+                # A refused node's rows are classified with the rest
+                # but never handed out.
+                nonfinite.extend(bad)
+                for i, p in present:
+                    if p not in bad:
                         assigned[p] = (row + i * k_tick, k_tick)
-                    row = hi
-                    continue
+                row = hi
+                continue
             for i, p in present:
                 B = blocks[p]
                 t0 = int(g.counts[i])
                 k_i = len(_emits_between(t0, t0 + B.shape[1], self.wl, self.ws))
                 hi = row + k_i
-                try:
-                    self._feed(
-                        g,
-                        slice(i, i + 1),
-                        [B],
-                        feat2[row:hi].reshape(1, k_i, self.n_features),
-                    )
-                except _NonFinite:
+                if self._feed(
+                    g,
+                    slice(i, i + 1),
+                    [B],
+                    feat2[row:hi].reshape(1, k_i, self.n_features),
+                ):
                     nonfinite.append(p)
                     continue
                 assigned[p] = (row, k_i)
@@ -778,28 +835,28 @@ class TickArena:
         return out
 
     # ------------------------------------------------------------------
-    def _feed(self, g, sl, node_blocks, feat3) -> None:
+    def _feed(self, g, sl, node_blocks, feat3) -> list:
         """Absorb one burst per node of ``sl`` into the emit rows
-        ``feat3`` (every node at one count and one anchor).
+        ``feat3`` (every node at one count and one anchor); return the
+        paths refused for NaN/Inf values, in node order.
 
         Bursts longer than ``g.max_m`` run as consecutive sub-bursts
-        (``push_block`` composes exactly).  Each sub-burst runs the
-        group-wide kernel (:meth:`_absorb`), except exact sub-bursts
-        longer than the ``wl + 1`` ring — the store replayer's whole
-        partitions — which run the time-major kernel
-        (:meth:`_absorb_block`), whose node-at-a-time sweep keeps the
-        burst cache-resident: a 256-node x 1024-column exact feed took
-        17-33% longer through the group kernel.  Both kernels execute
-        the same floating-point operations in the same association
-        order, so the routing never changes a single output bit.
+        (``push_block`` composes exactly).  With :attr:`reject_nonfinite`
+        set, exact bursts that fit one kernel call are screened there,
+        tile by tile; the rest were screened on input by :meth:`tick`.
         """
+        m = node_blocks[0].shape[1]
+        screen = self.reject_nonfinite and g.exact and m <= g.max_m
+        bad: list | None = [] if screen else None
+        # Equal sub-bursts: a 1024-sample burst over a 1023-sample cap
+        # runs as 512 + 512, not 1023 + 1.
+        parts = -(-m // g.max_m)
+        step = -(-m // parts)
         off = 0
-        for lo in range(0, node_blocks[0].shape[1], g.max_m):
-            sub = [B[:, lo : lo + g.max_m] for B in node_blocks]
-            if g.exact and sub[0].shape[1] > g.size:
-                off += self._absorb_block(g, sl, sub, feat3, off)
-            else:
-                off += self._absorb(g, sl, sub, feat3, off)
+        for lo in range(0, m, step):
+            sub = [B[:, lo : lo + step] for B in node_blocks]
+            off += self._absorb(g, sl, sub, feat3, off, bad)
+        return bad or []
 
     def _advance(self, g, sl, total: int) -> None:
         """Step the nodes ``sl`` to ``total`` samples and periodically
@@ -808,229 +865,157 @@ class TickArena:
         shift harmlessly, they are rewritten before they are read)."""
         g.counts[sl] = total
         if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-            base = g.base_scratch[sl]
+            base = _view(g.base_scratch, sl.stop - sl.start, g.n)
             base[...] = g.csum[sl]
             np.subtract(g.csum[sl], base, out=g.csum[sl])
             snaps = g.pending_buf[sl]
             np.subtract(snaps, base[:, None, :], out=snaps)
             g.anchors[sl] = total
 
-    def _absorb(self, g, sl, node_blocks, feat3, off) -> int:
-        """One fused sub-burst (up to ``g.max_m`` columns) for the nodes
-        ``sl`` of group ``g``, group-wide.
+    def _absorb(self, g, sl, node_blocks, feat3, off, bad) -> int:
+        """One fused sub-burst (up to ``g.max_m`` samples) for the nodes
+        ``sl`` of group ``g``, one cache-resident node tile at a time.
+
+        Each tile of ``g.tile(m)`` nodes is gathered behind its running
+        sums into the ``seq`` scratch, then runs every remaining step
+        (:meth:`_sweep`) before the next tile is gathered.  With ``bad``
+        a list, each tile is screened right after its gather, before
+        anything retained changes: nodes holding a NaN/Inf value are
+        appended to ``bad`` and left untouched, and the tile's clean
+        runs are swept as sub-slices — every step is per node, so that
+        is bit-identical to sweeping them in any other grouping.
+        Returns the number of signatures emitted per node.
+        """
+        m = node_blocks[0].shape[1]
+        plan = _BurstPlan(int(g.counts[sl.start]), m, g.wl, g.ws, g.size)
+        tile = g.tile(m)
+        for lo in range(sl.start, sl.stop, tile):
+            hi = min(lo + tile, sl.stop)
+            rel = lo - sl.start
+            # 1. Gather into sorted row order behind the running sums:
+            #    ``seq[t]`` holds sample row ``t - 1`` of every node of
+            #    the tile, sensors innermost.
+            seq = _view(g.seq, m + 1, hi - lo, g.n)
+            seq[0] = g.csum[lo:hi]
+            for j in range(hi - lo):
+                self._gather(g, node_blocks[rel + j], g.perm[lo + j], seq[1:, j])
+            runs = [(0, hi - lo)]
+            if bad is not None and not _all_finite(seq):
+                ok = np.isfinite(seq[1:]).all(axis=(0, 2))
+                bad.extend(p for p, good in zip(g.paths[lo:hi], ok) if not good)
+                runs = _true_runs(ok)
+            for a, b in runs:
+                self._sweep(
+                    g, slice(lo + a, lo + b), seq[:, a:b],
+                    feat3[rel + a : rel + b, off : off + plan.k], plan,
+                )
+        return plan.k
+
+    @staticmethod
+    def _gather(g, B, perm, dst) -> None:
+        """Land one node's ``(n, m)`` burst in ``dst`` (``(m, n)``),
+        sensor rows in ``perm`` order."""
+        m = B.shape[1]
+        if B.flags.f_contiguous:
+            # Store planes are column-major, so their transpose is
+            # C-contiguous time-major: the take reads whole sample rows.
+            if g.exact and dst.flags.c_contiguous:
+                B.T.take(perm, axis=1, out=dst, mode="clip")
+                return
+            src = _view(g.stage, m, g.n)
+            B.T.take(perm, axis=1, out=src, mode="clip")
+        else:
+            src = _view(g.stage, g.n, m)
+            B.take(perm, axis=0, out=src, mode="clip")
+            src = src.T
+        dst[...] = src
+
+    def _sweep(self, g, rs, seq, feat, plan) -> None:
+        """Steps 2-8 of one sub-burst for the nodes ``rs``: their staged
+        running sums and samples ``seq`` (``(m + 1, nodes, n)``) and
+        their emit rows ``feat`` (``(nodes, k, 2 l)``).
 
         The batched twin of ``IncrementalSignatureCore._absorb``: every
         numbered step mirrors one of its operations in the same
-        floating-point association order, into preallocated buffers.
-        Normalized columns are staged in the ``seq`` scratch, not the
-        ring, so the burst length is not capped by the ring's
-        ``wl + 1`` slots.  Returns the number of signatures emitted per
-        node.
+        floating-point association order, into preallocated buffers,
+        over whole sample rows of the tile.
         """
-        m = node_blocks[0].shape[1]
-        t0 = int(g.counts[sl.start])
-        total = t0 + m
-        size = g.size
-        starts = _emits_between(t0, total, g.wl, g.ws)
-        k = len(starts)
-        # 1. Gather into sorted row order behind the running sum in a
-        #    contiguous ``(nodes, n, m + 1)`` view of the ``seq``
-        #    scratch.  Nothing retained has changed yet, so a
-        #    non-finite burst can still be refused here.
-        nodes = sl.stop - sl.start
-        seq = g.seq.reshape(-1)[: nodes * g.n * (m + 1)]
-        seq = seq.reshape(nodes, g.n, m + 1)
-        cols = seq[:, :, 1:]
-        perm = g.perm
-        i = sl.start
-        if g.exact:
-            for j, B in enumerate(node_blocks):
-                B.take(perm[i + j], axis=0, out=cols[j])
-        else:
-            st = g.stage[:, :m]
-            for j, B in enumerate(node_blocks):
-                B.take(perm[i + j], axis=0, out=st)
-                cols[j] = st
-        seq[:, :, 0] = g.csum[sl]
-        if self.reject_nonfinite and g.exact:
-            _check_finite(seq, cols, g.paths[sl])
+        nt = rs.stop - rs.start
+        cols = seq[1:]
+        k = plan.k
         # 2. Min-max normalize in place (the batched _normalize):
         #    subtract, divide, degenerate rows to 0.5, clip.
-        np.subtract(cols, g.lower[sl], out=cols)
-        np.divide(cols, g.span[sl], out=cols)
+        np.subtract(cols, g.lower[rs], out=cols)
+        np.divide(cols, g.span[rs], out=cols)
         if g.deg_any:
-            np.copyto(cols, 0.5, where=g.deg_mask[sl])
-        np.clip(cols, 0.0, 1.0, out=cols)
-        # 3. Derivative rows need the raw normalized columns, which the
-        #    in-place cumsum of step 5 overwrites; references predating
-        #    this burst still sit untouched in the ring (``ref >= t0 -
-        #    wl``, refreshed only in step 4).
+            np.copyto(cols, 0.5, where=g.deg_mask[rs])
+        cols.clip(0.0, 1.0, out=cols)
+        # 3. Derivative rows need the raw normalized samples, which the
+        #    in-place prefix sums of step 5 overwrite; references
+        #    predating this burst still sit untouched in the ring
+        #    (refreshed only in step 4).
         if k:
-            drows = g.drows[sl, :k, :]
-            for idx, s in enumerate(starts):
-                ref = s - 1 if s > 0 else s
-                ref_col = (
-                    cols[:, :, ref - t0]
-                    if ref >= t0
-                    else g.ring[sl, :, ref % size]
-                )
-                np.subtract(
-                    cols[:, :, s + g.wl - 1 - t0], ref_col,
-                    out=drows[:, idx, :],
-                )
+            drows = _view(g.drows, k, nt, g.n)
+            for idx, last, ref, slot in plan.d_each:
+                ref_row = cols[ref] if ref >= 0 else g.ring[rs, slot]
+                np.subtract(cols[last], ref_row, out=drows[idx])
+            if plan.d_rest is not None:
+                i0, lasts, refs = plan.d_rest
+                np.subtract(cols[lasts], cols[refs], out=drows[i0:])
             np.divide(drows, g.wl, out=drows)
         # 4. Ring refresh from the staged tail.
-        for ring_run, burst_run in _ring_runs(t0, total, size):
-            g.ring[sl, :, ring_run] = cols[:, :, burst_run]
+        for ring_run, burst_run in plan.ring_runs:
+            g.ring[rs, ring_run] = cols[burst_run].transpose(1, 0, 2)
         # 5. Sequential prefix sums continuing the running sum, in place
-        #    (same left-to-right association as repeated push()).
-        seq.cumsum(axis=2, out=seq)
+        #    (same left-to-right association as repeated push()): one
+        #    add per sample row across the tile, or a cumsum down the
+        #    time axis when the rows are too narrow to amortize a call
+        #    each.
+        if nt * g.n >= _ROW_ADD_LANES:
+            prev = seq[0]
+            for cur in seq[1:]:
+                np.add(prev, cur, out=cur)
+                prev = cur
+        else:
+            np.cumsum(seq, axis=0, out=seq)
         # 6. Emits due inside this sub-burst: value means from the
         #    prefix sums (windows opened before the burst read their
-        #    snapshot slot), then the derivative rows of step 3.
+        #    snapshot slot), then both row sets reduce into the features.
         if k:
-            rows = g.rows[sl, :k, :]
-            for idx, s in enumerate(starts):
-                start_cs = seq[:, :, s - t0] if s >= t0 else g.pending(sl, s)
-                np.subtract(
-                    seq[:, :, s + g.wl - t0], start_cs, out=rows[:, idx, :]
-                )
+            rows = _view(g.rows, k, nt, g.n)
+            for idx, end, s in plan.v_each:
+                np.subtract(seq[end], g.pending(rs, s), out=rows[idx])
+            if plan.v_rest is not None:
+                i0, ends, starts = plan.v_rest
+                np.subtract(seq[ends], seq[starts], out=rows[i0:])
             np.divide(rows, g.wl, out=rows)
-            self._reduce(g, sl, rows, k)
-            feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-            self._reduce(g, sl, g.drows[sl, :k, :], k)
-            feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
-            g.emitted[sl] += k
+            feat_k = feat.transpose(1, 0, 2)
+            self._reduce(g, rows, feat_k[:, :, : g.l])
+            self._reduce(g, drows, feat_k[:, :, g.l :])
+            g.emitted[rs] += k
         # 7. Snapshot the windows this burst opened and leaves open
         #    (every pending read of step 6 is done).
-        for s in _open_starts(total, g.wl, g.ws):
-            if s >= t0:
-                g.pending(sl, s)[...] = seq[:, :, s - t0]
+        for s, idx in plan.opens:
+            g.pending(rs, s)[...] = seq[idx]
         # 8. Advance retained state: running sum, counts, periodic
         #    re-anchor (the ring is already current after step 4).
-        g.csum[sl] = seq[:, :, m]
-        self._advance(g, sl, total)
-        return k
+        g.csum[rs] = seq[plan.m]
+        self._advance(g, rs, plan.total)
 
-    def _absorb_block(self, g, sl, node_blocks, feat3, off) -> int:
-        """One fused exact sub-burst longer than the ring, node by node.
-
-        The same steps as :meth:`_absorb`, fused into one *time-major*
-        pass per node: gather, normalize, derivative rows, ring refresh,
-        prefix sums, value rows and pending snapshots all touch one
-        node's burst while it is cache-resident, instead of full-group
-        RAM sweeps (only single prefix-sum rows leave the cache).  Store
-        planes are column-major, so their transpose is C-contiguous
-        time-major: gathers read contiguous tick-columns and the cumsum
-        runs down axis 0 with SIMD across sensors.  Every operation is
-        elementwise (or a sensor-independent cumsum) with per-node
-        operands identical to the group-wide form — IEEE addition is
-        commutative, so seeding the first tick with the running sum
-        reproduces the chained cumsum bit for bit.  Snapshot slot views
-        are resolved once, outside the node loop; each node reads its
-        pending rows before writing the windows it opens, so a slot
-        both read and rewritten is safe.
-        """
-        m = node_blocks[0].shape[1]
-        t0 = int(g.counts[sl.start])
-        total = t0 + m
-        size = g.size
-        emits = _emits_between(t0, total, g.wl, g.ws)
-        k = len(emits)
-        perm = g.perm
-        i = sl.start
-        runs = _ring_runs(t0, total, size)
-        if k:
-            starts = np.arange(emits.start, emits.stop, g.ws)
-            end_idx = starts + (g.wl - t0)
-            dv_idx = end_idx - 1
-            refs = np.where(starts > 0, starts - 1, starts)
-            from_st = refs >= t0
-            st_ref = (refs - t0)[from_st]
-            ring_ref = (refs % size)[~from_st]
-            from_seq = starts >= t0
-            seq_start = (starts - t0)[from_seq]
-            pend = [
-                (idx, g.pending(sl, s))
-                for idx, s in enumerate(emits)
-                if s < t0
-            ]
-        pushes = [
-            (s - t0, g.pending(sl, s))
-            for s in _open_starts(total, g.wl, g.ws)
-            if s >= t0
-        ]
-        tT = g.block_stage[:m]
-        sT = g.block_psum[: m + 1]
-        ref_rows = g.block_ref[:k]
-        for j, B in enumerate(node_blocks):
-            a = i + j
-            # 1. Gather into sorted row order, time-major.
-            if B.flags.f_contiguous:
-                np.take(B.T, perm[a], axis=1, out=tT)
-            else:
-                rows = g.block_rows[:, :m]
-                np.take(B, perm[a], axis=0, out=rows)
-                tT[...] = rows.T
-            # 2. Min-max normalize (the batched _normalize).
-            np.subtract(tT, g.lower[a].T, out=tT)
-            np.divide(tT, g.span[a].T, out=tT)
-            if g.deg_any:
-                np.copyto(tT, 0.5, where=g.deg_mask[a].T)
-            np.clip(tT, 0.0, 1.0, out=tT)
-            if k:
-                # 3. Derivative rows; references predating the burst
-                #    still sit untouched in the ring (refreshed in 4).
-                ref_rows[from_st] = tT[st_ref]
-                ref_rows[~from_st] = g.ring[a].T[ring_ref]
-                drows = g.drows[a, :k, :]
-                np.subtract(tT[dv_idx], ref_rows, out=drows)
-                np.divide(drows, g.wl, out=drows)
-            # 4. Ring refresh from the staged tail.
-            for ring_run, burst_run in runs:
-                g.ring[a, :, ring_run] = tT[burst_run].T
-            # 5. Sequential prefix sums continuing the running sum (same
-            #    left-to-right association as repeated push(): the first
-            #    tick absorbs the running sum, then cumsum walks down
-            #    the time axis).
-            np.add(tT[0], g.csum[a], out=tT[0])
-            sT[0] = g.csum[a]
-            np.cumsum(tT, axis=0, out=sT[1:])
-            if k:
-                # 6. Value rows from the still-warm prefix sums.
-                ref_rows[from_seq] = sT[seq_start]
-                for idx, slab in pend:
-                    ref_rows[idx] = slab[j]
-                rows = g.rows[a, :k, :]
-                np.subtract(sT[end_idx], ref_rows, out=rows)
-                np.divide(rows, g.wl, out=rows)
-            # 7. Pending snapshots + running sum for the next burst.
-            for s_rel, slab in pushes:
-                slab[j] = sT[s_rel]
-            g.csum[a] = sT[m]
-        if k:
-            # 8. Reduce + store: value rows, then derivative rows.
-            self._reduce(g, sl, g.rows[sl, :k, :], k)
-            feat3[:, off : off + k, : g.l] = g.sig[sl, :k, :]
-            self._reduce(g, sl, g.drows[sl, :k, :], k)
-            feat3[:, off : off + k, g.l :] = g.sig[sl, :k, :]
-            g.emitted[sl] += k
-        self._advance(g, sl, total)
-        return k
-
-    def _reduce(self, g, sl, rows, k) -> None:
-        """Block reduction (the batched ``segment_means``) into ``g.sig``."""
-        ps = g.psum[sl, :k, :]
+    @staticmethod
+    def _reduce(g, rows, out) -> None:
+        """Block reduction (the batched ``segment_means``) of ``rows``
+        (``(k, nodes, n)``) into ``out`` (``(k, nodes, l)``)."""
+        k, nt = rows.shape[:2]
+        ps = _view(g.psum, k, nt, g.n + 1)
         ps[:, :, 0] = 0.0
-        rows.cumsum(axis=2, out=ps[:, :, 1:])
-        sig = g.sig[sl, :k, :]
-        lo = g.sig2[sl, :k, :]
-        # Fancy-index gathers: ``take`` into these non-contiguous
-        # (sl, :k) views runs through numpy's buffered fallback.
-        sig[...] = ps[:, :, g.bends]
-        lo[...] = ps[:, :, g.bstarts]
-        np.subtract(sig, lo, out=sig)
-        np.divide(sig, g.widths, out=sig)
+        np.cumsum(rows, axis=2, out=ps[:, :, 1:])
+        hi = _view(g.sig, k, nt, g.l)
+        lo = _view(g.sig2, k, nt, g.l)
+        ps.take(g.bends, axis=2, out=hi, mode="clip")
+        ps.take(g.bstarts, axis=2, out=lo, mode="clip")
+        np.subtract(hi, lo, out=out)
+        np.divide(out, g.widths, out=out)
 
     # ------------------------------------------------------------------
     def memory_report(self) -> dict:

@@ -409,6 +409,10 @@ class FleetServer:
         #: nodes during a barrier stall cannot grow server memory.
         self._pending: dict[str, object] = {}
         self._cursor = 0
+        #: Registered nodes whose queue head is not the cursor tick —
+        #: the barrier is complete when it is empty.  Kept per routed
+        #: frame for the one node touched, rebuilt when the cursor moves.
+        self._missing: set[str] = set(self._queues)
         self._open_conns = 0
         self._had_conn = False
         self._eof_seen = False
@@ -492,6 +496,15 @@ class FleetServer:
                 self.stats.stray_dropped += 1
             return
         queue.push(frame.tick, frame.values, samples)
+        self._touch(frame.node, queue)
+
+    def _touch(self, path: str, queue: NodeQueue) -> None:
+        """Re-file one node after a push changed its queue."""
+        entries = queue.entries
+        if entries and entries[0][0] == self._cursor:
+            self._missing.discard(path)
+        else:
+            self._missing.add(path)
 
     def _route_error(self, error: FrameError) -> None:
         self.stats.garbage += 1
@@ -509,6 +522,7 @@ class FleetServer:
                 queue.entries[-1][0] + 1 if queue.entries else self._cursor
             )
             queue.push(tick, None, 0)
+            self._touch(error.node, queue)
 
     async def _handle_conn(self, reader, writer):
         self.stats.connections += 1
@@ -571,12 +585,20 @@ class FleetServer:
             self._idle_since = now
         return now - self._idle_since >= self.idle_grace
 
-    def _drop_stale(self) -> None:
-        for queue in self._queues.values():
+    def _move_cursor(self, tick: int) -> None:
+        """Set the cursor, drop queued ticks now below it and rebuild
+        the barrier's missing set.  Heads go stale only here:
+        ``_route_frame`` drops below-cursor frames on arrival."""
+        self._cursor = tick
+        missing = self._missing
+        missing.clear()
+        for path, queue in self._queues.items():
             entries = queue.entries
-            while entries and entries[0][0] < self._cursor:
+            while entries and entries[0][0] < tick:
                 entries.popleft()
                 self.stats.late_dropped += 1
+            if not (entries and entries[0][0] == tick):
+                missing.add(path)
 
     def _barrier_complete(self) -> bool:
         # Every node's queue must hold the tick *at the cursor* — a
@@ -586,11 +608,7 @@ class FleetServer:
         # non-empty check would then process — and ack — an empty
         # tick N, and a resuming client would trust that ack and never
         # retransmit the lost data.
-        cursor = self._cursor
-        return all(
-            q.entries and q.entries[0][0] == cursor
-            for q in self._queues.values()
-        )
+        return not self._missing
 
     def _any_queued(self) -> bool:
         return bool(self._pending) or any(
@@ -623,7 +641,7 @@ class FleetServer:
         self._n_alerts += opened
         if self.checkpoint is not None:
             self._events.extend(events)
-        self._cursor = cursor + 1
+        self._move_cursor(cursor + 1)
         self._ticks_done += 1
         if not self._recovering:
             if self._wal is not None:
@@ -663,16 +681,11 @@ class FleetServer:
         after it) and the tick waits.  False means only unsubscribed
         senders are missing, and the partial-fleet break goes ahead.
         """
-        cursor = self._cursor
-        feeders = {
-            self._feeders.get(path)
-            for path, q in self._queues.items()
-            if not (q.entries and q.entries[0][0] == cursor)
-        }
+        feeders = {self._feeders.get(path) for path in self._missing}
         feeders.discard(None)
         if not feeders:
             return False
-        self._send_ack(feeders & self._ack_subs, cursor - 1)
+        self._send_ack(feeders & self._ack_subs, self._cursor - 1)
         return True
 
     def _advance_to_next_queued(self) -> None:
@@ -681,7 +694,7 @@ class FleetServer:
             q.entries[0][0] for q in self._queues.values() if q.entries
         ]
         if ticks and min(ticks) > self._cursor:
-            self._cursor = min(ticks)
+            self._move_cursor(min(ticks))
 
     async def _pump(self):
         loop = asyncio.get_running_loop()
@@ -692,7 +705,6 @@ class FleetServer:
         # one dead agent *would* stall the world.
         deadline: float | None = None
         while True:
-            self._drop_stale()
             if self._barrier_complete():
                 self._process_tick()
                 self._timeout_streak = 0
@@ -862,11 +874,11 @@ class FleetServer:
             self._events = list(events)
             self._n_events = n_events
             self._n_alerts = n_alerts
-            self._cursor = int(server["cursor"])
             self._ticks_done = int(server["ticks_done"])
             wal_start = int(server["wal_index"])
             self._restore_blob(ckpt.array("server_queues"), pending=False)
             self._restore_blob(ckpt.array("server_pending"), pending=True)
+            self._move_cursor(int(server["cursor"]))
         if self._wal_dir is not None:
             self._wal, records = WalWriter.open(
                 self._wal_dir,
@@ -892,9 +904,8 @@ class FleetServer:
                         )
                     elif rec.rtype == REC_WATERMARK:
                         tick = int(json.loads(rec.payload)["tick"])
-                        self._drop_stale()
                         if tick > self._cursor:
-                            self._cursor = tick
+                            self._move_cursor(tick)
                         self._process_tick()
             finally:
                 self._recovering = False

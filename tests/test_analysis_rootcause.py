@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import rootcause
 from repro.analysis.rootcause import block_sensors, explain_difference
 from repro.core.training import train_cs_model
 
@@ -40,6 +41,32 @@ class TestBlockSensors:
 
 
 class TestExplainDifference:
+    def test_names_built_once_per_model(self, model, monkeypatch):
+        """A block's names are built on a model's first explanation of
+        it per signature length and reused after, by every node sharing
+        the model."""
+        calls = []
+        inner = rootcause.block_sensors
+
+        def counting(m, l, block):
+            calls.append((l, block))
+            return inner(m, l, block)
+
+        monkeypatch.setattr(rootcause, "block_sensors", counting)
+        ref = np.zeros(4, dtype=complex)
+        obs = np.array([0.1, 0.0, 0.9, 0.3], dtype=complex)
+        first = explain_difference(model, ref, obs, top=4)
+        for _ in range(3):
+            assert explain_difference(model, ref, obs, top=4) == first
+        explain_difference(model, np.zeros(6, dtype=complex),
+                           np.ones(6, dtype=complex))
+        assert sorted(calls) == sorted(set(calls))
+        assert {c for c in calls if c[0] == 4} == {(4, b) for b in range(4)}
+        assert len([c for c in calls if c[0] == 6]) == 3
+        assert [f.sensors for f in first] == [
+            inner(model, 4, f.block) for f in first
+        ]
+
     def test_ranks_largest_deviation_first(self, model):
         ref = np.zeros(4, dtype=complex)
         obs = np.array([0.1, 0.0, 0.9, 0.3], dtype=complex)

@@ -272,6 +272,23 @@ class TestTickGuard:
             < summary["memory_per_node_exact_bytes"]
         ), "float32 mode did not shrink per-node memory"
 
+    def test_fleet1000_tick_scratch_at_most_8mib(self):
+        """The cache-blocked kernel sizes tick scratch per node tile:
+        at 1000 nodes it must stay within 8 MiB (group-sized staging
+        took 44.3 MiB there)."""
+        summary = _load_summary(TICK_SUMMARY_JSON)
+        assert summary.get("tick_fleet1000_ms", 0) > 0, (
+            "BENCH_tick.json is missing tick_fleet1000_ms"
+        )
+        scratch = summary.get("scratch_bytes_fleet1000")
+        assert scratch is not None, (
+            "BENCH_tick.json is missing scratch_bytes_fleet1000"
+        )
+        assert scratch <= 8 << 20, (
+            f"1000-node tick scratch is {scratch / 2**20:.1f} MiB "
+            "(floor: 8 MiB)"
+        )
+
     def test_no_tick_speedup_below_one(self):
         summary = _load_summary(TICK_SUMMARY_JSON)
         speedups = {

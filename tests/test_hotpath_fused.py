@@ -15,7 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.engine import hotpath
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
+from repro.service.api import replicate_setup
 from repro.service.detector import FleetFaultDetector, detect_naive
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
@@ -261,25 +263,38 @@ class TestMemory:
             < reports["exact"]["state_bytes"]
         )
 
-    def test_exact_staging_does_not_grow_with_max_chunk(self, small_setup):
-        """Exact bursts longer than the ring run the time-major kernel,
-        so the group kernel's ``seq`` staging stays ring-sized however
-        long the bursts an exact arena is built for; float32 stages
-        whole bursts group-wide."""
+    def test_exact_staging_does_not_grow_with_max_chunk(
+        self, small_setup, monkeypatch
+    ):
+        """Tick scratch is sized per node tile, not per group: in both
+        modes its bytes do not grow with the node count, grow with
+        ``max_chunk`` only up to the longest sub-burst one node's
+        staging fits in the tile budget, and stay within a few budgets.
+        A 64 KiB budget caps the largest tile — 1-sample bursts — at 32
+        exact / 64 float32 nodes, so 64- and 160-node fleets both
+        outgrow it, and caps a sub-burst at 63 exact / 127 float32
+        samples: 16 and 60 lie below both caps, 256 and 1024 above."""
+        monkeypatch.setattr(hotpath, "_TILE_BYTES", 1 << 16)
 
-        def seq_shape(mode, max_chunk):
+        def scratch(mode, nodes, max_chunk):
+            setup = replicate_setup(small_setup, nodes)
             arena = TickArena(
-                small_setup.trained.engine,
-                small_setup.trained.classifier.forest,
+                setup.trained.engine,
+                setup.trained.classifier.forest,
                 mode=mode,
                 max_chunk=max_chunk,
             )
-            return arena.groups[0].seq.shape
+            return arena.memory_report()["scratch_bytes"]
 
-        ring = small_setup.trained.engine.wl + 1
-        assert seq_shape("exact", 1024) == seq_shape("exact", 64)
-        assert seq_shape("exact", 1024)[-1] == ring + 1
-        assert seq_shape("float32", 1024)[-1] == 1024 + 1
+        for mode in SIGNATURE_MODES:
+            by_chunk = {}
+            for max_chunk in (16, 60, 256, 1024):
+                got = {scratch(mode, nodes, max_chunk) for nodes in (64, 160)}
+                assert len(got) == 1, (mode, max_chunk, got)
+                by_chunk[max_chunk] = got.pop()
+            assert by_chunk[16] < by_chunk[60] < by_chunk[256], (mode, by_chunk)
+            assert by_chunk[256] == by_chunk[1024], (mode, by_chunk)
+            assert by_chunk[1024] <= 8 << 16, (mode, by_chunk)
 
     @staticmethod
     def _retained_bytes(setup, mode, chunk):
@@ -320,13 +335,23 @@ class TestMemory:
 
     @pytest.mark.parametrize(
         "mode, chunk",
-        # float32 bursts of either length run the group kernel; exact
-        # bursts longer than the wl + 1 = 61-column ring the time-major
-        # one.
+        # Bursts within and beyond the wl + 1 = 61-sample ring, in both
+        # precisions.
         [("float32", 50), ("exact", 100), ("float32", 100)],
     )
     def test_every_kernel_retains_no_memory(self, small_setup, mode, chunk):
         retained = self._retained_bytes(small_setup, mode, chunk)
+        assert retained < 8192, f"steady-state ticks retained {retained} bytes"
+
+    @pytest.mark.parametrize("mode", SIGNATURE_MODES)
+    def test_one_node_tiles_retain_no_memory(
+        self, small_setup, mode, monkeypatch
+    ):
+        """Tiles of one node take the other prefix-sum branch (a cumsum
+        down the time axis instead of one add per sample row)."""
+        itemsize = 8 if mode == "exact" else 4
+        monkeypatch.setattr(hotpath, "_TILE_BYTES", 51 * 128 * itemsize)
+        retained = self._retained_bytes(small_setup, mode, 50)
         assert retained < 8192, f"steady-state ticks retained {retained} bytes"
 
 
@@ -454,8 +479,9 @@ class TestRestore:
 class TestNonFiniteScreen:
     @pytest.mark.parametrize(
         "mode, m",
-        # exact serving bursts are screened on the gathered columns;
-        # bursts longer than the ring and float32 bursts on the input.
+        # exact bursts that fit one kernel call are screened on the
+        # gathered samples; longer (100 > max_chunk) and float32
+        # bursts on the input.
         [("exact", 10), ("exact", 100), ("float32", 10)],
     )
     def test_corrupt_burst_is_skipped_and_leaves_its_node_untouched(
@@ -523,3 +549,123 @@ class TestNonFiniteScreen:
         arena.tick({path: np.full((128, 10), np.nan)})
         assert arena.nonfinite == []
         assert arena.counts(path) == 10
+
+
+class TestTiles:
+    """The kernel's node tiles: forced down to ``T = 4`` nodes at
+    10-sample bursts (one node's staging is 11 x 128 samples), so
+    groups of 1, T - 1, T, T + 1 and 2T + 3 replicated nodes cover a
+    partial, a single, an exact and a ragged last tile."""
+
+    T = 4
+    CHUNK = 10
+
+    @classmethod
+    def _small_tiles(cls, monkeypatch, mode):
+        itemsize = 8 if mode == "exact" else 4
+        budget = cls.T * (cls.CHUNK + 1) * 128 * itemsize
+        monkeypatch.setattr(hotpath, "_TILE_BYTES", budget)
+
+    @staticmethod
+    def _arena(setup, mode, screen=False):
+        arena = TickArena(
+            setup.trained.engine,
+            setup.trained.classifier.forest,
+            mode=mode,
+            max_chunk=64,
+        )
+        arena.reject_nonfinite = screen
+        return arena
+
+    @classmethod
+    def _run(cls, arena, setup, ticks):
+        paths = sorted(setup.eval_data)
+        records = []
+        for t in range(ticks):
+            lo = t * cls.CHUNK
+            data = {p: setup.eval_data[p][:, lo : lo + cls.CHUNK] for p in paths}
+            records.append(_tick_record(arena, arena.tick(data)))
+        return records
+
+    @pytest.mark.parametrize("mode", SIGNATURE_MODES)
+    @pytest.mark.parametrize("nodes", [1, T - 1, T, T + 1, 2 * T + 3])
+    def test_tiles_are_route_invariant(self, small_setup, monkeypatch, mode, nodes):
+        """Small tiles give the bytes one whole-group tile gives; exact
+        ones also the streaming oracle's."""
+        setup = replicate_setup(small_setup, nodes)
+        whole = self._run(self._arena(setup, mode), setup, 30)
+        self._small_tiles(monkeypatch, mode)
+        arena = self._arena(setup, mode)
+        g = arena.groups[0]
+        assert g.tile(self.CHUNK) == min(self.T, nodes)
+        tiled = self._run(arena, setup, 30)
+        assert tiled == whole
+        if mode != "exact":
+            return
+        for path in setup.eval_data:
+            want = _oracle_signatures(setup, path, 30 * self.CHUNK)
+            got = [
+                sig for tick in tiled for p, _, _, sigs in tick if p == path
+                for sig in sigs
+            ]
+            assert got == [w.tobytes() for w in want] and got
+
+    @pytest.mark.parametrize("victim", [0, 5, 10], ids=["first", "middle", "last"])
+    def test_nonfinite_victim_in_any_tile(self, small_setup, monkeypatch, victim):
+        """A NaN/Inf burst in the first, a middle or the last tile of an
+        11-node group leaves its own node untouched and every other
+        node bit-identical to a run without it."""
+        setup = replicate_setup(small_setup, 2 * self.T + 3)
+        self._small_tiles(monkeypatch, "exact")
+        paths = sorted(setup.eval_data)
+        bad = paths[victim]
+        screened = self._arena(setup, "exact", screen=True)
+        reference = self._arena(setup, "exact", screen=True)
+        for t in range(8):
+            lo = t * self.CHUNK
+            data = {p: setup.eval_data[p][:, lo : lo + self.CHUNK] for p in paths}
+            want = dict(data)
+            if t in (2, 5):
+                before = screened.node_state(bad)
+                poisoned = data[bad].copy()
+                poisoned[7, 3] = np.nan if t == 2 else np.inf
+                data[bad] = poisoned
+                del want[bad]
+            got = _tick_record(screened, screened.tick(data))
+            assert [r for r in got if r[0] in want] == _tick_record(
+                reference, reference.tick(want)
+            )
+            if t in (2, 5):
+                assert screened.nonfinite == [bad]
+                assert (bad, [], [], []) in got
+                after = screened.node_state(bad)
+                for key, value in before.items():
+                    assert np.array_equal(after[key], value), key
+
+    def test_state_round_trip_across_tiles(self, small_setup, monkeypatch):
+        """``node_state`` is the streaming core's ``state_dict`` bit for
+        bit (the checkpoint format), and a fresh arena restored from it
+        continues bit-identically."""
+        setup = replicate_setup(small_setup, 2 * self.T + 3)
+        self._small_tiles(monkeypatch, "exact")
+        paths = sorted(setup.eval_data)
+        live = self._arena(setup, "exact")
+        upto = 7 * self.CHUNK + 3
+        live.tick({p: setup.eval_data[p][:, :upto] for p in paths})
+        states = {p: live.node_state(p) for p in paths}
+        for p in paths[:4]:
+            stream = setup.trained.engine.stream(p)
+            stream.push_block(setup.eval_data[p][:, :upto])
+            core = stream._core.state_dict()
+            assert sorted(core) == sorted(states[p])
+            for key, value in core.items():
+                got = np.asarray(states[p][key])
+                assert got.shape == np.shape(value), key
+                assert got.tobytes() == np.asarray(value).tobytes(), key
+        restored = self._arena(setup, "exact")
+        restored.restore_states(states)
+        for t in range(12):
+            lo = upto + t * self.CHUNK
+            data = {p: setup.eval_data[p][:, lo : lo + self.CHUNK] for p in paths}
+            want = _tick_record(live, live.tick(data))
+            assert _tick_record(restored, restored.tick(data)) == want
