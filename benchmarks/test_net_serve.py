@@ -14,8 +14,9 @@ held-out data by reference, so the benchmark measures serving
 throughput, not training time.
 
 Results merge into ``results/net_serve.csv`` and ``BENCH_service.json``
-(keys ``net_*``); ``tests/test_bench_guard.py`` enforces the
-1000-node floor and the byte-identity bit.
+(keys ``net_*`` and ``ingest_*``); ``tests/test_bench_guard.py``
+enforces the 1000-node floor, the byte-identity bit and the one-copy
+ingest bound.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,7 @@ from repro.service.api import (
     replicate_setup,
 )
 from repro.service.net import FleetServer, ListAlertSink, loadgen
+from repro.service.protocol import FrameDecoder, encode_binary
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "net_serve.csv"
@@ -231,6 +234,64 @@ def test_wal_overhead(base_config, base_setup, tmp_path):
     )
     assert snap["samples_per_s"] >= nodes, (
         "journaled server fell below the 1 Hz serving cadence"
+    )
+
+
+def test_ingest_copies_each_frame_once(base_setup):
+    """Bytes allocated to take in one 1000-frame tick, per frame.
+
+    The tick is received the way the server receives it: each socket
+    read lands in a :meth:`FrameDecoder.get_buffer` view (the copy here
+    stands in for ``recv_into``) and is decoded from there.  A warm-up
+    tick first sizes the connection's buffer, as on a live connection.
+    ``tracemalloc`` then sums, per read, the peak of traced memory over
+    what was traced before it, so transient copies count as well as
+    the frames the queues would keep.  One copy per frame reads about
+    1.0 times the frame's wire size.
+    """
+    setup = replicate_setup(base_setup, max(FLEET_SIZES))
+    paths = sorted(setup.eval_data)
+
+    def tick_bytes(tick: int) -> bytes:
+        lo = tick * CHUNK
+        return b"".join(
+            encode_binary(p, tick, setup.eval_data[p][:, lo : lo + CHUNK])
+            for p in paths
+        )
+
+    decoder = FrameDecoder()
+
+    def receive(stream: bytes) -> tuple[list, int]:
+        data = memoryview(stream)
+        frames: list = []
+        allocated = pos = 0
+        while pos < len(data):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            view = decoder.get_buffer()
+            n = min(len(view), len(data) - pos)
+            view[:n] = data[pos : pos + n]
+            got, errors = decoder.feed(view[:n])
+            assert errors == []
+            frames += got
+            allocated += tracemalloc.get_traced_memory()[1] - before
+            pos += n
+        return frames, allocated
+
+    receive(tick_bytes(0))
+    stream = tick_bytes(1)
+    tracemalloc.start()
+    try:
+        frames, allocated = receive(stream)
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == len(paths)
+    per_frame = allocated / len(frames)
+    wire = len(stream) / len(frames)
+    _summary["ingest_alloc_bytes_per_frame"] = round(per_frame, 1)
+    _summary["ingest_wire_bytes_per_frame"] = round(wire, 1)
+    assert per_frame <= 1.1 * wire, (
+        f"ingest allocated {per_frame:.0f} B per {wire:.0f} B frame"
     )
 
 

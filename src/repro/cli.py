@@ -59,19 +59,6 @@ import functools
 import sys
 from pathlib import Path
 
-from repro.experiments.reporting import (
-    CSVSink,
-    MarkdownSink,
-    print_table,
-)
-from repro.scenarios.options import (
-    add_shared_options,
-    options_from_args,
-    sinks_from_args,
-)
-from repro.scenarios.registry import get_scenario, list_scenarios
-from repro.scenarios.runner import execute
-
 __all__ = ["main", "console_main"]
 
 
@@ -87,6 +74,9 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import print_table
+    from repro.scenarios.registry import list_scenarios
+
     specs = list_scenarios(tag=args.tag)
     rows = [
         (
@@ -108,6 +98,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.scenarios.options import options_from_args, sinks_from_args
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.runner import execute
+
     try:
         spec = get_scenario(args.name)
     except KeyError as exc:
@@ -131,6 +125,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import CSVSink, MarkdownSink
+    from repro.scenarios.options import options_from_args, sinks_from_args
+    from repro.scenarios.registry import list_scenarios
+    from repro.scenarios.runner import execute
+
     specs = list_scenarios(tag=args.tag)
     results_dir = Path(args.results_dir) if args.results_dir else None
     failures = []
@@ -793,6 +792,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # The service and chaos flags are generated from their config
     # dataclasses (see ``repro.service.knobs``).
+    from repro.scenarios.options import add_shared_options
     from repro.service.knobs import add_flags
     from repro.service.netchaos import NetChaosConfig
 

@@ -157,7 +157,10 @@ def damped_oscillation_scan(
     )
     try:
         eigenvalues, P = np.linalg.eig(A)
-        if np.linalg.cond(P) > 1e8:
+        # The scan's error grows with cond(P): under 4% of a 1e-9
+        # relative tolerance below 1e4 on 800-sample series, 185% at
+        # 5.8e5.  The generators' dynamics sit near cond 6.
+        if np.linalg.cond(P) > 1e4:
             raise np.linalg.LinAlgError("defective oscillator dynamics")
         weights = np.linalg.solve(P, np.ones(2, dtype=P.dtype))
     except np.linalg.LinAlgError:

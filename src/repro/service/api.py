@@ -426,8 +426,3 @@ def serve(
     )
     server.run()
     return server.stats.snapshot()
-
-
-def default_model_dir() -> Path:  # pragma: no cover - convenience
-    """Where ``repro serve`` keeps implicit fleet models."""
-    return Path.home() / ".cache" / "repro" / "models"

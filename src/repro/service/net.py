@@ -35,9 +35,11 @@ Design decisions:
   unknown nodes surface as ``unknown-node`` guard events.
 * **Single loop, blocking compute.**  The tick computation runs on the
   event loop (numpy releases the GIL where it matters and the
-  container is single-CPU anyway); socket reads queue in kernel
-  buffers meanwhile, which is exactly the backpressure TCP gives for
-  free.
+  container is single-CPU anyway); arriving data waits in kernel
+  socket buffers meanwhile, which is exactly the backpressure TCP
+  gives for free.  Sockets ``recv_into`` their connection's decoder
+  buffer, and each binary frame is copied once, into the bytes its
+  queue entry, journal record and checkpoint blob share.
 
 The ops HTTP surface (:mod:`repro.service.ops`) runs on a second
 listener of the same loop and reads the same live objects.
@@ -118,7 +120,8 @@ class BackpressureConfig:
 
 
 class NodeQueue:
-    """One node's bounded ingress queue of ``(tick, values, samples)``.
+    """One node's bounded ingress queue of ``(tick, values, samples,
+    wire)`` (``wire``: see :attr:`~repro.service.protocol.Frame.wire`).
 
     ``push`` never blocks and never grows past ``queue_max``; overflow
     resolves by policy — ``drop-oldest`` evicts the head (stalest
@@ -139,7 +142,7 @@ class NodeQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def push(self, tick: int, values, samples: int) -> None:
+    def push(self, tick: int, values, samples: int, wire=None) -> None:
         entries = self.entries
         # Duplicate of a queued tick (a resuming client retransmitting
         # after loss): the retransmission replaces the queued burst in
@@ -147,7 +150,7 @@ class NodeQueue:
         for i in range(len(entries) - 1, -1, -1):
             queued = entries[i][0]
             if queued == tick:
-                entries[i] = (tick, values, samples)
+                entries[i] = (tick, values, samples, wire)
                 return
             if queued < tick:
                 break
@@ -161,13 +164,13 @@ class NodeQueue:
         # Ordered insert keeps the deque sorted by tick so the barrier
         # can trust the head; the in-order case is a plain append.
         if not entries or tick >= entries[-1][0]:
-            entries.append((tick, values, samples))
+            entries.append((tick, values, samples, wire))
             return
         for i in range(len(entries) - 1, -1, -1):
             if entries[i][0] < tick:
-                entries.insert(i + 1, (tick, values, samples))
+                entries.insert(i + 1, (tick, values, samples, wire))
                 return
-        entries.appendleft((tick, values, samples))
+        entries.appendleft((tick, values, samples, wire))
 
 
 class ServerStats:
@@ -413,8 +416,7 @@ class FleetServer:
         #: the barrier is complete when it is empty.  Kept per routed
         #: frame for the one node touched, rebuilt when the cursor moves.
         self._missing: set[str] = set(self._queues)
-        self._open_conns = 0
-        self._had_conn = False
+        self._conns: set = set()  # open _AgentConnection's
         self._eof_seen = False
         #: Monotonic moment ``_draining`` first observed the server
         #: idle (no open connections, no EOF); cleared whenever a
@@ -443,9 +445,9 @@ class FleetServer:
         self._recovering = False
         self._recovered = False
         self._timeout_streak = 0
-        #: Writers of connections that opted into per-tick acks.
+        #: Transports of connections that opted into per-tick acks.
         self._ack_subs: set = set()
-        #: Registered node -> writer of the latest ack-subscribed
+        #: Registered node -> transport of the latest ack-subscribed
         #: connection to send it a frame: a hole at such a node can
         #: still be filled, so the barrier deadline holds it (bounded
         #: by the fleet size).
@@ -480,7 +482,7 @@ class FleetServer:
         if self._wal is not None and not self._recovering:
             # Journal before queueing: once routing mutates state, the
             # frame must be replayable or a crash diverges.
-            self._wal.append_frame(frame.node, frame.tick, frame.values)
+            self._wal.append_frame(frame.node, frame.tick, frame.values, frame.wire)
         if queue is None:
             # Unknown node: hand it to the guard at the next tick so
             # the stray shows up as an `unknown-node` guard event.
@@ -495,7 +497,7 @@ class FleetServer:
             else:
                 self.stats.stray_dropped += 1
             return
-        queue.push(frame.tick, frame.values, samples)
+        queue.push(frame.tick, frame.values, samples, frame.wire)
         self._touch(frame.node, queue)
 
     def _touch(self, path: str, queue: NodeQueue) -> None:
@@ -524,52 +526,12 @@ class FleetServer:
             queue.push(tick, None, 0)
             self._touch(error.node, queue)
 
-    async def _handle_conn(self, reader, writer):
-        self.stats.connections += 1
-        self._open_conns += 1
-        self._had_conn = True
-        decoder = FrameDecoder()
-        subscribed = False
-        try:
-            while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
-                frames, errors = decoder.feed(data)
-                for frame in frames:
-                    if frame.control == "acks":
-                        # The sender wants per-tick acks (reconnecting
-                        # clients resume from the last acked tick):
-                        # start it at the current watermark.
-                        subscribed = True
-                        self._ack_subs.add(writer)
-                        self._send_ack((writer,), self._cursor - 1)
-                    elif subscribed and frame.node in self._queues:
-                        self._feeders[frame.node] = writer
-                    self._route_frame(frame)
-                for error in errors:
-                    self._route_error(error)
-                if frames or errors:
-                    self._wake.set()
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            for error in decoder.eof():
-                self._route_error(error)
-            self._ack_subs.discard(writer)
-            self._open_conns -= 1
-            self._wake.set()
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
-
     # -- the pump ------------------------------------------------------
     def _draining(self) -> bool:
         """No more input is coming; finish what is queued and stop."""
         if self._stop_requested:
             return True
-        if self._open_conns > 0 or not self._had_conn:
+        if self._conns or not self.stats.connections:
             self._idle_since = None
             return False
         if self._eof_seen:
@@ -622,7 +584,7 @@ class FleetServer:
         for path, queue in self._queues.items():
             entries = queue.entries
             if entries and entries[0][0] == cursor:
-                _, values, samples = entries.popleft()
+                _, values, samples, _ = entries.popleft()
                 burst[path] = values
                 tick_samples += samples
         for node, values in self._pending.items():
@@ -724,7 +686,7 @@ class FleetServer:
                 continue
             # Only a sender can be dead: a restarted server holds its
             # recovered queues until the first connection arrives.
-            if self._had_conn and self._any_queued():
+            if self.stats.connections and self._any_queued():
                 now = loop.time()
                 if deadline is None:
                     deadline = now + self.tick_timeout
@@ -777,8 +739,8 @@ class FleetServer:
         wal_index = self._wal.next_index if self._wal is not None else 0
         queue_blob = bytearray()
         for path, queue in self._queues.items():
-            for tick, values, _ in queue.entries:
-                queue_blob += encode_frame_payload(path, tick, values)
+            for tick, values, _, wire in queue.entries:
+                queue_blob += wire or encode_frame_payload(path, tick, values)
         pending_blob = bytearray()
         for node, values in self._pending.items():
             pending_blob += encode_frame_payload(node, 0, values)
@@ -815,7 +777,7 @@ class FleetServer:
             return
         decoder = FrameDecoder()
         frames, errors = decoder.feed(blob.tobytes())
-        if errors or decoder.pending:
+        if errors or decoder.eof():
             from repro.service.checkpoint import CheckpointError
 
             raise CheckpointError(
@@ -830,6 +792,7 @@ class FleetServer:
                     frame.tick,
                     frame.values,
                     self._frame_samples(frame.values),
+                    frame.wire,
                 )
 
     def _recover(self) -> None:
@@ -948,7 +911,7 @@ class FleetServer:
             "reasons": reasons,
             "tick": self._cursor,
             "nodes": len(self._queues),
-            "connections": self._open_conns,
+            "connections": len(self._conns),
             "quarantined": quarantined,
             "timeout_streak": self._timeout_streak,
             "wal": (
@@ -997,8 +960,8 @@ class FleetServer:
 
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn, self.host, self.requested_port
+        server = await self._loop.create_server(
+            lambda: _AgentConnection(self), self.host, self.requested_port
         )
         self.port = server.sockets[0].getsockname()[1]
         ops_server = None
@@ -1020,6 +983,9 @@ class FleetServer:
             await self._pump()
         finally:
             server.close()
+            for conn in list(self._conns):
+                conn.transport.close()
+            await asyncio.sleep(0)  # run their connection_lost
             if ops_server is not None:
                 ops_server.close()
             await server.wait_closed()
@@ -1073,6 +1039,52 @@ class FleetServer:
                 self._wake.set()
 
         loop.call_soon_threadsafe(_stop)
+
+
+class _AgentConnection(asyncio.BufferedProtocol):
+    """One agent connection of a :class:`FleetServer`: each chunk the
+    socket receives into the decoder's buffer is decoded and routed."""
+
+    def __init__(self, server: FleetServer):
+        self.server = server
+        self.decoder = FrameDecoder()
+        self.subscribed = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server.stats.connections += 1
+        self.server._conns.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        self.view = self.decoder.get_buffer()
+        return self.view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server, transport = self.server, self.transport
+        view, self.view = self.view, None
+        frames, errors = self.decoder.feed(view[:nbytes])
+        for frame in frames:
+            if frame.control == "acks":
+                # The sender wants per-tick acks (reconnecting clients
+                # resume from the last acked tick): start it at the
+                # current watermark.
+                self.subscribed = True
+                server._ack_subs.add(transport)
+                server._send_ack((transport,), server._cursor - 1)
+            elif self.subscribed and frame.node in server._queues:
+                server._feeders[frame.node] = transport
+            server._route_frame(frame)
+        for error in errors:
+            server._route_error(error)
+        if frames or errors:
+            server._wake.set()
+
+    def connection_lost(self, exc) -> None:
+        for error in self.decoder.eof():
+            self.server._route_error(error)
+        self.server._ack_subs.discard(self.transport)
+        self.server._conns.discard(self)
+        self.server._wake.set()
 
 
 class _AckStall(ConnectionError):

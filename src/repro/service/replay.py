@@ -21,14 +21,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.datasets.generators import ComponentData
 from repro.datasets.recipes import DatasetRecipe, recipe
 from repro.datasets.windows import window_majority_labels
-from repro.scenarios.cache import ExecutionContext
 from repro.service.alerts import AlertSink
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.checkpoint import (
@@ -41,6 +40,9 @@ from repro.service.classify import TrainedFleet, train_fleet
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardConfig, GuardedDetector
 from repro.service.model_store import load_fleet_npz, save_fleet_npz
+
+if TYPE_CHECKING:
+    from repro.scenarios.cache import ExecutionContext
 
 __all__ = [
     "SERVICE_DEFAULTS",
@@ -166,7 +168,10 @@ def prepare_fleet(
         raise ValueError("prepare_fleet needs at least one recipe")
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
-    context = context or ExecutionContext()
+    if not context:
+        from repro.scenarios.cache import ExecutionContext
+
+        context = ExecutionContext()
     train: dict[str, ComponentData] = {}
     eval_data: dict[str, np.ndarray] = {}
     raw_eval_labels: dict[str, np.ndarray] = {}

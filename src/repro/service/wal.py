@@ -23,7 +23,8 @@ first record, followed by CRC32-framed records::
 flipped type or torn payload all fail the same check.  Record types:
 
 ====  ===========  ==================================================
-1     frame        one ``repro-ticks/v1`` encoded data frame
+1     frame        one ``repro-ticks/v1`` encoded data frame (a
+                   received version 2 frame's bytes as they came)
 2     error        JSON ``{"reason", "node"}`` (a poisoning decode
                    error — replayed so guard quarantine stays exact)
 3     watermark    JSON ``{"tick"}`` — the tick just processed
@@ -160,11 +161,11 @@ def decode_frame_record(payload: bytes) -> Frame:
     """Decode one journaled frame payload back into a :class:`Frame`."""
     decoder = FrameDecoder()
     frames, errors = decoder.feed(payload)
-    if errors or len(frames) != 1 or decoder.pending:
+    errors += decoder.eof()
+    if errors or len(frames) != 1:
         raise WalError(
             "journal frame record does not decode to exactly one frame "
-            f"({len(frames)} frames, {len(errors)} errors, "
-            f"{decoder.pending} bytes pending)"
+            f"({len(frames)} frames, {len(errors)} errors)"
         )
     return frames[0]
 
@@ -369,15 +370,15 @@ class WalWriter:
             raise WalError("journal writer is closed")
         if self._fh is None or self._seg_bytes >= self.segment_bytes:
             self._rotate()
-        record = (
-            _REC_HEADER.pack(rtype, len(payload), _crc(rtype, payload))
-            + payload
+        self._buf += _REC_HEADER.pack(
+            rtype, len(payload), _crc(rtype, payload)
         )
-        self._buf += record
+        self._buf += payload
         if len(self._buf) >= FLUSH_BYTES:
             self._drain_buf()
-        self._seg_bytes += len(record)
-        self.bytes_written += len(record)
+        size = _REC_HEADER.size + len(payload)
+        self._seg_bytes += size
+        self.bytes_written += size
         index = self.next_index
         self.next_index += 1
         self.appended += 1
@@ -386,10 +387,11 @@ class WalWriter:
             self.sync()
         return index
 
-    def append_frame(self, node: str, tick: int, values) -> int:
-        return self._append(
-            REC_FRAME, encode_frame_payload(node, tick, values)
-        )
+    def append_frame(self, node: str, tick: int, values, wire=None) -> int:
+        """Journal a frame: its received ``wire`` bytes, else encoded."""
+        if wire is None:
+            wire = encode_frame_payload(node, tick, values)
+        return self._append(REC_FRAME, wire)
 
     def append_error(self, reason: str, node: str | None) -> int:
         payload = json.dumps(

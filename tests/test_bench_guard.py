@@ -216,6 +216,26 @@ class TestServiceGuard:
             "journaled alert stream diverged from the in-process replay"
         )
 
+    def test_ingest_copies_each_frame_once(self):
+        """``benchmarks/test_net_serve.py`` records the bytes allocated
+        per frame while a 1000-frame tick is received and decoded:
+        the decoder copies each frame once, so at most 1.1 times the
+        frame's wire size (64 KiB reads fed to a decoder that sliced
+        frames out of its own copy allocated 3.4 times)."""
+        summary = _load_summary(SERVICE_SUMMARY_JSON)
+        assert "ingest_alloc_bytes_per_frame" in summary, (
+            "BENCH_service.json is missing ingest_alloc_bytes_per_frame "
+            "(run pytest benchmarks/test_net_serve.py -m slow)"
+        )
+        ratio = (
+            summary["ingest_alloc_bytes_per_frame"]
+            / summary["ingest_wire_bytes_per_frame"]
+        )
+        assert ratio <= 1.1, (
+            f"ingest allocates {ratio:.2f}x each frame's wire bytes "
+            "(ceiling: 1.1x, one copy)"
+        )
+
     def test_serving_cold_start_is_numpy_only(self):
         """``benchmarks/test_cold_start.py`` records the median
         cold-import CPU of the serving modules over that of ``import

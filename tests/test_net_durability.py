@@ -16,14 +16,18 @@ import time
 
 import pytest
 
-from repro.service import net
+from repro.service import net, wal
 from repro.service.api import (
     ServiceConfig,
     build_detector,
     build_setup,
     replay,
 )
-from repro.service.checkpoint import CheckpointError, fleet_fingerprint
+from repro.service.checkpoint import (
+    CheckpointError,
+    fleet_fingerprint,
+    load_checkpoint,
+)
 from repro.service.net import (
     FleetServer,
     ListAlertSink,
@@ -36,6 +40,7 @@ from repro.service.protocol import (
     encode_binary,
     encode_eof,
 )
+from repro.service.wal import REC_FRAME, recover_wal
 
 CFG = ServiceConfig.smoke()
 
@@ -395,6 +400,38 @@ def _tick_frames(setup, tick):
         encode_binary(path, tick, setup.eval_data[path][:, lo : lo + CFG.chunk])
         for path in sorted(setup.eval_data)
     )
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a received version 2 frame was re-encoded")
+
+
+class TestJournalReuse:
+    def test_received_frames_are_journaled_and_checkpointed_as_received(
+        self, setup, fingerprint, tmp_path, monkeypatch
+    ):
+        """The journal record and the checkpoint queue blob of a
+        received version 2 frame are its wire bytes, not a re-encoding."""
+        frames, errors = FrameDecoder().feed(_tick_frames(setup, 0))
+        assert errors == []
+        monkeypatch.setattr(wal, "encode_binary", _unreachable)
+        server = FleetServer(
+            build_detector(CFG, setup),
+            wal=tmp_path / "wal",
+            checkpoint=_checkpoint(tmp_path / "ckpt.npz", fingerprint),
+        )
+        server._recover()
+        for frame in frames:
+            server._route_frame(frame)
+        server._write_checkpoint()
+        server._wal.close()
+        records = recover_wal(tmp_path / "wal").records
+        payloads = [r.payload for r in records if r.rtype == REC_FRAME]
+        assert payloads == [f.wire for f in frames]
+        queued = [e[3] for q in server._queues.values() for e in q.entries]
+        assert all(any(w is f.wire for f in frames) for w in queued)
+        blob = load_checkpoint(tmp_path / "ckpt.npz").array("server_queues")
+        assert blob.tobytes() == b"".join(queued)
 
 
 class TestResumeAcks:

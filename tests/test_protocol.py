@@ -4,19 +4,24 @@ The contract under test: every well-formed frame round-trips exactly
 through :class:`FrameDecoder` regardless of how the byte stream is
 chunked; malformed input yields typed :class:`FrameError`\\ s (with the
 node attached whenever the broken frame still named one) and the
-decoder *resynchronizes* instead of dying.
+decoder *resynchronizes* instead of dying.  Any split of a stream, fed
+as foreign bytes or received into the decoder's own buffer, gives the
+frames and errors of one ``feed``, and the buffer stays bounded.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service import protocol
 from repro.service.protocol import (
     MAGIC,
     MAX_FRAME_BYTES,
+    READ_CAP,
     Frame,
     FrameDecoder,
     FrameError,
@@ -196,6 +201,15 @@ class TestMalformedInput:
         assert [(f.node, f.tick) for f in frames] == [("n0", 0), ("n1", 1)]
         assert all(e.reason == "garbage" for e in errors)
 
+    def test_magic_split_after_garbage_keeps_the_frame(self):
+        """A chunk boundary inside a frame's magic, right after garbage,
+        must not cost the frame."""
+        data = b"xx" + encode_binary("n0", 1, _burst(2, 3))
+        for cut in (3, 4, 5):
+            decoder = FrameDecoder()
+            frames = decoder.feed(data[:cut])[0] + decoder.feed(data[cut:])[0]
+            assert [f.node for f in frames] == ["n0"]
+
     @settings(max_examples=30, deadline=None)
     @given(junk=st.binary(min_size=1, max_size=200))
     def test_arbitrary_junk_never_raises_and_later_frames_decode(
@@ -211,3 +225,162 @@ class TestMalformedInput:
         assert any(
             f.node == "n9" and f.tick == 5 for f in frames
         )
+
+
+def _v1_frame(node: str, tick: int, values) -> bytes:
+    """A version 1 (unchecksummed) binary frame."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    path = node.encode("utf-8")
+    body = (
+        struct.pack("<BHQHI", 1, len(path), tick, *values.shape)
+        + path
+        + values.tobytes()
+    )
+    return MAGIC + struct.pack("<I", len(body)) + body
+
+
+def _bad_crc_frame(node: str, tick: int, values) -> bytes:
+    frame = bytearray(encode_binary(node, tick, values))
+    frame[-1] ^= 0x40  # flip one payload bit
+    return bytes(frame)
+
+
+_nodes = st.text(
+    alphabet="abcdefgh/0123456789\u00e9", min_size=1, max_size=12
+)
+_values = st.builds(
+    lambda n, m, seed: np.random.default_rng(seed).standard_normal((n, m)),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+_segment = st.one_of(
+    st.builds(encode_binary, _nodes, st.integers(0, 2**40), _values),
+    st.builds(_v1_frame, _nodes, st.integers(0, 2**40), _values),
+    st.builds(encode_json, _nodes, st.integers(0, 2**40), _values),
+    st.builds(_bad_crc_frame, _nodes, st.integers(0, 2**40), _values),
+    st.just(encode_eof()),
+    st.just(b'{"node": "x", "values": []}\n'),  # attributable bad-json
+    st.binary(min_size=1, max_size=40),  # garbage
+    st.sampled_from([MAGIC[:1], MAGIC[:3], b"\n", b"{", b"\x93RT1\x00"]),
+    st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1).map(
+        lambda n: MAGIC + n.to_bytes(4, "little")  # length bomb
+    ),
+)
+
+
+def _key(frame: Frame):
+    values = frame.values
+    if isinstance(values, np.ndarray):
+        values = (values.shape, values.tobytes())
+    return (frame.node, frame.tick, frame.control, repr(values), frame.wire)
+
+
+def _decode(chunks, *, receive: bool):
+    """Frames and errors of feeding ``chunks`` (then eof): as foreign
+    bytes, or received into :meth:`FrameDecoder.get_buffer` views the
+    way a socket's ``recv_into`` fills them."""
+    decoder = FrameDecoder()
+    frames, errors = [], []
+    largest = max((len(c) for c in chunks), default=0)
+    for chunk in chunks:
+        while chunk:
+            if receive:
+                view = decoder.get_buffer()
+                n = min(len(view), len(chunk))
+                view[:n] = chunk[:n]
+                got, errs = decoder.feed(view[:n])
+                chunk = chunk[n:]
+            else:
+                got, errs = decoder.feed(chunk)
+                chunk = b""
+            frames += [_key(f) for f in got]
+            errors += errs
+            assert len(decoder._buf) <= 2 * max(READ_CAP, 2 * largest)
+    errors += decoder.eof()
+    assert decoder.pending == 0
+    assert len(decoder._buf) <= READ_CAP
+    return frames, errors
+
+
+class TestChunkingInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segments=st.lists(_segment, min_size=1, max_size=12),
+        cuts=st.lists(st.integers(0, 10_000), max_size=12),
+        byte_at_a_time=st.booleans(),
+    )
+    def test_any_split_decodes_like_one_feed(
+        self, segments, cuts, byte_at_a_time
+    ):
+        """Property: v1, v2 and JSON frames mixed with garbage, bad-CRC
+        frames and length bombs decode to the same frames and errors
+        whether fed whole, split anywhere (down to single bytes), or
+        received into the decoder's own buffer."""
+        data = b"".join(segments)
+        whole = _decode([data], receive=False)
+        if byte_at_a_time:
+            points = list(range(len(data) + 1))
+        else:
+            points = sorted({0, len(data), *(c % (len(data) + 1) for c in cuts)})
+        chunks = [data[a:b] for a, b in zip(points, points[1:])]
+        assert _decode(chunks, receive=False) == whole
+        assert _decode(chunks, receive=True) == whole
+        assert _decode([data], receive=True) == whole
+
+
+class TestBufferBounds:
+    def test_length_bomb_is_not_buffered(self):
+        """A length prefix over the cap costs one error, not a buffer
+        of that size, however the bytes arrive."""
+        bomb = MAGIC + (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
+        decoder = FrameDecoder()
+        errors = []
+        for byte in bomb * 3:
+            view = decoder.get_buffer()
+            view[0] = byte
+            errors += decoder.feed(view[:1])[1]
+            assert decoder.pending < len(MAGIC) + 4
+        assert {e.reason for e in errors} == {"garbage"}
+        assert sum("exceeds cap" in e.detail for e in errors) == 3
+        assert len(decoder._buf) <= READ_CAP
+
+    def test_drained_decoder_keeps_at_most_the_read_cap(self, monkeypatch):
+        """A frame larger than the read cap grows the buffer while it
+        arrives, never past one frame at the size cap; once decoded,
+        the idle connection holds no more than ``READ_CAP``."""
+        big = encode_binary("n0", 1, np.ones((64, 3 * READ_CAP // 512)))
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", len(big))
+        decoder = FrameDecoder()
+        frames = []
+        pos = 0
+        while pos < len(big):
+            view = decoder.get_buffer()
+            assert len(decoder._buf) <= len(big) + 9
+            n = min(len(view), 300_000, len(big) - pos)
+            view[:n] = big[pos : pos + n]
+            frames += decoder.feed(view[:n])[0]
+            pos += n
+        (frame,) = frames
+        assert frame.wire == big
+        assert decoder.pending == 0
+        assert len(decoder._buf) <= READ_CAP
+
+    def test_frame_owns_one_copy_not_the_buffer(self):
+        """A received frame's values view its own copy of the wire
+        bytes, so reusing the receive buffer cannot change them."""
+        v = _burst(4, 5)
+        data = encode_binary("n0", 2, v) + encode_binary("n1", 3, v)
+        decoder = FrameDecoder()
+        view = decoder.get_buffer()
+        view[: len(data)] = data
+        frames, errors = decoder.feed(view[: len(data)])
+        assert errors == [] and len(frames) == 2
+        view = decoder.get_buffer()
+        view[:] = b"\xff" * len(view)
+        for frame, node in zip(frames, ("n0", "n1")):
+            assert frame.node == node
+            np.testing.assert_array_equal(frame.values, v)
+            assert not frame.values.flags.writeable
+            assert frame.values.base is not None
+            assert frame.wire == encode_binary(frame.node, frame.tick, v)

@@ -2,11 +2,20 @@
 recovery (the property the kill -9 drill leans on), rotation, pruning
 and the fsync policies."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.protocol import (
+    MAGIC,
+    FrameDecoder,
+    encode_binary,
+    encode_json,
+)
 from repro.service.wal import (
     _REC_HEADER,
     _SEG_HEADER,
@@ -303,3 +312,54 @@ def test_record_header_constant_matches_format():
     # The scan math above hard-codes the framing; pin it.
     assert _REC_HEADER.size == 9
     assert _SEG_HEADER.size == 16
+
+
+def _fixed_feed() -> bytes:
+    """Nine version 2 binary frames, then one version 1 and one JSON."""
+    out = bytearray()
+    for tick in range(3):
+        for i in range(3):
+            values = np.arange(24, dtype=np.float64).reshape(4, 6) / (
+                i + tick + 3
+            )
+            out += encode_binary(f"rack0/node{i:02d}", tick, values)
+    values = np.arange(6, dtype="<f8").reshape(2, 3)
+    path = b"rack0/node00"
+    body = (
+        struct.pack("<BHQHI", 1, len(path), 3, 2, 3) + path + values.tobytes()
+    )
+    out += MAGIC + struct.pack("<I", len(body)) + body
+    out += encode_json("rack0/node01", 3, [[1.0, 2.5]])
+    return bytes(out)
+
+
+#: SHA-256 of the journal ``_fixed_feed`` gives when every frame is
+#: re-encoded, as the journal did before it kept received bytes.
+FIXED_FEED_JOURNAL_SHA256 = (
+    "73cd2ad18caa20769fbe1d5648ff5a17b9477a405482127bb74ac5b03efbc0f7"
+)
+
+
+def test_journaled_wire_bytes_match_the_reencoded_journal(tmp_path):
+    """Received version 2 frames are journaled as the bytes that came
+    in; the segments stay byte-identical to re-encoding every frame."""
+    frames, errors = FrameDecoder().feed(_fixed_feed())
+    assert errors == [] and len(frames) == 11
+    assert [f.wire is not None for f in frames] == [True] * 9 + [False] * 2
+    for f in frames[:9]:
+        assert encode_binary(f.node, f.tick, f.values) == f.wire
+    segments = {}
+    for name, keep_wire in (("wire", True), ("encoded", False)):
+        writer = WalWriter(tmp_path / name)
+        for f in frames:
+            writer.append_frame(
+                f.node, f.tick, f.values, f.wire if keep_wire else None
+            )
+        writer.append_watermark(3)
+        writer.close()
+        segments[name] = b"".join(
+            p.read_bytes() for p in sorted((tmp_path / name).glob("wal-*.seg"))
+        )
+    assert segments["wire"] == segments["encoded"]
+    digest = hashlib.sha256(segments["wire"]).hexdigest()
+    assert digest == FIXED_FEED_JOURNAL_SHA256
