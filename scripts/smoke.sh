@@ -18,7 +18,12 @@ cmp tests/golden/detect_smoke_alerts.jsonl "$SMOKE_DIR/detect.jsonl"
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --alerts "$SMOKE_DIR/detect2.jsonl"
 cmp "$SMOKE_DIR/detect.jsonl" "$SMOKE_DIR/detect2.jsonl"
-python -m repro serve --smoke > "$SMOKE_DIR/serve.jsonl"
+# In-process serve (30-sample bursts) must equal detect at that chunk.
+python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
+    > "$SMOKE_DIR/serve.jsonl"
+python -m repro detect --smoke --chunk 30 --cache-dir "$SMOKE_DIR/cache" \
+    --alerts "$SMOKE_DIR/detect30.jsonl"
+cmp "$SMOKE_DIR/detect30.jsonl" "$SMOKE_DIR/serve.jsonl"
 python -m repro run fleet-detect --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "== crash-recovery smoke: kill, resume, byte-identical alerts =="

@@ -428,7 +428,8 @@ def _listen_options(args: argparse.Namespace):
     """Validate the ``serve --listen`` flags; return the backpressure
     config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
     address or a ``--checkpoint-every``/``--queue-max`` below 1."""
-    from repro.service.net import BackpressureConfig, parse_address
+    from repro.service.net import parse_address
+    from repro.service.servecore import BackpressureConfig
 
     parse_address(args.listen)
     if args.ops:

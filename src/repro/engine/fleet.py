@@ -8,9 +8,7 @@ model per monitored node, keyed by hierarchical sensor-tree paths
 (``rack0/node3``), and computes signatures for the whole fleet in a
 handful of batched NumPy calls: nodes with identical geometry are
 stacked into a single ``(nodes, n, t)`` tensor and pushed through the
-batched sort + smooth kernels at once.  An optional ``shards`` argument
-splits the batch across a thread pool (NumPy releases the GIL inside the
-heavy kernels), for multi-core fleets.
+batched sort + smooth kernels at once.
 
 Per-node results are bit-identical to
 :meth:`repro.core.pipeline.CorrelationWiseSmoothing.transform_series`,
@@ -21,7 +19,6 @@ mixed freely.
 from __future__ import annotations
 
 import fnmatch
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -191,10 +188,7 @@ class FleetSignatureEngine:
         return self._run_group([path], {path: np.asarray(S, dtype=np.float64)})[path]
 
     def transform_fleet(
-        self,
-        data: Mapping[str, np.ndarray],
-        *,
-        shards: int | None = None,
+        self, data: Mapping[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
         """Signatures for many nodes in one batched call.
 
@@ -203,9 +197,6 @@ class FleetSignatureEngine:
         data:
             Mapping of node path to sensor matrix ``(n, t)``.  Every path
             must have been fitted (or given a model) beforehand.
-        shards:
-            Optional number of worker threads; the batched groups are
-            split across them.  Results are independent of sharding.
 
         Returns
         -------
@@ -233,24 +224,8 @@ class FleetSignatureEngine:
             key = (n, t, self._effective_blocks(n))
             groups.setdefault(key, []).append(path)
 
-        worklists = list(groups.values())
-        if shards is not None and shards > 1:
-            # Split large groups so every worker gets comparable batches.
-            split: list[list[str]] = []
-            for paths in worklists:
-                step = -(-len(paths) // shards)
-                split.extend(
-                    paths[i : i + step] for i in range(0, len(paths), step)
-                )
-            out: dict[str, np.ndarray] = {}
-            with ThreadPoolExecutor(max_workers=shards) as pool:
-                for part in pool.map(
-                    lambda ps: self._run_group(ps, arrays), split
-                ):
-                    out.update(part)
-            return out
-        out = {}
-        for paths in worklists:
+        out: dict[str, np.ndarray] = {}
+        for paths in groups.values():
             out.update(self._run_group(paths, arrays))
         return out
 

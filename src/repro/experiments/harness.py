@@ -99,7 +99,6 @@ def run_fleet_on_segment(
     blocks: int | str = "all",
     wl: int | None = None,
     ws: int | None = None,
-    shards: int | None = None,
 ) -> FleetRunResult:
     """Compute every component's CS signatures in one batched fleet call.
 
@@ -122,7 +121,7 @@ def run_fleet_on_segment(
         engine.fit_node(comp.name, comp.matrix, sensor_names=comp.sensor_names)
     fit_time = time.perf_counter() - start
     start = time.perf_counter()
-    signatures = engine.transform_fleet(data, shards=shards)
+    signatures = engine.transform_fleet(data)
     transform_time = time.perf_counter() - start
     return FleetRunResult(
         signatures=signatures,

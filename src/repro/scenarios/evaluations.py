@@ -463,12 +463,11 @@ def _run_fleet(spec: ScenarioSpec, ctx: ExecutionContext) -> ScenarioResult:
     blocks = ev.get("blocks", "all")
     if isinstance(blocks, str) and blocks != "all":
         blocks = int(blocks)
-    shards = ev.get("shards")
     rows = []
     fleet_results = []
     for recipe in spec.datasets:
         segment = ctx.segment(recipe)
-        res = run_fleet_on_segment(segment, blocks=blocks, shards=shards)
+        res = run_fleet_on_segment(segment, blocks=blocks)
         fleet_results.append(res)
         total_time = res.fit_time_s + res.transform_time_s
         rows.append(

@@ -35,13 +35,14 @@ subpackage composes the existing layers into that one hot path:
   ``serve(config)`` as the only entry points callers need.  The package
   re-exports neither ``replay`` function, so ``repro.service.replay``
   always names the replay-driver submodule;
-* :mod:`~repro.service.protocol` / :mod:`~repro.service.net` /
-  :mod:`~repro.service.ops` — the network front: the
-  ``repro-ticks/v1`` wire protocol (newline-JSON + CRC-checked binary
-  frames), the asyncio ingestion server with bounded per-node
-  backpressure queues, and the HTTP ops surface (``/health`` +
-  liveness/readiness probes, ``/fleet``, ``/alerts`` with
-  ack/suppress, ``/stats``);
+* :mod:`~repro.service.protocol` / :mod:`~repro.service.servecore` /
+  :mod:`~repro.service.net` / :mod:`~repro.service.ops` — the network
+  front: the ``repro-ticks/v1`` wire protocol (newline-JSON +
+  CRC-checked binary frames), the sans-IO serving core (bounded
+  per-node backpressure queues, tick barrier, journal, acks,
+  checkpoints), its asyncio ingestion server, and the HTTP ops surface
+  (``/health`` + liveness/readiness probes, ``/fleet``, ``/alerts``
+  with ack/suppress, ``/stats``);
 * :mod:`~repro.service.wal` / :mod:`~repro.service.netchaos` — crash
   durability for the network path: the ``repro-wal/v1`` write-ahead
   frame journal that (with networked checkpoints) makes kill -9 +
@@ -101,14 +102,7 @@ from repro.service.replay import (
     prepare_fleet,
 )
 
-from repro.service.net import (
-    BackpressureConfig,
-    FleetServer,
-    ServerCheckpoint,
-    ServerStats,
-    loadgen,
-    parse_address,
-)
+from repro.service.net import FleetServer, loadgen, parse_address
 from repro.service.netchaos import ChaosProxy, NetChaosConfig
 from repro.service.ops import AlertLog
 from repro.service.protocol import (
@@ -119,6 +113,12 @@ from repro.service.protocol import (
     encode_binary,
     encode_eof,
     encode_json,
+)
+from repro.service.servecore import (
+    BackpressureConfig,
+    ServeCore,
+    ServerCheckpoint,
+    ServerStats,
 )
 from repro.service.wal import WAL_FORMAT, WalRecord, WalWriter, recover_wal
 
@@ -148,6 +148,7 @@ __all__ = [
     "NetChaosConfig",
     "PROTOCOL",
     "ReplayOutcome",
+    "ServeCore",
     "ServerCheckpoint",
     "ServerStats",
     "ServiceConfig",

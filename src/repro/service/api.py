@@ -399,7 +399,8 @@ def serve(
     the same flags restores and replays to the exact crash state.
     """
     from repro.service.checkpoint import fleet_fingerprint
-    from repro.service.net import FleetServer, ServerCheckpoint, parse_address
+    from repro.service.net import FleetServer, parse_address
+    from repro.service.servecore import ServerCheckpoint
 
     if setup is None:
         setup = build_setup(config)

@@ -2,95 +2,38 @@
 
 :class:`FleetServer` puts a real transport in front of the guarded
 detector.  Agents connect over TCP and push ``repro-ticks/v1`` frames
-(newline-JSON or binary, see :mod:`repro.service.protocol`); frames
-land in **bounded per-node queues** with an explicit backpressure
-policy, and a single pump coroutine assembles one burst per global tick
-and drives ``GuardedDetector.process_block`` — the *same* call the
-in-process replay loop makes, which is why a clean network feed
-produces alert JSONL byte-identical to ``repro detect`` of the same
-configuration.
+(newline-JSON or binary, see :mod:`repro.service.protocol`).  Every
+decision — queues, tick barrier, journal, acks, checkpoints, health —
+is made by a :class:`~repro.service.servecore.ServeCore`, which runs
+each tick through ``GuardedDetector.process_block``, the *same* call
+the in-process replay loop makes: a clean network feed produces alert
+JSONL byte-identical to ``repro detect`` of the same configuration.
 
-Design decisions:
-
-* **Per-node bounded queues + policy, not unbounded buffering.**  When
-  a node's queue is full, ``drop-oldest`` evicts the stalest queued
-  burst (freshness wins) while ``coalesce`` replaces the newest queued
-  burst with the incoming one (the tail is collapsed).  Both are
-  counted and visible in ``/stats``.
-* **Tick barrier.**  Tick *t* is processed once every registered node
-  has a frame queued (the lockstep the batched tick path is built
-  for); a ``tick_timeout`` breaks the barrier for partial fleets so a
-  dead agent cannot stall the world.  Frames older than the cursor are
-  dropped as late, unjournaled.
-* **Acks never cover a hole.**  A connection that sends ``{"op":
-  "acks"}`` gets the current watermark (last processed tick) at once
-  and a cumulative ack per processed tick after that.  When the
-  deadline finds a hole a subscribed sender fed, the server holds the
-  barrier and re-sends that sender its last ack, which tells it to go
-  back to the next tick; skipping the tick would ack data that never
-  arrived.
-* **Malformed input degrades, never crashes.**  Protocol-level garbage
-  resynchronizes the decoder; frame errors that still name a node are
-  injected as poison blocks so the PR 7 guard quarantines the sender;
-  unknown nodes surface as ``unknown-node`` guard events.
-* **Single loop, blocking compute.**  The tick computation runs on the
-  event loop (numpy releases the GIL where it matters and the
-  container is single-CPU anyway); arriving data waits in kernel
-  socket buffers meanwhile, which is exactly the backpressure TCP
-  gives for free.  Sockets ``recv_into`` their connection's decoder
-  buffer, and each binary frame is copied once, into the bytes its
-  queue entry, journal record and checkpoint blob share.
-
-The ops HTTP surface (:mod:`repro.service.ops`) runs on a second
-listener of the same loop and reads the same live objects.
+This module is the core's asyncio adapter.  Each connection decodes
+what its socket receives (``recv_into`` its decoder's buffer; a binary
+frame is copied once, into the bytes its queue entry, journal record
+and checkpoint blob share) and hands frames, errors, connects and
+disconnects to the core; its transport is the core's ack sender.  The
+pump polls the core, yields to the loop after each fired tick, and
+otherwise sleeps until input arrives or the core's next deadline; the
+loop clock is the core's only clock.  Ticks compute on the loop
+(single CPU): arriving data waits in kernel socket buffers meanwhile,
+which is the backpressure TCP gives for free.  The ops HTTP surface
+(:mod:`repro.service.ops`) runs on a second listener of the same loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import math
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from repro.service.protocol import FrameDecoder
+from repro.service.servecore import ListAlertSink, ServeCore
 
-from repro.service.alerts import AlertSink, event_line
-from repro.service.guard import GuardedDetector
-from repro.service.protocol import Frame, FrameDecoder, FrameError, encode_ack
-from repro.service.replay import flush_open_alerts
-from repro.service.wal import (
-    REC_ERROR,
-    REC_FRAME,
-    REC_WATERMARK,
-    WalWriter,
-    decode_frame_record,
-    encode_frame_payload,
-)
-
-__all__ = [
-    "BACKPRESSURE_POLICIES",
-    "BackpressureConfig",
-    "FleetServer",
-    "ListAlertSink",
-    "NodeQueue",
-    "ServerCheckpoint",
-    "ServerStats",
-    "loadgen",
-    "parse_address",
-]
-
-BACKPRESSURE_POLICIES = ("drop-oldest", "coalesce")
-
-#: WAL records appended-but-not-fsynced beyond which ``/health``
-#: reports the ``wal-flush-lag`` degraded reason.
-WAL_LAG_DEGRADED = 4096
-
-#: Consecutive barrier-timeout ticks beyond which ``/health`` reports
-#: the ``barrier-timeout-streak`` degraded reason.
-TIMEOUT_STREAK_DEGRADED = 3
+__all__ = ["FleetServer", "ListAlertSink", "loadgen", "parse_address"]
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -102,216 +45,13 @@ def parse_address(address: str) -> tuple[str, int]:
     raise ValueError(f"address must be host:port, got {address!r}")
 
 
-@dataclass(frozen=True)
-class BackpressureConfig:
-    """Bounded-queue policy applied to every node's ingress queue."""
-
-    queue_max: int = 1024
-    policy: str = "drop-oldest"
-
-    def __post_init__(self):
-        if self.queue_max < 1:
-            raise ValueError("queue_max must be >= 1")
-        if self.policy not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"policy must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {self.policy!r}"
-            )
-
-
-class NodeQueue:
-    """One node's bounded ingress queue of ``(tick, values, samples,
-    wire)`` (``wire``: see :attr:`~repro.service.protocol.Frame.wire`).
-
-    ``push`` never blocks and never grows past ``queue_max``; overflow
-    resolves by policy — ``drop-oldest`` evicts the head (stalest
-    burst), ``coalesce`` replaces the tail (newest queued burst) with
-    the incoming one.  Eviction counts are kept per queue and rolled
-    into the server stats.
-    """
-
-    __slots__ = ("entries", "queue_max", "policy", "dropped", "coalesced")
-
-    def __init__(self, config: BackpressureConfig):
-        self.entries: deque = deque()
-        self.queue_max = config.queue_max
-        self.policy = config.policy
-        self.dropped = 0
-        self.coalesced = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def push(self, tick: int, values, samples: int, wire=None) -> None:
-        entries = self.entries
-        # Duplicate of a queued tick (a resuming client retransmitting
-        # after loss): the retransmission replaces the queued burst in
-        # place — no growth, no eviction.
-        for i in range(len(entries) - 1, -1, -1):
-            queued = entries[i][0]
-            if queued == tick:
-                entries[i] = (tick, values, samples, wire)
-                return
-            if queued < tick:
-                break
-        if len(entries) >= self.queue_max:
-            if self.policy == "coalesce":
-                entries.pop()
-                self.coalesced += 1
-            else:
-                entries.popleft()
-                self.dropped += 1
-        # Ordered insert keeps the deque sorted by tick so the barrier
-        # can trust the head; the in-order case is a plain append.
-        if not entries or tick >= entries[-1][0]:
-            entries.append((tick, values, samples, wire))
-            return
-        for i in range(len(entries) - 1, -1, -1):
-            if entries[i][0] < tick:
-                entries.insert(i + 1, (tick, values, samples, wire))
-                return
-        entries.appendleft((tick, values, samples, wire))
-
-
-class ServerStats:
-    """Live counters + a bounded tick-latency ring for p50/p99."""
-
-    LATENCY_RING = 4096
-
-    def __init__(self):
-        self.frames = 0
-        self.samples = 0
-        self.ticks = 0
-        self.events = 0
-        self.alerts_opened = 0
-        self.connections = 0
-        self.dropped = 0
-        self.coalesced = 0
-        self.late_dropped = 0
-        self.garbage = 0
-        self.poisoned = 0
-        self.strays = 0
-        self.stray_dropped = 0
-        self.wal_appended = 0
-        self.wal_fsyncs = 0
-        self.wal_replayed = 0
-        self.checkpoints = 0
-        self._latencies: deque = deque(maxlen=self.LATENCY_RING)
-        self._first_frame_t: float | None = None
-        self._last_tick_t: float | None = None
-
-    def observe_frame(self, samples: int) -> None:
-        if self._first_frame_t is None:
-            self._first_frame_t = time.perf_counter()
-        self.frames += 1
-        self.samples += samples
-
-    def observe_tick(self, latency_s: float, events: int, opened: int) -> None:
-        self.ticks += 1
-        self.events += events
-        self.alerts_opened += opened
-        self._latencies.append(latency_s)
-        self._last_tick_t = time.perf_counter()
-
-    def _percentiles(self) -> tuple[float, float]:
-        if not self._latencies:
-            return 0.0, 0.0
-        lat = np.sort(np.asarray(self._latencies, dtype=np.float64))
-        return (
-            float(lat[int(0.50 * (lat.size - 1))]),
-            float(lat[int(0.99 * (lat.size - 1))]),
-        )
-
-    @property
-    def elapsed_s(self) -> float:
-        """Wall clock from first ingested frame to last processed tick."""
-        if self._first_frame_t is None or self._last_tick_t is None:
-            return 0.0
-        return max(self._last_tick_t - self._first_frame_t, 0.0)
-
-    @property
-    def samples_per_s(self) -> float:
-        elapsed = self.elapsed_s
-        return self.samples / elapsed if elapsed > 0 else 0.0
-
-    def snapshot(self) -> dict:
-        """The ``/stats`` payload."""
-        p50, p99 = self._percentiles()
-        return {
-            "frames": self.frames,
-            "samples": self.samples,
-            "ticks": self.ticks,
-            "events": self.events,
-            "alerts_opened": self.alerts_opened,
-            "connections": self.connections,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "samples_per_s": round(self.samples_per_s, 1),
-            "tick_latency_p50_ms": round(p50 * 1e3, 4),
-            "tick_latency_p99_ms": round(p99 * 1e3, 4),
-            "backpressure": {
-                "dropped": self.dropped,
-                "coalesced": self.coalesced,
-                "late_dropped": self.late_dropped,
-            },
-            "protocol": {
-                "garbage": self.garbage,
-                "poisoned": self.poisoned,
-                "strays": self.strays,
-                "stray_dropped": self.stray_dropped,
-            },
-            "wal_appended": self.wal_appended,
-            "wal_fsyncs": self.wal_fsyncs,
-            "wal_replayed": self.wal_replayed,
-            "checkpoints": self.checkpoints,
-        }
-
-
-class ListAlertSink(AlertSink):
-    """Collect canonical event lines in memory (tests + equivalence)."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def emit(self, event: dict) -> None:
-        self.lines.append(event_line(event))
-
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
-
-
-@dataclass(frozen=True)
-class ServerCheckpoint:
-    """Networked checkpointing config for :class:`FleetServer`.
-
-    ``fingerprint`` is the trained fleet's lineage hash
-    (:func:`repro.service.checkpoint.fleet_fingerprint`) and ``chunk``
-    the serving burst size — both are pinned into the archive so a
-    restart can never silently resume against a different fleet or
-    tick geometry.  Checkpoints are written between ticks (never
-    mid-burst), every ``every`` processed ticks and once more at
-    shutdown.
-    """
-
-    path: Path
-    every: int = 1
-    fingerprint: str = ""
-    chunk: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "path", Path(self.path))
-        if self.every < 1:
-            raise ValueError("checkpoint every must be >= 1")
-
-
 class FleetServer:
-    """The asyncio ingestion front-end around one guarded detector.
+    """The asyncio ingestion front-end around one :class:`ServeCore`.
 
     Parameters
     ----------
     detector:
-        A :class:`~repro.service.guard.GuardedDetector` (a bare
-        detector is wrapped — network input is untrusted by
-        definition, the guard boundary is not optional here).
+        The detector to serve (wrapped in a guard if bare).
     host, port:
         Ingestion listener (port 0 binds an ephemeral port; the bound
         port lands in :attr:`port` and optionally ``port_file``).
@@ -320,47 +60,17 @@ class FleetServer:
     sinks:
         :class:`~repro.service.alerts.AlertSink` consumers of the live
         event stream (the ops alert log is always added).
-    backpressure:
-        :class:`BackpressureConfig` for every per-node queue.
-    tick_timeout:
-        Seconds the tick barrier waits for a complete fleet before
-        processing a partial burst (a dead agent must not stall the
-        world).  A node an ack-subscribed connection has fed is never
-        skipped this way: that sender is re-sent the last ack to fill
-        the hole instead.  A restarted server arms the deadline only
-        once a sender has connected.
-    exit_on_idle:
-        Stop once at least one connection was served and all
-        connections have closed with every queue drained (CI/loadgen
-        mode).  An ``{"op": "eof"}`` control frame has the same effect.
-    idle_grace:
-        Seconds a fully-idle ``exit_on_idle`` server waits before
-        treating the silence as end-of-stream (an explicit EOF frame
-        skips the wait).  Covers the reconnect gap a client needs
-        after a connection reset — without it a chaos-proxy reset
-        would shut the server down mid-stream.
     port_file:
         Write the bound ingestion port here once listening (how
         scripted callers discover an ephemeral port).  When the ops
         listener is enabled, its bound port lands in a companion
         ``<port_file>.ops`` file.  Both are deleted again on shutdown
         so supervisors can never connect to a stale port.
-    wal:
-        ``repro-wal/v1`` journal directory (or a prepared
-        :class:`~repro.service.wal.WalWriter`).  Every accepted data
-        frame is journaled *before* queueing and a watermark record is
-        stamped after each processed tick; on startup the journal is
-        recovered and replayed (``wal_fsync`` picks the fsync policy
-        for a directory).
-    checkpoint:
-        :class:`ServerCheckpoint` — snapshot detector + guard + queue
-        state between ticks; combined with ``wal`` a ``kill -9``
-        restart reproduces the uninterrupted alert stream byte for
-        byte.
+    core:
+        The remaining keywords (``backpressure``, ``tick_timeout``,
+        ``exit_on_idle``, ``idle_grace``, ``wal``, ``wal_fsync``,
+        ``checkpoint``) configure the :class:`ServeCore`.
     """
-
-    #: Cap on distinct unknown-node paths buffered between ticks.
-    MAX_STRAY_NODES = 256
 
     def __init__(
         self,
@@ -371,589 +81,49 @@ class FleetServer:
         ops_host: str | None = None,
         ops_port: int | None = None,
         sinks: tuple = (),
-        backpressure: BackpressureConfig | None = None,
-        tick_timeout: float = 5.0,
-        exit_on_idle: bool = False,
-        idle_grace: float = 1.0,
         port_file: str | Path | None = None,
-        wal: WalWriter | str | Path | None = None,
-        wal_fsync: str = "tick",
-        checkpoint: ServerCheckpoint | None = None,
+        **core,
     ):
         from repro.service.ops import AlertLog
 
-        if not isinstance(detector, GuardedDetector):
-            detector = GuardedDetector(detector)
-        self.guarded = detector
+        self.alert_log = AlertLog()
+        self.core = ServeCore(
+            detector, sinks=tuple(sinks) + (self.alert_log,), **core
+        )
+        self.guarded = self.core.guarded
+        self.stats = self.core.stats
         self.host = host
         self.requested_port = int(port)
         self.ops_host = ops_host
         self.requested_ops_port = int(ops_port) if ops_port is not None else 0
-        self.backpressure = backpressure or BackpressureConfig()
-        self.tick_timeout = float(tick_timeout)
-        self.exit_on_idle = bool(exit_on_idle)
-        self.idle_grace = float(idle_grace)
         self.port_file = Path(port_file) if port_file else None
-        self.alert_log = AlertLog()
-        self.sinks = tuple(sinks) + (self.alert_log,)
-        self.stats = ServerStats()
-        self._queues: dict[str, NodeQueue] = {
-            p: NodeQueue(self.backpressure) for p in detector.paths
-        }
-        if not self._queues:
-            # An empty fleet would make the barrier trivially complete
-            # and spin the pump forever; refuse it up front.
-            raise ValueError(
-                "detector has no registered node paths to serve"
-            )
-        #: Stray (unknown-node) values pending guard injection at the
-        #: next tick: newest frame per unknown path, capped at
-        #: MAX_STRAY_NODES distinct paths so a client streaming unknown
-        #: nodes during a barrier stall cannot grow server memory.
-        self._pending: dict[str, object] = {}
-        self._cursor = 0
-        #: Registered nodes whose queue head is not the cursor tick —
-        #: the barrier is complete when it is empty.  Kept per routed
-        #: frame for the one node touched, rebuilt when the cursor moves.
-        self._missing: set[str] = set(self._queues)
-        self._conns: set = set()  # open _AgentConnection's
-        self._eof_seen = False
-        #: Monotonic moment ``_draining`` first observed the server
-        #: idle (no open connections, no EOF); cleared whenever a
-        #: connection is open.  Gates ``exit_on_idle`` on
-        #: ``idle_grace``.
-        self._idle_since: float | None = None
-        self._stop_requested = False
-        self._finalized = False
         self._wake: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        # -- durability ------------------------------------------------
-        if isinstance(wal, WalWriter):
-            self._wal: WalWriter | None = wal
-            self._wal_dir: Path | None = None
-        else:
-            self._wal = None
-            self._wal_dir = Path(wal) if wal else None
-        self._wal_fsync = wal_fsync
-        self.checkpoint = checkpoint
-        #: Emitted events retained for checkpoint archives (only when
-        #: checkpointing — a non-durable server keeps nothing).
-        self._events: list[dict] = []
-        self._n_events = 0
-        self._n_alerts = 0
-        self._ticks_done = 0
-        self._recovering = False
-        self._recovered = False
-        self._timeout_streak = 0
-        #: Transports of connections that opted into per-tick acks.
-        self._ack_subs: set = set()
-        #: Registered node -> transport of the latest ack-subscribed
-        #: connection to send it a frame: a hole at such a node can
-        #: still be filled, so the barrier deadline holds it (bounded
-        #: by the fleet size).
-        self._feeders: dict[str, object] = {}
         #: Bound ports, valid once :attr:`ready` is set.
         self.port: int | None = None
         self.ops_bound_port: int | None = None
         self.ready = threading.Event()
 
-    # -- ingress -------------------------------------------------------
-    def _frame_samples(self, values) -> int:
-        if isinstance(values, np.ndarray):
-            return int(values.shape[1]) if values.ndim == 2 else 0
-        try:
-            return len(values[0])
-        except (TypeError, IndexError, KeyError):
-            return 0
-
-    def _route_frame(self, frame: Frame) -> None:
-        if frame.control is not None:
-            if frame.control == "eof":
-                self._eof_seen = True
-            return
-        samples = self._frame_samples(frame.values)
-        self.stats.observe_frame(samples)
-        queue = self._queues.get(frame.node)
-        if queue is not None and frame.tick < self._cursor:
-            # Already processed (a resend after lost acks): it changes
-            # no state, so it is not journaled either.
-            self.stats.late_dropped += 1
-            return
-        if self._wal is not None and not self._recovering:
-            # Journal before queueing: once routing mutates state, the
-            # frame must be replayable or a crash diverges.
-            self._wal.append_frame(frame.node, frame.tick, frame.values, frame.wire)
-        if queue is None:
-            # Unknown node: hand it to the guard at the next tick so
-            # the stray shows up as an `unknown-node` guard event.
-            # Bounded: one (newest) frame per unknown path, at most
-            # MAX_STRAY_NODES paths — excess is counted, not kept.
-            self.stats.strays += 1
-            if (
-                frame.node in self._pending
-                or len(self._pending) < self.MAX_STRAY_NODES
-            ):
-                self._pending[frame.node] = frame.values
-            else:
-                self.stats.stray_dropped += 1
-            return
-        queue.push(frame.tick, frame.values, samples, frame.wire)
-        self._touch(frame.node, queue)
-
-    def _touch(self, path: str, queue: NodeQueue) -> None:
-        """Re-file one node after a push changed its queue."""
-        entries = queue.entries
-        if entries and entries[0][0] == self._cursor:
-            self._missing.discard(path)
-        else:
-            self._missing.add(path)
-
-    def _route_error(self, error: FrameError) -> None:
-        self.stats.garbage += 1
-        if error.node and error.node in self._queues:
-            # A broken frame that still names a registered node becomes
-            # a poison block: the guard classifies it (shape-mismatch)
-            # and the node degrades/quarantines per PR 7 policy.
-            if self._wal is not None and not self._recovering:
-                # Poison pushes mutate queue state: journal them so a
-                # replayed log quarantines the same nodes.
-                self._wal.append_error(error.reason, error.node)
-            self.stats.poisoned += 1
-            queue = self._queues[error.node]
-            tick = (
-                queue.entries[-1][0] + 1 if queue.entries else self._cursor
-            )
-            queue.push(tick, None, 0)
-            self._touch(error.node, queue)
-
-    # -- the pump ------------------------------------------------------
-    def _draining(self) -> bool:
-        """No more input is coming; finish what is queued and stop."""
-        if self._stop_requested:
-            return True
-        if self._conns or not self.stats.connections:
-            self._idle_since = None
-            return False
-        if self._eof_seen:
-            return True
-        if not self.exit_on_idle:
-            return False
-        # exit_on_idle without an explicit EOF: hold the door open for
-        # ``idle_grace`` — a reconnecting client (e.g. after a chaos
-        # proxy reset) is gone for a backoff interval, which must not
-        # read as "stream over".
-        now = time.monotonic()
-        if self._idle_since is None:
-            self._idle_since = now
-        return now - self._idle_since >= self.idle_grace
-
-    def _move_cursor(self, tick: int) -> None:
-        """Set the cursor, drop queued ticks now below it and rebuild
-        the barrier's missing set.  Heads go stale only here:
-        ``_route_frame`` drops below-cursor frames on arrival."""
-        self._cursor = tick
-        missing = self._missing
-        missing.clear()
-        for path, queue in self._queues.items():
-            entries = queue.entries
-            while entries and entries[0][0] < tick:
-                entries.popleft()
-                self.stats.late_dropped += 1
-            if not (entries and entries[0][0] == tick):
-                missing.add(path)
-
-    def _barrier_complete(self) -> bool:
-        # Every node's queue must hold the tick *at the cursor* — a
-        # merely non-empty queue is not enough.  When loss (a chaos
-        # transport, a crashed sender) wipes one tick for every node,
-        # the queues all hold tick N+1 while the cursor is at N; a
-        # non-empty check would then process — and ack — an empty
-        # tick N, and a resuming client would trust that ack and never
-        # retransmit the lost data.
-        return not self._missing
-
-    def _any_queued(self) -> bool:
-        return bool(self._pending) or any(
-            q.entries for q in self._queues.values()
-        )
-
-    def _process_tick(self) -> None:
-        cursor = self._cursor
-        burst: dict = {}
-        tick_samples = 0
-        for path, queue in self._queues.items():
-            entries = queue.entries
-            if entries and entries[0][0] == cursor:
-                _, values, samples, _ = entries.popleft()
-                burst[path] = values
-                tick_samples += samples
-        for node, values in self._pending.items():
-            burst.setdefault(node, values)
-        self._pending.clear()
-        t0 = time.perf_counter()
-        events = self.guarded.process_block(burst, tick=cursor)
-        latency = time.perf_counter() - t0
-        opened = 0
-        for event in events:
-            opened += event.get("event") == "open"
-            for sink in self.sinks:
-                sink.emit(event)
-        self.stats.observe_tick(latency, len(events), opened)
-        self._n_events += len(events)
-        self._n_alerts += opened
-        if self.checkpoint is not None:
-            self._events.extend(events)
-        self._move_cursor(cursor + 1)
-        self._ticks_done += 1
-        if not self._recovering:
-            if self._wal is not None:
-                # The watermark is the durability edge: fsync policy
-                # "tick" syncs here, making everything up to and
-                # including this tick replayable after kill -9.
-                self._wal.append_watermark(cursor)
-            self._send_ack(self._ack_subs, cursor)
-            if (
-                self.checkpoint is not None
-                and self._ticks_done % self.checkpoint.every == 0
-            ):
-                self._write_checkpoint()
-
-    def _send_ack(self, writers, tick: int) -> None:
-        """Tell subscribed ``writers`` every tick through ``tick`` is
-        processed (and, per fsync policy, journaled): their resume
-        point.  Acks are cumulative, so ``tick`` is never past a hole."""
-        if not writers:
-            return
-        data = encode_ack(tick)
-        dead = []
-        for writer in writers:
-            try:
-                writer.write(data)
-            except Exception:
-                dead.append(writer)
-        for writer in dead:
-            self._ack_subs.discard(writer)
-
-    def _hold_hole(self) -> bool:
-        """On a barrier timeout, hold a hole a subscribed sender fed.
-
-        True when some node missing at the cursor was fed by an
-        ack-subscribed connection: that sender can still fill the hole,
-        so it is re-sent its last ack (its cue to go back to the tick
-        after it) and the tick waits.  False means only unsubscribed
-        senders are missing, and the partial-fleet break goes ahead.
-        """
-        feeders = {self._feeders.get(path) for path in self._missing}
-        feeders.discard(None)
-        if not feeders:
-            return False
-        self._send_ack(feeders & self._ack_subs, self._cursor - 1)
-        return True
-
-    def _advance_to_next_queued(self) -> None:
-        """Jump the cursor to the earliest queued tick (partial fleet)."""
-        ticks = [
-            q.entries[0][0] for q in self._queues.values() if q.entries
-        ]
-        if ticks and min(ticks) > self._cursor:
-            self._move_cursor(min(ticks))
+    def health(self) -> dict:
+        """The ``/health`` payload (:meth:`ServeCore.health`)."""
+        return self.core.health(self.ready.is_set())
 
     async def _pump(self):
-        loop = asyncio.get_running_loop()
-        # Absolute barrier deadline: armed when data first sits waiting
-        # on an incomplete barrier, disarmed only by processing a tick.
-        # It must NOT restart on every wake — live nodes sending faster
-        # than tick_timeout would then postpone the timeout forever and
-        # one dead agent *would* stall the world.
-        deadline: float | None = None
-        while True:
-            if self._barrier_complete():
-                self._process_tick()
-                self._timeout_streak = 0
-                deadline = None
-                # The complete-barrier path has no await of its own:
-                # yield so socket readers and the ops listener run even
-                # through long streaks of complete barriers.
+        loop, core = asyncio.get_running_loop(), self.core
+        while (due := core.poll(loop.time())) is not None:
+            wait = due - loop.time()
+            if wait <= 0:
+                # Something fired: let sockets and the ops listener run
+                # before the next poll, even through long tick streaks.
                 await asyncio.sleep(0)
                 continue
-            if self._draining():
-                if not self._any_queued():
-                    break
-                self._advance_to_next_queued()
-                self._process_tick()
-                deadline = None
-                await asyncio.sleep(0)
-                continue
-            # Only a sender can be dead: a restarted server holds its
-            # recovered queues until the first connection arrives.
-            if self.stats.connections and self._any_queued():
-                now = loop.time()
-                if deadline is None:
-                    deadline = now + self.tick_timeout
-                if now >= deadline:
-                    self._timeout_streak += 1
-                    deadline = None
-                    if not self._hold_hole():
-                        # Partial fleet: this data has waited a full
-                        # tick_timeout — process what arrived so a dead
-                        # agent can't stall ticks.
-                        self._advance_to_next_queued()
-                        self._process_tick()
-                    await asyncio.sleep(0)
-                    continue
-                timeout = deadline - now
-            else:
-                deadline = None
-                timeout = None
-                if self._idle_since is not None:
-                    # Idle-grace window armed: no connection will set
-                    # ``_wake`` if none ever returns, so wake when the
-                    # grace expires to re-check ``_draining``.
-                    timeout = max(
-                        0.01,
-                        self._idle_since
-                        + self.idle_grace
-                        - time.monotonic(),
-                    )
             self._wake.clear()
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=timeout)
+                await asyncio.wait_for(
+                    self._wake.wait(), None if wait == math.inf else wait
+                )
             except asyncio.TimeoutError:
                 pass
-
-    # -- durability ----------------------------------------------------
-    def _write_checkpoint(self) -> None:
-        """Snapshot detector + guard + routing state between ticks.
-
-        The archive additionally records the tick cursor, the WAL
-        index up to which state is already reflected, and the
-        routed-but-unprocessed queue/stray contents as encoded-frame
-        blobs — so restart = restore + replay WAL from ``wal_index``,
-        nothing else.  Runs synchronously on the event loop (no await
-        between the last watermark and the snapshot, so no frame can
-        interleave).
-        """
-        from repro.service.checkpoint import save_checkpoint
-
-        cp = self.checkpoint
-        wal_index = self._wal.next_index if self._wal is not None else 0
-        queue_blob = bytearray()
-        for path, queue in self._queues.items():
-            for tick, values, _, wire in queue.entries:
-                queue_blob += wire or encode_frame_payload(path, tick, values)
-        pending_blob = bytearray()
-        for node, values in self._pending.items():
-            pending_blob += encode_frame_payload(node, 0, values)
-        save_checkpoint(
-            cp.path,
-            self.guarded.inner,
-            fingerprint=cp.fingerprint,
-            chunk=cp.chunk,
-            next_lo=self._cursor * cp.chunk,
-            events=self._events,
-            n_events=self._n_events,
-            n_alerts=self._n_alerts,
-            guard_state=self.guarded.state_dict(),
-            server_state={
-                "cursor": self._cursor,
-                "wal_index": wal_index,
-                "ticks_done": self._ticks_done,
-            },
-            extra_arrays={
-                "server_queues": np.frombuffer(
-                    bytes(queue_blob), dtype=np.uint8
-                ),
-                "server_pending": np.frombuffer(
-                    bytes(pending_blob), dtype=np.uint8
-                ),
-            },
-        )
-        self.stats.checkpoints += 1
-        if self._wal is not None:
-            self._wal.prune_through(wal_index)
-
-    def _restore_blob(self, blob, *, pending: bool) -> None:
-        if blob is None or blob.size == 0:
-            return
-        decoder = FrameDecoder()
-        frames, errors = decoder.feed(blob.tobytes())
-        if errors or decoder.eof():
-            from repro.service.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                "checkpoint queue blob does not decode cleanly",
-                field="server_pending" if pending else "server_queues",
-            )
-        for frame in frames:
-            if pending:
-                self._pending[frame.node] = frame.values
-            else:
-                self._queues[frame.node].push(
-                    frame.tick,
-                    frame.values,
-                    self._frame_samples(frame.values),
-                    frame.wire,
-                )
-
-    def _recover(self) -> None:
-        """Restore checkpoint state, then replay the WAL through it.
-
-        Runs before any listener binds, so recovery can never
-        interleave with live routing.  Watermark records re-drive
-        ``_process_tick`` exactly as the crashed process did (the
-        journal is the live total order); the re-emitted event stream
-        lands in the fresh (truncating) sinks, which is what makes the
-        restarted alert JSONL byte-identical end to end.
-        """
-        wal_start = 0
-        if self.checkpoint is not None and self.checkpoint.path.exists():
-            from repro.service.checkpoint import (
-                CheckpointError,
-                load_checkpoint,
-                restore_checkpoint,
-            )
-
-            ckpt = load_checkpoint(self.checkpoint.path)
-            server = ckpt.manifest.get("server")
-            if server is None:
-                # Reject before restore_checkpoint touches any state:
-                # a half-restored detector must never start serving.
-                raise CheckpointError(
-                    f"{self.checkpoint.path}: not a server checkpoint "
-                    "(no server state; it was written by in-process "
-                    "replay and cannot seed a network restart)",
-                    field="server",
-                )
-            events, _, n_events, n_alerts = restore_checkpoint(
-                ckpt,
-                self.guarded.inner,
-                fingerprint=self.checkpoint.fingerprint,
-                chunk=self.checkpoint.chunk,
-                guard=self.guarded,
-            )
-            for event in events:
-                for sink in self.sinks:
-                    sink.emit(event)
-            self._events = list(events)
-            self._n_events = n_events
-            self._n_alerts = n_alerts
-            self._ticks_done = int(server["ticks_done"])
-            wal_start = int(server["wal_index"])
-            self._restore_blob(ckpt.array("server_queues"), pending=False)
-            self._restore_blob(ckpt.array("server_pending"), pending=True)
-            self._move_cursor(int(server["cursor"]))
-        if self._wal_dir is not None:
-            self._wal, records = WalWriter.open(
-                self._wal_dir,
-                fsync=self._wal_fsync,
-                min_index=wal_start,
-            )
-            replayed = 0
-            self._recovering = True
-            try:
-                for rec in records:
-                    if rec.index < wal_start:
-                        continue
-                    replayed += 1
-                    if rec.rtype == REC_FRAME:
-                        self._route_frame(decode_frame_record(rec.payload))
-                    elif rec.rtype == REC_ERROR:
-                        info = json.loads(rec.payload)
-                        self._route_error(
-                            FrameError(
-                                info.get("reason", "garbage"),
-                                node=info.get("node"),
-                            )
-                        )
-                    elif rec.rtype == REC_WATERMARK:
-                        tick = int(json.loads(rec.payload)["tick"])
-                        if tick > self._cursor:
-                            self._move_cursor(tick)
-                        self._process_tick()
-            finally:
-                self._recovering = False
-            self.stats.wal_replayed = replayed
-            if replayed and self.checkpoint is not None:
-                # Fold the replayed records into a fresh snapshot so
-                # the next crash does not replay them again.
-                self._write_checkpoint()
-        self._recovered = True
-
-    def health(self) -> dict:
-        """The ``/health`` payload: liveness, readiness, degradation.
-
-        Responding at all is liveness; *readiness* means the listeners
-        are bound, recovery is done and no stop is in flight.  The
-        ``status`` flips to ``degraded`` (with machine-readable
-        ``reasons``) when the WAL fsync lag, the quarantined-node
-        count or the barrier-timeout streak indicate the fleet signal
-        is impaired even though the server is up.
-        """
-        reasons = []
-        wal_pending = self._wal.pending if self._wal is not None else 0
-        if wal_pending > WAL_LAG_DEGRADED:
-            reasons.append("wal-flush-lag")
-        states = self.guarded.fleet_health()["states"]
-        quarantined = int(states.get("quarantined", 0))
-        if quarantined:
-            reasons.append("quarantined-nodes")
-        if self._timeout_streak >= TIMEOUT_STREAK_DEGRADED:
-            reasons.append("barrier-timeout-streak")
-        ready = (
-            self.ready.is_set()
-            and not self._stop_requested
-            and not self._finalized
-        )
-        return {
-            "live": True,
-            "ready": ready,
-            "status": "degraded" if reasons else "ok",
-            "reasons": reasons,
-            "tick": self._cursor,
-            "nodes": len(self._queues),
-            "connections": len(self._conns),
-            "quarantined": quarantined,
-            "timeout_streak": self._timeout_streak,
-            "wal": (
-                None
-                if self._wal is None
-                else {
-                    "appended": self._wal.appended,
-                    "fsyncs": self._wal.fsyncs,
-                    "pending": wal_pending,
-                    "replayed": self.stats.wal_replayed,
-                }
-            ),
-        }
-
-    # -- lifecycle -----------------------------------------------------
-    def _gather_backpressure(self) -> None:
-        self.stats.dropped = sum(q.dropped for q in self._queues.values())
-        self.stats.coalesced = sum(
-            q.coalesced for q in self._queues.values()
-        )
-        if self._wal is not None:
-            self.stats.wal_appended = self._wal.appended
-            self.stats.wal_fsyncs = self._wal.fsyncs
-
-    def _finalize(self, *, interrupted: bool) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        self._gather_backpressure()
-        if self.checkpoint is not None and self._recovered:
-            # Final snapshot (pre-flush, like the replay loop's): a
-            # restart re-emits the checkpointed prefix and the flush
-            # events regenerate at the true end of stream.
-            self._write_checkpoint()
-        if interrupted:
-            for event in flush_open_alerts(self.guarded):
-                for sink in self.sinks:
-                    sink.emit(event)
-        for sink in self.sinks:
-            sink.close()
-        if self._wal is not None:
-            self._wal.close()
 
     async def _main(self):
         from repro.service.ops import OpsProtocolServer
@@ -983,8 +153,8 @@ class FleetServer:
             await self._pump()
         finally:
             server.close()
-            for conn in list(self._conns):
-                conn.transport.close()
+            for transport in list(self.core.senders):
+                transport.close()
             await asyncio.sleep(0)  # run their connection_lost
             if ops_server is not None:
                 ops_server.close()
@@ -993,17 +163,20 @@ class FleetServer:
                 await ops_server.wait_closed()
 
     def run(self) -> None:
-        """Serve until drained/stopped (blocking; Ctrl-C flushes)."""
+        """Recover, then serve until drained/stopped (blocking; Ctrl-C
+        flushes).  A failed recovery writes no final checkpoint: a
+        half-restored state must not replace the archive it came from."""
+        recovered = False
         try:
-            if not self._recovered:
-                self._recover()
+            self.core.recover()
+            recovered = True
             asyncio.run(self._main())
         except KeyboardInterrupt:
-            self._finalize(interrupted=True)
+            self.core.close(checkpoint=recovered, interrupted=True)
             raise
         finally:
             self.ready.set()  # never leave a waiter hanging on failure
-            self._finalize(interrupted=False)
+            self.core.close(checkpoint=recovered)
             self._cleanup_port_files()
 
     def _cleanup_port_files(self) -> None:
@@ -1030,11 +203,11 @@ class FleetServer:
         """Thread-safe: drain what is queued, then stop."""
         loop = self._loop
         if loop is None:
-            self._stop_requested = True
+            self.core.stop()
             return
 
         def _stop():
-            self._stop_requested = True
+            self.core.stop()
             if self._wake is not None:
                 self._wake.set()
 
@@ -1043,47 +216,37 @@ class FleetServer:
 
 class _AgentConnection(asyncio.BufferedProtocol):
     """One agent connection of a :class:`FleetServer`: each chunk the
-    socket receives into the decoder's buffer is decoded and routed."""
+    socket receives into the decoder's buffer is decoded and fed to the
+    core, with the transport as the frames' sender."""
 
     def __init__(self, server: FleetServer):
         self.server = server
         self.decoder = FrameDecoder()
-        self.subscribed = False
 
     def connection_made(self, transport) -> None:
         self.transport = transport
-        self.server.stats.connections += 1
-        self.server._conns.add(self)
+        self.server.core.connect(transport)
 
     def get_buffer(self, sizehint: int) -> memoryview:
         self.view = self.decoder.get_buffer()
         return self.view
 
     def buffer_updated(self, nbytes: int) -> None:
-        server, transport = self.server, self.transport
+        core, transport = self.server.core, self.transport
         view, self.view = self.view, None
         frames, errors = self.decoder.feed(view[:nbytes])
         for frame in frames:
-            if frame.control == "acks":
-                # The sender wants per-tick acks (reconnecting clients
-                # resume from the last acked tick): start it at the
-                # current watermark.
-                self.subscribed = True
-                server._ack_subs.add(transport)
-                server._send_ack((transport,), server._cursor - 1)
-            elif self.subscribed and frame.node in server._queues:
-                server._feeders[frame.node] = transport
-            server._route_frame(frame)
+            core.feed(frame, transport)
         for error in errors:
-            server._route_error(error)
+            core.feed_error(error)
         if frames or errors:
-            server._wake.set()
+            self.server._wake.set()
 
     def connection_lost(self, exc) -> None:
+        core = self.server.core
         for error in self.decoder.eof():
-            self.server._route_error(error)
-        self.server._ack_subs.discard(self.transport)
-        self.server._conns.discard(self)
+            core.feed_error(error)
+        core.disconnect(self.transport)
         self.server._wake.set()
 
 

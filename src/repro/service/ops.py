@@ -198,6 +198,5 @@ class OpsProtocolServer:
                     return 200, {"id": alert_id, action: True}
                 return 404, {"error": f"unknown alert {alert_id!r}"}
         if method == "GET" and path == "/stats":
-            srv._gather_backpressure()
-            return 200, srv.stats.snapshot()
+            return 200, srv.core.stats_snapshot()
         return 404, {"error": f"no route for {method} {path}"}

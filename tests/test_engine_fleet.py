@@ -43,16 +43,6 @@ class TestBatchedEquivalence:
             ref = CorrelationWiseSmoothing(blocks=2).fit(S).transform_series(S, 10, 5)
             assert np.array_equal(out[path], ref), path
 
-    def test_sharded_execution_identical(self, rng):
-        data = _fleet_data(rng, 32)
-        engine = FleetSignatureEngine(blocks="all", wl=16, ws=8)
-        engine.fit_fleet(data)
-        serial = engine.transform_fleet(data)
-        sharded = engine.transform_fleet(data, shards=4)
-        assert serial.keys() == sharded.keys()
-        for path in serial:
-            assert np.array_equal(serial[path], sharded[path])
-
     def test_transform_node_matches_fleet(self, rng):
         data = _fleet_data(rng, 3)
         engine = FleetSignatureEngine(blocks=3, wl=12, ws=4)

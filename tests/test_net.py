@@ -22,20 +22,14 @@ from repro.service.api import (
     build_setup,
     replay,
 )
-from repro.service.net import (
-    BackpressureConfig,
-    FleetServer,
-    ListAlertSink,
-    NodeQueue,
-    loadgen,
-    parse_address,
-)
+from repro.service.net import FleetServer, ListAlertSink, loadgen, parse_address
 from repro.service.protocol import (
     Frame,
     encode_binary,
     encode_eof,
     encode_json,
 )
+from repro.service.servecore import BackpressureConfig, NodeQueue
 
 CFG = ServiceConfig.smoke()
 
@@ -87,14 +81,14 @@ class TestBackpressureQueue:
     def test_drop_oldest_evicts_head(self):
         q = NodeQueue(BackpressureConfig(queue_max=3, policy="drop-oldest"))
         for tick in range(5):
-            q.push(tick, None, 0)
+            q.push(tick, None)
         assert [e[0] for e in q.entries] == [2, 3, 4]
         assert q.dropped == 2 and q.coalesced == 0
 
     def test_coalesce_replaces_tail(self):
         q = NodeQueue(BackpressureConfig(queue_max=3, policy="coalesce"))
         for tick in range(5):
-            q.push(tick, None, 0)
+            q.push(tick, None)
         assert [e[0] for e in q.entries] == [0, 1, 4]
         assert q.coalesced == 2 and q.dropped == 0
 
@@ -108,7 +102,7 @@ class TestBackpressureQueue:
             pushed = 0
             for _ in range(50):
                 for _ in range(int(rng.integers(0, 12))):  # burst
-                    q.push(pushed, None, 1)
+                    q.push(pushed, None)
                     pushed += 1
                     assert len(q) <= 8
                 for _ in range(int(rng.integers(0, 4))):  # partial drain
@@ -284,19 +278,19 @@ class TestStrayBounds:
         """Unknown-node frames must not grow server memory without
         limit during a barrier stall: at most MAX_STRAY_NODES distinct
         paths are buffered, the rest are counted and dropped."""
-        server = FleetServer(build_detector(CFG, setup))
-        server.MAX_STRAY_NODES = 4
+        core = FleetServer(build_detector(CFG, setup)).core
+        core.MAX_STRAY_NODES = 4
         values = np.zeros((2, 3))
         for i in range(10):
-            server._route_frame(Frame(f"ghost/node{i}", 0, values))
-        assert len(server._pending) == 4
-        assert server.stats.strays == 10
-        assert server.stats.stray_dropped == 6
+            core.feed(Frame(f"ghost/node{i}", 0, values))
+        assert len(core.strays) == 4
+        assert core.stats.strays == 10
+        assert core.stats.stray_dropped == 6
         # A path already pending is refreshed in place, never dropped.
-        server._route_frame(Frame("ghost/node0", 1, values))
-        assert len(server._pending) == 4
-        assert server.stats.stray_dropped == 6
-        assert server.stats.snapshot()["protocol"]["stray_dropped"] == 6
+        core.feed(Frame("ghost/node0", 1, values))
+        assert len(core.strays) == 4
+        assert core.stats.stray_dropped == 6
+        assert core.stats.snapshot()["protocol"]["stray_dropped"] == 6
 
     def test_empty_fleet_rejected_at_construction(self):
         """Zero registered paths would make the barrier trivially

@@ -1,12 +1,13 @@
 """The tick barrier's incremental bookkeeping against its definition.
 
-``FleetServer`` keeps the set of registered nodes whose queue head is
-not the cursor tick, updated for the one node each routed frame or
-poison push touches and rebuilt when the cursor moves.  The barrier is
+``ServeCore`` keeps the set of registered nodes whose queue head is not
+the cursor tick, updated for the one node each routed frame or poison
+push touches and rebuilt when the cursor moves.  The barrier is
 complete when that set is empty.  These seeded random schedules check,
 after every operation, that the set equals the full scan over all
-queues it replaces, and that no queue head ever lies below the cursor
-(stale heads are dropped only when the cursor moves).
+queues it replaces, that a poll before any deadline fires a tick
+exactly when the scan is empty, and that no queue head ever lies below
+the cursor (stale heads are dropped only when the cursor moves).
 """
 
 import random
@@ -15,10 +16,12 @@ import pytest
 
 from repro.service.api import ServiceConfig, build_detector, build_setup
 from repro.service.checkpoint import fleet_fingerprint
-from repro.service.net import BackpressureConfig, FleetServer, ServerCheckpoint
+from repro.service.net import FleetServer
 from repro.service.protocol import Frame, FrameError
+from repro.service.servecore import BackpressureConfig, ServerCheckpoint
 
 CFG = ServiceConfig.smoke(chunk=20, replicate=6)
+SUBSCRIBE = Frame("", 0, None, control="acks")
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +39,24 @@ class _Writer:
         self.acks += 1
 
 
-def _check(server):
-    cursor = server._cursor
-    scan = {
+def barrier_scan(core) -> set:
+    """The nodes whose queue head is not the cursor tick, by full scan."""
+    return {
         p
-        for p, q in server._queues.items()
-        if not (q.entries and q.entries[0][0] == cursor)
+        for p, q in core.queues.items()
+        if not (q.entries and q.entries[0][0] == core.cursor)
     }
-    assert server._missing == scan
-    assert server._barrier_complete() == (not scan)
+
+
+def check_barrier(core) -> None:
+    assert core.missing == barrier_scan(core)
     assert all(
-        q.entries[0][0] >= cursor for q in server._queues.values() if q.entries
+        q.entries[0][0] >= core.cursor for q in core.queues.values() if q.entries
     )
 
 
-def _server(setup, tmp_path, policy):
-    server = FleetServer(
+def _core(setup, tmp_path, policy):
+    core = FleetServer(
         build_detector(CFG, setup),
         backpressure=BackpressureConfig(queue_max=2, policy=policy),
         wal=tmp_path / "wal",
@@ -61,68 +66,78 @@ def _server(setup, tmp_path, policy):
             fingerprint=fleet_fingerprint(setup.trained),
             chunk=CFG.chunk,
         ),
-    )
-    server._recover()
-    _check(server)
-    return server
+    ).core
+    core.recover()
+    check_barrier(core)
+    # A connected sender arms the barrier deadline.
+    core.connect(_Writer())
+    return core
 
 
 def _schedule(setup, tmp_path, policy, seed, n_ops=300):
     rng = random.Random(seed)
-    server = _server(setup, tmp_path, policy)
-    paths = sorted(server._queues)
+    core = _core(setup, tmp_path, policy)
+    paths = sorted(core.queues)
     n_slices = setup.eval_data[paths[0]].shape[1] // CFG.chunk
     writer = _Writer()
+    now = 0.0
 
     def values(path, tick):
         lo = (tick % n_slices) * CFG.chunk
         return setup.eval_data[path][:, lo : lo + CFG.chunk]
 
+    def sender():
+        # Mostly unsubscribed senders: holes they leave are broken.
+        return writer if rng.random() < 0.2 else None
+
     ticks_done = 0
     for _ in range(n_ops):
         op = rng.random()
         path = rng.choice(paths)
-        cursor = server._cursor
+        cursor = core.cursor
         if op < 0.35:
             # In-order: the tick after the node's newest queued one.
-            q = server._queues[path].entries
+            q = core.queues[path].entries
             tick = q[-1][0] + 1 if q else cursor
-            server._route_frame(Frame(path, tick, values(path, tick)))
+            core.feed(Frame(path, tick, values(path, tick)), sender())
         elif op < 0.5:
             # Out of order, a duplicate of a queued tick, or late.
             tick = max(0, cursor + rng.randint(-2, 3))
-            server._route_frame(Frame(path, tick, values(path, tick)))
+            core.feed(Frame(path, tick, values(path, tick)), sender())
         elif op < 0.55:
-            server._route_error(FrameError("bad-crc", node=path))
+            core.feed_error(FrameError("bad-crc", node=path))
         elif op < 0.6:
             ghost = f"ghost/node{rng.randint(0, 3)}"
-            server._route_frame(Frame(ghost, cursor, values(path, cursor)))
+            core.feed(Frame(ghost, cursor, values(path, cursor)))
         elif op < 0.65:
-            # A subscribed sender now feeds this node: a timeout at a
-            # hole it left is held instead of broken.
-            server._feeders[path] = writer
-            server._ack_subs.add(writer)
+            # A subscribed sender: a timeout at a hole it fed is held
+            # instead of broken.
+            core.feed(SUBSCRIBE, writer)
         elif op < 0.85:
-            if server._barrier_complete():
-                server._process_tick()
-                ticks_done += 1
+            # Before any deadline, a poll fires exactly the complete
+            # barrier.
+            complete = not barrier_scan(core)
+            ticks = core.stats.ticks
+            core.poll(now)
+            assert (core.stats.ticks == ticks + 1) == complete
+            ticks_done += complete
         elif op < 0.95:
             # Barrier timeout: hold a subscribed sender's hole, or break
             # for a partial fleet.
-            if server._any_queued() and not server._hold_hole():
-                server._advance_to_next_queued()
-                server._process_tick()
-                ticks_done += 1
+            now += core.tick_timeout
+            ticks = core.stats.ticks
+            core.poll(now)
+            ticks_done += core.stats.ticks - ticks
             if rng.random() < 0.3:
-                server._feeders.clear()
-                server._ack_subs.clear()
+                core.disconnect(writer)
         else:
-            # Crash: a fresh server restores the last checkpoint and
+            # Crash: a fresh core restores the last checkpoint and
             # replays the journal behind it.
-            server._wal.close()
-            server = _server(setup, tmp_path, policy)
-        _check(server)
-    server._wal.close()
+            core.wal.close()
+            core = _core(setup, tmp_path, policy)
+            now = 0.0
+        check_barrier(core)
+    core.wal.close()
     return ticks_done
 
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.service import net, wal
+from repro.service import checkpoint, net, wal
 from repro.service.api import (
     ServiceConfig,
     build_detector,
@@ -28,18 +28,15 @@ from repro.service.checkpoint import (
     fleet_fingerprint,
     load_checkpoint,
 )
-from repro.service.net import (
-    FleetServer,
-    ListAlertSink,
-    ServerCheckpoint,
-    loadgen,
-)
+from repro.service.net import FleetServer, ListAlertSink, loadgen
 from repro.service.protocol import (
+    Frame,
     FrameDecoder,
     encode_acks_subscribe,
     encode_binary,
     encode_eof,
 )
+from repro.service.servecore import ServerCheckpoint
 from repro.service.wal import REC_FRAME, recover_wal
 
 CFG = ServiceConfig.smoke()
@@ -129,7 +126,7 @@ class TestCrashRestartByteIdentity:
             # the way fsync=always would, so the clone carries a
             # mid-tick journal tail.  (The event loop is idle here —
             # nothing else is appending.)
-            server_a._wal.sync()
+            server_a.core.wal.sync()
             # Crash-consistent clone: checkpoint first, then the WAL —
             # exactly the order the live process writes them, so the
             # clone can never hold a checkpoint newer than its journal.
@@ -226,7 +223,7 @@ class TestCrashRestartByteIdentity:
             checkpoint=_checkpoint(tmp_path / "inproc.npz", fingerprint),
         )
         with pytest.raises(CheckpointError, match="server"):
-            server._recover()
+            server.core.recover()
 
 
 class TestHealthSurface:
@@ -255,14 +252,21 @@ class TestHealthSurface:
         assert server.health()["ready"] is False
 
     def test_degraded_reasons(self, setup):
-        server = FleetServer(build_detector(CFG, setup))
-        # Barrier-timeout streak (a dead agent forcing partial ticks).
-        server._timeout_streak = 3
+        server = FleetServer(build_detector(CFG, setup), tick_timeout=1.0)
+        core = server.core
+        # Barrier-timeout streak: a dead agent forcing partial ticks.
+        core.connect(object())
+        node = sorted(core.queues)[0]
+        values = setup.eval_data[node][:, : CFG.chunk]
+        for tick in range(3):
+            core.feed(Frame(node, tick, values))
+        for now in (0.0, 1.0, 1.0, 2.0, 2.0, 3.0):
+            core.poll(now)
+        assert core.timeout_streak == 3
         payload = server.health()
         assert payload["status"] == "degraded"
         assert "barrier-timeout-streak" in payload["reasons"]
         # Quarantined node (guard state, not server state).
-        node = sorted(server._queues)[0]
         server.guarded._health[node].state = "quarantined"
         payload = server.health()
         assert "quarantined-nodes" in payload["reasons"]
@@ -420,18 +424,84 @@ class TestJournalReuse:
             wal=tmp_path / "wal",
             checkpoint=_checkpoint(tmp_path / "ckpt.npz", fingerprint),
         )
-        server._recover()
+        core = server.core
+        core.recover()
         for frame in frames:
-            server._route_frame(frame)
-        server._write_checkpoint()
-        server._wal.close()
+            core.feed(frame)
+        core.write_checkpoint()
+        core.wal.close()
         records = recover_wal(tmp_path / "wal").records
         payloads = [r.payload for r in records if r.rtype == REC_FRAME]
         assert payloads == [f.wire for f in frames]
-        queued = [e[3] for q in server._queues.values() for e in q.entries]
+        queued = [e[2] for q in core.queues.values() for e in q.entries]
         assert all(any(w is f.wire for f in frames) for w in queued)
         blob = load_checkpoint(tmp_path / "ckpt.npz").array("server_queues")
         assert blob.tobytes() == b"".join(queued)
+
+
+class TestRecoveryReplay:
+    def test_replayed_records_are_not_rejournaled_acked_or_checkpointed(
+        self, setup, fingerprint, tmp_path, monkeypatch
+    ):
+        """Recovery feeds journal records through the live entry points
+        and re-fires each watermark's tick through the live tick
+        function, yet appends nothing, acks nothing and writes only the
+        one snapshot that folds the replay in (not one per tick)."""
+        sink_a = ListAlertSink()
+        core = FleetServer(
+            build_detector(CFG, setup), sinks=(sink_a,), wal=tmp_path / "wal"
+        ).core
+        core.recover()
+        frames, _ = FrameDecoder().feed(
+            b"".join(_tick_frames(setup, t) for t in range(3))
+        )
+        for frame in frames:
+            core.feed(frame)
+            core.poll(0.0)
+        assert core.stats.ticks == 3
+        next_index = core.wal.next_index
+        core.wal.close()
+
+        appends, saves = [], []
+        for method in ("append_frame", "append_error", "append_watermark"):
+            real = getattr(wal.WalWriter, method)
+            monkeypatch.setattr(
+                wal.WalWriter,
+                method,
+                lambda *a, _real=real, **k: appends.append(a) or _real(*a, **k),
+            )
+        real_save = checkpoint.save_checkpoint
+        monkeypatch.setattr(
+            checkpoint,
+            "save_checkpoint",
+            lambda *a, **k: saves.append(a) or real_save(*a, **k),
+        )
+        sink_b = ListAlertSink()
+        core = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink_b,),
+            wal=tmp_path / "wal",
+            checkpoint=_checkpoint(tmp_path / "ckpt.npz", fingerprint),
+        ).core
+        acks = []
+        core.feed(Frame("", 0, None, control="acks"), _AckRecorder(acks))
+        core.recover()
+        assert core.stats.ticks == 3 and core.cursor == 3
+        assert core.stats.wal_replayed == next_index
+        assert appends == [] and core.wal.next_index == next_index
+        assert len(saves) == 1
+        assert acks == [-1]
+        assert sink_b.lines == sink_a.lines
+        core.wal.close()
+
+
+class _AckRecorder:
+    def __init__(self, acks):
+        self.acks = acks
+
+    def write(self, data):
+        (frame,), _ = FrameDecoder().feed(data)
+        self.acks.append(frame.tick)
 
 
 class TestResumeAcks:
@@ -481,6 +551,45 @@ class TestResumeAcks:
         assert stats["acked_ticks"] == stats["ticks"]
         assert stats["rewinds"] >= 1 and stats["reconnects"] == 0
 
+    def test_stats_count_processed_samples_not_resends(
+        self, setup, monkeypatch
+    ):
+        """The rewind resends ticks the server already queued; /stats
+        counts the samples of processed ticks, once each."""
+        real_patch = net._patch_binary_path
+        lost: set = set()
+
+        def lose_tick_1_once(frame, path):
+            out = real_patch(frame, path)
+            (decoded,), _ = FrameDecoder().feed(out)
+            if decoded.tick == 1 and path not in lost:
+                lost.add(path)
+                return b""
+            return out
+
+        monkeypatch.setattr(net, "_patch_binary_path", lose_tick_1_once)
+        server = FleetServer(
+            build_detector(CFG, setup), exit_on_idle=True, tick_timeout=0.3
+        )
+        thread = server.start_background()
+        assert server.ready.wait(10)
+        n_ticks = min(m.shape[1] for m in setup.eval_data.values()) // CFG.chunk
+        stats = loadgen(
+            setup,
+            ("127.0.0.1", server.port),
+            chunk=CFG.chunk,
+            max_ticks=n_ticks,
+            resume=True,
+            ack_timeout=30.0,
+            total_timeout=60.0,
+        )
+        thread.join(60)
+        assert not thread.is_alive()
+        assert stats["rewinds"] >= 1 and stats["resent_frames"] > 0
+        assert server.stats.ticks == n_ticks
+        assert server.stats.frames > n_ticks * len(setup.eval_data)
+        assert server.stats.samples == n_ticks * len(setup.eval_data) * CFG.chunk
+
     def test_reconnect_resending_processed_ticks_gets_acked(
         self, setup, reference, tmp_path
     ):
@@ -503,7 +612,7 @@ class TestResumeAcks:
             sock.sendall(encode_acks_subscribe() + resent)
             assert _wait(lambda: server.stats.ticks == 3)
         # The acks of that connection are gone with it.
-        next_index = server._wal.next_index
+        next_index = server.core.wal.next_index
         late = server.stats.late_dropped
         with socket.create_connection(("127.0.0.1", server.port)) as sock:
             sock.settimeout(10.0)
@@ -515,7 +624,7 @@ class TestResumeAcks:
                 acks += [f.tick for f in frames if f.control == "ack"]
             n_resent = 3 * len(setup.eval_data)
             assert _wait(lambda: server.stats.late_dropped == late + n_resent)
-        assert server._wal.next_index == next_index
+        assert server.core.wal.next_index == next_index
         stats = loadgen(
             setup,
             ("127.0.0.1", server.port),
@@ -546,7 +655,7 @@ class TestResumeAcks:
             )
             assert _wait(lambda: server_a.stats.frames == 3 * len(setup.eval_data))
             assert server_a.stats.ticks == 1
-            server_a._wal.sync()
+            server_a.core.wal.sync()
             shutil.copytree(tmp_path / "live", tmp_path / "crash")
         server_a.request_stop()
         thread_a.join(30)
