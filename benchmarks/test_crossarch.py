@@ -9,19 +9,22 @@ from __future__ import annotations
 
 from pathlib import Path
 
-
-from repro.experiments.crossarch import baseline_signature_lengths, run
 from benchmarks.conftest import SCALE, merge_csv
+from repro.datasets.recipes import recipe
+from repro.experiments.crossarch import baseline_signature_lengths
 from repro.experiments.reporting import format_table
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import execute
 
 RESULTS = Path(__file__).resolve().parent.parent / "results" / "crossarch.csv"
 
 
 def test_crossarch_merged_classification(benchmark, bench_trees):
+    spec = get_scenario("crossarch").with_datasets(
+        (recipe("cross-architecture", t=int(1600 * SCALE)),)
+    ).with_evaluation(blocks=20, trees=bench_trees, mlp_max_iter=80)
     result = benchmark.pedantic(
-        lambda: run(blocks=20, trees=bench_trees, seed=0,
-                    t=int(1600 * SCALE), mlp_max_iter=80),
-        rounds=1, iterations=1,
+        lambda: execute(spec).extras["result"], rounds=1, iterations=1
     )
     rows = [("Random forest", round(result.rf_f1, 4), 0.995),
             ("MLP", round(result.mlp_f1, 4), 0.992)]

@@ -17,7 +17,6 @@ import pytest
 
 from repro.datasets.generators import build_ml_dataset
 from repro.experiments.harness import make_method_factory
-from repro.experiments.fig3 import HEADERS
 from benchmarks.conftest import SEGMENT_FIXTURES, merge_csv
 from repro.experiments.reporting import format_table
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
@@ -25,6 +24,7 @@ from repro.ml.model_selection import (
     cross_validate_classifier,
     cross_validate_regressor,
 )
+from repro.scenarios.evaluations import GRID_HEADERS as HEADERS
 
 METHODS = ("tuncer", "bodik", "lan", "cs-5", "cs-10", "cs-20", "cs-40", "cs-all")
 

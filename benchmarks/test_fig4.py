@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.generators import build_ml_dataset
-from repro.experiments.fig4 import HEADERS, segment_js_divergence
+from repro.experiments.fig4 import segment_js_divergence
 from repro.experiments.harness import make_method_factory
 from benchmarks.conftest import SEGMENT_FIXTURES, merge_csv
 from repro.experiments.reporting import format_table
@@ -24,6 +24,7 @@ from repro.ml.model_selection import (
     cross_validate_classifier,
     cross_validate_regressor,
 )
+from repro.scenarios.evaluations import LENGTH_SWEEP_HEADERS as HEADERS
 
 LENGTHS = (5, 10, 20, 40, "all")
 

@@ -14,8 +14,10 @@ import pytest
 
 from benchmarks.conftest import SCALE
 from repro.datasets.generators import generate_application
+from repro.datasets.recipes import recipe
 from repro.experiments.fig6 import application_heatmaps
-from repro.experiments.fig7 import run as fig7_run
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import execute
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +73,11 @@ def test_fig6_amg_memory_gradient(app_segment):
 
 def test_fig7_cross_architecture_patterns(benchmark):
     """LAMMPS heatmaps exist for all three architectures with equal l."""
+    spec = get_scenario("fig7").with_datasets(
+        (recipe("cross-architecture", t=int(2600 * SCALE)),)
+    ).with_evaluation(blocks=20)
     results = benchmark.pedantic(
-        lambda: fig7_run(t=int(2600 * SCALE), blocks=20), rounds=1, iterations=1
+        lambda: execute(spec).extras["results"], rounds=1, iterations=1
     )
     assert len(results) == 3
     assert all(r.signatures.shape[1] == 20 for r in results)

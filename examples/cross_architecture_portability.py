@@ -17,9 +17,12 @@ import tempfile
 from pathlib import Path
 
 from repro.core import CorrelationWiseSmoothing, CSModel
-from repro.experiments.crossarch import baseline_signature_lengths, run
 from repro.datasets.generators import generate_cross_architecture
+from repro.datasets.recipes import recipe
+from repro.experiments.crossarch import baseline_signature_lengths
 from repro.experiments.reporting import print_table
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import execute
 
 
 def main() -> None:
@@ -30,7 +33,10 @@ def main() -> None:
 
     # --- The merged-dataset experiment.
     print("running the Section IV-F protocol (CS-20 per node, merge, 5-fold CV)...")
-    result = run(blocks=20, trees=args.trees, seed=0, t=args.t)
+    spec = get_scenario("crossarch").with_datasets(
+        (recipe("cross-architecture", t=args.t),)
+    ).with_evaluation(blocks=20, trees=args.trees)
+    result = execute(spec).extras["result"]
     print()
     print_table(
         ("Model", "F1 measured", "F1 paper"),

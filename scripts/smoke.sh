@@ -1,16 +1,35 @@
 #!/usr/bin/env bash
-# The CLI smokes: the service commands EXPERIMENTS.md documents, at
-# --smoke scale, each checking its alert stream byte for byte.  Needs
-# only numpy (no CLI command imports scipy); run from anywhere.
+# The CLI smokes: every paper scenario, then the service commands
+# EXPERIMENTS.md documents, at --smoke scale, each service command
+# checking its alert stream byte for byte.  Needs only numpy (no CLI
+# command imports scipy); run from anywhere.
 # scripts/ci.sh runs it after the test suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== service smoke: detect must reproduce the golden alert stream =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "== paper smoke: Table I, Figures 2-7 and Section IV-F via run-all =="
+# Every paper artifact through the one entry point: one CSV per paper
+# scenario, and the heatmap PGMs of Figures 2, 6 and 7.
+python -m repro run-all --tag paper --smoke --quiet \
+    --results-dir "$SMOKE_DIR/paper" --out "$SMOKE_DIR/figures"
+paper=(table1 fig2 fig3 fig4 fig5 fig6 fig7 crossarch)
+for name in "${paper[@]}"; do
+    [[ -s "$SMOKE_DIR/paper/$name.csv" ]] || { echo "no CSV for $name"; exit 1; }
+done
+csvs=("$SMOKE_DIR"/paper/*.csv)
+[[ ${#csvs[@]} -eq ${#paper[@]} ]] || {
+    echo "expected ${#paper[@]} paper CSVs, found ${#csvs[@]}"; exit 1; }
+for fig in fig2 fig6 fig7; do
+    compgen -G "$SMOKE_DIR/figures/${fig}_*.pgm" > /dev/null \
+        || { echo "no $fig heatmap written"; exit 1; }
+done
+
+echo "== service smoke: detect must reproduce the golden alert stream =="
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --alerts "$SMOKE_DIR/detect.jsonl"
 cmp tests/golden/detect_smoke_alerts.jsonl "$SMOKE_DIR/detect.jsonl"

@@ -24,7 +24,8 @@ Subpackages
     Jensen-Shannon compression fidelity, heatmap visualization,
     root-cause drill-down.
 ``repro.experiments``
-    Runnable reproductions of every table and figure in the paper.
+    The ML harness, result sinks and per-figure kernels behind the
+    paper's scenarios.
 ``repro.scenarios``
     Declarative scenario registry + unified experiment runner with a
     content-addressed artifact cache (``python -m repro list|run``).

@@ -217,16 +217,37 @@ def _alert_sinks(args: argparse.Namespace) -> list:
     return [StreamAlertSink(sys.stdout)]
 
 
+def _checkpoint_every_error(args: argparse.Namespace) -> str | None:
+    if args.checkpoint_every < 1:
+        return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+    return None
+
+
+def _detect_flags_error(args: argparse.Namespace) -> str | None:
+    """The first contradiction among ``repro detect``'s flags, if any:
+    a flag the chosen mode would ignore, or could only fail on after
+    the fleet has trained."""
+    if args.from_store:
+        if args.checkpoint or args.resume:
+            return "--from-store and --checkpoint/--resume are exclusive"
+        if args.stop_after is not None:
+            return "--stop-after applies to live replay, not --from-store"
+    elif args.t0 is not None or args.t1 is not None:
+        return "--t0/--t1 select a store window and require --from-store"
+    if args.resume and not args.checkpoint:
+        return "--resume requires --checkpoint"
+    return _checkpoint_every_error(args)
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table, save_csv
     from repro.scenarios.evaluations import FLEET_DETECT_HEADERS
     from repro.service.alerts import MarkdownAlertSink
     from repro.service.api import replay
 
-    if args.from_store and (args.checkpoint or args.resume):
-        return _usage_error(
-            "--from-store and --checkpoint/--resume are exclusive"
-        )
+    error = _detect_flags_error(args)
+    if error:
+        return _usage_error(error)
     setup, config, context = _build_service_setup(args)
     sinks = _alert_sinks(args)
     if args.markdown:
@@ -397,6 +418,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.supervise and not args.listen:
         return _usage_error("--supervise requires --listen")
+    error = _checkpoint_every_error(args)
+    if error:
+        return _usage_error(error)
     backpressure = None
     if args.listen:
         # Rejected here, not after the fleet trains: a supervisor would
@@ -427,17 +451,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _listen_options(args: argparse.Namespace):
     """Validate the ``serve --listen`` flags; return the backpressure
     config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
-    address or a ``--checkpoint-every``/``--queue-max`` below 1."""
+    address or a ``--queue-max`` below 1."""
     from repro.service.net import parse_address
     from repro.service.servecore import BackpressureConfig
 
     parse_address(args.listen)
     if args.ops:
         parse_address(args.ops)
-    if args.checkpoint_every < 1:
-        raise ValueError(
-            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
     return BackpressureConfig(
         queue_max=int(args.queue_max), policy=args.backpressure
     )

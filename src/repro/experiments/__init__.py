@@ -1,24 +1,27 @@
 """Runnable reproductions of every table and figure in the paper.
 
 Every experiment is a declarative scenario spec registered in
-``repro.scenarios.builtin`` and executed by the generic runner; the
-modules below are thin compatibility shims that keep the historical
-``run()`` APIs and per-script CLIs (``python -m repro.experiments.fig3``)
-working.  Prefer the unified CLI: ``python -m repro list`` /
-``python -m repro run fig3``.  See EXPERIMENTS.md for the scenario ->
-paper-artifact map.
+``repro.scenarios.builtin`` and executed by the generic runner: ``python
+-m repro list`` shows them, ``python -m repro run <name>`` runs one, and
+``execute(get_scenario(name).with_datasets(...))`` runs one from Python.
+See EXPERIMENTS.md for the scenario -> paper-artifact map.
+
+The modules below hold the per-artifact kernels the evaluation kinds in
+``repro.scenarios.evaluations`` call; the ML harness and the result
+sinks live beside them.
 
 =============  =====================================================
-Module         Paper artifact
+Module         Kernels for
 =============  =====================================================
 ``table1``     Table I — dataset-collection overview
-``fig3``       Figure 3 — times, signature sizes, ML scores
-``fig4``       Figure 4 — JS divergence and ML score vs signature length
-``fig5``       Figure 5 — signature-computation scalability
-``fig6``       Figure 6 — application signature heatmaps (160 blocks)
-``fig7``       Figure 7 — LAMMPS heatmaps across three architectures
-``crossarch``  Section IV-F — cross-architecture classification scores
+``fig4``       Figure 4 — JS divergence vs signature length
+``fig5``       Figure 5 — single-signature timing
+``fig6``       Figures 2 and 6 — application signature heatmaps
+``fig7``       Figure 7 — one application across three architectures
+``crossarch``  Section IV-F — cross-architecture classification
 =============  =====================================================
+
+Figure 3 needs no kernel of its own: the ``grid`` kind runs the harness.
 """
 
 from repro.experiments.harness import (

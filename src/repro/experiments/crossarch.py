@@ -14,29 +14,20 @@ multi-layer perceptron; our synthetic segment should land similarly high,
 and — crucially — the experiment is *impossible* with the baselines,
 whose signature lengths differ per node (we verify that too).
 
-The experiment is the registered ``crossarch`` scenario spec; this module
-keeps the historical API (:class:`CrossArchResult`,
-:func:`baseline_signature_lengths`) and CLI as thin shims over the
-generic runner (equivalent to ``python -m repro run crossarch``).
+The experiment is the registered ``crossarch`` scenario spec (``python
+-m repro run crossarch``); this module holds :class:`CrossArchResult` and
+:func:`baseline_signature_lengths`, which the ``merged-crossarch``
+evaluation kind uses.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from repro.baselines.base import get_method
 from repro.datasets.generators import generate_cross_architecture
-from repro.datasets.recipes import recipe
-from repro.scenarios.options import (
-    add_shared_options,
-    options_from_args,
-    sinks_from_args,
-)
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import execute
 
-__all__ = ["CrossArchResult", "run", "baseline_signature_lengths", "main"]
+__all__ = ["CrossArchResult", "baseline_signature_lengths"]
 
 
 @dataclass
@@ -65,48 +56,3 @@ def baseline_signature_lengths(segment=None, *, seed: int = 0, t: int = 900) -> 
         for comp in segment.components
     }
 
-
-def run(
-    *,
-    blocks: int = 20,
-    trees: int = 50,
-    seed: int = 0,
-    t: int = 1600,
-    mlp_max_iter: int = 150,
-) -> CrossArchResult:
-    """Run the merged-dataset classification with RF and MLP models."""
-    spec = get_scenario("crossarch").with_datasets(
-        (recipe("cross-architecture", seed=seed, t=t),)
-    ).with_evaluation(
-        blocks=blocks, trees=trees, seed=seed, mlp_max_iter=mlp_max_iter
-    )
-    return execute(spec).extras["result"]
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point for the Section IV-F experiment."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(
-        parser, "--trees", "--seed", "--smoke", "--cache-dir", "--csv",
-        "--jsonl", "--markdown",
-    )
-    parser.add_argument("--blocks", type=int, default=None,
-                        help="CS block count (default 20, Section IV-F)")
-    parser.add_argument("--t", type=int, default=None,
-                        help="samples per architecture (default 1600)")
-    args = parser.parse_args(argv)
-    overrides = {"blocks": args.blocks} if args.blocks is not None else None
-    datasets = None
-    if args.t is not None:
-        datasets = (recipe("cross-architecture", t=args.t),)
-    execute(
-        get_scenario("crossarch"),
-        options=options_from_args(
-            args, evaluation=overrides, datasets=datasets
-        ),
-        sinks=sinks_from_args(args),
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -16,15 +16,14 @@ score increases monotonically with l; Fault and Power react strongly to
 l, Infrastructure barely; dropping the imaginary parts raises the JS
 divergence everywhere but hurts the ML score mainly for Power and Fault.
 
-The experiment is the registered ``fig4`` scenario spec; this module
-keeps the historical API (:func:`run`, :class:`Fig4Point`,
-:func:`segment_js_divergence`) and CLI as thin shims over the generic
-runner (equivalent to ``python -m repro run fig4``).
+The experiment is the registered ``fig4`` scenario spec (``python -m
+repro run fig4``); this module holds its kernels, :class:`Fig4Point` and
+:func:`segment_js_divergence`, which the ``length-sweep`` evaluation
+kind calls.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,25 +31,8 @@ import numpy as np
 from repro.analysis.similarity import cs_compression_divergence
 from repro.core.pipeline import CorrelationWiseSmoothing
 from repro.datasets.generators import SegmentData
-from repro.datasets.recipes import DatasetRecipe
-from repro.scenarios.builtin import PAPER_SEGMENTS
-from repro.scenarios.evaluations import LENGTH_SWEEP_HEADERS
-from repro.scenarios.options import (
-    add_shared_options,
-    options_from_args,
-    sinks_from_args,
-)
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import execute
 
-__all__ = ["FIG4_SEGMENTS", "SIGNATURE_LENGTHS", "run", "main", "Fig4Point"]
-
-FIG4_SEGMENTS: tuple[str, ...] = PAPER_SEGMENTS
-
-#: The x-axis of Figure 4.
-SIGNATURE_LENGTHS: tuple[int | str, ...] = (5, 10, 20, 40, "all")
-
-HEADERS = LENGTH_SWEEP_HEADERS
+__all__ = ["Fig4Point", "segment_js_divergence"]
 
 
 @dataclass
@@ -98,46 +80,3 @@ def segment_js_divergence(
         values.append(js)
     return float(np.mean(values))
 
-
-def run(
-    *,
-    segments: tuple[str, ...] = FIG4_SEGMENTS,
-    lengths: tuple[int | str, ...] = SIGNATURE_LENGTHS,
-    trees: int = 50,
-    seed: int = 0,
-    scale: float = 1.0,
-    with_real_only: bool = True,
-) -> list[Fig4Point]:
-    """Compute the Figure 4 curves; returns one point per cell."""
-    spec = get_scenario("fig4").with_datasets(
-        DatasetRecipe(segment=name, seed=seed, scale=scale)
-        for name in segments
-    ).with_evaluation(
-        lengths=tuple(lengths),
-        with_real_only=bool(with_real_only),
-        trees=trees,
-        seed=seed,
-    )
-    return execute(spec).extras["points"]
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point for the Figure 4 sweep."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(
-        parser, "--trees", "--seed", "--scale", "--smoke", "--cache-dir",
-        "--csv", "--jsonl", "--markdown", "--segments",
-    )
-    parser.add_argument("--no-real-only", action="store_true",
-                        help="skip the -R (real components only) variants")
-    args = parser.parse_args(argv)
-    overrides = {"with_real_only": False} if args.no_real_only else None
-    execute(
-        get_scenario("fig4"),
-        options=options_from_args(args, evaluation=overrides),
-        sinks=sinks_from_args(args),
-    )
-
-
-if __name__ == "__main__":
-    main()

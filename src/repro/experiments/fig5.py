@@ -13,44 +13,22 @@ slightly super-linear in ``wl`` (their percentiles cost
 faster than Tuncer/Bodik at the high end, with the block count having
 only a minor effect.
 
-The experiment is the registered ``fig5`` scenario spec; this module
-keeps the historical API and CLI as thin shims over the generic runner
-(equivalent to ``python -m repro run fig5``).
+The experiment is the registered ``fig5`` scenario spec (``python -m
+repro run fig5``); this module holds its kernels, :class:`TimingPoint`
+and :func:`time_single_signature`, which the ``timing`` evaluation kind
+calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.harness import DEFAULT_METHODS, make_method_factory
-from repro.scenarios.builtin import FIG5_N_GRID, FIG5_WL_GRID
-from repro.scenarios.evaluations import TIMING_HEADERS
-from repro.scenarios.options import (
-    add_shared_options,
-    options_from_args,
-    sinks_from_args,
-)
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import execute
+from repro.experiments.harness import make_method_factory
 
-__all__ = [
-    "DEFAULT_WL_GRID",
-    "DEFAULT_N_GRID",
-    "TimingPoint",
-    "time_single_signature",
-    "run",
-    "main",
-]
-
-#: Scaled-down versions of the paper's 10..10k sweeps; override via CLI.
-DEFAULT_WL_GRID: tuple[int, ...] = FIG5_WL_GRID
-DEFAULT_N_GRID: tuple[int, ...] = FIG5_N_GRID
-
-HEADERS = TIMING_HEADERS
+__all__ = ["TimingPoint", "time_single_signature"]
 
 
 @dataclass
@@ -93,56 +71,3 @@ def time_single_signature(
         times[i] = time.perf_counter() - start
     return float(np.median(times))
 
-
-def run(
-    *,
-    methods: tuple[str, ...] = DEFAULT_METHODS,
-    wl_grid: tuple[int, ...] = DEFAULT_WL_GRID,
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
-    fixed_n: int = 100,
-    fixed_wl: int = 100,
-    repeats: int = 20,
-    seed: int = 0,
-) -> list[TimingPoint]:
-    """Run both Figure 5 sweeps; returns one timing point per cell.
-
-    Methods with a fixed block count are skipped for matrix sizes where
-    ``l > n`` (e.g. CS-40 needs at least 40 dimensions).
-    """
-    spec = get_scenario("fig5").with_methods(methods).with_evaluation(
-        wl_grid=tuple(wl_grid),
-        n_grid=tuple(n_grid),
-        fixed_n=fixed_n,
-        fixed_wl=fixed_wl,
-        repeats=repeats,
-        seed=seed,
-    )
-    return execute(spec).extras["points"]
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point for the Figure 5 timing sweeps."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(
-        parser, "--repeats", "--seed", "--smoke", "--csv", "--jsonl",
-        "--markdown", "--methods",
-    )
-    parser.add_argument("--wl-grid", nargs="*", type=int, default=None,
-                        help="window lengths for the wl sweep")
-    parser.add_argument("--n-grid", nargs="*", type=int, default=None,
-                        help="dimension counts for the n sweep")
-    args = parser.parse_args(argv)
-    overrides = {}
-    if args.wl_grid is not None:
-        overrides["wl_grid"] = tuple(args.wl_grid)
-    if args.n_grid is not None:
-        overrides["n_grid"] = tuple(args.n_grid)
-    execute(
-        get_scenario("fig5"),
-        options=options_from_args(args, evaluation=overrides or None),
-        sinks=sinks_from_args(args),
-    )
-
-
-if __name__ == "__main__":
-    main()

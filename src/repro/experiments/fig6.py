@@ -4,43 +4,36 @@ Computes CS signatures with 160 blocks over the full 16-node sensor stack
 (~832 dimensions) of the Application segment, separately for each run of
 a chosen set of applications, and renders the real and imaginary
 components as heatmaps — each column one signature, solid vertical lines
-separating runs.  Images are written as binary PGM files and echoed as
-ASCII art.
+separating runs.  The runner writes the images as binary PGM files
+under ``--out``.
 
 The paper's interpretation hooks are reproduced by the workload models:
 Kripke shows clear iterations in both components, Linpack constant load
 with a pronounced initialization phase, Quicksilver light load with a
 periodic frequency pattern, and AMG (Figure 2) a memory-usage gradient.
 
-The experiment is the registered ``fig6`` scenario spec; this module
-keeps the historical API (:func:`application_heatmaps`,
-:func:`run_intervals`) and CLI as thin shims over the generic runner
-(equivalent to ``python -m repro run fig6 --out figures``).
+The experiments are the registered ``fig6`` and ``fig2`` scenario specs
+(``python -m repro run fig6 --out figures``, ``python -m repro run fig2
+--out figures``); this module holds their kernels,
+:func:`application_heatmaps` and :func:`run_intervals`, which the
+``app-heatmap`` evaluation kind calls.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.visualization import (
     add_boundaries,
-    ascii_heatmap,
     signature_heatmaps,
     to_grayscale,
 )
 from repro.core.pipeline import CorrelationWiseSmoothing
 from repro.datasets.generators import SegmentData
-from repro.datasets.recipes import recipe
-from repro.scenarios.builtin import FIG6_APPS
-from repro.scenarios.options import add_shared_options, options_from_args
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import RunOptions, execute
 
-__all__ = ["FIG6_APPS", "HeatmapResult", "run_intervals", "application_heatmaps", "run", "main"]
+__all__ = ["HeatmapResult", "run_intervals", "application_heatmaps"]
 
 
 @dataclass
@@ -126,66 +119,3 @@ def application_heatmaps(
         imag_image=imag_img,
     )
 
-
-def run(
-    *,
-    apps: tuple[str, ...] = FIG6_APPS,
-    blocks: int = 160,
-    seed: int = 0,
-    t: int = 2400,
-    nodes: int = 16,
-    out_dir: str | Path | None = None,
-) -> list[HeatmapResult]:
-    """Generate the Application segment and compute all heatmaps."""
-    spec = get_scenario("fig6").with_datasets(
-        (recipe("application", seed=seed, t=t, nodes=nodes),)
-    ).with_evaluation(apps=tuple(apps), blocks=blocks)
-    result = execute(spec, options=RunOptions(out_dir=out_dir))
-    return result.extras["results"]
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point: render and save the Figure 6 heatmaps."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(parser, "--seed", "--smoke", "--cache-dir", "--out",
-                       out="figures")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        help="applications to render (e.g. AMG for Figure 2; "
-                        "default: Kripke Linpack Quicksilver)")
-    parser.add_argument("--blocks", type=int, default=None,
-                        help="CS block count (default 160, paper's Figure 6)")
-    parser.add_argument("--t", type=int, default=None,
-                        help="samples of Application-segment data to generate "
-                        "(default 2400)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="nodes in the generated segment (default 16)")
-    args = parser.parse_args(argv)
-    overrides = {}
-    if args.apps is not None:
-        overrides["apps"] = tuple(args.apps)
-    if args.blocks is not None:
-        overrides["blocks"] = args.blocks
-    datasets = None
-    if args.t is not None or args.nodes is not None:
-        datasets = (recipe(
-            "application",
-            t=args.t if args.t is not None else 2400,
-            nodes=args.nodes if args.nodes is not None else 16,
-        ),)
-    result = execute(
-        get_scenario("fig6"),
-        options=options_from_args(
-            args, evaluation=overrides or None, datasets=datasets
-        ),
-    )
-    for res in result.extras["results"]:
-        print(f"\n=== {res.app}: real components "
-              f"({res.signatures.shape[0]} signatures x {res.signatures.shape[1]} blocks) ===")
-        print(ascii_heatmap(255 - res.real_image.astype(np.float64)))
-        print(f"--- {res.app}: imaginary components ---")
-        print(ascii_heatmap(255 - res.imag_image.astype(np.float64)))
-    print(f"\nPGM images written to {args.out}/")
-
-
-if __name__ == "__main__":
-    main()

@@ -6,34 +6,27 @@ has a different sensor count and response scaling, yet — because CS
 signatures of a fixed block count are comparable across systems — the
 same performance patterns appear in all three heatmaps.
 
-The experiment is the registered ``fig7`` scenario spec; this module
-keeps the historical API (:func:`node_heatmap`) and CLI as thin shims
-over the generic runner (equivalent to ``python -m repro run fig7``).
+The experiment is the registered ``fig7`` scenario spec (``python -m
+repro run fig7 --out figures``); this module holds its kernel,
+:func:`node_heatmap`, which the ``arch-heatmap`` evaluation kind calls.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.visualization import (
     add_boundaries,
-    ascii_heatmap,
     signature_heatmaps,
     to_grayscale,
 )
 from repro.core.pipeline import CorrelationWiseSmoothing
 from repro.datasets.generators import ComponentData
-from repro.datasets.recipes import recipe
 from repro.experiments.fig6 import run_intervals
-from repro.scenarios.options import add_shared_options, options_from_args
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import RunOptions, execute
 
-__all__ = ["NodeHeatmap", "node_heatmap", "run", "main"]
+__all__ = ["NodeHeatmap", "node_heatmap"]
 
 
 @dataclass
@@ -83,57 +76,3 @@ def node_heatmap(
         imag_image=add_boundaries(to_grayscale(imag), seps),
     )
 
-
-def run(
-    *,
-    app: str = "LAMMPS",
-    blocks: int = 20,
-    seed: int = 0,
-    t: int = 2600,
-    out_dir: str | Path | None = None,
-) -> list[NodeHeatmap]:
-    """Generate the Cross-Architecture segment and compute all heatmaps."""
-    spec = get_scenario("fig7").with_datasets(
-        (recipe("cross-architecture", seed=seed, t=t),)
-    ).with_evaluation(app=app, blocks=blocks)
-    result = execute(spec, options=RunOptions(out_dir=out_dir))
-    return result.extras["results"]
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point: render and save the Figure 7 heatmaps."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(parser, "--seed", "--smoke", "--cache-dir", "--out",
-                       out="figures")
-    parser.add_argument("--app", type=str, default=None,
-                        help="application to render (default LAMMPS)")
-    parser.add_argument("--blocks", type=int, default=None,
-                        help="CS block count (default 20, paper's Figure 7)")
-    parser.add_argument("--t", type=int, default=None,
-                        help="samples per architecture (default 2600)")
-    args = parser.parse_args(argv)
-    overrides = {}
-    if args.app is not None:
-        overrides["app"] = args.app
-    if args.blocks is not None:
-        overrides["blocks"] = args.blocks
-    datasets = None
-    if args.t is not None:
-        datasets = (recipe("cross-architecture", t=args.t),)
-    result = execute(
-        get_scenario("fig7"),
-        options=options_from_args(
-            args, evaluation=overrides or None, datasets=datasets
-        ),
-    )
-    app = result.spec.evaluation_dict()["app"]
-    for res in result.extras["results"]:
-        print(f"\n=== {app} on {res.arch} ({res.n_sensors} sensors) — real ===")
-        print(ascii_heatmap(255 - res.real_image.astype(np.float64)))
-        print(f"--- {app} on {res.arch} — imaginary ---")
-        print(ascii_heatmap(255 - res.imag_image.astype(np.float64)))
-    print(f"\nPGM images written to {args.out}/")
-
-
-if __name__ == "__main__":
-    main()

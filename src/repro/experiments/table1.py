@@ -4,30 +4,21 @@ Generates all five synthetic segments and prints, per segment: HPC
 system, component count, sensors per component, total data points, series
 length, sampling interval, number of feature sets and the ``wl``/``ws``
 parameters — the same columns as Table I of the paper (values reflect the
-scaled-down synthetic defaults; pass ``--scale`` to enlarge).
+scaled-down synthetic defaults; ``repro run table1 --scale`` enlarges
+them).
 
-The experiment is the registered ``table1`` scenario spec; this module
-keeps the historical API (:func:`segment_summary`) and CLI as thin shims
-over the generic runner (equivalent to ``python -m repro run table1``).
+The experiment is the registered ``table1`` scenario spec (``python -m
+repro run table1``); this module holds its columns, :data:`HEADERS`, and
+its kernel, :func:`segment_summary`, which the ``segment-summary``
+evaluation kind calls.
 """
 
 from __future__ import annotations
 
-import argparse
-
 from repro.datasets.generators import SegmentData
-from repro.datasets.recipes import DatasetRecipe
-from repro.datasets.schema import SEGMENTS
 from repro.datasets.windows import window_starts
-from repro.scenarios.options import (
-    add_shared_options,
-    options_from_args,
-    sinks_from_args,
-)
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import execute
 
-__all__ = ["segment_summary", "run", "main"]
+__all__ = ["HEADERS", "segment_summary"]
 
 HEADERS = (
     "Segment",
@@ -71,30 +62,3 @@ def segment_summary(segment: SegmentData) -> tuple:
         spec.ws,
     )
 
-
-def run(*, seed: int = 0, scale: float = 1.0) -> list[tuple]:
-    """Generate every segment and return its Table I row."""
-    spec = get_scenario("table1").with_datasets(
-        DatasetRecipe(segment=name, seed=seed, scale=scale)
-        for name in SEGMENTS
-    )
-    return execute(spec).rows
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point for the Table I overview."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_shared_options(
-        parser, "--seed", "--scale", "--smoke", "--cache-dir", "--csv",
-        "--jsonl", "--markdown",
-    )
-    args = parser.parse_args(argv)
-    execute(
-        get_scenario("table1"),
-        options=options_from_args(args),
-        sinks=sinks_from_args(args),
-    )
-
-
-if __name__ == "__main__":
-    main()

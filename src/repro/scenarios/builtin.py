@@ -1,6 +1,6 @@
 """The built-in scenario catalog.
 
-Registers the seven paper reproductions (Table I, Figures 3-7, Section
+Registers the eight paper reproductions (Table I, Figures 2-7, Section
 IV-F) plus the extended coverage suite — scenarios the paper never ran,
 expressed purely as declarative specs over the generic evaluation kinds
 (no bespoke runner code).  See EXPERIMENTS.md for the full map.
@@ -34,7 +34,7 @@ PAPER_SEGMENTS: tuple[str, ...] = (
 FIG5_WL_GRID: tuple[int, ...] = (10, 250, 500, 1000, 2000, 4000)
 FIG5_N_GRID: tuple[int, ...] = (10, 250, 500, 1000, 2000, 4000)
 
-#: The applications rendered in Figure 6 (AMG reproduces Figure 2).
+#: The applications rendered in Figure 6 (Figure 2 renders AMG).
 FIG6_APPS: tuple[str, ...] = ("Kripke", "Linpack", "Quicksilver")
 
 
@@ -123,13 +123,29 @@ FIG5 = register(ScenarioSpec(
     }),
 ))
 
+FIG2 = register(ScenarioSpec(
+    name="fig2",
+    kind="app-heatmap",
+    title="Figure 2 — AMG signature heatmaps (160 blocks)",
+    description="Real/imaginary CS signature heatmaps of AMG runs on the "
+    "16-node Application segment (memory-usage gradient)",
+    paper="Figure 2",
+    datasets=(recipe("application", t=2400, nodes=16),),
+    evaluation=pairs({"apps": ("AMG",), "blocks": 160, "prefix": "fig2"}),
+    tags=("paper", "viz"),
+    smoke=pairs({
+        "datasets": (recipe("application", t=2600, nodes=2),),
+        "evaluation": {"blocks": 8},
+    }),
+))
+
 FIG6 = register(ScenarioSpec(
     name="fig6",
     kind="app-heatmap",
     title="Figure 6 — application signature heatmaps (160 blocks)",
     description="Real/imaginary CS signature heatmaps per application on "
     "the 16-node Application segment",
-    paper="Figures 2 and 6",
+    paper="Figure 6",
     datasets=(recipe("application", t=2400, nodes=16),),
     evaluation=pairs({"apps": FIG6_APPS, "blocks": 160, "prefix": "fig6"}),
     tags=("paper", "viz"),

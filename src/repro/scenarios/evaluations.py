@@ -3,15 +3,14 @@
 Each strategy ("kind") interprets a :class:`ScenarioSpec` — its dataset
 recipes, method grid and ``evaluation`` parameters — and drives the
 existing engine/harness/ML layers, returning a :class:`ScenarioResult`.
-The seven paper reproductions and all extended scenarios are expressed
+The eight paper reproductions and all extended scenarios are expressed
 as specs over these nine kinds (:func:`evaluation_kinds`); registering a
 *new* scenario requires no new runner code, only a new spec.
 
-Domain helpers that predate the registry (``segment_js_divergence``,
-``application_heatmaps``, ``segment_summary``, ...) stay in their
-``repro.experiments`` modules and are imported lazily here, because the
-experiment modules import the scenario machinery at module level for
-their thin CLI shims.
+The per-artifact kernels (``segment_js_divergence``,
+``application_heatmaps``, ``segment_summary``, ...) live in their
+``repro.experiments`` modules and are imported lazily here, so a run
+loads only the kernel its kind needs.
 """
 
 from __future__ import annotations

@@ -1,14 +1,10 @@
-"""Shared CLI options: one definition per flag, used everywhere.
+"""Shared CLI options: one definition per flag.
 
-The historical per-script parsers drifted apart (``--repeats`` defaulted
-to 1 in fig3 but 20 in fig5, with different help text; ``--scale`` help
-varied per script).  This module is the single source of flag names,
-types and help strings; per-scenario *defaults* live in the scenario
-specs, so the shared flags default to ``None`` ("keep the spec value").
-
-Both the unified ``repro`` CLI and the legacy ``python -m
-repro.experiments.figN`` shims build their parsers from
-:func:`add_shared_options` and convert parsed args with
+This module is the single source of the scenario flags' names, types
+and help strings for ``repro run`` and ``repro run-all``; per-scenario
+*defaults* live in the scenario specs, so the shared flags default to
+``None`` ("keep the spec value").  The CLI builds its parsers with
+:func:`add_shared_options` and converts parsed args with
 :func:`options_from_args` / :func:`sinks_from_args`.
 """
 
@@ -95,30 +91,18 @@ OPTION_SPECS: dict[str, dict[str, Any]] = {
 
 
 def add_shared_options(
-    parser: argparse.ArgumentParser, *flags: str, **default_overrides: Any
+    parser: argparse.ArgumentParser, *flags: str
 ) -> argparse.ArgumentParser:
-    """Add the named shared flags (all of them when none are named).
-
-    ``default_overrides`` (keyed by destination name, e.g. ``out``)
-    replace a flag's default — used by legacy shims whose historical
-    defaults were explicit values rather than "ask the spec".
-    """
-    names = flags or tuple(OPTION_SPECS)
-    for flag in names:
+    """Add the named shared flags (all of them when none are named)."""
+    for flag in flags or tuple(OPTION_SPECS):
         flag = flag if flag.startswith("--") else f"--{flag}"
         if flag not in OPTION_SPECS:
             raise KeyError(f"unknown shared option {flag!r}")
-        kwargs = dict(OPTION_SPECS[flag])
-        dest = flag.lstrip("-").replace("-", "_")
-        if dest in default_overrides:
-            kwargs["default"] = default_overrides[dest]
-        parser.add_argument(flag, **kwargs)
+        parser.add_argument(flag, **OPTION_SPECS[flag])
     return parser
 
 
-def options_from_args(
-    args: argparse.Namespace, **overrides: Any
-) -> RunOptions:
+def options_from_args(args: argparse.Namespace) -> RunOptions:
     """Build :class:`RunOptions` from whatever shared flags are present."""
     fields: dict[str, Any] = {}
     for name in (
@@ -135,7 +119,6 @@ def options_from_args(
             fields[name] = getattr(args, name)
     if hasattr(args, "out"):
         fields["out_dir"] = args.out
-    fields.update(overrides)
     return RunOptions(**fields)
 
 

@@ -1,6 +1,6 @@
 """Scenario registry: name -> :class:`ScenarioSpec`.
 
-Built-in scenarios (the seven paper reproductions plus the extended
+Built-in scenarios (the eight paper reproductions plus the extended
 coverage suite) are registered by importing ``repro.scenarios.builtin``;
 downstream code can register additional specs with :func:`register`.
 """

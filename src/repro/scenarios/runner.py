@@ -1,9 +1,9 @@
 """The unified experiment runner: options -> spec -> evaluation -> sinks.
 
 :func:`execute` is the single entry point every surface goes through —
-the ``repro`` CLI, ``python -m repro``, and the legacy per-figure
-``main()`` shims — so all of them produce identical results (and
-byte-identical CSVs) for the same effective spec.
+``repro run``, ``repro run-all`` and Python callers holding a spec — so
+all of them produce identical results (and byte-identical CSVs) for the
+same effective spec.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ class RunOptions:
     """The shared cross-scenario run options (one per CLI invocation).
 
     ``None`` means "keep the spec's own value"; the spec stays the single
-    source of per-scenario defaults, which is what de-duplicates the
-    historical per-script argparse drift.  ``datasets`` and
-    ``evaluation`` carry *explicit* scenario-specific overrides (the
-    legacy shims' ``--t``/``--blocks``/``--apps``/... flags); like
-    ``segments``/``methods`` they always beat the smoke replacements.
+    source of per-scenario defaults.  Scenario-specific values (recipe
+    sizes, block counts, grids) are set on the spec itself:
+    ``spec.with_datasets(...)`` / ``spec.with_evaluation(...)``.
     """
 
     seed: int | None = None
@@ -43,39 +41,27 @@ class RunOptions:
     out_dir: str | Path | None = None
     methods: Sequence[str] | None = None
     segments: Sequence[str] | None = None
-    datasets: Sequence[DatasetRecipe] | None = None
-    evaluation: dict | None = None
 
 
 def apply_options(spec: ScenarioSpec, options: RunOptions) -> ScenarioSpec:
     """Derive the effective spec for one run.
 
-    The smoke variant is applied first; every *explicit* override —
-    ``--segments``/``--methods``, recipe replacements and evaluation
-    parameters passed by a shim — beats the corresponding smoke
-    replacement (so ``--smoke --segments fault`` runs the *full-size*
-    fault recipes under the reduced evaluation: there is no generic
-    "smoke-sized" variant of an arbitrary segment, and explicitly
-    requested values are never silently dropped).  Every override lands
-    in a spec *field*, so it also lands in the content hash: any changed
-    option re-addresses the cached artifacts.
+    The smoke variant is applied first; every *explicit* override beats
+    the corresponding smoke replacement (so ``--smoke --segments fault``
+    runs the *full-size* fault recipes under the reduced evaluation:
+    there is no generic "smoke-sized" variant of an arbitrary segment,
+    and explicitly requested values are never silently dropped).  Every
+    override lands in a spec *field*, so it also lands in the content
+    hash: any changed option re-addresses the cached artifacts.
     """
-    explicit_datasets = bool(options.segments or options.datasets)
     if options.smoke:
         smoke = spec.smoke_dict()
-        if "datasets" in smoke and not explicit_datasets:
+        if "datasets" in smoke and not options.segments:
             spec = spec.with_datasets(smoke["datasets"])
         if "methods" in smoke and not options.methods:
             spec = spec.with_methods(smoke["methods"])
         if "evaluation" in smoke:
-            merge = {
-                k: v
-                for k, v in dict(smoke["evaluation"]).items()
-                if k not in (options.evaluation or {})
-            }
-            spec = spec.with_evaluation(**merge)
-    if options.datasets:
-        spec = spec.with_datasets(options.datasets)
+            spec = spec.with_evaluation(**dict(smoke["evaluation"]))
     if options.segments:
         spec = spec.with_datasets(
             DatasetRecipe(segment=name) for name in options.segments
@@ -93,8 +79,6 @@ def apply_options(spec: ScenarioSpec, options: RunOptions) -> ScenarioSpec:
         spec = spec.with_evaluation(repeats=int(options.repeats))
     if options.trees is not None:
         spec = spec.with_evaluation(trees=int(options.trees))
-    if options.evaluation:
-        spec = spec.with_evaluation(**options.evaluation)
     return spec
 
 

@@ -97,8 +97,13 @@ class NodeQueue:
     ``push`` never blocks and never grows past ``queue_max``; overflow
     resolves by policy — ``drop-oldest`` evicts the head (stalest
     burst), ``coalesce`` replaces the tail (newest queued burst) with
-    the incoming one.  Eviction counts are kept per queue and rolled
-    into the server stats.
+    the incoming one.  The entry at tick ``keep`` (the server's cursor,
+    which the barrier waits on) is never the victim: ``drop-oldest``
+    evicts the entry after it, and where it is the only candidate the
+    incoming burst is refused.  Otherwise a resuming client's resend
+    could evict the cursor tick it was asked for, every time.
+    Evictions and refusals are counted per queue and rolled into the
+    server stats.
     """
 
     __slots__ = ("entries", "queue_max", "policy", "dropped", "coalesced")
@@ -113,7 +118,7 @@ class NodeQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def push(self, tick: int, values, wire=None) -> None:
+    def push(self, tick: int, values, wire=None, keep: int | None = None) -> None:
         entries = self.entries
         # Duplicate of a queued tick (a resuming client retransmitting
         # after loss): the retransmission replaces the queued burst in
@@ -126,12 +131,20 @@ class NodeQueue:
             if queued < tick:
                 break
         if len(entries) >= self.queue_max:
+            # A refused burst counts under its policy like an eviction.
             if self.policy == "coalesce":
-                entries.pop()
                 self.coalesced += 1
+                if entries[-1][0] == keep:
+                    return
+                entries.pop()
             else:
-                entries.popleft()
                 self.dropped += 1
+                if entries[0][0] != keep:
+                    entries.popleft()
+                elif len(entries) > 1:
+                    del entries[1]
+                else:
+                    return
         # Ordered insert keeps the deque sorted by tick so the barrier
         # can trust the head; the in-order case is a plain append.
         if not entries or tick >= entries[-1][0]:
@@ -454,7 +467,7 @@ class ServeCore:
             else:
                 self.stats.stray_dropped += 1
             return
-        queue.push(frame.tick, frame.values, frame.wire)
+        queue.push(frame.tick, frame.values, frame.wire, keep=self.cursor)
         self._touch(frame.node, queue)
 
     def feed_error(self, error: FrameError) -> None:
@@ -470,7 +483,8 @@ class ServeCore:
             # replayed log quarantines the same nodes.
             self.wal.append_error(error.reason, error.node)
         self.stats.poisoned += 1
-        queue.push(queue.entries[-1][0] + 1 if queue.entries else self.cursor, None)
+        tick = queue.entries[-1][0] + 1 if queue.entries else self.cursor
+        queue.push(tick, None, keep=self.cursor)
         self._touch(error.node, queue)
 
     def _touch(self, path: str, queue: NodeQueue) -> None:

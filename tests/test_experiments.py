@@ -1,16 +1,20 @@
-"""Tests for the experiment harness and per-figure modules (small scale)."""
+"""Tests for the experiment harness, the per-figure kernels and the paper
+scenario specs they back (small scale)."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.generators import generate_application
-from repro.experiments import crossarch, fig3, fig4, fig5, fig6, fig7, table1
+from repro.datasets.recipes import DatasetRecipe, recipe
+from repro.experiments import crossarch, fig5, fig6, table1
 from repro.experiments.harness import (
     DEFAULT_METHODS,
     make_method_factory,
     run_method_on_segment,
 )
 from repro.experiments.reporting import format_table, format_value, save_csv
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import RunOptions, execute
 
 
 class TestReporting:
@@ -87,13 +91,10 @@ class TestHarness:
 
 class TestFig3:
     def test_small_grid(self, application_segment):
-        results = fig3.run(
-            segments=("application",),
-            methods=("lan", "cs-5"),
-            trees=4,
-            scale=0.5,
-            segment_kwargs={"t": 700, "nodes": 2},
-        )
+        spec = get_scenario("fig3").with_datasets(
+            (recipe("application", scale=0.5, t=700, nodes=2),)
+        ).with_methods(("lan", "cs-5")).with_evaluation(trees=4)
+        results = execute(spec).extras["results"]
         assert len(results) == 2
         by_method = {r.method: r for r in results}
         # Figure 3b: CS-5 signatures much smaller than Lan's.
@@ -102,25 +103,20 @@ class TestFig3:
 
 class TestFig4:
     def test_points_and_monotonicity(self, application_segment):
-        pts = fig4.run(
-            segments=("application",),
-            lengths=(5, 20),
-            trees=4,
-            scale=1.0,
-            with_real_only=False,
-        )
+        spec = get_scenario("fig4").with_datasets(
+            (DatasetRecipe(segment="application"),)
+        ).with_evaluation(lengths=(5, 20), trees=4, with_real_only=False)
+        pts = execute(spec).extras["points"]
         assert len(pts) == 2
         js5 = next(p for p in pts if p.length == "5").js_divergence
         js20 = next(p for p in pts if p.length == "20").js_divergence
         assert js20 < js5  # Figure 4a: divergence falls with l
 
     def test_real_only_variants_present(self):
-        pts = fig4.run(
-            segments=("infrastructure",),
-            lengths=(5,),
-            trees=4,
-            with_real_only=True,
-        )
+        spec = get_scenario("fig4").with_datasets(
+            (DatasetRecipe(segment="infrastructure"),)
+        ).with_evaluation(lengths=(5,), trees=4, with_real_only=True)
+        pts = execute(spec).extras["points"]
         assert {p.real_only for p in pts} == {False, True}
         full = next(p for p in pts if not p.real_only)
         ronly = next(p for p in pts if p.real_only)
@@ -128,19 +124,23 @@ class TestFig4:
 
 
 class TestFig5:
+    @staticmethod
+    def _points(methods, **evaluation):
+        spec = get_scenario("fig5").with_methods(methods)
+        return execute(spec.with_evaluation(**evaluation)).extras["points"]
+
     def test_timing_points(self):
-        pts = fig5.run(
-            methods=("lan", "cs-5"),
-            wl_grid=(10, 50),
-            n_grid=(10, 50),
-            repeats=3,
+        pts = self._points(
+            ("lan", "cs-5"), wl_grid=(10, 50), n_grid=(10, 50), repeats=3
         )
         # 2 methods x 2 wl + 2 methods x 2 n = 8 points.
         assert len(pts) == 8
         assert all(p.median_time_s >= 0.0 for p in pts)
 
     def test_skips_infeasible_block_counts(self):
-        pts = fig5.run(methods=("cs-40",), wl_grid=(10,), n_grid=(10, 100), repeats=1)
+        pts = self._points(
+            ("cs-40",), wl_grid=(10,), n_grid=(10, 100), repeats=1
+        )
         # On the n axis, n=10 < 40 blocks is skipped; the wl axis uses
         # fixed_n=100, which is feasible.
         assert len(pts) == 2
@@ -174,7 +174,12 @@ class TestFig6:
 
 class TestFig7:
     def test_run_produces_three_architectures(self, tmp_path):
-        results = fig7.run(t=2600, blocks=10, out_dir=tmp_path)
+        spec = get_scenario("fig7").with_datasets(
+            (recipe("cross-architecture", t=2600),)
+        ).with_evaluation(blocks=10)
+        results = execute(
+            spec, options=RunOptions(out_dir=tmp_path)
+        ).extras["results"]
         assert len(results) == 3
         assert {r.arch for r in results} == {
             "skylake", "knights-landing", "amd-rome",
@@ -190,7 +195,10 @@ class TestCrossArch:
         assert len(set(lengths.values())) == 3  # all different
 
     def test_merged_classification(self):
-        res = crossarch.run(blocks=10, trees=8, seed=0, t=900, mlp_max_iter=40)
+        spec = get_scenario("crossarch").with_datasets(
+            (recipe("cross-architecture", t=900),)
+        ).with_evaluation(blocks=10, trees=8, mlp_max_iter=40)
+        res = execute(spec).extras["result"]
         assert res.rf_f1 > 0.9
         assert res.mlp_f1 > 0.7
         assert res.signature_size == 20

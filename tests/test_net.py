@@ -92,6 +92,25 @@ class TestBackpressureQueue:
         assert [e[0] for e in q.entries] == [0, 1, 4]
         assert q.coalesced == 2 and q.dropped == 0
 
+    @pytest.mark.parametrize(
+        "policy,queue_max,kept",
+        [
+            ("drop-oldest", 3, [0, 3, 4]),
+            ("drop-oldest", 1, [0]),
+            ("coalesce", 3, [0, 1, 4]),
+            ("coalesce", 1, [0]),
+        ],
+    )
+    def test_full_queue_keeps_cursor_entry(self, policy, queue_max, kept):
+        """The entry at the cursor tick is never evicted: drop-oldest
+        evicts the entry after it, and a queue holding only that entry
+        refuses the incoming burst; both count as overflow."""
+        q = NodeQueue(BackpressureConfig(queue_max=queue_max, policy=policy))
+        for tick in range(5):
+            q.push(tick, None, keep=0)
+        assert [e[0] for e in q.entries] == kept
+        assert q.dropped + q.coalesced == 5 - queue_max
+
     def test_queue_never_exceeds_bound_under_seeded_bursts(self):
         """Invariant: whatever a bursty feeder does, len(queue) <=
         queue_max and every overflow is accounted for in exactly one
@@ -420,6 +439,60 @@ class TestServeListenFlagConflicts:
         assert cli.main([*argv, "--partition-ticks", "0"]) == 2
         assert "--partition-ticks" in capsys.readouterr().err
         assert not (tmp_path / "st").exists()
+
+
+class TestContradictoryFlags:
+    """`repro detect` and in-process `repro serve` reject flags the chosen
+    mode would ignore or only fail on late: exit 2 and `error:`, before
+    the fleet trains."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["detect", "--resume"], "--resume requires --checkpoint"),
+            (["detect", "--t0", "100"], "require --from-store"),
+            (["detect", "--t1", "100"], "require --from-store"),
+            (
+                ["detect", "--from-store", "st", "--stop-after", "3"],
+                "--stop-after",
+            ),
+            (
+                ["detect", "--checkpoint", "ck.npz", "--checkpoint-every", "0"],
+                "--checkpoint-every must be >= 1",
+            ),
+            (
+                ["detect", "--checkpoint", "ck.npz", "--checkpoint-every", "-2"],
+                "--checkpoint-every must be >= 1",
+            ),
+            (
+                ["serve", "--checkpoint", "ck.npz", "--checkpoint-every", "0"],
+                "--checkpoint-every must be >= 1",
+            ),
+            (
+                ["serve", "--checkpoint", "ck.npz", "--checkpoint-every", "-1"],
+                "--checkpoint-every must be >= 1",
+            ),
+        ],
+        ids=[
+            "resume-no-checkpoint",
+            "t0-no-store",
+            "t1-no-store",
+            "stop-after-store",
+            "detect-every-0",
+            "detect-every-negative",
+            "serve-every-0",
+            "serve-every-negative",
+        ],
+    )
+    def test_rejected_before_training(self, argv, message, monkeypatch, capsys):
+        from repro import cli
+        from repro.service import api
+
+        monkeypatch.setattr(api, "build_setup", _unreachable)
+        monkeypatch.setattr(api, "replay", _unreachable)
+        assert cli.main([*argv, "--smoke"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
 
 class TestNetChaosFlagErrors:

@@ -1,10 +1,10 @@
-"""Legacy script shims and the unified CLI must emit identical CSVs.
+"""The Python spec API and ``repro run`` are one path.
 
-The per-figure ``main()`` entry points and ``python -m repro run <name>``
-route through the same spec + runner, so for a fixed seed their CSV
-outputs must be byte-identical.  Wall-clock columns (generation/CV time)
-are made deterministic by freezing ``time.perf_counter`` to a counter —
-both paths execute the same sequence of timed operations.
+``execute(get_scenario(name).with_...(...))`` and ``python -m repro run
+<name>`` go through the same spec + runner, so for the same effective
+spec they must yield the same rows.  Wall-clock columns are made
+deterministic by freezing ``time.perf_counter`` to a counter — both
+paths execute the same sequence of timed operations.
 """
 
 import time
@@ -12,7 +12,8 @@ import time
 import pytest
 
 from repro import cli
-from repro.experiments import fig3, fig4, fig5
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import execute
 
 
 @pytest.fixture
@@ -28,59 +29,23 @@ def frozen_clock(monkeypatch):
     return tick
 
 
-CASES = [
-    ("fig3", fig3.main),
-    ("fig4", fig4.main),
-    ("fig5", fig5.main),
-]
-
-
-@pytest.mark.parametrize("name,legacy_main", CASES)
-def test_legacy_and_cli_csv_byte_identical(
-    name, legacy_main, tmp_path, capsys, frozen_clock
-):
-    legacy_csv = tmp_path / f"{name}_legacy.csv"
-    cli_csv = tmp_path / f"{name}_cli.csv"
-    legacy_main(["--smoke", "--csv", str(legacy_csv)])
-    assert cli.main(["run", name, "--smoke", "--csv", str(cli_csv)]) == 0
-    capsys.readouterr()
-    legacy_bytes = legacy_csv.read_bytes()
-    assert legacy_bytes == cli_csv.read_bytes()
-    assert len(legacy_bytes.splitlines()) >= 2
-
-
 def test_fig3_legacy_flags_still_work(capsys):
-    fig3.main([
-        "--segments", "application", "--methods", "lan", "cs-5",
-        "--trees", "4", "--scale", "0.25",
-    ])
+    """The Figure 3 script's segment and method flags live on `repro run`."""
+    assert cli.main([
+        "run", "fig3", "--segments", "application", "--methods", "lan",
+        "cs-5", "--trees", "4", "--scale", "0.25",
+    ]) == 0
     out = capsys.readouterr().out
     assert "Figure 3" in out
     assert "lan" in out and "cs-5" in out
 
 
-def test_fig4_no_real_only_flag(capsys):
-    fig4.main(["--smoke", "--no-real-only"])
-    out = capsys.readouterr().out
-    assert "Figure 4" in out
-    # No -R variants: the "Real only" column stays False everywhere.
-    assert "True" not in out
-
-
-def test_explicit_shim_flags_beat_smoke(capsys):
-    """--smoke must not silently drop explicitly requested knobs."""
-    fig5.main(["--smoke", "--wl-grid", "15"])
-    out = capsys.readouterr().out
-    rows = [l for l in out.splitlines() if l.startswith(("wl", "n "))]
-    assert any(l.split("|")[2].strip() == "15" for l in rows)
-    assert not any(l.split("|")[2].strip() == "10" and l.startswith("wl")
-                   for l in rows)
-
-
 def test_run_api_matches_cli_rows(tmp_path, capsys, frozen_clock):
-    """fig5.run() and the CLI produce the same points for the same knobs."""
-    points = fig5.run(methods=("lan", "cs-5"), wl_grid=(10,), n_grid=(10,),
-                      repeats=2)
+    """The spec API and the CLI produce the same points for the same knobs."""
+    spec = get_scenario("fig5").with_methods(("lan", "cs-5")).with_evaluation(
+        wl_grid=(10,), n_grid=(10,), repeats=2
+    )
+    points = execute(spec).extras["points"]
     csv = tmp_path / "fig5.csv"
     assert cli.main(["run", "fig5", "--smoke", "--csv", str(csv)]) == 0
     capsys.readouterr()
