@@ -37,12 +37,6 @@ cmp tests/golden/detect_smoke_alerts.jsonl "$SMOKE_DIR/detect.jsonl"
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --alerts "$SMOKE_DIR/detect2.jsonl"
 cmp "$SMOKE_DIR/detect.jsonl" "$SMOKE_DIR/detect2.jsonl"
-# In-process serve (30-sample bursts) must equal detect at that chunk.
-python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
-    > "$SMOKE_DIR/serve.jsonl"
-python -m repro detect --smoke --chunk 30 --cache-dir "$SMOKE_DIR/cache" \
-    --alerts "$SMOKE_DIR/detect30.jsonl"
-cmp "$SMOKE_DIR/detect30.jsonl" "$SMOKE_DIR/serve.jsonl"
 python -m repro run fleet-detect --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "== crash-recovery smoke: kill, resume, byte-identical alerts =="
@@ -88,11 +82,11 @@ echo "== network serve smoke: loopback ingestion must match in-process =="
 # A 50-node replicated smoke fleet served over a loopback socket: start
 # the ingestion server on an ephemeral port, drive it with the CLI load
 # generator, and the network-ingested alert JSONL must equal in-process
-# replay of the same fleet — byte for byte.  (serve/loadgen default to
-# the 30-sample serving burst; pin --chunk 200 to match detect --smoke.)
+# replay of the same fleet — byte for byte.  All three commands run
+# with default flags: the same flags mean the same bursts in each.
 rm -f "$SMOKE_DIR/port" "$SMOKE_DIR/net.jsonl"
 python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --replicate 50 --chunk 200 --listen 127.0.0.1:0 \
+    --replicate 50 --listen 127.0.0.1:0 \
     --port-file "$SMOKE_DIR/port" --exit-on-idle \
     --alerts "$SMOKE_DIR/net.jsonl" &
 SERVE_PID=$!
@@ -102,11 +96,10 @@ for _ in $(seq 1 150); do
 done
 [[ -s "$SMOKE_DIR/port" ]] || { echo "serve never wrote its port file"; exit 1; }
 python -m repro loadgen --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --replicate 50 --chunk 200 \
-    --connect "127.0.0.1:$(cat "$SMOKE_DIR/port")"
+    --replicate 50 --connect "127.0.0.1:$(cat "$SMOKE_DIR/port")"
 wait "$SERVE_PID"
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --replicate 50 --chunk 200 --alerts "$SMOKE_DIR/inproc.jsonl"
+    --replicate 50 --alerts "$SMOKE_DIR/inproc.jsonl"
 cmp "$SMOKE_DIR/net.jsonl" "$SMOKE_DIR/inproc.jsonl"
 python -m repro run fleet-serve --smoke --cache-dir "$SMOKE_DIR/cache"
 
@@ -138,7 +131,7 @@ durable_drill() {
     rm -f "$SMOKE_DIR/dport" "$SMOKE_DIR/cport" "$SMOKE_DIR/serve.pid" \
         "$SMOKE_DIR/durable.jsonl" "$SMOKE_DIR/durable.npz"
     python -m repro serve --smoke --cache-dir "$SMOKE_DIR/cache" \
-        --chunk 200 --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/dport" \
+        --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/dport" \
         --exit-on-idle --supervise --pid-file "$SMOKE_DIR/serve.pid" \
         --wal "$SMOKE_DIR/wal" --wal-fsync tick \
         --checkpoint "$SMOKE_DIR/durable.npz" --checkpoint-every 1 \
@@ -162,8 +155,7 @@ durable_drill() {
     [[ -s "$SMOKE_DIR/cport" ]] || { echo "chaos proxy never bound"; exit 1; }
     # Pace the feed so the kill below reliably lands mid-stream.
     python -m repro loadgen --smoke --cache-dir "$SMOKE_DIR/cache" \
-        --chunk 200 --interval 0.25 --resume \
-        --port-file "$SMOKE_DIR/cport" &
+        --interval 0.25 --resume --port-file "$SMOKE_DIR/cport" &
     LOAD_PID=$!
     # A checkpoint on disk proves durable progress; then kill -9 the child.
     for _ in $(seq 1 300); do

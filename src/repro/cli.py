@@ -17,17 +17,15 @@ Subcommands
     Deterministic replay of a (cached) fault-fleet through the online
     detection service (``repro.service``): alert JSONL to ``--alerts``
     or stdout, scored summary to stderr.  Byte-identical output across
-    processes for the same flags.
+    processes for the same flags.  Ctrl-C finishes the in-flight tick,
+    flushes open alerts, writes a final ``--checkpoint`` and exits 130.
 ``repro serve``
-    The same fleet served *live*: bursts are ingested tick by tick and
-    alert events stream to stdout the moment they fire.  Ctrl-C exits
-    cleanly with status 130 after finishing the in-flight tick, flushing
-    open alerts and (with ``--checkpoint``) writing a final checkpoint.
-    With ``--listen HOST:PORT`` the feed instead arrives over TCP as
-    ``repro-ticks/v1`` frames (plus an optional ``--ops`` HTTP API);
-    adding ``--wal DIR --checkpoint F.npz`` makes serving crash-durable
-    (kill -9, restart, byte-identical alert JSONL) and ``--supervise``
-    wraps it in a crash-restart loop.
+    The same fleet served *live* over TCP: ``--listen HOST:PORT``
+    accepts ``repro-ticks/v1`` frames (plus an optional ``--ops`` HTTP
+    API) and alert events stream to ``--alerts`` or stdout the moment
+    they fire.  Adding ``--wal DIR --checkpoint F.npz`` makes serving
+    crash-durable (kill -9, restart, byte-identical alert JSONL) and
+    ``--supervise`` wraps it in a crash-restart loop.
 ``repro loadgen``
     Drive a ``repro serve --listen`` server over the network with the
     exact deterministic feed ``repro detect`` would replay in-process —
@@ -49,7 +47,8 @@ The service flags of ``detect``/``serve``/``loadgen``/``store record``
 and the fault flags of ``netchaos`` are not written here: they are
 generated from the fields of ``ServiceConfig`` and ``NetChaosConfig``
 (help text included) by :mod:`repro.service.knobs`, so a new config
-field is a new flag.
+field is a new flag.  The four service commands share one preset, so
+the same flags build the same ``ServiceConfig`` in each of them.
 """
 
 from __future__ import annotations
@@ -183,26 +182,22 @@ def _config_from_args(args: argparse.Namespace, base):
         raise SystemExit(_usage_error(str(exc))) from None
 
 
-def _service_config(args: argparse.Namespace, *, chunk_default=None):
+def _service_config(args: argparse.Namespace):
     """The :class:`repro.service.api.ServiceConfig` these flags describe.
 
     Explicit flags beat the preset (``ServiceConfig.smoke()`` with
-    ``--smoke``, else the full-size defaults); ``chunk_default``
-    overrides the preset chunk when the flag is unset (``repro
-    serve``/``loadgen`` default to 30-sample live bursts).
+    ``--smoke``, else the full-size defaults).
     """
     from repro.service.api import ServiceConfig
 
     base = ServiceConfig.smoke() if args.smoke else ServiceConfig()
-    if chunk_default is not None:
-        base = base.replace(chunk=chunk_default)
     return _config_from_args(args, base)
 
 
-def _build_service_setup(args: argparse.Namespace, *, chunk_default=None):
+def _build_service_setup(args: argparse.Namespace):
     from repro.service.api import build_context, build_setup
 
-    config = _service_config(args, chunk_default=chunk_default)
+    config = _service_config(args)
     context = build_context(config)
     setup = build_setup(config, context=context)
     return setup, config, context
@@ -277,6 +272,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             resume=args.resume,
             stop_after=args.stop_after,
         )
+    if outcome.interrupted:
+        # The replay loop already finished the in-flight tick, flushed
+        # every open alert into the sinks and wrote a final checkpoint;
+        # exit with the conventional Ctrl-C status via console_main.
+        if args.checkpoint:
+            _status(f"[detect] interrupted; checkpoint at {args.checkpoint}")
+        raise KeyboardInterrupt
     row = outcome.row(f"{config.segment}-fleet-{setup.n_nodes}")
     _status(
         format_table(
@@ -403,70 +405,31 @@ def _supervise_serve(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import os
 
-    if args.listen and args.interval:
-        # Pacing only drives the in-process replay loop; silently
-        # ignoring it would surprise an operator expecting throttling.
+    # Rejected here, not after the fleet trains: a supervisor would
+    # otherwise restart a child that fails the same way every time.
+    if args.no_guard:
         return _usage_error(
-            "--interval applies to in-process serving only and cannot be "
-            "combined with --listen"
+            "--no-guard applies to repro detect only; the network server "
+            "always guards its ingress"
         )
-    if args.wal and not args.listen:
-        return _usage_error(
-            "--wal journals network ingestion and requires --listen "
-            "(in-process serving is already deterministic; use "
-            "--checkpoint alone)"
-        )
-    if args.supervise and not args.listen:
-        return _usage_error("--supervise requires --listen")
     error = _checkpoint_every_error(args)
     if error:
         return _usage_error(error)
-    backpressure = None
-    if args.listen:
-        # Rejected here, not after the fleet trains: a supervisor would
-        # otherwise restart a child that fails the same way every time.
-        try:
-            backpressure = _listen_options(args)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+    try:
+        backpressure = _listen_options(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.supervise:
         return _supervise_serve(args)
 
-    from repro.service.api import replay, serve
+    from repro.service.api import serve
 
     pid_file = Path(args.pid_file) if args.pid_file else None
     if pid_file is not None:
         pid_file.parent.mkdir(parents=True, exist_ok=True)
         pid_file.write_text(f"{os.getpid()}\n", encoding="utf-8")
     try:
-        return _run_serve(args, replay, serve, backpressure)
-    finally:
-        if pid_file is not None:
-            try:
-                pid_file.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-def _listen_options(args: argparse.Namespace):
-    """Validate the ``serve --listen`` flags; return the backpressure
-    config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
-    address or a ``--queue-max`` below 1."""
-    from repro.service.net import parse_address
-    from repro.service.servecore import BackpressureConfig
-
-    parse_address(args.listen)
-    if args.ops:
-        parse_address(args.ops)
-    return BackpressureConfig(
-        queue_max=int(args.queue_max), policy=args.backpressure
-    )
-
-
-def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
-    setup, config, _ = _build_service_setup(args, chunk_default=30)
-    sinks = _alert_sinks(args)
-    if args.listen:
+        setup, config, _ = _build_service_setup(args)
         durability = ""
         if args.wal:
             durability = f", wal={args.wal} (fsync={args.wal_fsync})"
@@ -483,7 +446,7 @@ def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
             setup,
             listen=args.listen,
             ops=args.ops,
-            sinks=tuple(sinks),
+            sinks=tuple(_alert_sinks(args)),
             backpressure=backpressure,
             tick_timeout=float(args.tick_timeout),
             exit_on_idle=args.exit_on_idle,
@@ -493,59 +456,45 @@ def _run_serve(args: argparse.Namespace, replay, serve, backpressure) -> int:
             checkpoint_path=args.checkpoint,
             checkpoint_every=int(args.checkpoint_every),
         )
-        bp = stats["backpressure"]
-        wal_note = ""
-        if args.wal:
-            wal_note = (
-                f"; wal {stats['wal_appended']} appended, "
-                f"{stats['wal_replayed']} replayed, "
-                f"{stats['checkpoints']} checkpoints"
-            )
-        _status(
-            f"[serve] drained: {stats['ticks']} ticks, "
-            f"{stats['frames']} frames, {stats['events']} alert events, "
-            f"{stats['samples_per_s']:.0f} samples/s "
-            f"(p50 {stats['tick_latency_p50_ms']:.2f} ms, "
-            f"p99 {stats['tick_latency_p99_ms']:.2f} ms; "
-            f"dropped {bp['dropped']}, coalesced {bp['coalesced']}, "
-            f"late {bp['late_dropped']}{wal_note})"
+    finally:
+        if pid_file is not None:
+            try:
+                pid_file.unlink(missing_ok=True)
+            except OSError:
+                pass
+    bp = stats["backpressure"]
+    wal_note = ""
+    if args.wal:
+        wal_note = (
+            f"; wal {stats['wal_appended']} appended, "
+            f"{stats['wal_replayed']} replayed, "
+            f"{stats['checkpoints']} checkpoints"
         )
-        return 0
-    horizon = max(m.shape[1] for m in setup.eval_data.values())
     _status(
-        f"[serve] {setup.n_nodes} nodes, burst={config.chunk} samples, "
-        f"{horizon} samples queued (Ctrl-C to stop)"
+        f"[serve] drained: {stats['ticks']} ticks, "
+        f"{stats['frames']} frames, {stats['events']} alert events, "
+        f"{stats['samples_per_s']:.0f} samples/s "
+        f"(p50 {stats['tick_latency_p50_ms']:.2f} ms, "
+        f"p99 {stats['tick_latency_p99_ms']:.2f} ms; "
+        f"dropped {bp['dropped']}, coalesced {bp['coalesced']}, "
+        f"late {bp['late_dropped']}{wal_note})"
     )
-    # Same loop as `repro detect`, with live pacing and bounded memory
-    # (no prediction/alert history is retained unless checkpointing —
-    # serving is about the event stream, not the replay score).
-    outcome = replay(
-        config,
-        setup,
-        sinks=sinks,
-        interval=float(args.interval),
-        record_history=bool(args.checkpoint),
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=(
-            int(args.checkpoint_every) if args.checkpoint else 0
-        ),
-    )
-    # outcome.events is empty in serving mode (nothing is retained);
-    # the counts are always populated.  n_events = opens + closes.
-    closes = outcome.n_events - outcome.n_alerts
-    _status(
-        f"[serve] drained: {outcome.n_windows} windows classified, "
-        f"{outcome.n_events} alert events, "
-        f"{outcome.n_alerts - closes} alert(s) still open"
-    )
-    if outcome.interrupted:
-        # The replay loop already finished the in-flight tick, flushed
-        # every open alert into the sinks and wrote a final checkpoint;
-        # exit with the conventional Ctrl-C status via console_main.
-        if args.checkpoint:
-            _status(f"[serve] interrupted; checkpoint at {args.checkpoint}")
-        raise KeyboardInterrupt
     return 0
+
+
+def _listen_options(args: argparse.Namespace):
+    """Validate the ``serve --listen`` flags; return the backpressure
+    config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
+    address or a ``--queue-max`` below 1."""
+    from repro.service.net import parse_address
+    from repro.service.servecore import BackpressureConfig
+
+    parse_address(args.listen)
+    if args.ops:
+        parse_address(args.ops)
+    return BackpressureConfig(
+        queue_max=int(args.queue_max), policy=args.backpressure
+    )
 
 
 def _address(flags: str, address: str | None, port_file: str | None):
@@ -582,7 +531,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
-    setup, config, _ = _build_service_setup(args, chunk_default=30)
+    setup, config, _ = _build_service_setup(args)
     _status(
         f"[loadgen] {setup.n_nodes} nodes -> {target} "
         f"({args.format} frames, burst={config.chunk}"
@@ -914,25 +863,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve the fleet live: in-process feed by default, or a "
-        "TCP ingestion server (+ HTTP ops API) with --listen",
+        help="serve the fleet live: a TCP ingestion server (+ HTTP ops "
+        "API) fed by `repro loadgen` or real agents",
     )
     _add_service_options(p_serve)
     p_serve.add_argument(
-        "--interval", type=float, default=0.0,
-        help="seconds to pause between ingested bursts (in-process "
-        "mode; default 0 = as fast as possible)",
-    )
-    p_serve.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
+        "--listen", required=True, metavar="HOST:PORT",
         help="accept repro-ticks/v1 frames (newline-JSON or binary) on "
-        "this TCP address instead of generating the feed in-process "
-        "(port 0 = ephemeral; see --port-file)",
+        "this TCP address (port 0 = ephemeral; see --port-file)",
     )
     p_serve.add_argument(
         "--ops", default=None, metavar="HOST:PORT",
         help="also serve the HTTP ops API here (/health /fleet /alerts "
-        "/alerts/<id>/ack|suppress /stats; needs --listen)",
+        "/alerts/<id>/ack|suppress /stats)",
     )
     p_serve.add_argument(
         "--alerts", default=None,
@@ -969,11 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--checkpoint", default=None,
-        help="checkpoint detector state to this .npz; with --listen the "
-        "snapshot also carries the server's routing state and WAL "
-        "position, taken between ticks every --checkpoint-every ticks; "
-        "Ctrl-C flushes open alerts and writes a final checkpoint "
-        "before exiting 130",
+        help="checkpoint detector state to this .npz; the snapshot also "
+        "carries the server's routing state and WAL position, taken "
+        "between ticks every --checkpoint-every ticks; Ctrl-C flushes "
+        "open alerts and writes a final checkpoint before exiting 130",
     )
     p_serve.add_argument(
         "--checkpoint-every", type=int, default=1,
@@ -981,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--wal", default=None, metavar="DIR",
-        help="write-ahead repro-wal/v1 frame journal directory (needs "
-        "--listen): every accepted frame is journaled before "
+        help="write-ahead repro-wal/v1 frame journal directory: every "
+        "accepted frame is journaled before "
         "processing, and on restart the journal replays from the last "
         "checkpoint watermark — kill -9 mid-tick, restart, and the "
         "alert JSONL is byte-identical to an uninterrupted run",

@@ -95,7 +95,7 @@ class ServiceConfig:
     )
     chunk: int = knob(
         SERVICE_DEFAULTS["chunk"],
-        "samples per ingested burst; serve and loadgen use 30 unless set",
+        "samples per ingested burst (one tick)",
     )
     open_after: int = knob(
         SERVICE_DEFAULTS["open_after"],
@@ -363,10 +363,11 @@ def replay(
 ) -> ReplayOutcome:
     """Run the deterministic in-process replay loop for a config.
 
-    ``runtime`` passes through the per-run knobs that are not part of
-    the service configuration proper (``sinks``, ``interval``,
-    ``record_history``, ``chaos``, ``checkpoint_path`` /
-    ``checkpoint_every`` / ``resume`` / ``stop_after``).
+    This is ``repro detect`` without ``--from-store``.  ``runtime``
+    passes through the per-run knobs that are not part of the service
+    configuration proper (``sinks``, ``chaos``, ``checkpoint_path`` /
+    ``checkpoint_every`` / ``resume`` / ``stop_after``).  The outcome
+    always carries the full event stream and its ground-truth scores.
     """
     if setup is None:
         setup = build_setup(config)
@@ -397,11 +398,19 @@ def serve(
     detector + routing state snapshotted every ``checkpoint_every``
     ticks, pinned to this setup's lineage fingerprint — a restart with
     the same flags restores and replays to the exact crash state.
+
+    The server always guards its ingress, so a config with
+    ``guard=False`` raises ``ValueError`` rather than being ignored.
     """
     from repro.service.checkpoint import fleet_fingerprint
     from repro.service.net import FleetServer, parse_address
     from repro.service.servecore import ServerCheckpoint
 
+    if not config.guard:
+        raise ValueError(
+            "serve always guards its ingress; guard=False applies to "
+            "replay only"
+        )
     if setup is None:
         setup = build_setup(config)
     host, port = parse_address(listen)

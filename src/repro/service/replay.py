@@ -238,9 +238,8 @@ def prepare_fleet(
 class ReplayOutcome:
     """Scored result of one replay run.
 
-    ``n_alerts``/``n_events`` are always populated; ``events`` holds the
-    full stream only when the replay recorded history (serving mode
-    streams events into sinks without retaining them).
+    ``events`` holds the full alert stream (without the sink-only
+    ``flush`` events of an interrupted run); ``n_events`` counts it.
     """
 
     events: list[dict]
@@ -437,8 +436,6 @@ def replay(
     min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
     sinks: Sequence[AlertSink] = (),
-    interval: float = 0.0,
-    record_history: bool = True,
     mode: str = "exact",
     guard: bool | GuardConfig | None = None,
     chaos: ChaosConfig | None = None,
@@ -451,13 +448,12 @@ def replay(
 
     Every burst drives one :meth:`FleetFaultDetector.process_block`
     call; events stream into ``sinks`` as they fire (and are closed at
-    the end), so ``repro serve`` and ``repro detect`` share this loop —
-    serving passes ``interval`` for live pacing and
-    ``record_history=False`` for bounded memory.  In that mode events
-    still stream into the sinks but are *not* retained on the returned
-    outcome (``events`` stays empty and only counts are kept), and the
-    ground-truth scores — which need the prediction history — are
-    reported as 0.0.
+    the end) and are retained on the outcome, which scores them against
+    the ground truth.  This is ``repro detect``'s loop; the network
+    server (:mod:`repro.service.net`) drives the same detector from
+    frames instead.  A first SIGINT stops it at the next tick boundary:
+    open alerts are flushed into the sinks, a final checkpoint is
+    written and the outcome reports ``interrupted``.
 
     ``mode`` selects the detector's signature arithmetic (see
     :class:`FleetFaultDetector`); the default exact mode replays to
@@ -494,18 +490,12 @@ def replay(
         raise ValueError(
             "checkpoint_every/resume require a checkpoint_path"
         )
-    if checkpoint_path is not None and not record_history:
-        raise ValueError(
-            "checkpointing requires record_history=True (the event "
-            "prefix is part of the snapshot)"
-        )
     detector = FleetFaultDetector(
         setup.trained,
         open_after=open_after,
         close_after=close_after,
         min_confidence=min_confidence,
         top_blocks=top_blocks,
-        record_history=record_history,
         mode=mode,
         max_chunk=chunk,
     )
@@ -575,8 +565,7 @@ def replay(
                 for event in tick_events:
                     n_events += 1
                     n_open += event["event"] == "open"
-                    if record_history:
-                        events.append(event)
+                    events.append(event)
                     for sink in sinks:
                         sink.emit(event)
                 if (
@@ -600,8 +589,6 @@ def replay(
                         ),
                     )
                 next_lo = lo + chunk
-                if interval > 0.0:
-                    time.sleep(interval)
             else:
                 next_lo = horizon
             if stop_flag.triggered:
@@ -634,10 +621,7 @@ def replay(
     finally:
         for sink in sinks:
             sink.close()
-    if record_history:
-        accuracy, precision, recall = score_events(events, setup, detector)
-    else:
-        accuracy = precision = recall = 0.0
+    accuracy, precision, recall = score_events(events, setup, detector)
     return ReplayOutcome(
         events=events,
         n_nodes=setup.n_nodes,

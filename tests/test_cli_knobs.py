@@ -27,7 +27,7 @@ ONLY_VALUE = {"backend": "fused"}
 #: Leading arguments that make each command parse.
 SERVICE_COMMANDS = {
     "detect": ["detect"],
-    "serve": ["serve"],
+    "serve": ["serve", "--listen", "127.0.0.1:0"],
     "loadgen": ["loadgen"],
     "store record": ["store", "record", "storedir"],
 }
@@ -84,14 +84,17 @@ def test_every_field_has_help(cls):
 
 
 def test_unset_flags_keep_the_preset():
-    """No flag set = the preset itself (``--smoke`` or full-size), and
-    serve/loadgen's 30-sample burst applies only while --chunk is unset."""
+    """No flag set = the preset itself (``--smoke`` or full-size), the
+    same one in every service command, so serve + loadgen with default
+    flags feed the same bursts detect replays."""
     parser = cli.build_parser()
-    assert cli._service_config(parser.parse_args(["detect"])) == ServiceConfig()
-    serve = parser.parse_args(["serve", "--smoke", "--chunk", "64"])
-    assert cli._service_config(serve, chunk_default=30) == (
-        ServiceConfig.smoke(chunk=64)
-    )
+    for argv in SERVICE_COMMANDS.values():
+        config = cli._service_config(parser.parse_args(argv))
+        assert config == ServiceConfig(), argv
+        smoke = parser.parse_args([*argv, "--smoke"])
+        assert cli._service_config(smoke) == ServiceConfig.smoke(), argv
+        chunk = parser.parse_args([*argv, "--smoke", "--chunk", "64"])
+        assert cli._service_config(chunk) == ServiceConfig.smoke(chunk=64)
 
 
 def test_help_shows_generated_defaults():

@@ -370,28 +370,38 @@ class TestAlertLog:
 
 class TestServeListenFlagConflicts:
     def test_interval_rejected_with_listen(self, capsys):
-        """`--interval` only drives the in-process loop; combining it
-        with --listen is an error, never a silent no-op (--checkpoint,
-        by contrast, is now the networked-checkpoint path)."""
+        """Pacing belongs to the client (`loadgen --interval`); the
+        server has no `--interval`, so passing one is a usage error,
+        never a silent no-op."""
         from repro import cli
 
-        rc = cli.main(
-            ["serve", "--listen", "127.0.0.1:0", "--interval", "0.5"]
-        )
-        assert rc == 2
-        assert "--listen" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["serve", "--listen", "127.0.0.1:0", "--interval", "0.5"])
+        assert exc_info.value.code == 2
+        assert "--interval" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",
         [["--wal", "waldir"], ["--supervise"]],
     )
     def test_network_only_flags_require_listen(self, extra, capsys):
-        """--wal journals network ingestion and --supervise wraps the
-        network server; without --listen both are configuration errors."""
+        """`repro serve` is only the network server: without --listen
+        it exits 2, whatever else is set."""
         from repro import cli
 
-        assert cli.main(["serve", *extra]) == 2
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["serve", *extra])
+        assert exc_info.value.code == 2
         assert "--listen" in capsys.readouterr().err
+
+    def test_api_serve_rejects_unguarded_config(self, monkeypatch):
+        """The server always guards its ingress; guard=False is an error
+        before any training, not a flag that is quietly ignored."""
+        from repro.service import api
+
+        monkeypatch.setattr(api, "build_setup", _unreachable)
+        with pytest.raises(ValueError, match="guard"):
+            api.serve(api.ServiceConfig.smoke(guard=False))
 
     @pytest.mark.parametrize("supervise", [[], ["--supervise"]])
     @pytest.mark.parametrize(
@@ -401,6 +411,7 @@ class TestServeListenFlagConflicts:
             ["--checkpoint-every", "-1"],
             ["--listen", "localhost"],
             ["--ops", "127.0.0.1:http"],
+            ["--no-guard"],
         ],
     )
     def test_rejected_flags_fail_before_training(
@@ -442,9 +453,9 @@ class TestServeListenFlagConflicts:
 
 
 class TestContradictoryFlags:
-    """`repro detect` and in-process `repro serve` reject flags the chosen
-    mode would ignore or only fail on late: exit 2 and `error:`, before
-    the fleet trains."""
+    """`repro detect` and `repro serve` reject flags the chosen mode would
+    ignore or only fail on late: exit 2 and `error:`, before the fleet
+    trains."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -465,11 +476,17 @@ class TestContradictoryFlags:
                 "--checkpoint-every must be >= 1",
             ),
             (
-                ["serve", "--checkpoint", "ck.npz", "--checkpoint-every", "0"],
+                [
+                    "serve", "--listen", "127.0.0.1:0",
+                    "--checkpoint", "ck.npz", "--checkpoint-every", "0",
+                ],
                 "--checkpoint-every must be >= 1",
             ),
             (
-                ["serve", "--checkpoint", "ck.npz", "--checkpoint-every", "-1"],
+                [
+                    "serve", "--listen", "127.0.0.1:0",
+                    "--checkpoint", "ck.npz", "--checkpoint-every", "-1",
+                ],
                 "--checkpoint-every must be >= 1",
             ),
         ],

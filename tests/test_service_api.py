@@ -8,7 +8,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -85,8 +84,8 @@ class TestServiceConfig:
         assert cli_message in capsys.readouterr().err
 
     def test_smoke_preset_matches_cli(self):
-        """``--smoke`` parses to ``ServiceConfig.smoke()`` (``serve``
-        with its 30-sample serving burst)."""
+        """``--smoke`` parses to ``ServiceConfig.smoke()`` in ``detect``
+        and ``serve`` alike (no per-command burst size)."""
         from repro import cli
 
         smoke = ServiceConfig.smoke()
@@ -95,10 +94,8 @@ class TestServiceConfig:
         parser = cli.build_parser()
         detect = parser.parse_args(["detect", "--smoke"])
         assert cli._service_config(detect) == smoke
-        serve = parser.parse_args(["serve", "--smoke"])
-        assert cli._service_config(serve, chunk_default=30) == (
-            ServiceConfig.smoke(chunk=30)
-        )
+        serve = parser.parse_args(["serve", "--smoke", "--listen", "127.0.0.1:0"])
+        assert cli._service_config(serve) == smoke
 
     def test_replace_revalidates(self):
         config = ServiceConfig().replace(chunk=64)
@@ -207,8 +204,8 @@ class TestAlertSchema:
 
         ckpt = tmp_path / "stamp.npz"
         replay(
-            CFG, setup, record_history=True,
-            checkpoint_path=ckpt, checkpoint_every=1, stop_after=2,
+            CFG, setup, checkpoint_path=ckpt, checkpoint_every=1,
+            stop_after=2,
         )
         manifest = load_checkpoint(ckpt).manifest
         assert manifest["alerts_schema"] == ALERTS_SCHEMA
@@ -244,18 +241,21 @@ class TestGracefulInterrupt:
         self, setup, tmp_path
     ):
         ckpt = tmp_path / "interrupt.npz"
-        sink = ListAlertSink()
-        timer = threading.Timer(
-            0.4, lambda: os.kill(os.getpid(), signal.SIGINT)
+
+        class InterruptOnFirstEmit(ListAlertSink):
+            """Delivers Ctrl-C from inside the first tick that fires an
+            event: a fixed point of the replay, not a timer race."""
+
+            def emit(self, event):
+                if not self.lines:
+                    os.kill(os.getpid(), signal.SIGINT)
+                super().emit(event)
+
+        sink = InterruptOnFirstEmit()
+        outcome = replay(
+            CFG, setup, checkpoint_path=ckpt, checkpoint_every=1,
+            sinks=(sink,),
         )
-        timer.start()
-        try:
-            outcome = replay(
-                CFG, setup, interval=0.2, record_history=True,
-                checkpoint_path=ckpt, checkpoint_every=1, sinks=(sink,),
-            )
-        finally:
-            timer.cancel()
         assert outcome.interrupted
         assert ckpt.exists()
         # Resume replays the remaining ticks; the resumed sink stream
@@ -263,27 +263,33 @@ class TestGracefulInterrupt:
         # are sink-only and excluded from the checkpoint).
         resumed_sink = ListAlertSink()
         replay(
-            CFG, setup, record_history=True,
-            checkpoint_path=ckpt, resume=True, sinks=(resumed_sink,),
+            CFG, setup, checkpoint_path=ckpt, resume=True,
+            sinks=(resumed_sink,),
         )
         full_sink = ListAlertSink()
-        replay(CFG, setup, sinks=(full_sink,))
+        full = replay(CFG, setup, sinks=(full_sink,))
         assert resumed_sink.text() == full_sink.text()
+        assert outcome.n_windows < full.n_windows, (
+            "the interrupt must land before the end of the replay"
+        )
 
-    def test_cli_serve_ctrl_c_exits_130_with_flush_and_checkpoint(
+    def test_detect_ctrl_c_exits_130_with_flush_and_checkpoint(
         self, tmp_path
     ):
-        """The satellite contract end to end: SIGINT to a live `repro
-        serve` exits 130, the alert JSONL ends cleanly (flushed open
-        alerts included) and a final checkpoint exists."""
-        alerts = tmp_path / "serve_alerts.jsonl"
-        ckpt = tmp_path / "serve_ckpt.npz"
+        """SIGINT to a running `repro detect` exits 130 (never 0, so a
+        script can tell a partial run from a complete one), the alert
+        JSONL ends cleanly (flushed open alerts included) and a final
+        checkpoint exists.  One-sample bursts with a checkpoint per tick
+        keep the replay running for well over a second after its first
+        checkpoint lands."""
+        alerts = tmp_path / "detect_alerts.jsonl"
+        ckpt = tmp_path / "detect_ckpt.npz"
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve", "--smoke",
-                "--interval", "0.3", "--alerts", str(alerts),
-                "--checkpoint", str(ckpt),
+                sys.executable, "-m", "repro", "detect", "--smoke",
+                "--chunk", "1", "--checkpoint-every", "1",
+                "--alerts", str(alerts), "--checkpoint", str(ckpt),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -293,11 +299,12 @@ class TestGracefulInterrupt:
 
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline and not ckpt.exists():
-            time.sleep(0.1)  # wait for the first tick's checkpoint
-        assert ckpt.exists(), "server never processed a tick"
+            time.sleep(0.05)  # wait for the first tick's checkpoint
+        assert ckpt.exists(), "detect never processed a tick"
         proc.send_signal(signal.SIGINT)
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 130, stderr.decode()
+        assert f"checkpoint at {ckpt}" in stderr.decode()
         assert ckpt.exists()
         # Every emitted line parses and any open alert was flushed.
         lines = [

@@ -205,11 +205,8 @@ class TestTypedMismatches:
     def test_replay_guards_checkpoint_knobs(self, small_setup, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_path"):
             replay(small_setup, chunk=200, checkpoint_every=1)
-        with pytest.raises(ValueError, match="record_history"):
-            replay(
-                small_setup, chunk=200, record_history=False,
-                checkpoint_path=tmp_path / "x.npz", checkpoint_every=1,
-            )
+        with pytest.raises(ValueError, match="checkpoint_path"):
+            replay(small_setup, chunk=200, resume=True)
 
     def test_fingerprint_tracks_lineage(self, small_setup, other_setup):
         fp1 = fleet_fingerprint(small_setup.trained)

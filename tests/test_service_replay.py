@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,34 +57,20 @@ class TestInProcessDeterminism:
     def test_serve_record_history_off_keeps_detector_empty(
         self, small_setup
     ):
-        from repro.service.alerts import AlertSink
+        """The network server's detector keeps no per-window history
+        (bounded memory); its events still fire, as in replay."""
         from repro.service.detector import FleetFaultDetector
 
         detector = FleetFaultDetector(
             small_setup.trained, record_history=False
         )
-        detector.process_block(small_setup.eval_data)
+        events = detector.process_block(small_setup.eval_data)
         for path in detector.paths:
             assert detector.history[path] == ([], [])
             assert detector.policy(path).history == []
-
-        class _Collect(AlertSink):
-            def __init__(self):
-                self.events = []
-
-            def emit(self, event):
-                self.events.append(event)
-
-        collect = _Collect()
-        outcome = replay(
-            small_setup, chunk=200, record_history=False, sinks=[collect]
-        )
-        scored = replay(small_setup, chunk=200)
-        assert collect.events == scored.events  # sinks see the full stream
-        assert outcome.events == []  # ...but nothing is retained
-        assert outcome.n_events == len(scored.events)
-        assert outcome.n_alerts == scored.n_alerts
-        assert outcome.window_accuracy == 0.0  # scores need history
+        scored = FleetFaultDetector(small_setup.trained)
+        assert events == scored.process_block(small_setup.eval_data)
+        assert any(scored.history[path][0] for path in scored.paths)
 
     def test_markdown_sink_summarizes_events(self, small_setup, tmp_path):
         md = tmp_path / "alerts.md"
@@ -182,9 +169,33 @@ class TestDetectCLI:
 
 
 class TestServeCLI:
-    def test_serve_streams_events_and_summarizes(self, capsys):
-        assert cli.main(["serve", "--smoke"]) == 0
-        captured = capsys.readouterr()
+    """`repro serve --listen` fed by `repro loadgen`, both with default
+    flags, in this process (server on the main thread)."""
+
+    @staticmethod
+    def _serve(capsys, tmp_path):
+        port_file = tmp_path / "serve.port"
+        failures = []
+
+        def feed():
+            try:
+                argv = ["loadgen", "--smoke", "--port-file", str(port_file)]
+                assert cli.main(argv) == 0
+            except BaseException as exc:  # surfaced on the main thread
+                failures.append(exc)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        rc = cli.main([
+            "serve", "--smoke", "--listen", "127.0.0.1:0",
+            "--port-file", str(port_file), "--exit-on-idle",
+        ])
+        feeder.join(timeout=60)
+        assert rc == 0 and not failures, failures
+        return capsys.readouterr()
+
+    def test_serve_streams_events_and_summarizes(self, capsys, tmp_path):
+        captured = self._serve(capsys, tmp_path)
         events = [json.loads(line) for line in captured.out.splitlines()]
         assert events
         for event in events:
@@ -192,11 +203,11 @@ class TestServeCLI:
             assert event["node"].startswith("rack")
         assert "[serve] drained:" in captured.err
 
-    def test_serve_matches_detect_alert_stream(self, capsys):
-        """Live serving and batch replay are the same computation."""
-        assert cli.main(["serve", "--smoke", "--chunk", "200"]) == 0
-        serve_out = capsys.readouterr().out
-        assert cli.main(["detect", "--smoke", "--chunk", "200"]) == 0
+    def test_serve_matches_detect_alert_stream(self, capsys, tmp_path):
+        """Live serving and batch replay are the same computation, and
+        the same flags mean the same burst size in both."""
+        serve_out = self._serve(capsys, tmp_path).out
+        assert cli.main(["detect", "--smoke"]) == 0
         detect_out = capsys.readouterr().out
         assert serve_out == detect_out
 
