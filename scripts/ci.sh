@@ -22,12 +22,12 @@ echo "== bench guards (recorded speedup floors) =="
 python -m pytest tests/test_bench_guard.py -q
 
 # Opt-in benchmark refresh: regenerates results/*.csv + BENCH_*.json
-# through the same entry point developers use (`repro bench`).  Off by
+# by running the slow-marked benchmark suite directly.  Off by
 # default — the recorded summaries are committed and the guards above
 # enforce their floors without paying benchmark runtime.
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
-    echo "== benchmark suite (repro bench) =="
-    python -m repro bench
+    echo "== benchmark suite (pytest benchmarks -m slow) =="
+    python -m pytest benchmarks -m slow -q
 fi
 
 ./scripts/smoke.sh

@@ -256,7 +256,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             t0=args.t0,
             t1=args.t1,
             mode=config.mode,
-            stamp_health=None if config.guard else False,
             sinks=sinks,
             **config.policy_kwargs(),
         )
@@ -407,11 +406,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Rejected here, not after the fleet trains: a supervisor would
     # otherwise restart a child that fails the same way every time.
-    if args.no_guard:
-        return _usage_error(
-            "--no-guard applies to repro detect only; the network server "
-            "always guards its ingress"
-        )
     error = _checkpoint_every_error(args)
     if error:
         return _usage_error(error)
@@ -419,6 +413,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backpressure = _listen_options(args)
     except ValueError as exc:
         return _usage_error(str(exc))
+    try:
+        _service_config(args)  # e.g. --no-guard
+    except SystemExit as exc:  # already reported as a usage error
+        return exc.code
     if args.supervise:
         return _supervise_serve(args)
 
@@ -623,7 +621,6 @@ def _cmd_store_record(args: argparse.Namespace) -> int:
         args.root,
         partition_ticks=args.partition_ticks,
         chunk=config.chunk,
-        guarded=config.guard,
     )
     _status(
         f"[store] recorded {store.ticks} ticks x {len(store.paths)} nodes "
@@ -683,80 +680,6 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
         f"[{store.t0}, {store.t1}) retained"
     )
     return 0
-
-
-# ----------------------------------------------------------------------
-# Benchmark runner (repro bench)
-# ----------------------------------------------------------------------
-#: The benchmark files that refresh ``results/*.csv`` + ``BENCH_*.json``.
-BENCH_SUITES: dict[str, str] = {
-    "engine": "test_engine_scaling.py",
-    "ml": "test_ml_scaling.py",
-    "scenarios": "test_scenario_cache.py",
-    "service": "test_service_scaling.py",
-    "datagen": "test_datagen_scaling.py",
-    "tick": "test_tick_hotpath.py",
-    "store": "test_store_scaling.py",
-    "net": "test_net_serve.py",
-    "cold-start": "test_cold_start.py",
-}
-
-
-def _repo_root() -> Path:
-    """The checkout root (the parent of ``src/``); benchmarks live there."""
-    return Path(__file__).resolve().parents[2]
-
-
-def _bench_command(args: argparse.Namespace) -> list[str]:
-    """The pytest invocation for the requested benchmark selection."""
-    if args.all:
-        targets = ["benchmarks"]
-    else:
-        suites = args.suite or sorted(BENCH_SUITES)
-        targets = [str(Path("benchmarks") / BENCH_SUITES[s]) for s in suites]
-    cmd = [sys.executable, "-m", "pytest", *targets, "-m", "slow", "-q"]
-    if args.filter:
-        cmd += ["-k", args.filter]
-    return cmd
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the slow-marked benchmark suite, refreshing the recorded
-    ``results/*.csv`` tables and ``BENCH_*.json`` summaries that
-    ``tests/test_bench_guard.py`` enforces floors on.
-
-    Runs in a subprocess so the ``REPRO_BENCH_SCALE``/``REPRO_BENCH_TREES``
-    knobs are picked up at interpreter start, exactly as a manual
-    ``pytest benchmarks -m slow`` run would.
-    """
-    import os
-    import subprocess
-
-    if args.all and args.suite:
-        return _usage_error("--all and --suite are mutually exclusive")
-    root = _repo_root()
-    if not (root / "benchmarks").is_dir():
-        return _usage_error(
-            "benchmarks/ not found next to src/ — `repro bench` runs from "
-            "a source checkout"
-        )
-    env = os.environ.copy()
-    env["PYTHONPATH"] = str(root / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    if args.scale is not None:
-        env["REPRO_BENCH_SCALE"] = str(args.scale)
-    if args.trees is not None:
-        env["REPRO_BENCH_TREES"] = str(args.trees)
-    cmd = _bench_command(args)
-    _status(f"[bench] {' '.join(cmd)}")
-    rc = subprocess.call(cmd, cwd=root, env=env)
-    if rc == 0:
-        _status(
-            "[bench] refreshed results/*.csv + BENCH_*.json "
-            "(guarded by tests/test_bench_guard.py)"
-        )
-    return rc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1115,35 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prune.set_defaults(func=_cmd_store_prune)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the slow-marked benchmark suite and refresh "
-        "results/*.csv + BENCH_*.json",
-    )
-    p_bench.add_argument(
-        "--suite", action="append", choices=sorted(BENCH_SUITES),
-        help="benchmark suite(s) to run (repeatable; default: all of "
-        f"{', '.join(sorted(BENCH_SUITES))})",
-    )
-    p_bench.add_argument(
-        "--all", action="store_true",
-        help="run every file under benchmarks/ (figure/table "
-        "reproductions included), not just the recorded-speedup suites",
-    )
-    p_bench.add_argument(
-        "--filter", "-k", default=None,
-        help="pytest -k expression to select individual benchmarks",
-    )
-    p_bench.add_argument(
-        "--scale", type=float, default=None,
-        help="REPRO_BENCH_SCALE for the run (enlarges datasets toward "
-        "paper sizes)",
-    )
-    p_bench.add_argument(
-        "--trees", type=int, default=None,
-        help="REPRO_BENCH_TREES for the run (forest size; paper uses 50)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

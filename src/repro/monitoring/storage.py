@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 import zipfile
 from pathlib import Path
 
@@ -185,6 +186,12 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _temp_sibling(path: Path) -> Path:
+    """A fresh temp-file name next to ``path``, unique per call: two
+    threads of one process writing the same path must not share one."""
+    return path.with_name(f"{path.name}.tmp{os.getpid()}-{uuid.uuid4().hex}")
+
+
 def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
     """``np.savez`` via temp file + fsync + rename + directory fsync.
 
@@ -197,9 +204,9 @@ def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
     completed compaction).
     """
     path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp = _temp_sibling(path)
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "xb") as fh:
             np.savez(fh, **arrays)
             fh.flush()
             os.fsync(fh.fileno())

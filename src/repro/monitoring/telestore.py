@@ -50,7 +50,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.monitoring.storage import _fsync_dir, atomic_savez, load_npz_arrays
+from repro.monitoring.storage import (
+    _fsync_dir,
+    _temp_sibling,
+    atomic_savez,
+    load_npz_arrays,
+)
 
 __all__ = [
     "STORE_FORMAT",
@@ -94,9 +99,9 @@ class RetentionError(TeleStoreError):
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
     """Durable atomic JSON write (same discipline as ``atomic_savez``)."""
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp = _temp_sibling(path)
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
             fh.flush()

@@ -326,7 +326,6 @@ FLEET_DETECT = register(ScenarioSpec(
     datasets=_fault_fleet(4, t=6000),
     evaluation=pairs({
         "drivers": (),
-        "guard": False,
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,
@@ -352,7 +351,6 @@ FLEET_DETECT_SCALE = register(ScenarioSpec(
     datasets=_fault_fleet(8, t=4000),
     evaluation=pairs({
         "drivers": (),
-        "guard": False,
         "fleet_sizes": (2, 4, 8),
         "blocks": 20,
         "trees": 20,
@@ -380,7 +378,6 @@ FLEET_DETECT_NOISE = register(ScenarioSpec(
     datasets=_fault_fleet(3, t=6000, noise_std=0.05, noise_seed=11),
     evaluation=pairs({
         "drivers": (),
-        "guard": False,
         "blocks": 20,
         "trees": 30,
         "train_frac": 0.5,

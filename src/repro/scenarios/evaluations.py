@@ -655,7 +655,6 @@ def _store_driver(config, setup, ev, notes):
             Path(td) / "store",
             partition_ticks=partition_ticks,
             chunk=config.chunk,
-            guarded=config.guard,
         )
         outcome = replay_from_store(
             setup,

@@ -10,9 +10,9 @@ the same plumbing).  The facade collapses that into:
   with the same defaults as ``repro.service.replay.SERVICE_DEFAULTS``
   and the CLI presets;
 * :func:`build_setup` / :func:`build_detector` — materialize the
-  trained fleet and the (optionally guarded) detector from a config;
-* :func:`replay` / :func:`serve` — run the in-process replay loop or
-  the network-facing ingestion server against a config;
+  trained fleet and the guarded detector from a config;
+* :func:`replay` / :func:`serve` — drive the serving core from memory
+  or run the network-facing ingestion server against a config;
 * :func:`replicate_setup` — scale a trained fleet to N nodes by
   replicating models/data by reference (no retraining, near-zero extra
   memory), which is how the load benchmarks reach thousands of nodes.
@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 from repro.engine.hotpath import SIGNATURE_MODES
 from repro.service.classify import TrainedFleet
 from repro.service.detector import FleetFaultDetector
-from repro.service.guard import GuardConfig, GuardedDetector
+from repro.service.guard import GuardedDetector
 from repro.service.knobs import knob
 from repro.service.replay import (
     SERVICE_DEFAULTS,
@@ -66,7 +66,7 @@ class ServiceConfig:
       ``healthy_label``, ``model_path``;
     * detection — ``chunk``, ``open_after``, ``close_after``,
       ``min_confidence``, ``top_blocks``, ``backend``, ``mode``,
-      ``guard``;
+      ``guard`` (always on: ``False`` is rejected);
     * scale-out — ``replicate`` (0 = off; N = replicate the trained
       fleet to N nodes via :func:`replicate_setup`);
     * caching — ``cache_dir``.
@@ -138,7 +138,8 @@ class ServiceConfig:
         True,
         "input-hardening guard (malformed/late/duplicate bursts degrade or "
         "quarantine the offending node instead of crashing; guard events "
-        "join the stream and alerts carry the node health state)",
+        "join the stream and alerts carry the node health state); retired "
+        "as a switch: every tick loop guards, so disabling it is rejected",
     )
     replicate: int = knob(
         0,
@@ -175,6 +176,11 @@ class ServiceConfig:
             raise ValueError(
                 f"backend {self.backend!r} is retired: the fused tick "
                 "arena is the only tick path (backend must be 'fused')"
+            )
+        if not self.guard:
+            raise ValueError(
+                "guard=False is retired: every tick loop guards its input "
+                "(guard must be True)"
             )
         if self.mode not in SIGNATURE_MODES:
             raise ValueError(
@@ -224,12 +230,7 @@ class ServiceConfig:
     def replay_kwargs(self) -> dict:
         """The tick-loop knobs, as ``repro.service.replay.replay``
         keyword arguments."""
-        return {
-            "chunk": self.chunk,
-            "mode": self.mode,
-            "guard": self.guard,
-            **self.policy_kwargs(),
-        }
+        return {"chunk": self.chunk, "mode": self.mode, **self.policy_kwargs()}
 
 
 def build_context(config: ServiceConfig):
@@ -332,12 +333,13 @@ def build_detector(
     setup: FleetReplaySetup | None = None,
     *,
     record_history: bool = False,
-) -> FleetFaultDetector | GuardedDetector:
-    """The configured detector — guarded when ``config.guard`` is set.
+) -> GuardedDetector:
+    """The configured detector behind its input guard.
 
-    This is the construction path the network server uses; ``replay``
-    builds its own detector inside the replay loop with identical
-    parameters, which is what makes the two byte-comparable.
+    This is the construction path the network server uses.  ``replay``
+    builds the same detector (with ``record_history=True``, which its
+    scoring reads) and drives the same :class:`~repro.service.
+    servecore.ServeCore`, which is what makes the two byte-comparable.
     """
     if setup is None:
         setup = build_setup(config)
@@ -351,9 +353,7 @@ def build_detector(
         mode=config.mode,
         max_chunk=config.chunk,
     )
-    if config.guard:
-        return GuardedDetector(detector)
-    return detector
+    return GuardedDetector(detector)
 
 
 def replay(
@@ -361,7 +361,7 @@ def replay(
     setup: FleetReplaySetup | None = None,
     **runtime,
 ) -> ReplayOutcome:
-    """Run the deterministic in-process replay loop for a config.
+    """Replay a config's held-out feed through the serving core.
 
     This is ``repro detect`` without ``--from-store``.  ``runtime``
     passes through the per-run knobs that are not part of the service
@@ -398,19 +398,11 @@ def serve(
     detector + routing state snapshotted every ``checkpoint_every``
     ticks, pinned to this setup's lineage fingerprint — a restart with
     the same flags restores and replays to the exact crash state.
-
-    The server always guards its ingress, so a config with
-    ``guard=False`` raises ``ValueError`` rather than being ignored.
     """
     from repro.service.checkpoint import fleet_fingerprint
     from repro.service.net import FleetServer, parse_address
     from repro.service.servecore import ServerCheckpoint
 
-    if not config.guard:
-        raise ValueError(
-            "serve always guards its ingress; guard=False applies to "
-            "replay only"
-        )
     if setup is None:
         setup = build_setup(config)
     host, port = parse_address(listen)

@@ -1,23 +1,27 @@
-"""Deterministic seeded fault injection for replay drivers.
+"""Deterministic seeded fault injection for the in-process replay.
 
-The guard (:mod:`repro.service.guard`) and checkpoint
-(:mod:`repro.service.checkpoint`) layers claim the service survives a
-hostile transport.  :class:`ChaosInjector` makes that claim testable —
-and *reproducible*: it wraps any replay driver and perturbs each tick's
-burst with the classic transport fault classes, each drawn from an RNG
-keyed on ``(seed, tick, crc32(node path))`` alone.  No injector state
-carries across ticks, so a killed-and-resumed replay regenerates the
-exact same fault schedule — which is what lets the chaos tests assert
-byte-identical alert streams across kill/restore cycles.
+The guard (:mod:`repro.service.guard`), the serving core's queues and
+barrier (:mod:`repro.service.servecore`) and checkpoints
+(:mod:`repro.service.checkpoint`) claim the service survives a hostile
+transport.  :class:`ChaosInjector` makes that claim testable — and
+*reproducible*: :func:`repro.service.replay.replay` passes each tick's
+burst through it and feeds the perturbed deliveries to the core as
+frames, each fault drawn from an RNG keyed on ``(seed, tick,
+crc32(node path))`` alone.  No injector state carries across ticks, so
+a killed-and-resumed replay regenerates the exact same fault schedule —
+which is what lets the chaos tests assert byte-identical alert streams
+across kill/restore cycles.
 
-Fault classes and how the guard classifies them:
+Fault classes and where they land:
 
-* **drop** — the node's block never arrives (no guard event; the
-  detector simply sees a ragged tick);
-* **duplicate** — the block is delivered twice with the same tick id
-  (guard: ``duplicate-tick`` → coalesce);
-* **reorder** — the block arrives stamped with an old tick id, i.e. a
-  late/out-of-order delivery (guard: ``stale-tick`` → reject);
+* **drop** — the node's frame never arrives: the tick barrier breaks
+  after its deadline and the detector sees a ragged tick (no guard
+  event);
+* **duplicate** — the frame is delivered twice with the same tick id:
+  the second replaces the queued first (no guard event);
+* **reorder** — the frame arrives stamped with an old tick id, i.e. a
+  late delivery: it is below the core's cursor and dropped as late
+  (``late_dropped``), so the node misses that tick (no guard event);
 * **corrupt** — a fraction of the block's entries are overwritten with
   NaN/±Inf (guard: ``corrupt-values`` → reject, quarantine on streaks).
 
@@ -25,7 +29,6 @@ Fault classes and how the guard classifies them:
 the full crash drill: replay, kill at given ticks, restore from the
 latest checkpoint, repeat — returning the final (complete) outcome.
 
-This module perturbs *blocks* handed to an in-process replay driver.
 Its network twin, :mod:`repro.service.netchaos`, applies the same
 stateless-RNG discipline one layer down — to the raw TCP byte stream
 between a load generator and ``repro serve --listen`` — keyed on
@@ -104,7 +107,8 @@ class ChaosInjector:
     """Stateless per-tick fault injection (deterministic, resumable).
 
     :meth:`deliveries` turns one tick's burst into the list of
-    ``(tick_id, burst)`` deliveries the transport would actually make:
+    ``(tick_id, burst)`` deliveries the transport would actually make
+    (the replay feeds each as one frame per node):
     the main (possibly thinned/corrupted) delivery first, then any
     duplicate / late re-deliveries.  Statistics accumulate on
     :attr:`stats` for reporting; they never influence the schedule.

@@ -1,9 +1,9 @@
-"""Versioned checkpoint/restore of full detector state.
+"""Versioned checkpoint/restore of full serving state.
 
 A mid-run crash of the online detector used to lose everything the
 fleet had streamed: per-node ring buffers, pending window snapshots,
 alert hysteresis, open alerts.  :func:`save_checkpoint` snapshots the
-**complete** detector state into one atomic ``.npz`` archive (the
+**complete** state into one atomic ``.npz`` archive (the
 ``atomic_savez`` temp-file + rename discipline and manifest-as-uint8
 convention of :mod:`repro.monitoring.storage`):
 
@@ -12,16 +12,19 @@ convention of :mod:`repro.monitoring.storage`):
   snapshots, counts (the tick arena exports exactly this layout);
 * per-node :class:`~repro.service.alerts.AlertPolicy` hysteresis state,
   including the open alert;
-* the alert events emitted so far plus replay bookkeeping
-  (``next_lo``, event/alert counts, scoring history);
-* the optional :class:`~repro.service.guard.GuardedDetector` health
-  state;
+* the alert events emitted so far plus bookkeeping (``next_lo``,
+  event/alert counts, scoring history);
+* the :class:`~repro.service.guard.GuardedDetector` health state;
+* the serving core's tick cursor, journal index and queued frames;
 * a **model lineage fingerprint** (:func:`fleet_fingerprint`, SHA-256
-  over every model array) plus the replay knobs, so a checkpoint can
+  over every model array) plus the detector knobs, so a checkpoint can
   never silently resume against a different fleet or configuration.
 
-The contract — test-enforced per scenario under a PYTHONHASHSEED
-subprocess sweep — is *byte identity*: crash → restore →
+There is one writer, :meth:`repro.service.servecore.ServeCore.
+write_checkpoint`, and one reader, :meth:`~repro.service.servecore.
+ServeCore.recover`, whether the core serves the network or replays
+from memory.  The contract — test-enforced per scenario under a
+PYTHONHASHSEED subprocess sweep — is *byte identity*: crash → restore →
 replay-the-remaining-ticks produces alert JSONL identical to an
 uninterrupted run.  Manifests record ``"backend": "fused"``; exact-mode
 checkpoints stamped ``"staged"`` by the retired backend hold the same
@@ -55,7 +58,7 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "repro-detector-checkpoint/v1"
 
-#: Replay knobs a checkpoint pins: resuming under different values would
+#: Detector knobs a checkpoint pins: resuming under different values would
 #: continue a *different* event sequence, so mismatches are typed errors.
 _PINNED_PARAMS = (
     "open_after",
@@ -128,23 +131,20 @@ def save_checkpoint(
     events: list[dict],
     n_events: int,
     n_alerts: int,
-    guard_state: dict | None = None,
-    server_state: dict | None = None,
-    extra_arrays: dict[str, np.ndarray] | None = None,
+    guard_state: dict,
+    server_state: dict,
+    extra_arrays: dict[str, np.ndarray],
 ) -> Path:
-    """Snapshot the full detector state as one atomic ``.npz`` archive.
+    """Snapshot the full serving state as one atomic ``.npz`` archive.
 
-    ``next_lo`` is the first un-ingested sample column — the replay loop
-    resumes from exactly there.  ``events`` is the alert stream emitted
-    so far (re-emitted into fresh sinks on resume, which is what makes
-    the resumed JSONL byte-identical end to end).
-
-    ``server_state``/``extra_arrays`` are the network server's
-    extension point: :class:`~repro.service.net.FleetServer` records
-    its tick cursor + WAL index in the manifest and its routed-but-
-    unprocessed queue contents as encoded-frame blobs, so a restart
-    resumes routing exactly where the crash left it.  Plain replay
-    checkpoints carry neither and restore exactly as before.
+    ``next_lo`` is the first un-ingested sample column.  ``events`` is
+    the alert stream emitted so far (re-emitted into fresh sinks on
+    resume, which is what makes the resumed JSONL byte-identical end to
+    end).  ``guard_state`` is the guard's health state.
+    ``server_state`` (tick cursor, WAL index) goes into the manifest and
+    ``extra_arrays`` (the routed-but-unprocessed queue contents as
+    encoded-frame blobs) into the archive, so a restart resumes routing
+    exactly where the crash left it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -181,18 +181,16 @@ def save_checkpoint(
         "guard": guard_state,
         "n_events": int(n_events),
         "n_alerts": int(n_alerts),
+        "server": server_state,
     }
-    if server_state is not None:
-        manifest["server"] = server_state
-    if extra_arrays:
-        reserved = set(arrays) | {"manifest", "events"}
-        for name, arr in extra_arrays.items():
-            if name in reserved:
-                raise ValueError(
-                    f"extra checkpoint array {name!r} collides with a "
-                    "reserved archive member"
-                )
-            arrays[name] = np.asarray(arr)
+    reserved = set(arrays) | {"manifest", "events"}
+    for name, arr in extra_arrays.items():
+        if name in reserved:
+            raise ValueError(
+                f"extra checkpoint array {name!r} collides with a "
+                "reserved archive member"
+            )
+        arrays[name] = np.asarray(arr)
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
@@ -287,14 +285,15 @@ def restore_checkpoint(
     *,
     fingerprint: str,
     chunk: int,
-    guard=None,
+    guard,
 ) -> tuple[list[dict], int, int, int]:
-    """Restore a checkpoint into a freshly constructed detector.
+    """Restore a checkpoint into a freshly constructed detector and its
+    :class:`~repro.service.guard.GuardedDetector` ``guard``.
 
     Validates lineage, geometry, mode compatibility and every
-    pinned replay knob before touching any state — a mismatch raises
+    pinned detector knob before touching any state — a mismatch raises
     :class:`CheckpointError` with the offending ``field``.  Returns
-    ``(events, next_lo, n_events, n_alerts)`` for the replay loop.
+    ``(events, next_lo, n_events, n_alerts)``.
     """
     m = ckpt.manifest
     if m["fingerprint"] != fingerprint:
@@ -330,15 +329,6 @@ def restore_checkpoint(
                 f"resume wants {knob}={params[knob]!r}",
                 field=knob,
             )
-    if (m.get("guard") is not None) != (guard is not None):
-        raise CheckpointError(
-            "guard mismatch: checkpoint "
-            + ("has" if m.get("guard") is not None else "lacks")
-            + " guard state but the resuming replay "
-            + ("lacks" if guard is None else "has")
-            + " a guard",
-            field="guard",
-        )
     try:
         detector.arena.restore_states(
             {
@@ -356,8 +346,7 @@ def restore_checkpoint(
         detector._windows[node] = int(m["nodes"][node]["windows"])
         if detector.record_history:
             detector.history[node] = ckpt.node_history(i)
-    if guard is not None:
-        guard.load_state(m["guard"])
+    guard.load_state(m["guard"])
     return (
         list(ckpt.events),
         int(m["next_lo"]),

@@ -1,12 +1,13 @@
 """Faster-than-real-time fleet replay from the columnar telemetry store.
 
 The live service (:func:`repro.service.replay.replay`) drives the
-detector one ``chunk``-sized tick at a time — correct, but the per-tick
-Python loop and guard validation are pure overhead when the input is an
-already-validated recording.  This module closes the loop the ROADMAP
-names: :func:`record_fleet` writes a fleet's held-out feed into a
-``repro-telestore/v1`` store (:mod:`repro.monitoring.telestore`), and
-:func:`replay_from_store` re-drives any recorded ``[t0, t1)`` window
+serving core one ``chunk``-sized tick at a time — correct, but the
+per-tick Python loop, routing and guard validation are pure overhead
+when the input is an already-validated recording.  This module closes
+the loop the ROADMAP names: :func:`record_fleet` writes a fleet's
+held-out feed into a ``repro-telestore/v1`` store
+(:mod:`repro.monitoring.telestore`), and :func:`replay_from_store`
+re-drives any recorded ``[t0, t1)`` window
 through :class:`~repro.service.detector.FleetFaultDetector` at maximum
 speed: partition-sized blocks stream zero-copy out of the memory-mapped
 store straight into the fused :class:`~repro.engine.hotpath.TickArena`
@@ -184,7 +185,6 @@ def replay_from_store(
     min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
     mode: str = "exact",
-    stamp_health: bool | None = None,
     verify_fingerprint: bool = True,
     sinks: Sequence[AlertSink] = (),
 ) -> ReplayOutcome:
@@ -199,7 +199,6 @@ def replay_from_store(
     stamped with the guard's ``health: "healthy"`` field, making the
     resulting JSONL byte-identical to live ingestion of the same window.
 
-    ``stamp_health`` overrides the recording's ``guarded`` flag;
     ``verify_fingerprint=False`` skips the model-lineage check (only for
     stores recorded without one).  Scores are computed against sliced
     ground truth when ``t0`` is window-stride aligned; otherwise the
@@ -276,12 +275,7 @@ def replay_from_store(
     )
     replay_time = time.perf_counter() - start
     events = _live_order(events, setup.wl, setup.ws, chunk)
-    stamp = (
-        bool(store.meta.get("guarded", False))
-        if stamp_health is None
-        else bool(stamp_health)
-    )
-    if stamp:
+    if store.meta.get("guarded", False):
         for event in events:
             event["health"] = "healthy"
     for sink in sinks:

@@ -4,10 +4,10 @@
 detector.  Agents connect over TCP and push ``repro-ticks/v1`` frames
 (newline-JSON or binary, see :mod:`repro.service.protocol`).  Every
 decision — queues, tick barrier, journal, acks, checkpoints, health —
-is made by a :class:`~repro.service.servecore.ServeCore`, which runs
-each tick through ``GuardedDetector.process_block``, the *same* call
-the in-process replay loop makes: a clean network feed produces alert
-JSONL byte-identical to ``repro detect`` of the same configuration.
+is made by a :class:`~repro.service.servecore.ServeCore`, the *same*
+core ``repro detect`` drives from memory: a clean network feed produces
+alert JSONL byte-identical to ``repro detect`` of the same
+configuration.
 
 This module is the core's asyncio adapter.  Each connection decodes
 what its socket receives (``recv_into`` its decoder's buffer; a binary

@@ -5,9 +5,9 @@ it materializes a fleet from dataset recipes (through an
 :class:`~repro.scenarios.cache.ExecutionContext`, so repeated runs load
 the cached ``.npz`` segments instead of regenerating), trains the fleet
 on the leading ``train_frac`` of each node's history, then feeds the
-remaining samples through :class:`~repro.service.detector.
-FleetFaultDetector` in fixed-size bursts and scores the alert stream
-against the injected ground truth.
+remaining samples as fixed-size tick frames through the network
+server's :class:`~repro.service.servecore.ServeCore` — the one tick
+loop — and scores the alert stream against the injected ground truth.
 
 Everything downstream of the recipes is a pure function of declarative
 inputs, so two replays of the same setup — in the same process or across
@@ -16,7 +16,9 @@ processes — produce **byte-identical** alert JSONL.
 
 from __future__ import annotations
 
+import math
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -30,16 +32,13 @@ from repro.datasets.recipes import DatasetRecipe, recipe
 from repro.datasets.windows import window_majority_labels
 from repro.service.alerts import AlertSink
 from repro.service.chaos import ChaosConfig, ChaosInjector
-from repro.service.checkpoint import (
-    fleet_fingerprint,
-    load_checkpoint,
-    restore_checkpoint,
-    save_checkpoint,
-)
+from repro.service.checkpoint import CheckpointError, fleet_fingerprint
 from repro.service.classify import TrainedFleet, train_fleet
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardConfig, GuardedDetector
 from repro.service.model_store import load_fleet_npz, save_fleet_npz
+from repro.service.protocol import Frame
+from repro.service.servecore import ServeCore, ServerCheckpoint
 
 if TYPE_CHECKING:
     from repro.scenarios.cache import ExecutionContext
@@ -49,7 +48,6 @@ __all__ = [
     "FleetReplaySetup",
     "ReplayOutcome",
     "fleet_recipes",
-    "flush_open_alerts",
     "node_path",
     "prepare_fleet",
     "replay",
@@ -252,7 +250,8 @@ class ReplayOutcome:
     replay_time_s: float
     n_events: int = 0
     #: :meth:`~repro.service.guard.GuardedDetector.fleet_health` payload
-    #: of the final tick, when the replay ran guarded.
+    #: of the final tick (``None`` for a store replay, which re-validates
+    #: nothing).
     health: dict | None = None
     #: :class:`~repro.service.chaos.ChaosInjector` delivery statistics,
     #: when the replay ran under fault injection.
@@ -284,42 +283,13 @@ class ReplayOutcome:
         )
 
 
-def flush_open_alerts(detector) -> list[dict]:
-    """``repro-alerts/v1`` ``flush`` events for every still-open alert.
-
-    Emitted into the sinks when a serving loop is interrupted (Ctrl-C)
-    so an operator tailing the JSONL sees which episodes were live at
-    shutdown — same shape as a ``close`` event, but the episode did not
-    end.  Accepts a :class:`FleetFaultDetector` or a
-    :class:`~repro.service.guard.GuardedDetector` (flushes then carry
-    the node ``health`` state, like every guarded event).
-    """
-    guarded = detector if isinstance(detector, GuardedDetector) else None
-    inner = guarded.inner if guarded is not None else detector
-    events = []
-    for path, alert in sorted(inner.open_alerts().items()):
-        event = {
-            "event": "flush",
-            "node": path,
-            "window": inner.windows_seen(path) - 1,
-            "opened": alert.opened,
-            "label": alert.label,
-            "windows": alert.n_windows,
-            "peak_confidence": alert.peak_confidence,
-        }
-        if guarded is not None:
-            event["health"] = guarded.health(path).state
-        events.append(event)
-    return events
-
-
 class _InterruptFlag:
     """SIGINT-to-flag bridge for graceful tick-boundary shutdown.
 
     Installed around the replay loop (main thread only — elsewhere the
     context is a no-op and Ctrl-C behaves as before): the *first*
     SIGINT raises this flag so the loop finishes the in-flight tick,
-    flushes open alerts and writes a final checkpoint; a *second*
+    writes a final checkpoint and flushes open alerts; a *second*
     SIGINT falls through to the previous handler (normally
     ``KeyboardInterrupt``) for operators who really mean it.
     """
@@ -427,6 +397,17 @@ def score_events(
     return accuracy, precision, recall
 
 
+class _EventLog(AlertSink):
+    """The stream a replay scores; ``flush`` events are sink-only."""
+
+    def __init__(self):
+        self.events: list[dict] = []
+
+    def emit(self, event: dict) -> None:
+        if event["event"] != "flush":
+            self.events.append(event)
+
+
 def replay(
     setup: FleetReplaySetup,
     *,
@@ -437,23 +418,25 @@ def replay(
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
     sinks: Sequence[AlertSink] = (),
     mode: str = "exact",
-    guard: bool | GuardConfig | None = None,
+    guard: bool | GuardConfig = True,
     chaos: ChaosConfig | None = None,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
     stop_after: int | None = None,
 ) -> ReplayOutcome:
-    """Feed the held-out period through the detector in ``chunk``-bursts.
+    """Feed the held-out period through a :class:`~repro.service.
+    servecore.ServeCore` in ``chunk``-sample ticks.
 
-    Every burst drives one :meth:`FleetFaultDetector.process_block`
-    call; events stream into ``sinks`` as they fire (and are closed at
-    the end) and are retained on the outcome, which scores them against
-    the ground truth.  This is ``repro detect``'s loop; the network
-    server (:mod:`repro.service.net`) drives the same detector from
-    frames instead.  A first SIGINT stops it at the next tick boundary:
-    open alerts are flushed into the sinks, a final checkpoint is
-    written and the outcome reports ``interrupted``.
+    Each tick becomes one :class:`~repro.service.protocol.Frame` per
+    node from one in-memory sender, and the core fires it in virtual
+    time: the routing, tick barrier, tick function and checkpoint
+    writer of the network server (:mod:`repro.service.net`).  Events
+    stream into ``sinks`` as they fire (and are closed at the end) and
+    are retained on the outcome, which scores them against the ground
+    truth.  This is ``repro detect``'s loop.  A first SIGINT stops it at
+    the next tick boundary: a final checkpoint is written, open alerts
+    are flushed into the sinks and the outcome reports ``interrupted``.
 
     ``mode`` selects the detector's signature arithmetic (see
     :class:`FleetFaultDetector`); the default exact mode replays to
@@ -461,30 +444,30 @@ def replay(
 
     Robustness knobs:
 
-    * ``guard`` — ``True`` (or a :class:`~repro.service.guard.
-      GuardConfig`) wraps the detector in a
-      :class:`~repro.service.guard.GuardedDetector`: malformed bursts
-      are quarantined per node instead of crashing the loop, guard
-      events join the stream and every alert event carries the node's
-      ``health`` state.
+    * ``guard`` — ``True`` or a :class:`~repro.service.guard.
+      GuardConfig`; the input is always guarded, so ``False`` raises.
+      Guard events join the stream and every alert event carries the
+      node's ``health`` state.
     * ``chaos`` — a :class:`~repro.service.chaos.ChaosConfig` perturbs
-      each tick's burst (drop/duplicate/reorder/corrupt) through the
-      deterministic injector; requires the guard (an unguarded detector
-      would crash on the injected faults, which is the point).
-    * ``checkpoint_path``/``checkpoint_every`` — snapshot the full
-      detector state every N ticks (see :mod:`repro.service.checkpoint`).
-      ``resume`` restores the snapshot first and replays only the
-      remaining ticks — byte-identical alert JSONL to an uninterrupted
-      run, with the checkpointed event prefix re-emitted into the fresh
-      sinks.  ``stop_after=k`` breaks out before processing tick ``k``
-      (the test harness's simulated crash).
+      each tick's frames through the deterministic injector: a dropped
+      frame leaves a hole the barrier breaks after its (virtual)
+      deadline, a duplicate replaces the queued frame, a reordered one
+      arrives with an old tick and is dropped as late, and corrupted
+      values reach the guard.
+    * ``checkpoint_path``/``checkpoint_every`` — the core's checkpoint
+      every N ticks (0: only at shutdown).  ``resume`` restores it
+      first, re-emits the checkpointed event prefix into the fresh
+      sinks and feeds only the remaining ticks — byte-identical alert
+      JSONL to an uninterrupted run.  ``stop_after=k`` stops before
+      tick ``k`` without a final checkpoint (the test harness's
+      simulated crash).
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if chaos is not None and not guard:
+    if not guard:
         raise ValueError(
-            "chaos injection requires guard=True (an unguarded detector "
-            "crashes on injected faults)"
+            "replay always guards its input: guard must be True or a "
+            "GuardConfig"
         )
     if (checkpoint_every or resume) and checkpoint_path is None:
         raise ValueError(
@@ -496,54 +479,49 @@ def replay(
         close_after=close_after,
         min_confidence=min_confidence,
         top_blocks=top_blocks,
+        record_history=True,
         mode=mode,
         max_chunk=chunk,
     )
-    guarded: GuardedDetector | None = None
-    if guard:
-        guarded = GuardedDetector(
-            detector,
-            config=guard if isinstance(guard, GuardConfig) else None,
-        )
-    injector = ChaosInjector(chaos) if chaos is not None else None
-    fingerprint = (
-        fleet_fingerprint(setup.trained)
-        if checkpoint_path is not None
-        else None
+    guarded = GuardedDetector(
+        detector, config=guard if isinstance(guard, GuardConfig) else None
     )
-    events: list[dict] = []
-    n_open = 0
-    n_events = 0
-    start_lo = 0
-    if resume:
-        ckpt = load_checkpoint(checkpoint_path)
-        events, start_lo, n_events, n_open = restore_checkpoint(
-            ckpt,
-            detector,
-            fingerprint=fingerprint,
+    checkpoint = None
+    if checkpoint_path is not None:
+        checkpoint = ServerCheckpoint(
+            path=checkpoint_path,
+            every=checkpoint_every or sys.maxsize,
+            fingerprint=fleet_fingerprint(setup.trained),
             chunk=chunk,
-            guard=guarded,
         )
-        for sink in sinks:  # replayed prefix → byte-identical sinks
-            for event in events:
-                sink.emit(event)
+        if resume and not checkpoint.path.exists():
+            raise CheckpointError(
+                f"{checkpoint.path}: checkpoint file does not exist",
+                field="path",
+            )
+    log = _EventLog()
+    core = ServeCore(guarded, sinks=(*sinks, log), checkpoint=checkpoint)
+    if resume:
+        core.recover()
+    # One sender that never leaves, so the barrier never drains early.
+    core.connect(object())
+    injector = ChaosInjector(chaos) if chaos is not None else None
     horizon = max(m.shape[1] for m in setup.eval_data.values())
-    interrupted = False
-    next_lo = start_lo
+    end = -(-horizon // chunk)
+    if stop_after is not None:
+        end = min(end, stop_after)
+    interrupted = final = False
+    now = 0.0
     start = time.perf_counter()
     try:
         with _InterruptFlag() as stop_flag:
-            for lo in range(start_lo, horizon, chunk):
-                ti = lo // chunk
-                if stop_after is not None and ti >= stop_after:
-                    break
+            for ti in range(core.cursor, end):
                 if stop_flag.triggered:
                     # Ctrl-C lands *between* ticks: the in-flight tick
-                    # has fully committed (events emitted, state
-                    # consistent), so the flush + final checkpoint
-                    # below cannot drop it.
-                    interrupted = True
+                    # has fully committed, so the final checkpoint and
+                    # flush in close() cannot drop it.
                     break
+                lo = ti * chunk
                 burst = {
                     p: m[:, lo : lo + chunk]
                     for p, m in setup.eval_data.items()
@@ -554,73 +532,22 @@ def replay(
                     if injector is not None
                     else ((ti, burst),)
                 )
-                tick_events: list[dict] = []
-                for tick_id, delivered in deliveries:
-                    if guarded is not None:
-                        tick_events.extend(
-                            guarded.process_block(delivered, tick=tick_id)
-                        )
-                    else:
-                        tick_events.extend(detector.process_block(delivered))
-                for event in tick_events:
-                    n_events += 1
-                    n_open += event["event"] == "open"
-                    events.append(event)
-                    for sink in sinks:
-                        sink.emit(event)
-                if (
-                    checkpoint_every
-                    and checkpoint_path is not None
-                    and (ti + 1) % checkpoint_every == 0
-                ):
-                    save_checkpoint(
-                        checkpoint_path,
-                        detector,
-                        fingerprint=fingerprint,
-                        chunk=chunk,
-                        next_lo=lo + chunk,
-                        events=events,
-                        n_events=n_events,
-                        n_alerts=n_open,
-                        guard_state=(
-                            guarded.state_dict()
-                            if guarded is not None
-                            else None
-                        ),
-                    )
-                next_lo = lo + chunk
-            else:
-                next_lo = horizon
-            if stop_flag.triggered:
-                interrupted = True
+                for tick, delivered in deliveries:
+                    for path, values in delivered.items():
+                        core.feed(Frame(path, tick, values))
+                # A tick with a hole waits out its barrier deadline;
+                # math.inf means nothing of it was queued at all.
+                while core.cursor <= ti:
+                    wake = core.poll(now)
+                    if wake == math.inf:
+                        break
+                    now = wake
+            interrupted = stop_flag.triggered
         replay_time = time.perf_counter() - start
-        if interrupted:
-            # Flush still-open alerts into the sinks (events list and
-            # checkpoint stay flush-free: a later --resume must stitch
-            # onto the uninterrupted event sequence), then snapshot so
-            # the operator can resume from exactly here.
-            for event in flush_open_alerts(
-                guarded if guarded is not None else detector
-            ):
-                for sink in sinks:
-                    sink.emit(event)
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    checkpoint_path,
-                    detector,
-                    fingerprint=fingerprint,
-                    chunk=chunk,
-                    next_lo=next_lo,
-                    events=events,
-                    n_events=n_events,
-                    n_alerts=n_open,
-                    guard_state=(
-                        guarded.state_dict() if guarded is not None else None
-                    ),
-                )
+        final = stop_after is None or interrupted
     finally:
-        for sink in sinks:
-            sink.close()
+        core.close(checkpoint=final, interrupted=interrupted)
+    events = log.events
     accuracy, precision, recall = score_events(events, setup, detector)
     return ReplayOutcome(
         events=events,
@@ -628,13 +555,13 @@ def replay(
         n_windows=sum(
             detector.windows_seen(p) for p in detector.paths
         ),
-        n_alerts=n_open,
-        n_events=n_events,
+        n_alerts=sum(e["event"] == "open" for e in events),
+        n_events=len(events),
         window_accuracy=accuracy,
         alert_precision=precision,
         episode_recall=recall,
         replay_time_s=replay_time,
-        health=guarded.fleet_health() if guarded is not None else None,
+        health=guarded.fleet_health(),
         chaos_stats=dict(injector.stats) if injector is not None else None,
         interrupted=interrupted,
     )

@@ -5,7 +5,10 @@ network taken out.  It is synchronous and reads no clock for its
 decisions: the caller hands it input and the time, and it hands back
 acks (through each sender's ``write``) and when it next needs to run.
 :class:`~repro.service.net.FleetServer` drives it from an asyncio loop;
-``tests/test_serve_sim.py`` drives it in virtual time.
+:func:`repro.service.replay.replay` (``repro detect``) and
+``tests/test_serve_sim.py`` drive it in virtual time from memory.  It
+is the one tick loop and its checkpoint the one checkpoint format, so
+network and in-process serving agree by construction.
 
 * ``feed(frame, sender)`` / ``feed_error(error)`` — decoded input.
   ``sender`` is any object with ``write(bytes)``; acks leave through
@@ -42,7 +45,6 @@ import numpy as np
 from repro.service.alerts import AlertSink, event_line
 from repro.service.guard import GuardedDetector
 from repro.service.protocol import Frame, FrameDecoder, FrameError, encode_ack
-from repro.service.replay import flush_open_alerts
 from repro.service.wal import (
     REC_ERROR,
     REC_FRAME,
@@ -60,6 +62,7 @@ __all__ = [
     "ServeCore",
     "ServerCheckpoint",
     "ServerStats",
+    "flush_open_alerts",
 ]
 
 BACKPRESSURE_POLICIES = ("drop-oldest", "coalesce")
@@ -155,6 +158,30 @@ class NodeQueue:
                 entries.insert(i + 1, (tick, values, wire))
                 return
         entries.appendleft((tick, values, wire))
+
+
+def flush_open_alerts(guarded: GuardedDetector) -> list[dict]:
+    """``repro-alerts/v1`` ``flush`` events for every still-open alert.
+
+    Emitted into the sinks when serving is interrupted (Ctrl-C) so an
+    operator tailing the JSONL sees which episodes were live at
+    shutdown — same shape as a ``close`` event, but the episode did not
+    end, plus the node ``health`` state like every guarded event.
+    """
+    inner = guarded.inner
+    return [
+        {
+            "event": "flush",
+            "node": path,
+            "window": inner.windows_seen(path) - 1,
+            "opened": alert.opened,
+            "label": alert.label,
+            "windows": alert.n_windows,
+            "peak_confidence": alert.peak_confidence,
+            "health": guarded.health(path).state,
+        }
+        for path, alert in sorted(inner.open_alerts().items())
+    ]
 
 
 def _samples(values) -> int:
@@ -278,7 +305,7 @@ class ListAlertSink(AlertSink):
 
 @dataclass(frozen=True)
 class ServerCheckpoint:
-    """Networked checkpointing config for :class:`ServeCore`.
+    """Checkpointing config for :class:`ServeCore`.
 
     ``fingerprint`` is the trained fleet's lineage hash
     (:func:`repro.service.checkpoint.fleet_fingerprint`) and ``chunk``
@@ -717,9 +744,8 @@ class ServeCore:
                 # Reject before restore_checkpoint touches any state:
                 # a half-restored detector must never start serving.
                 raise CheckpointError(
-                    f"{cp.path}: not a server checkpoint "
-                    "(no server state; it was written by in-process "
-                    "replay and cannot seed a network restart)",
+                    f"{cp.path}: not a server checkpoint (no server "
+                    "state: tick cursor, journal index and queues)",
                     field="server",
                 )
             events, _, n_events, n_alerts = restore_checkpoint(
@@ -770,10 +796,10 @@ class ServeCore:
             self.write_checkpoint()
 
     def close(self, *, checkpoint: bool = True, interrupted: bool = False) -> None:
-        """Final checkpoint (pre-flush, like the replay loop's: a restart
-        re-emits the checkpointed prefix and the flush events regenerate
-        at the true end of stream), flush still-open alerts when
-        ``interrupted``, then close sinks and journal.  Idempotent."""
+        """Final checkpoint (pre-flush: a restart re-emits the
+        checkpointed prefix and the flush events regenerate at the true
+        end of stream), flush still-open alerts when ``interrupted``,
+        then close sinks and journal.  Idempotent."""
         if self._closed:
             return
         self._closed = True

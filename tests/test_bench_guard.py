@@ -14,7 +14,7 @@ records the fused single-pass tick arena vs the naive per-node loop in
 ``BENCH_tick.json``; ``benchmarks/test_store_scaling.py`` records
 columnar-store ingest/scan throughput and replay-from-store vs guarded
 live per-tick ingestion in ``BENCH_store.json`` (all run with
-``pytest benchmarks -m slow`` or ``repro bench``).  These tier-1 tests fail if a recorded
+``pytest benchmarks -m slow``).  These tier-1 tests fail if a recorded
 speedup has fallen below
 its floor — i.e. if a change made an "optimized" path slower than what
 it replaced — without costing tier-1 any benchmark runtime.

@@ -20,9 +20,9 @@ from repro.service.netchaos import NetChaosConfig
 #: Fields whose flag is not ``--<name>`` with dashes.
 RENAMED = {"model_path": "--model", "guard": "--no-guard"}
 
-#: ``backend`` accepts only its default; every other field has a
-#: non-default value that validates.
-ONLY_VALUE = {"backend": "fused"}
+#: ``backend`` and ``guard`` accept only their default; every other
+#: field has a non-default value that validates.
+ONLY_VALUE = {"backend": "fused", "guard": True}
 
 #: Leading arguments that make each command parse.
 SERVICE_COMMANDS = {
@@ -40,11 +40,13 @@ def _flag(field: dataclasses.Field) -> str:
 def _other_value(config, field: dataclasses.Field) -> tuple[list[str], object]:
     """(argv tail, expected config value) setting ``field`` off its default."""
     default = getattr(config, field.name)
-    if isinstance(default, bool):
-        return [_flag(field)], not default
     if field.name in ONLY_VALUE:
         value = ONLY_VALUE[field.name]
-    elif "choices" in field.metadata:
+        # A switch has no value to pass: its only value is leaving it off.
+        return ([] if isinstance(value, bool) else [_flag(field), str(value)]), value
+    if isinstance(default, bool):
+        return [_flag(field)], not default
+    if "choices" in field.metadata:
         value = next(c for c in field.metadata["choices"] if c != default)
     elif isinstance(default, float):
         value = default + 0.25

@@ -1,5 +1,5 @@
 """Smoke tests for the paper scenarios through ``repro run`` (tiny
-configurations), and for ``repro bench``."""
+configurations)."""
 
 import numpy as np
 
@@ -107,54 +107,3 @@ class TestRunIntervalHelpers:
                 assert s < e
                 covered[s:e] = True
             assert np.array_equal(covered, labels == lid)
-
-
-class TestBenchCLI:
-    """`repro bench` composes the pytest invocation; the suite itself
-    runs out of process (it is the slow-marked benchmark run)."""
-
-    def _invoke(self, argv, monkeypatch):
-        from repro import cli
-
-        calls = {}
-
-        def fake_call(cmd, cwd=None, env=None):
-            calls["cmd"], calls["cwd"], calls["env"] = cmd, cwd, env
-            return 0
-
-        monkeypatch.setattr("subprocess.call", fake_call)
-        assert cli.main(argv) == 0
-        return calls
-
-    def test_default_runs_recorded_speedup_suites(self, monkeypatch, capsys):
-        from repro import cli
-
-        calls = self._invoke(["bench"], monkeypatch)
-        capsys.readouterr()
-        cmd = calls["cmd"]
-        assert cmd[1:3] == ["-m", "pytest"]
-        assert "slow" in cmd  # -m slow overrides the tier-1 deselection
-        for name in cli.BENCH_SUITES.values():
-            assert any(name in part for part in cmd)
-        assert (calls["cwd"] / "benchmarks").is_dir()
-
-    def test_suite_filter_and_scale_env(self, monkeypatch, capsys):
-        calls = self._invoke(
-            ["bench", "--suite", "datagen", "-k", "mmap", "--scale", "2.5"],
-            monkeypatch,
-        )
-        capsys.readouterr()
-        cmd = calls["cmd"]
-        assert sum("test_" in part for part in cmd) == 1
-        assert any("test_datagen_scaling.py" in part for part in cmd)
-        assert cmd[-2:] == ["-k", "mmap"]
-        assert calls["env"]["REPRO_BENCH_SCALE"] == "2.5"
-
-    def test_all_conflicts_with_suite(self, monkeypatch, capsys):
-        from repro import cli
-
-        called = []
-        monkeypatch.setattr("subprocess.call", lambda *a, **k: called.append(a) or 0)
-        assert cli.main(["bench", "--all", "--suite", "datagen"]) == 2
-        assert not called
-        assert "mutually exclusive" in capsys.readouterr().err

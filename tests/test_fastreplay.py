@@ -17,6 +17,7 @@ from repro.service.fastreplay import (
     replay_from_store,
     slice_setup,
 )
+from repro.service.detector import FleetFaultDetector
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 REPO = Path(__file__).resolve().parents[1]
@@ -60,9 +61,16 @@ class TestByteIdentity:
             chunk=10,
             guarded=False,
         )
-        live = replay(small_setup, chunk=10, guard=False)
+        # The bare detector's tick loop: what an unguarded live run was.
+        detector = FleetFaultDetector(small_setup.trained, max_chunk=10)
+        live = []
+        horizon = max(m.shape[1] for m in small_setup.eval_data.values())
+        for lo in range(0, horizon, 10):
+            live += detector.process_block(
+                {p: m[:, lo : lo + 10] for p, m in small_setup.eval_data.items()}
+            )
         fast = replay_from_store(small_setup, store)
-        assert _jsonl(fast.events) == _jsonl(live.events)
+        assert _jsonl(fast.events) == _jsonl(live)
         assert all("health" not in e for e in fast.events)
 
     @pytest.mark.parametrize("live_chunk", [10, 37, 256])

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from repro.datasets.generators import ComponentData, SegmentData
 from repro.datasets.recipes import recipe
 from repro.datasets.schema import get_segment_spec
 from repro.monitoring.storage import (
+    atomic_savez,
+    load_npz_arrays,
     load_segment,
     load_segment_npz,
     load_sensor_csv,
@@ -173,6 +176,42 @@ class TestSegmentNPZMmap:
         loaded = load_segment_npz(compressed, mmap_mode="r")
         for orig, back in zip(segment.components, loaded.components):
             assert np.array_equal(back.matrix, orig.matrix)
+
+
+class TestAtomicSavez:
+    def test_threads_writing_one_path_never_collide(self, tmp_path):
+        """Two threads of one process rewriting the same archive both
+        succeed, and what lands is always one complete archive."""
+        target = tmp_path / "shared.npz"
+        errors: list[BaseException] = []
+        start = threading.Barrier(2)
+
+        def writer(value: int) -> None:
+            try:
+                start.wait(timeout=10)
+                for _ in range(40):
+                    atomic_savez(target, data=np.full(4096, value))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(v,)) for v in (1, 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        data = load_npz_arrays(target)["data"]
+        assert data.shape == (4096,) and data[0] in (1, 2)
+        assert (data == data[0]).all()
+        assert os.listdir(tmp_path) == ["shared.npz"]
 
 
 class TestCacheKeyStability:

@@ -9,13 +9,16 @@ readiness surface, stats plumbing, port-file cleanup and the
 connect-backoff that closes the port-file race.
 """
 
+import json
 import shutil
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.monitoring.storage import atomic_savez, load_npz_arrays
 from repro.service import checkpoint, net, wal
 from repro.service.api import (
     ServiceConfig,
@@ -209,21 +212,26 @@ class TestCrashRestartByteIdentity:
     def test_inprocess_checkpoint_rejected_for_server_restart(
         self, setup, fingerprint, tmp_path
     ):
-        """A checkpoint written by in-process replay has no server
-        routing state; seeding a network restart from it must be a
-        typed error, not silent drift."""
-        replay(
-            CFG,
-            setup,
-            checkpoint_path=tmp_path / "inproc.npz",
-            checkpoint_every=1,
+        """An archive in the layout in-process replay once wrote has no
+        server routing state (tick cursor, journal index, queues);
+        seeding a restart from it must be a typed error, not silent
+        drift."""
+        ck = tmp_path / "inproc.npz"
+        replay(CFG, setup, checkpoint_path=ck, checkpoint_every=1, stop_after=2)
+        arrays = load_npz_arrays(ck)
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        del manifest["server"]
+        arrays["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
         )
+        atomic_savez(ck, **arrays)
         server = FleetServer(
             build_detector(CFG, setup),
             checkpoint=_checkpoint(tmp_path / "inproc.npz", fingerprint),
         )
-        with pytest.raises(CheckpointError, match="server"):
+        with pytest.raises(CheckpointError, match="server") as exc_info:
             server.core.recover()
+        assert exc_info.value.field == "server"
 
 
 class TestHealthSurface:

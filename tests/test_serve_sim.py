@@ -15,8 +15,9 @@ file torn mid-record), then restores the checkpoint and replays.
 Invariants, checked after every step and every schedule:
 
 * (a) a schedule whose senders all subscribe and eventually deliver
-  emits alert lines byte-identical to in-process ``api.replay`` of the
-  same ticks, crashes included;
+  emits alert lines byte-identical to a plain guarded loop over the
+  same ticks (``_guarded_oracle``, which shares no code with the core),
+  crashes included;
 * (b) no ack ever exceeds the watermark restored after a later crash;
 * (c) the cursor is monotone and no tick reaches ``process_block``
   twice in one process;
@@ -37,9 +38,9 @@ import shutil
 from dataclasses import dataclass
 
 import pytest
+from _guarded_oracle import guarded_lines
 from test_net_barrier import check_barrier
 
-from repro.service import api
 from repro.service.api import ServiceConfig, build_detector, build_setup
 from repro.service.checkpoint import fleet_fingerprint
 from repro.service.protocol import Frame, FrameError
@@ -70,7 +71,7 @@ def world(setup):
 
 class World:
     """What every schedule shares: the fleet, its lineage and the
-    in-process reference alert lines per tick count."""
+    reference alert lines per tick count."""
 
     def __init__(self, setup):
         self.setup = setup
@@ -80,9 +81,7 @@ class World:
 
     def reference(self, n_ticks: int) -> list[str]:
         if n_ticks not in self._refs:
-            sink = ListAlertSink()
-            api.replay(CFG, self.setup, sinks=(sink,), stop_after=n_ticks)
-            self._refs[n_ticks] = sink.lines
+            self._refs[n_ticks] = guarded_lines(CFG, self.setup, n_ticks)
         return self._refs[n_ticks]
 
     def values(self, path: str, tick: int):

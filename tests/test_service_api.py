@@ -25,7 +25,8 @@ from repro.service.api import (
     replicate_setup,
 )
 from repro.service.net import ListAlertSink
-from repro.service.replay import SERVICE_DEFAULTS, flush_open_alerts
+from repro.service.replay import SERVICE_DEFAULTS
+from repro.service.servecore import flush_open_alerts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CFG = ServiceConfig.smoke()
@@ -83,6 +84,24 @@ class TestServiceConfig:
         assert exc_info.value.code == 2
         assert cli_message in capsys.readouterr().err
 
+    def test_guard_cannot_be_disabled(self, monkeypatch, capsys):
+        """Every tick loop guards: ``guard=False`` is a ValueError and
+        ``detect --no-guard`` a usage error before the fleet trains."""
+        from repro import cli
+        from repro.service import api
+
+        with pytest.raises(ValueError, match="guard"):
+            ServiceConfig(guard=False)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the fleet must not train")
+
+        monkeypatch.setattr(api, "build_setup", unreachable)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["detect", "--smoke", "--no-guard"])
+        assert exc_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_smoke_preset_matches_cli(self):
         """``--smoke`` parses to ``ServiceConfig.smoke()`` in ``detect``
         and ``serve`` alike (no per-command burst size)."""
@@ -106,9 +125,9 @@ class TestServiceConfig:
     def test_from_evaluation_ignores_kind_extras(self):
         ev = {"blocks": 8, "trees": 6, "chunk": 200,
               "fleet_sizes": (2, 4), "kills": (3,), "formats": ("json",)}
-        config = ServiceConfig.from_evaluation(ev, guard=False)
+        config = ServiceConfig.from_evaluation(ev, mode="float32")
         assert config.blocks == 8 and config.chunk == 200
-        assert config.guard is False
+        assert config.mode == "float32"
 
     def test_noise_seed_convention(self):
         assert ServiceConfig().noise_seed == 0

@@ -109,22 +109,21 @@ class TestFaultMapping:
         assert not [e for e in out.events if e["event"] == "guard"]
 
     def test_duplicate_coalesces(self, small_setup):
+        """A re-delivered frame replaces the queued one: no guard event,
+        and the detection output is the clean run's."""
         out = self.guarded_replay(small_setup, duplicate=0.5)
         clean = replay(small_setup, chunk=200, guard=True)
-        ge = [e for e in out.events if e["event"] == "guard"]
         assert out.chaos_stats["duplicate"] > 0
-        assert ge and all(e["fault"] == "duplicate-tick" for e in ge)
-        assert all(e["action"] == "coalesce" for e in ge)
-        # coalescing re-deliveries never perturbs the detection output
-        stripped = [e for e in out.events if e["event"] != "guard"]
-        assert stripped == [e for e in clean.events if e["event"] != "guard"]
+        assert out.events == clean.events
 
-    def test_reorder_maps_to_stale_tick(self, small_setup):
+    def test_reorder_arrives_late_and_is_dropped(self, small_setup):
+        """A frame stamped with an old tick is below the cursor: it is
+        dropped as late, so its node misses the tick (no guard event)."""
         out = self.guarded_replay(small_setup, reorder=0.5)
-        ge = [e for e in out.events if e["event"] == "guard"]
+        clean = replay(small_setup, chunk=200, guard=True)
         assert out.chaos_stats["reorder"] > 0
-        assert ge and all(e["fault"] == "stale-tick" for e in ge)
-        assert all(e["action"] == "reject" for e in ge)
+        assert out.n_windows < clean.n_windows
+        assert not [e for e in out.events if e["event"] == "guard"]
 
     def test_corrupt_maps_to_corrupt_values(self, small_setup):
         from repro.service.guard import GuardConfig

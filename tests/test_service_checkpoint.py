@@ -82,17 +82,6 @@ class TestRoundTrip:
         )
         assert seg_path.read_bytes() == full_path.read_bytes()
 
-    def test_unguarded_checkpoint_roundtrip(self, small_setup, tmp_path):
-        full = replay(small_setup, chunk=200)
-        ck = tmp_path / "plain.npz"
-        replay(
-            small_setup, chunk=200,
-            checkpoint_path=ck, checkpoint_every=2, stop_after=4,
-        )
-        resumed = replay(small_setup, chunk=200, checkpoint_path=ck,
-                         resume=True)
-        assert resumed.events == full.events
-
     def test_kill_at_every_tick(self, small_setup, tmp_path):
         """The brute-force drill: die before every single tick."""
         full = replay(small_setup, chunk=200, guard=True)
@@ -119,7 +108,6 @@ class TestTypedMismatches:
         return ck
 
     def _resume_error(self, setup, ck, **kwargs):
-        kwargs.setdefault("guard", True)
         with pytest.raises(CheckpointError) as exc_info:
             replay(setup, checkpoint_path=ck, resume=True, **kwargs)
         return exc_info.value
@@ -176,11 +164,6 @@ class TestTypedMismatches:
             checkpoint_path=ck, resume=True,
         )
         assert resumed.events == full.events
-
-    def test_guard_presence_mismatch_rejected(self, small_setup, tmp_path):
-        ck = self._checkpoint(small_setup, tmp_path)  # guarded checkpoint
-        err = self._resume_error(small_setup, ck, chunk=200, guard=None)
-        assert err.field == "guard"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError) as exc_info:

@@ -236,28 +236,41 @@ class TestHealthLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Transparency: guarded clean replay == unguarded replay
+# Transparency: guarded clean replay == the bare detector's tick loop
 # ----------------------------------------------------------------------
 class TestGuardEquivalence:
     def test_clean_replay_identical_minus_bookkeeping(self, small_setup):
-        plain = replay(small_setup, chunk=200)
+        plain = FleetFaultDetector(small_setup.trained, max_chunk=200)
+        plain_events = []
+        horizon = max(m.shape[1] for m in small_setup.eval_data.values())
+        for lo in range(0, horizon, 200):
+            plain_events += plain.process_block(
+                {p: m[:, lo : lo + 200] for p, m in small_setup.eval_data.items()}
+            )
         guarded = replay(small_setup, chunk=200, guard=True)
         stripped = [
             {k: v for k, v in e.items() if k != "health"}
             for e in guarded.events
             if e["event"] != "guard"
         ]
-        assert stripped == plain.events
-        assert guarded.n_windows == plain.n_windows
+        assert stripped == plain_events
+        assert guarded.n_windows == sum(
+            plain.windows_seen(p) for p in plain.paths
+        )
         assert guarded.health["states"] == {
-            "healthy": plain.n_nodes, "degraded": 0, "quarantined": 0,
+            "healthy": guarded.n_nodes, "degraded": 0, "quarantined": 0,
         }
 
     def test_chaos_requires_guard(self, small_setup):
+        """Replay always guards: switching the guard off is refused,
+        under chaos or not."""
         from repro.service.chaos import ChaosConfig
 
-        with pytest.raises(ValueError, match="requires guard"):
-            replay(small_setup, chunk=200, chaos=ChaosConfig(drop=0.1))
+        with pytest.raises(ValueError, match="always guards"):
+            replay(
+                small_setup, chunk=200, guard=False,
+                chaos=ChaosConfig(drop=0.1),
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(perm=st.permutations(list(range(2))))
