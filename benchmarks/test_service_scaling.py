@@ -22,9 +22,10 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import SCALE, merge_csv
+from repro.service.api import ServiceConfig, replay
 from repro.service.detector import FleetFaultDetector, detect_naive
 from repro.service.guard import GuardedDetector
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "service_scaling.csv"
@@ -58,12 +59,10 @@ def _event_key(event: dict) -> tuple:
 def test_batched_detection_beats_per_node_loop(nodes):
     setup = prepare_fleet(
         fleet_recipes(nodes, t=int(3000 * SCALE)),
-        blocks=BLOCKS,
-        trees=TREES,
-        seed=0,
+        ServiceConfig(blocks=BLOCKS, trees=TREES, seed=0),
     )
     # Best-of-2 batched replays (each builds fresh stream/policy state).
-    outcomes = [replay(setup, chunk=CHUNK) for _ in range(2)]
+    outcomes = [replay(ServiceConfig(chunk=CHUNK), setup) for _ in range(2)]
     batched_s = min(o.replay_time_s for o in outcomes)
     start = time.perf_counter()
     naive_events = detect_naive(setup.trained, setup.eval_data)
@@ -115,9 +114,7 @@ def test_guarded_overhead_under_five_percent():
     nodes = 64
     setup = prepare_fleet(
         fleet_recipes(nodes, t=int(1500 * SCALE)),
-        blocks=BLOCKS,
-        trees=TREES,
-        seed=0,
+        ServiceConfig(blocks=BLOCKS, trees=TREES, seed=0),
     )
     t = min(m.shape[1] for m in setup.eval_data.values())
     ticks = [

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SCALE, TREES, merge_csv
+from repro.service.api import ServiceConfig, replay
 from repro.service.fastreplay import record_fleet, replay_from_store
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "store_replay.csv"
@@ -60,7 +61,7 @@ _summary: dict[str, float] = {}
 
 def _setup(nodes: int, t: int):
     return prepare_fleet(
-        fleet_recipes(nodes, t=t), blocks=20, trees=TREES, seed=0
+        fleet_recipes(nodes, t=t), ServiceConfig(blocks=20, trees=TREES, seed=0),
     )
 
 
@@ -103,10 +104,10 @@ def test_store_replay_beats_live(nodes, t, tmp_path_factory):
     live_s = fast_s = float("inf")
     live = fast = None
     for _ in range(REPS):
-        out = replay(setup, chunk=LIVE_CHUNK, guard=True)
+        out = replay(ServiceConfig(chunk=LIVE_CHUNK), setup)
         if out.replay_time_s < live_s:
             live_s, live = out.replay_time_s, out
-        out = replay_from_store(setup, store)
+        out = replay_from_store(ServiceConfig(), setup, store)
         if out.replay_time_s < fast_s:
             fast_s, fast = out.replay_time_s, out
     # The contract the speedup is only allowed to ride on: identical

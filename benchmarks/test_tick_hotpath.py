@@ -35,9 +35,9 @@ import pytest
 
 from benchmarks.conftest import SCALE, TREES, merge_csv
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
-from repro.service.api import replicate_setup
+from repro.service.api import ServiceConfig, replay, replicate_setup
 from repro.service.detector import FleetFaultDetector, detect_naive
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "tick_hotpath.csv"
@@ -72,9 +72,7 @@ _mem_per_node: dict[str, float] = {}
 def setup64():
     return prepare_fleet(
         fleet_recipes(NODES, t=int(1500 * SCALE)),
-        blocks=BLOCKS,
-        trees=TREES,
-        seed=0,
+        ServiceConfig(blocks=BLOCKS, trees=TREES, seed=0),
     )
 
 
@@ -114,7 +112,7 @@ def test_fused_tick_beats_naive(setup64, chunk):
         naive = detect_naive(setup64.trained, setup64.eval_data)
         naive_s = min(naive_s, time.perf_counter() - start)
         for mode in SIGNATURE_MODES:
-            out = replay(setup64, chunk=chunk, mode=mode)
+            out = replay(ServiceConfig(chunk=chunk, mode=mode), setup64)
             outcomes[mode] = out
             if mode not in best or out.replay_time_s < best[mode]:
                 best[mode] = out.replay_time_s

@@ -21,6 +21,16 @@ python -m pytest -x -q
 echo "== bench guards (recorded speedup floors) =="
 python -m pytest tests/test_bench_guard.py -q
 
+# The persistence layers open files on every load; a handle left open
+# on a failed load only shows up as a ResourceWarning at gc, so these
+# suites run with leaks as errors.
+echo "== persistence tests with file-handle leaks as errors =="
+python -X dev -m pytest tests/test_monitoring_storage.py \
+    tests/test_service_checkpoint.py tests/test_service_model_store.py \
+    tests/test_fastreplay.py tests/test_checkpoint_contract.py -q \
+    -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning
+
 # Opt-in benchmark refresh: regenerates results/*.csv + BENCH_*.json
 # by running the slow-marked benchmark suite directly.  Off by
 # default — the recorded summaries are committed and the guards above

@@ -251,13 +251,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         from repro.service.fastreplay import replay_from_store
 
         outcome = replay_from_store(
-            setup,
-            args.from_store,
-            t0=args.t0,
-            t1=args.t1,
-            mode=config.mode,
-            sinks=sinks,
-            **config.policy_kwargs(),
+            config, setup, args.from_store, t0=args.t0, t1=args.t1, sinks=sinks
         )
     else:
         outcome = replay(

@@ -307,7 +307,7 @@ def load_npz_arrays(
     """
     path = Path(path)
     if mmap_mode is None:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             return {name: data[name] for name in data.files}
     if mmap_mode not in ("r", "c"):
         raise ValueError(f"unsupported mmap_mode {mmap_mode!r}")

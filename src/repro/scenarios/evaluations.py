@@ -628,13 +628,13 @@ def _kills_driver(config, setup, ev, notes):
 
     with tempfile.TemporaryDirectory() as td:
         outcome = run_with_kills(
+            config,
             setup,
             checkpoint_path=Path(td) / "checkpoint.npz",
             kills=kills,
             checkpoint_every=int(ev.get("checkpoint_every", 1)),
             sink_factory=fresh_sink,
             chaos=chaos,
-            **config.replay_kwargs(),
         )
     run = f"kills@{','.join(map(str, kills))}"
     if chaos is not None:
@@ -656,13 +656,7 @@ def _store_driver(config, setup, ev, notes):
             partition_ticks=partition_ticks,
             chunk=config.chunk,
         )
-        outcome = replay_from_store(
-            setup,
-            store,
-            mode=config.mode,
-            sinks=(sink,),
-            **config.policy_kwargs(),
-        )
+        outcome = replay_from_store(config, setup, store, sinks=(sink,))
         notes.append(
             f"store: {len(store.partitions)} partition(s) of "
             f"{partition_ticks} ticks, {store.nbytes / 1e6:.1f} MB"

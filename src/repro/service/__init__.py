@@ -16,11 +16,11 @@ subpackage composes the existing layers into that one hot path:
   (one stacked-forest pass per tick for the whole fleet), plus
   :func:`detect_naive`, the per-node oracle loop it is tested and
   benchmarked against;
-* :mod:`~repro.service.replay` — the deterministic replay driver that
-  feeds cached ``.npz`` segments (``monitoring.storage`` via the
-  ``repro.scenarios`` :class:`~repro.scenarios.cache.ArtifactCache`)
-  through the service and scores the resulting alert stream against the
-  injected ground truth;
+* :mod:`~repro.service.replay` — the replay driver's data side: it
+  materializes and trains fleets from cached ``.npz`` segments
+  (``monitoring.storage`` via the ``repro.scenarios``
+  :class:`~repro.scenarios.cache.ArtifactCache`) and scores an alert
+  stream against the injected ground truth;
 * :mod:`~repro.service.guard` — the typed validation boundary in front
   of the detector: malformed/late/duplicate/unknown-node input degrades
   or quarantines the offending node instead of crashing the tick loop;
@@ -30,10 +30,10 @@ subpackage composes the existing layers into that one hot path:
 * :mod:`~repro.service.chaos` — the deterministic seeded fault injector
   and kill-and-restore drill that prove the two layers above;
 * :mod:`~repro.service.api` — the one public facade: a frozen
-  :class:`ServiceConfig` replaces the historical ~20-kwarg sprawl, with
+  :class:`ServiceConfig` carries every service knob, with
   ``build_detector(config)`` / ``api.replay(config)`` /
   ``serve(config)`` as the only entry points callers need.  The package
-  re-exports neither ``replay`` function, so ``repro.service.replay``
+  does not re-export ``api.replay``, so ``repro.service.replay``
   always names the replay-driver submodule;
 * :mod:`~repro.service.protocol` / :mod:`~repro.service.servecore` /
   :mod:`~repro.service.net` / :mod:`~repro.service.ops` — the network

@@ -1,53 +1,59 @@
 """The service facade: one frozen config, three verbs.
 
-Before this module, constructing the detection service meant threading
-~20 loose keyword arguments through ``cli.py`` → ``fleet_recipes`` →
-``prepare_fleet`` → ``replay`` (and every scenario evaluation repeated
-the same plumbing).  The facade collapses that into:
-
 * :class:`ServiceConfig` — a frozen, validated dataclass holding every
-  service knob (fleet shape, training, detection, alerting),
-  with the same defaults as ``repro.service.replay.SERVICE_DEFAULTS``
-  and the CLI presets;
+  service knob (fleet shape, training, detection, alerting); it is the
+  one carrier of those knobs, and its field defaults are the only
+  copy of the service defaults;
 * :func:`build_setup` / :func:`build_detector` — materialize the
-  trained fleet and the guarded detector from a config;
+  trained fleet and the guarded detector from a config
+  (:func:`fleet_detector` is the one knob → detector mapping, shared
+  with the store replayer);
 * :func:`replay` / :func:`serve` — drive the serving core from memory
   or run the network-facing ingestion server against a config;
 * :func:`replicate_setup` — scale a trained fleet to N nodes by
   replicating models/data by reference (no retraining, near-zero extra
   memory), which is how the load benchmarks reach thousands of nodes.
 
-``cli.py`` and ``repro.scenarios.evaluations`` both consume this module
-instead of re-plumbing kwargs.
+``cli.py`` and ``repro.scenarios.evaluations`` both consume this module.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import signal
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.engine.hotpath import SIGNATURE_MODES
+from repro.service.alerts import AlertSink
+from repro.service.chaos import ChaosConfig, ChaosInjector
+from repro.service.checkpoint import CheckpointError, fleet_fingerprint
 from repro.service.classify import TrainedFleet
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardedDetector
 from repro.service.knobs import knob
+from repro.service.protocol import Frame
 from repro.service.replay import (
-    SERVICE_DEFAULTS,
     FleetReplaySetup,
     ReplayOutcome,
     fleet_recipes,
     node_path,
     prepare_fleet,
+    score_events,
 )
-from repro.service.replay import replay as _replay_loop
+from repro.service.servecore import ServeCore, ServerCheckpoint
 
 __all__ = [
     "ServiceConfig",
     "build_context",
     "build_detector",
     "build_setup",
+    "fleet_detector",
     "replay",
     "replicate_setup",
     "serve",
@@ -57,9 +63,10 @@ __all__ = [
 class ServiceConfig:
     """Every knob of the online detection service, validated once.
 
-    Field groups (defaults match ``SERVICE_DEFAULTS`` + the CLI
-    presets, so a default-constructed config reproduces ``repro detect``
-    with no flags byte-for-byte):
+    Every function that needs a service knob takes the config, never
+    the knob as a loose argument.  The field defaults are the full-size
+    preset, so a default-constructed config reproduces ``repro detect``
+    with no flags byte-for-byte.  Field groups:
 
     * fleet shape — ``nodes``, ``t``, ``segment``, ``noise_std``;
     * training — ``blocks``, ``trees``, ``train_frac``, ``seed``,
@@ -72,8 +79,6 @@ class ServiceConfig:
     * caching — ``cache_dir``.
     """
 
-    # The fleet shape of the full-size preset; the knob defaults come
-    # from ``SERVICE_DEFAULTS``.
     nodes: int = knob(3, "fleet size: independently seeded fault nodes")
     t: int = knob(
         6000,
@@ -85,41 +90,29 @@ class ServiceConfig:
         0.0,
         "additive Gaussian sensor noise as a fraction of each sensor's std",
     )
-    blocks: int = knob(SERVICE_DEFAULTS["blocks"], "signature length l")
-    trees: int = knob(
-        SERVICE_DEFAULTS["trees"], "shared fault-classifier forest size"
-    )
+    blocks: int = knob(20, "signature length l")
+    trees: int = knob(30, "shared fault-classifier forest size")
     train_frac: float = knob(
-        SERVICE_DEFAULTS["train_frac"],
-        "leading fraction of each node's history used for training",
+        0.5, "leading fraction of each node's history used for training"
     )
-    chunk: int = knob(
-        SERVICE_DEFAULTS["chunk"],
-        "samples per ingested burst (one tick)",
-    )
-    open_after: int = knob(
-        SERVICE_DEFAULTS["open_after"],
-        "consecutive faulty windows before an alert opens",
-    )
+    chunk: int = knob(256, "samples per ingested burst (one tick)")
+    open_after: int = knob(2, "consecutive faulty windows before an alert opens")
     close_after: int = knob(
-        SERVICE_DEFAULTS["close_after"],
-        "consecutive healthy windows before an open alert closes",
+        2, "consecutive healthy windows before an open alert closes"
     )
     min_confidence: float = knob(
-        SERVICE_DEFAULTS["min_confidence"],
-        "faulty predictions below this confidence are treated as healthy",
+        0.0, "faulty predictions below this confidence are treated as healthy"
     )
     top_blocks: int = knob(
-        SERVICE_DEFAULTS["top_blocks"],
-        "deviating signature blocks attributed per opening alert",
+        3, "deviating signature blocks attributed per opening alert"
     )
     seed: int = knob(
-        SERVICE_DEFAULTS["seed"],
+        0,
         "base seed: node i uses seed+i for generation, and the classifier "
         "forest uses it directly",
     )
     healthy_label: int = knob(
-        SERVICE_DEFAULTS["healthy_label"],
+        0,
         "integer class treated as 'no fault': the fault segment's healthy "
         "class; set it explicitly for other --segment choices",
     )
@@ -218,20 +211,6 @@ class ServiceConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    def policy_kwargs(self) -> dict:
-        """The alert-policy knobs, as ``replay()`` keyword arguments."""
-        return {
-            "open_after": self.open_after,
-            "close_after": self.close_after,
-            "min_confidence": self.min_confidence,
-            "top_blocks": self.top_blocks,
-        }
-
-    def replay_kwargs(self) -> dict:
-        """The tick-loop knobs, as ``repro.service.replay.replay``
-        keyword arguments."""
-        return {"chunk": self.chunk, "mode": self.mode, **self.policy_kwargs()}
-
 
 def build_context(config: ServiceConfig):
     """An :class:`~repro.scenarios.cache.ExecutionContext` honouring
@@ -266,16 +245,7 @@ def build_setup(
             noise_std=config.noise_std,
             noise_seed=config.noise_seed,
         )
-    setup = prepare_fleet(
-        recipes,
-        context=context,
-        blocks=config.blocks,
-        trees=config.trees,
-        train_frac=config.train_frac,
-        seed=config.seed,
-        healthy_label=config.healthy_label,
-        model_path=config.model_path,
-    )
+    setup = prepare_fleet(recipes, config, context=context)
     if config.replicate:
         setup = replicate_setup(setup, config.replicate)
     return setup
@@ -328,6 +298,32 @@ def replicate_setup(setup: FleetReplaySetup, nodes: int) -> FleetReplaySetup:
     )
 
 
+def fleet_detector(
+    config: ServiceConfig,
+    trained: TrainedFleet,
+    *,
+    record_history: bool = False,
+    max_chunk: int | None = None,
+) -> FleetFaultDetector:
+    """The one mapping from service knobs to a detector.
+
+    ``max_chunk`` sizes the tick arena (default ``config.chunk``; the
+    store replayer passes its largest partition block), and
+    ``record_history`` keeps the per-window predictions a replay
+    scores.
+    """
+    return FleetFaultDetector(
+        trained,
+        open_after=config.open_after,
+        close_after=config.close_after,
+        min_confidence=config.min_confidence,
+        top_blocks=config.top_blocks,
+        record_history=record_history,
+        mode=config.mode,
+        max_chunk=config.chunk if max_chunk is None else max_chunk,
+    )
+
+
 def build_detector(
     config: ServiceConfig,
     setup: FleetReplaySetup | None = None,
@@ -336,42 +332,209 @@ def build_detector(
 ) -> GuardedDetector:
     """The configured detector behind its input guard.
 
-    This is the construction path the network server uses.  ``replay``
-    builds the same detector (with ``record_history=True``, which its
-    scoring reads) and drives the same :class:`~repro.service.
-    servecore.ServeCore`, which is what makes the two byte-comparable.
+    The network server and :func:`replay` (with
+    ``record_history=True``, which its scoring reads) both build their
+    detector here and drive the same :class:`~repro.service.servecore.
+    ServeCore`, which is what makes the two byte-comparable.
     """
     if setup is None:
         setup = build_setup(config)
-    detector = FleetFaultDetector(
-        setup.trained,
-        open_after=config.open_after,
-        close_after=config.close_after,
-        min_confidence=config.min_confidence,
-        top_blocks=config.top_blocks,
-        record_history=record_history,
-        mode=config.mode,
-        max_chunk=config.chunk,
+    return GuardedDetector(
+        fleet_detector(config, setup.trained, record_history=record_history)
     )
-    return GuardedDetector(detector)
+
+
+def _server_checkpoint(
+    config: ServiceConfig,
+    setup: FleetReplaySetup,
+    path: str | Path,
+    every: int,
+) -> ServerCheckpoint:
+    """The serving core's checkpoint writer, pinned to this setup's
+    lineage fingerprint and the config's tick size."""
+    return ServerCheckpoint(
+        path=path,
+        every=every,
+        fingerprint=fleet_fingerprint(setup.trained),
+        chunk=config.chunk,
+    )
+
+
+class _InterruptFlag:
+    """SIGINT-to-flag bridge for graceful tick-boundary shutdown.
+
+    Installed around the replay loop (main thread only — elsewhere the
+    context is a no-op and Ctrl-C behaves as before): the *first*
+    SIGINT raises this flag so the loop finishes the in-flight tick,
+    writes a final checkpoint and flushes open alerts; a *second*
+    SIGINT falls through to the previous handler (normally
+    ``KeyboardInterrupt``) for operators who really mean it.
+    """
+
+    def __init__(self):
+        self.triggered = False
+        self._previous = None
+        self._installed = False
+
+    def _handle(self, signum, frame):
+        if self.triggered and callable(self._previous):
+            self._previous(signum, frame)
+        self.triggered = True
+
+    def __enter__(self):
+        if threading.current_thread() is threading.main_thread():
+            try:
+                self._previous = signal.signal(signal.SIGINT, self._handle)
+                self._installed = True
+            except (ValueError, OSError):  # pragma: no cover - exotic host
+                self._installed = False
+        return self
+
+    def __exit__(self, *exc):
+        if self._installed:
+            signal.signal(signal.SIGINT, self._previous)
+        return False
+
+
+class _EventLog(AlertSink):
+    """The stream a replay scores; ``flush`` events are sink-only."""
+
+    def __init__(self):
+        self.events: list[dict] = []
+
+    def emit(self, event: dict) -> None:
+        if event["event"] != "flush":
+            self.events.append(event)
 
 
 def replay(
     config: ServiceConfig,
     setup: FleetReplaySetup | None = None,
-    **runtime,
+    *,
+    sinks: Sequence[AlertSink] = (),
+    chaos: ChaosConfig | None = None,
+    checkpoint_path: str | Path | None = None,
+    checkpoint_every: int = 0,
+    resume: bool = False,
+    stop_after: int | None = None,
 ) -> ReplayOutcome:
     """Replay a config's held-out feed through the serving core.
 
-    This is ``repro detect`` without ``--from-store``.  ``runtime``
-    passes through the per-run knobs that are not part of the service
-    configuration proper (``sinks``, ``chaos``, ``checkpoint_path`` /
-    ``checkpoint_every`` / ``resume`` / ``stop_after``).  The outcome
-    always carries the full event stream and its ground-truth scores.
+    This is ``repro detect`` without ``--from-store``.  The held-out
+    period is fed in ``config.chunk``-sample ticks through a
+    :class:`~repro.service.servecore.ServeCore`: each tick becomes one
+    :class:`~repro.service.protocol.Frame` per node from one in-memory
+    sender, and the core fires it in virtual time with the routing,
+    tick barrier, guard, tick function and checkpoint writer of the
+    network server (:mod:`repro.service.net`).  Events stream into
+    ``sinks`` as they fire (and are closed at the end) and are retained
+    on the outcome, which scores them against the ground truth.  Guard
+    events join the stream and every alert event carries the node's
+    ``health`` state.  A first SIGINT stops the loop at the next tick
+    boundary: a final checkpoint is written, open alerts are flushed
+    into the sinks and the outcome reports ``interrupted``.
+
+    Per-run knobs (not part of the service configuration proper):
+
+    * ``chaos`` — a :class:`~repro.service.chaos.ChaosConfig` perturbs
+      each tick's frames through the deterministic injector: a dropped
+      frame leaves a hole the barrier breaks after its (virtual)
+      deadline, a duplicate replaces the queued frame, a reordered one
+      arrives with an old tick and is dropped as late, and corrupted
+      values reach the guard.
+    * ``checkpoint_path``/``checkpoint_every`` — the core's checkpoint
+      every N ticks (0: only at shutdown).  ``resume`` restores it
+      first, re-emits the checkpointed event prefix into the fresh
+      sinks and feeds only the remaining ticks — byte-identical alert
+      JSONL to an uninterrupted run.  ``stop_after=k`` stops before
+      tick ``k`` without a final checkpoint (the test harness's
+      simulated crash).
     """
+    if (checkpoint_every or resume) and checkpoint_path is None:
+        raise ValueError(
+            "checkpoint_every/resume require a checkpoint_path"
+        )
     if setup is None:
         setup = build_setup(config)
-    return _replay_loop(setup, **config.replay_kwargs(), **runtime)
+    guarded = build_detector(config, setup, record_history=True)
+    checkpoint = None
+    if checkpoint_path is not None:
+        checkpoint = _server_checkpoint(
+            config, setup, checkpoint_path, checkpoint_every or sys.maxsize
+        )
+        if resume and not checkpoint.path.exists():
+            raise CheckpointError(
+                f"{checkpoint.path}: checkpoint file does not exist",
+                field="path",
+            )
+    log = _EventLog()
+    core = ServeCore(guarded, sinks=(*sinks, log), checkpoint=checkpoint)
+    if resume:
+        core.recover()
+    # One sender that never leaves, so the barrier never drains early.
+    core.connect(object())
+    injector = ChaosInjector(chaos) if chaos is not None else None
+    chunk = config.chunk
+    horizon = max(m.shape[1] for m in setup.eval_data.values())
+    end = -(-horizon // chunk)
+    if stop_after is not None:
+        end = min(end, stop_after)
+    interrupted = final = False
+    now = 0.0
+    start = time.perf_counter()
+    try:
+        with _InterruptFlag() as stop_flag:
+            for ti in range(core.cursor, end):
+                if stop_flag.triggered:
+                    # Ctrl-C lands *between* ticks: the in-flight tick
+                    # has fully committed, so the final checkpoint and
+                    # flush in close() cannot drop it.
+                    break
+                lo = ti * chunk
+                burst = {
+                    p: m[:, lo : lo + chunk]
+                    for p, m in setup.eval_data.items()
+                    if lo < m.shape[1]
+                }
+                deliveries = (
+                    injector.deliveries(ti, burst)
+                    if injector is not None
+                    else ((ti, burst),)
+                )
+                for tick, delivered in deliveries:
+                    for path, values in delivered.items():
+                        core.feed(Frame(path, tick, values))
+                # A tick with a hole waits out its barrier deadline;
+                # math.inf means nothing of it was queued at all.
+                while core.cursor <= ti:
+                    wake = core.poll(now)
+                    if wake == math.inf:
+                        break
+                    now = wake
+            interrupted = stop_flag.triggered
+        replay_time = time.perf_counter() - start
+        final = stop_after is None or interrupted
+    finally:
+        core.close(checkpoint=final, interrupted=interrupted)
+    detector = guarded.inner
+    events = log.events
+    accuracy, precision, recall = score_events(events, setup, detector)
+    return ReplayOutcome(
+        events=events,
+        n_nodes=setup.n_nodes,
+        n_windows=sum(
+            detector.windows_seen(p) for p in detector.paths
+        ),
+        n_alerts=sum(e["event"] == "open" for e in events),
+        n_events=len(events),
+        window_accuracy=accuracy,
+        alert_precision=precision,
+        episode_recall=recall,
+        replay_time_s=replay_time,
+        health=guarded.fleet_health(),
+        chaos_stats=dict(injector.stats) if injector is not None else None,
+        interrupted=interrupted,
+    )
 
 
 def serve(
@@ -399,9 +562,7 @@ def serve(
     ticks, pinned to this setup's lineage fingerprint — a restart with
     the same flags restores and replays to the exact crash state.
     """
-    from repro.service.checkpoint import fleet_fingerprint
     from repro.service.net import FleetServer, parse_address
-    from repro.service.servecore import ServerCheckpoint
 
     if setup is None:
         setup = build_setup(config)
@@ -409,11 +570,8 @@ def serve(
     ops_addr = parse_address(ops) if ops else None
     checkpoint = None
     if checkpoint_path is not None:
-        checkpoint = ServerCheckpoint(
-            path=Path(checkpoint_path),
-            every=int(checkpoint_every),
-            fingerprint=fleet_fingerprint(setup.trained),
-            chunk=config.chunk,
+        checkpoint = _server_checkpoint(
+            config, setup, checkpoint_path, int(checkpoint_every)
         )
     server = FleetServer(
         build_detector(config, setup),

@@ -4,7 +4,7 @@ The guard (:mod:`repro.service.guard`), the serving core's queues and
 barrier (:mod:`repro.service.servecore`) and checkpoints
 (:mod:`repro.service.checkpoint`) claim the service survives a hostile
 transport.  :class:`ChaosInjector` makes that claim testable — and
-*reproducible*: :func:`repro.service.replay.replay` passes each tick's
+*reproducible*: :func:`repro.service.api.replay` passes each tick's
 burst through it and feeds the perturbed deliveries to the core as
 frames, each fault drawn from an RNG keyed on ``(seed, tick,
 crc32(node path))`` alone.  No injector state carries across ticks, so
@@ -185,31 +185,32 @@ class ChaosInjector:
 
 
 def run_with_kills(
+    config,
     setup,
     *,
     checkpoint_path: str | Path,
     kills: Sequence[int],
     checkpoint_every: int = 1,
     sink_factory: Callable[[], Sequence] | None = None,
-    **replay_kwargs,
+    chaos: ChaosConfig | None = None,
 ):
     """The full crash drill: replay, kill at each tick, restore, finish.
 
-    Runs :func:`repro.service.replay.replay` in segments — each segment
-    stops (simulated ``SIGKILL``) just before processing tick ``k`` for
-    every ``k`` in ``kills``, then the next segment resumes from the
-    latest checkpoint; the final segment runs to completion and its
-    :class:`~repro.service.replay.ReplayOutcome` is returned.  With
-    deterministic chaos (``chaos=ChaosConfig(...)`` in
-    ``replay_kwargs``) the final alert stream is byte-identical to an
-    uninterrupted run — the crash-recovery contract.
+    Runs :func:`repro.service.api.replay` of ``config`` over ``setup``
+    in segments — each segment stops (simulated ``SIGKILL``) just before
+    processing tick ``k`` for every ``k`` in ``kills``, then the next
+    segment resumes from the latest checkpoint; the final segment runs
+    to completion and its :class:`~repro.service.replay.ReplayOutcome`
+    is returned.  With deterministic ``chaos`` the final alert stream is
+    byte-identical to an uninterrupted run — the crash-recovery
+    contract.
 
     ``sink_factory`` (optional) builds fresh sinks per segment — sinks
     are single-use, and a truncating JSONL sink rebuilt per segment ends
     up holding the complete stream because every resume re-emits the
     checkpointed prefix.
     """
-    from repro.service.replay import replay
+    from repro.service.api import replay
 
     checkpoint_path = Path(checkpoint_path)
     kill_points = sorted(int(k) for k in kills)
@@ -218,12 +219,13 @@ def run_with_kills(
     outcome = None
     for stop_after in [*kill_points, None]:
         outcome = replay(
+            config,
             setup,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             resume=checkpoint_path.exists(),
             stop_after=stop_after,
             sinks=tuple(sink_factory()) if sink_factory is not None else (),
-            **replay_kwargs,
+            chaos=chaos,
         )
     return outcome

@@ -1,6 +1,6 @@
 """Faster-than-real-time fleet replay from the columnar telemetry store.
 
-The live service (:func:`repro.service.replay.replay`) drives the
+The live service (:func:`repro.service.api.replay`) drives the
 serving core one ``chunk``-sized tick at a time — correct, but the
 per-tick Python loop, routing and guard validation are pure overhead
 when the input is an already-validated recording.  This module closes
@@ -22,9 +22,9 @@ mechanisms make that hold:
   kernel is bit-exact vs the per-tick path); only the event *grouping*
   differs.  :func:`replay_from_store` restores live order with a stable
   sort by ``(live tick of the event's window, node)`` — window ``w``
-  completes at sample ``wl - 1 + w*ws``, so its live tick under chunk
-  ``c`` is ``(wl - 1 + w*ws) // c``, and within a tick the live loop
-  emits nodes in sorted order;
+  completes at sample ``wl - 1 + w*ws``, so its live tick under the
+  recorded chunk ``c`` is ``(wl - 1 + w*ws) // c``, and within a tick
+  the live loop emits nodes in sorted order;
 * a recording made from a guarded clean feed replays with
   ``health: "healthy"`` stamped onto every alert event (the guard's
   last-key position), exactly what the live guard appends — validated
@@ -34,7 +34,8 @@ Replay lineage is checked, not assumed: :func:`record_fleet` stamps the
 store's ``meta`` with the trained fleet's
 :func:`~repro.service.checkpoint.fleet_fingerprint`, and
 :func:`replay_from_store` refuses (typed :class:`FastReplayError`) to
-replay a store through a different fleet.
+replay a store through a different fleet, or a store that carries no
+fingerprint.
 """
 
 from __future__ import annotations
@@ -46,14 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.service.alerts import AlertSink
+from repro.service.api import ServiceConfig, fleet_detector
 from repro.service.checkpoint import fleet_fingerprint
-from repro.service.detector import FleetFaultDetector
-from repro.service.replay import (
-    SERVICE_DEFAULTS,
-    FleetReplaySetup,
-    ReplayOutcome,
-    score_events,
-)
+from repro.service.replay import FleetReplaySetup, ReplayOutcome, score_events
 from repro.monitoring.telestore import TelemetryRecorder, TeleStore
 
 __all__ = [
@@ -73,7 +69,7 @@ def record_fleet(
     root: str | Path,
     *,
     partition_ticks: int = 1024,
-    chunk: int = SERVICE_DEFAULTS["chunk"],
+    chunk: int = ServiceConfig.chunk,
     guarded: bool = True,
     extra_meta: dict | None = None,
 ) -> TeleStore:
@@ -84,7 +80,7 @@ def record_fleet(
     everything a later replay needs to reproduce the live run:
 
     * ``fingerprint`` — :func:`fleet_fingerprint` of the trained fleet
-      (checked on replay unless explicitly skipped);
+      (checked on every replay);
     * ``chunk`` — the live tick size this recording stands in for
       (drives the replayer's live-order event sort);
     * ``guarded`` — whether the equivalent live run is guarded (a clean
@@ -174,35 +170,32 @@ def _live_order(events: list[dict], wl: int, ws: int, chunk: int) -> list[dict]:
 
 
 def replay_from_store(
+    config: ServiceConfig,
     setup: FleetReplaySetup,
     store: TeleStore | str | Path,
     *,
     t0: int | None = None,
     t1: int | None = None,
-    live_chunk: int | None = None,
-    open_after: int = SERVICE_DEFAULTS["open_after"],
-    close_after: int = SERVICE_DEFAULTS["close_after"],
-    min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
-    top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
-    mode: str = "exact",
-    verify_fingerprint: bool = True,
     sinks: Sequence[AlertSink] = (),
 ) -> ReplayOutcome:
     """Re-drive a recorded ``[t0, t1)`` window at maximum speed.
 
     Partition-sized blocks stream out of the memory-mapped store into
-    :meth:`FleetFaultDetector.process_blocks`, with the detector's
+    :meth:`FleetFaultDetector.process_blocks` (the detector built from
+    ``config``'s alert policy and signature mode), with the detector's
     ``max_chunk`` sized to the largest block so the fused arena absorbs
     each whole partition in one pass.  Events are then re-sorted into
-    live emission order under ``live_chunk`` (default: the recorded
-    ``meta["chunk"]``) and — for recordings of guarded clean feeds —
-    stamped with the guard's ``health: "healthy"`` field, making the
-    resulting JSONL byte-identical to live ingestion of the same window.
+    live emission order under the recorded ``meta["chunk"]`` (falling
+    back to ``config.chunk``) and — for recordings of guarded clean
+    feeds — stamped with the guard's ``health: "healthy"`` field,
+    making the resulting JSONL byte-identical to live ingestion of the
+    same window.
 
-    ``verify_fingerprint=False`` skips the model-lineage check (only for
-    stores recorded without one).  Scores are computed against sliced
-    ground truth when ``t0`` is window-stride aligned; otherwise the
-    replay still runs but scores report 0.0 (no truth to compare).
+    The store must match the fleet: same node set and same recorded
+    lineage fingerprint (a store without one is refused).  Scores are
+    computed against sliced ground truth when ``t0`` is window-stride
+    aligned; otherwise the replay still runs but scores report 0.0 (no
+    truth to compare).
     """
     if not isinstance(store, TeleStore):
         store = TeleStore(store)
@@ -212,20 +205,19 @@ def replay_from_store(
             f"store node set {store.paths!r} does not match the fleet "
             f"{expected!r}"
         )
-    if verify_fingerprint:
-        recorded = store.meta.get("fingerprint")
-        actual = fleet_fingerprint(setup.trained)
-        if recorded is None:
-            raise FastReplayError(
-                "store has no recorded fleet fingerprint; pass "
-                "verify_fingerprint=False to replay it anyway"
-            )
-        if recorded != actual:
-            raise FastReplayError(
-                f"fleet fingerprint mismatch: store recorded {recorded}, "
-                f"this fleet is {actual} — replaying a recording through "
-                "a different model would silently mis-detect"
-            )
+    recorded = store.meta.get("fingerprint")
+    if recorded is None:
+        raise FastReplayError(
+            "store has no recorded fleet fingerprint; re-record it with "
+            "record_fleet to replay it"
+        )
+    actual = fleet_fingerprint(setup.trained)
+    if recorded != actual:
+        raise FastReplayError(
+            f"fleet fingerprint mismatch: store recorded {recorded}, "
+            f"this fleet is {actual} — replaying a recording through "
+            "a different model would silently mis-detect"
+        )
     lo = store.t0 if t0 is None else int(t0)
     hi = store.t1 if t1 is None else int(t1)
     aligned = lo % setup.ws == 0
@@ -252,23 +244,13 @@ def replay_from_store(
         ),
         default=1,
     )
-    detector = FleetFaultDetector(
-        setup.trained,
-        open_after=open_after,
-        close_after=close_after,
-        min_confidence=min_confidence,
-        top_blocks=top_blocks,
-        record_history=True,
-        mode=mode,
+    detector = fleet_detector(
+        config, setup.trained, record_history=True,
         max_chunk=max(1, max_block),
     )
-    chunk = (
-        int(store.meta.get("chunk", SERVICE_DEFAULTS["chunk"]))
-        if live_chunk is None
-        else int(live_chunk)
-    )
+    chunk = int(store.meta.get("chunk", config.chunk))
     if chunk < 1:
-        raise FastReplayError("live_chunk must be >= 1")
+        raise FastReplayError(f"store meta chunk must be >= 1, got {chunk}")
     start = time.perf_counter()
     events = detector.process_blocks(
         planes for _, planes in store.scan(lo, hi)

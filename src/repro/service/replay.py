@@ -1,13 +1,16 @@
-"""Deterministic replay of cached segments through the detection service.
+"""The replay driver's data side: fleets, held-out feeds and scoring.
 
-The replay driver is how the service is tested, benchmarked and CI-gated:
-it materializes a fleet from dataset recipes (through an
+The replay driver is how the service is tested, benchmarked and CI-gated.
+This module materializes a fleet from dataset recipes (through an
 :class:`~repro.scenarios.cache.ExecutionContext`, so repeated runs load
-the cached ``.npz`` segments instead of regenerating), trains the fleet
-on the leading ``train_frac`` of each node's history, then feeds the
-remaining samples as fixed-size tick frames through the network
-server's :class:`~repro.service.servecore.ServeCore` — the one tick
-loop — and scores the alert stream against the injected ground truth.
+the cached ``.npz`` segments instead of regenerating), trains it on the
+leading ``train_frac`` of each node's history, and scores an alert
+stream against the injected ground truth.
+:func:`repro.service.api.replay` feeds the remaining samples as
+fixed-size tick frames through the network server's
+:class:`~repro.service.servecore.ServeCore` — the one tick loop — and
+:func:`repro.service.fastreplay.replay_from_store` re-drives a recorded
+feed; both score with :func:`score_events`.
 
 Everything downstream of the recipes is a pure function of declarative
 inputs, so two replays of the same setup — in the same process or across
@@ -16,11 +19,6 @@ processes — produce **byte-identical** alert JSONL.
 
 from __future__ import annotations
 
-import math
-import signal
-import sys
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -30,47 +28,22 @@ import numpy as np
 from repro.datasets.generators import ComponentData
 from repro.datasets.recipes import DatasetRecipe, recipe
 from repro.datasets.windows import window_majority_labels
-from repro.service.alerts import AlertSink
-from repro.service.chaos import ChaosConfig, ChaosInjector
-from repro.service.checkpoint import CheckpointError, fleet_fingerprint
 from repro.service.classify import TrainedFleet, train_fleet
 from repro.service.detector import FleetFaultDetector
-from repro.service.guard import GuardConfig, GuardedDetector
 from repro.service.model_store import load_fleet_npz, save_fleet_npz
-from repro.service.protocol import Frame
-from repro.service.servecore import ServeCore, ServerCheckpoint
 
 if TYPE_CHECKING:
     from repro.scenarios.cache import ExecutionContext
+    from repro.service.api import ServiceConfig
 
 __all__ = [
-    "SERVICE_DEFAULTS",
     "FleetReplaySetup",
     "ReplayOutcome",
     "fleet_recipes",
     "node_path",
     "prepare_fleet",
-    "replay",
+    "score_events",
 ]
-
-#: Canonical service knob defaults — the single source shared by the
-#: :func:`prepare_fleet` / :func:`replay` signatures, the
-#: ``fleet-contract`` evaluation kind and the ``repro serve`` /
-#: ``repro detect`` CLI presets, so the "same" configuration cannot
-#: silently drift between entry points (alert streams and cache keys
-#: both depend on these values).
-SERVICE_DEFAULTS: dict[str, int | float] = {
-    "blocks": 20,
-    "trees": 30,
-    "train_frac": 0.5,
-    "chunk": 256,
-    "open_after": 2,
-    "close_after": 2,
-    "min_confidence": 0.0,
-    "top_blocks": 3,
-    "seed": 0,
-    "healthy_label": 0,
-}
 
 
 def node_path(rack: int, node: int) -> str:
@@ -132,40 +105,37 @@ class FleetReplaySetup:
 
 def prepare_fleet(
     recipes: Sequence[DatasetRecipe],
+    config: ServiceConfig,
     *,
     context: ExecutionContext | None = None,
-    blocks: int = SERVICE_DEFAULTS["blocks"],
-    trees: int = SERVICE_DEFAULTS["trees"],
-    train_frac: float = SERVICE_DEFAULTS["train_frac"],
-    seed: int = SERVICE_DEFAULTS["seed"],
     wl: int | None = None,
     ws: int | None = None,
-    healthy_label: int = SERVICE_DEFAULTS["healthy_label"],
-    model_path: str | Path | None = None,
 ) -> FleetReplaySetup:
     """Materialize, split and train a fleet from dataset recipes.
 
     Every component of every recipe's segment becomes one node
-    (``rack<recipe>/node<component>``).  The leading ``train_frac`` of
-    each node's history trains its CS model and the shared classifier;
-    the remainder is the held-out period :func:`replay` feeds through
-    the detector, with per-window majority labels as ground truth.
+    (``rack<recipe>/node<component>``).  The leading
+    ``config.train_frac`` of each node's history trains its CS model
+    (``config.blocks`` long) and the shared classifier
+    (``config.trees`` trees, seeded with ``config.seed``); the remainder
+    is the held-out period :func:`repro.service.api.replay` feeds
+    through the detector, with per-window majority labels as ground
+    truth.  ``wl``/``ws`` override the segments' window geometry.
 
-    ``healthy_label`` is the class meaning "no fault" — 0 for the fault
-    segment's ``healthy`` class.  Pass the right class explicitly when
-    replaying other labeled segments; otherwise class 0 (a real
-    workload class there) would silently be treated as healthy.
+    ``config.healthy_label`` is the class meaning "no fault" — 0 for
+    the fault segment's ``healthy`` class.  Set the right class
+    explicitly when replaying other labeled segments; otherwise class 0
+    (a real workload class there) would silently be treated as healthy.
 
-    ``model_path`` makes fleet training skippable: when the file exists
-    it is loaded (validated against this run's ``blocks``/``wl``/``ws``
-    and node set — mismatches raise instead of silently mis-detecting),
-    otherwise the freshly trained fleet is saved there for next time.
-    Loaded fleets replay to byte-identical alert streams.
+    ``config.model_path`` makes fleet training skippable: when the file
+    exists it is loaded (validated against this run's ``blocks``/``wl``/
+    ``ws`` and node set — mismatches raise instead of silently
+    mis-detecting), otherwise the freshly trained fleet is saved there
+    for next time.  Loaded fleets replay to byte-identical alert
+    streams.
     """
     if not recipes:
         raise ValueError("prepare_fleet needs at least one recipe")
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
     if not context:
         from repro.scenarios.cache import ExecutionContext
 
@@ -174,7 +144,6 @@ def prepare_fleet(
     eval_data: dict[str, np.ndarray] = {}
     raw_eval_labels: dict[str, np.ndarray] = {}
     label_names: tuple[str, ...] = ()
-    healthy_label = int(healthy_label)
     for rack, rcp in enumerate(recipes):
         segment = context.segment(rcp)
         seg_wl = segment.spec.wl if wl is None else int(wl)
@@ -188,7 +157,7 @@ def prepare_fleet(
                     "labels; fleet detection needs a labeled segment"
                 )
             path = node_path(rack, ci)
-            cut = int(comp.t * train_frac)
+            cut = int(comp.t * config.train_frac)
             cut = max(seg_wl + seg_ws, min(cut, comp.t - seg_wl - seg_ws))
             train[path] = ComponentData(
                 name=path,
@@ -201,11 +170,13 @@ def prepare_fleet(
             eval_data[path] = comp.matrix[:, cut:]
             raw_eval_labels[path] = comp.labels[cut:]
         wl, ws = seg_wl, seg_ws  # uniform across the fleet from here on
-    model_file = Path(model_path) if model_path is not None else None
+    model_file = (
+        Path(config.model_path) if config.model_path is not None else None
+    )
     if model_file is not None and model_file.exists():
         trained = load_fleet_npz(
             model_file,
-            expect_blocks=blocks,
+            expect_blocks=config.blocks,
             expect_wl=wl,
             expect_ws=ws,
             expect_paths=sorted(eval_data),
@@ -213,12 +184,12 @@ def prepare_fleet(
     else:
         trained = train_fleet(
             train,
-            blocks=blocks,
+            blocks=config.blocks,
             wl=wl,
             ws=ws,
-            trees=trees,
-            seed=seed,
-            healthy_label=healthy_label,
+            trees=config.trees,
+            seed=config.seed,
+            healthy_label=int(config.healthy_label),
             label_names=label_names,
         )
         if model_file is not None:
@@ -281,42 +252,6 @@ class ReplayOutcome:
             round(self.replay_time_s, 4),
             round(self.windows_per_s, 1),
         )
-
-
-class _InterruptFlag:
-    """SIGINT-to-flag bridge for graceful tick-boundary shutdown.
-
-    Installed around the replay loop (main thread only — elsewhere the
-    context is a no-op and Ctrl-C behaves as before): the *first*
-    SIGINT raises this flag so the loop finishes the in-flight tick,
-    writes a final checkpoint and flushes open alerts; a *second*
-    SIGINT falls through to the previous handler (normally
-    ``KeyboardInterrupt``) for operators who really mean it.
-    """
-
-    def __init__(self):
-        self.triggered = False
-        self._previous = None
-        self._installed = False
-
-    def _handle(self, signum, frame):
-        if self.triggered and callable(self._previous):
-            self._previous(signum, frame)
-        self.triggered = True
-
-    def __enter__(self):
-        if threading.current_thread() is threading.main_thread():
-            try:
-                self._previous = signal.signal(signal.SIGINT, self._handle)
-                self._installed = True
-            except (ValueError, OSError):  # pragma: no cover - exotic host
-                self._installed = False
-        return self
-
-    def __exit__(self, *exc):
-        if self._installed:
-            signal.signal(signal.SIGINT, self._previous)
-        return False
 
 
 def _episodes(truth: np.ndarray, healthy: int) -> list[tuple[int, int]]:
@@ -395,173 +330,3 @@ def score_events(
     )
     recall = detected_episodes / total_episodes if total_episodes else 1.0
     return accuracy, precision, recall
-
-
-class _EventLog(AlertSink):
-    """The stream a replay scores; ``flush`` events are sink-only."""
-
-    def __init__(self):
-        self.events: list[dict] = []
-
-    def emit(self, event: dict) -> None:
-        if event["event"] != "flush":
-            self.events.append(event)
-
-
-def replay(
-    setup: FleetReplaySetup,
-    *,
-    chunk: int = SERVICE_DEFAULTS["chunk"],
-    open_after: int = SERVICE_DEFAULTS["open_after"],
-    close_after: int = SERVICE_DEFAULTS["close_after"],
-    min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
-    top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
-    sinks: Sequence[AlertSink] = (),
-    mode: str = "exact",
-    guard: bool | GuardConfig = True,
-    chaos: ChaosConfig | None = None,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
-    stop_after: int | None = None,
-) -> ReplayOutcome:
-    """Feed the held-out period through a :class:`~repro.service.
-    servecore.ServeCore` in ``chunk``-sample ticks.
-
-    Each tick becomes one :class:`~repro.service.protocol.Frame` per
-    node from one in-memory sender, and the core fires it in virtual
-    time: the routing, tick barrier, tick function and checkpoint
-    writer of the network server (:mod:`repro.service.net`).  Events
-    stream into ``sinks`` as they fire (and are closed at the end) and
-    are retained on the outcome, which scores them against the ground
-    truth.  This is ``repro detect``'s loop.  A first SIGINT stops it at
-    the next tick boundary: a final checkpoint is written, open alerts
-    are flushed into the sinks and the outcome reports ``interrupted``.
-
-    ``mode`` selects the detector's signature arithmetic (see
-    :class:`FleetFaultDetector`); the default exact mode replays to
-    byte-identical alert streams.
-
-    Robustness knobs:
-
-    * ``guard`` — ``True`` or a :class:`~repro.service.guard.
-      GuardConfig`; the input is always guarded, so ``False`` raises.
-      Guard events join the stream and every alert event carries the
-      node's ``health`` state.
-    * ``chaos`` — a :class:`~repro.service.chaos.ChaosConfig` perturbs
-      each tick's frames through the deterministic injector: a dropped
-      frame leaves a hole the barrier breaks after its (virtual)
-      deadline, a duplicate replaces the queued frame, a reordered one
-      arrives with an old tick and is dropped as late, and corrupted
-      values reach the guard.
-    * ``checkpoint_path``/``checkpoint_every`` — the core's checkpoint
-      every N ticks (0: only at shutdown).  ``resume`` restores it
-      first, re-emits the checkpointed event prefix into the fresh
-      sinks and feeds only the remaining ticks — byte-identical alert
-      JSONL to an uninterrupted run.  ``stop_after=k`` stops before
-      tick ``k`` without a final checkpoint (the test harness's
-      simulated crash).
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    if not guard:
-        raise ValueError(
-            "replay always guards its input: guard must be True or a "
-            "GuardConfig"
-        )
-    if (checkpoint_every or resume) and checkpoint_path is None:
-        raise ValueError(
-            "checkpoint_every/resume require a checkpoint_path"
-        )
-    detector = FleetFaultDetector(
-        setup.trained,
-        open_after=open_after,
-        close_after=close_after,
-        min_confidence=min_confidence,
-        top_blocks=top_blocks,
-        record_history=True,
-        mode=mode,
-        max_chunk=chunk,
-    )
-    guarded = GuardedDetector(
-        detector, config=guard if isinstance(guard, GuardConfig) else None
-    )
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = ServerCheckpoint(
-            path=checkpoint_path,
-            every=checkpoint_every or sys.maxsize,
-            fingerprint=fleet_fingerprint(setup.trained),
-            chunk=chunk,
-        )
-        if resume and not checkpoint.path.exists():
-            raise CheckpointError(
-                f"{checkpoint.path}: checkpoint file does not exist",
-                field="path",
-            )
-    log = _EventLog()
-    core = ServeCore(guarded, sinks=(*sinks, log), checkpoint=checkpoint)
-    if resume:
-        core.recover()
-    # One sender that never leaves, so the barrier never drains early.
-    core.connect(object())
-    injector = ChaosInjector(chaos) if chaos is not None else None
-    horizon = max(m.shape[1] for m in setup.eval_data.values())
-    end = -(-horizon // chunk)
-    if stop_after is not None:
-        end = min(end, stop_after)
-    interrupted = final = False
-    now = 0.0
-    start = time.perf_counter()
-    try:
-        with _InterruptFlag() as stop_flag:
-            for ti in range(core.cursor, end):
-                if stop_flag.triggered:
-                    # Ctrl-C lands *between* ticks: the in-flight tick
-                    # has fully committed, so the final checkpoint and
-                    # flush in close() cannot drop it.
-                    break
-                lo = ti * chunk
-                burst = {
-                    p: m[:, lo : lo + chunk]
-                    for p, m in setup.eval_data.items()
-                    if lo < m.shape[1]
-                }
-                deliveries = (
-                    injector.deliveries(ti, burst)
-                    if injector is not None
-                    else ((ti, burst),)
-                )
-                for tick, delivered in deliveries:
-                    for path, values in delivered.items():
-                        core.feed(Frame(path, tick, values))
-                # A tick with a hole waits out its barrier deadline;
-                # math.inf means nothing of it was queued at all.
-                while core.cursor <= ti:
-                    wake = core.poll(now)
-                    if wake == math.inf:
-                        break
-                    now = wake
-            interrupted = stop_flag.triggered
-        replay_time = time.perf_counter() - start
-        final = stop_after is None or interrupted
-    finally:
-        core.close(checkpoint=final, interrupted=interrupted)
-    events = log.events
-    accuracy, precision, recall = score_events(events, setup, detector)
-    return ReplayOutcome(
-        events=events,
-        n_nodes=setup.n_nodes,
-        n_windows=sum(
-            detector.windows_seen(p) for p in detector.paths
-        ),
-        n_alerts=sum(e["event"] == "open" for e in events),
-        n_events=len(events),
-        window_accuracy=accuracy,
-        alert_precision=precision,
-        episode_recall=recall,
-        replay_time_s=replay_time,
-        health=guarded.fleet_health(),
-        chaos_stats=dict(injector.stats) if injector is not None else None,
-        interrupted=interrupted,
-    )

@@ -5,7 +5,7 @@ network taken out.  It is synchronous and reads no clock for its
 decisions: the caller hands it input and the time, and it hands back
 acks (through each sender's ``write``) and when it next needs to run.
 :class:`~repro.service.net.FleetServer` drives it from an asyncio loop;
-:func:`repro.service.replay.replay` (``repro detect``) and
+:func:`repro.service.api.replay` (``repro detect``) and
 ``tests/test_serve_sim.py`` drive it in virtual time from memory.  It
 is the one tick loop and its checkpoint the one checkpoint format, so
 network and in-process serving agree by construction.

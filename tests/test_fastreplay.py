@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.monitoring.telestore import TelemetryRecorder, TeleStore
+from repro.service.api import ServiceConfig, replay
 from repro.service.fastreplay import (
     FastReplayError,
     record_fleet,
@@ -18,7 +19,7 @@ from repro.service.fastreplay import (
     slice_setup,
 )
 from repro.service.detector import FleetFaultDetector
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -30,7 +31,8 @@ def _jsonl(events):
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(3, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(3, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -44,8 +46,8 @@ def small_store(small_setup, tmp_path_factory):
 
 class TestByteIdentity:
     def test_full_window_matches_guarded_live(self, small_setup, small_store):
-        live = replay(small_setup, chunk=10, guard=True)
-        fast = replay_from_store(small_setup, small_store)
+        live = replay(ServiceConfig(chunk=10), small_setup)
+        fast = replay_from_store(ServiceConfig(), small_setup, small_store)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.events, "drill needs a non-empty alert stream"
         assert fast.n_windows == live.n_windows
@@ -69,26 +71,28 @@ class TestByteIdentity:
             live += detector.process_block(
                 {p: m[:, lo : lo + 10] for p, m in small_setup.eval_data.items()}
             )
-        fast = replay_from_store(small_setup, store)
+        fast = replay_from_store(ServiceConfig(), small_setup, store)
         assert _jsonl(fast.events) == _jsonl(live)
         assert all("health" not in e for e in fast.events)
 
-    @pytest.mark.parametrize("live_chunk", [10, 37, 256])
-    def test_any_live_chunk_reproduced(
-        self, small_setup, small_store, live_chunk
-    ):
-        live = replay(small_setup, chunk=live_chunk, guard=True)
-        fast = replay_from_store(
-            small_setup, small_store, live_chunk=live_chunk
+    @pytest.mark.parametrize("chunk", [10, 37, 256])
+    def test_any_live_chunk_reproduced(self, small_setup, tmp_path, chunk):
+        store = record_fleet(
+            small_setup, tmp_path / "s", partition_ticks=256, chunk=chunk
         )
+        config = ServiceConfig(chunk=chunk)
+        live = replay(config, small_setup)
+        fast = replay_from_store(config, small_setup, store)
         assert _jsonl(fast.events) == _jsonl(live.events)
 
     def test_sub_window_matches_fresh_live_detector(
         self, small_setup, small_store
     ):
         t0, t1 = 200, 800
-        live = replay(slice_setup(small_setup, t0, t1), chunk=10, guard=True)
-        fast = replay_from_store(small_setup, small_store, t0=t0, t1=t1)
+        live = replay(ServiceConfig(chunk=10), slice_setup(small_setup, t0, t1))
+        fast = replay_from_store(
+            ServiceConfig(), small_setup, small_store, t0=t0, t1=t1,
+        )
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.window_accuracy == live.window_accuracy
 
@@ -101,7 +105,7 @@ class TestByteIdentity:
                 partition_ticks=ticks,
                 chunk=10,
             )
-            got = _jsonl(replay_from_store(small_setup, store).events)
+            got = _jsonl(replay_from_store(ServiceConfig(), small_setup, store).events)
             if reference is None:
                 reference = got
             assert got == reference
@@ -112,38 +116,36 @@ class TestLineageAndValidation:
         self, small_store, tmp_path
     ):
         other = prepare_fleet(
-            fleet_recipes(3, t=2000), blocks=8, trees=5, seed=1
+            fleet_recipes(3, t=2000), ServiceConfig(blocks=8, trees=5, seed=1),
         )
         with pytest.raises(FastReplayError, match="fingerprint mismatch"):
-            replay_from_store(other, small_store)
+            replay_from_store(ServiceConfig(), other, small_store)
 
-    def test_fingerprint_check_can_be_skipped(self, small_setup, tmp_path):
+    def test_fingerprintless_store_is_refused(self, small_setup, tmp_path):
         store = record_fleet(small_setup, tmp_path / "s", chunk=10)
         store.meta.pop("fingerprint")
         with pytest.raises(FastReplayError, match="no recorded fleet"):
-            replay_from_store(small_setup, store)
-        outcome = replay_from_store(
-            small_setup, store, verify_fingerprint=False
-        )
-        assert outcome.n_events > 0
+            replay_from_store(ServiceConfig(), small_setup, store)
 
     def test_node_set_mismatch_is_typed_error(self, small_setup, tmp_path):
         wider = prepare_fleet(
-            fleet_recipes(4, t=2000), blocks=8, trees=5, seed=0
+            fleet_recipes(4, t=2000), ServiceConfig(blocks=8, trees=5, seed=0),
         )
         store = record_fleet(small_setup, tmp_path / "s", chunk=10)
         with pytest.raises(FastReplayError, match="node set"):
-            replay_from_store(wider, store)
+            replay_from_store(ServiceConfig(), wider, store)
 
     def test_misaligned_t0_requires_no_truth(self, small_setup, small_store):
         with pytest.raises(FastReplayError, match="aligned"):
             slice_setup(small_setup, 7)
-        outcome = replay_from_store(small_setup, small_store, t0=7, t1=500)
+        outcome = replay_from_store(
+            ServiceConfig(), small_setup, small_store, t0=7, t1=500,
+        )
         assert outcome.window_accuracy == 0.0  # ran, but unscored
         assert outcome.n_windows > 0
 
     def test_store_path_accepted(self, small_setup, small_store):
-        outcome = replay_from_store(small_setup, str(small_store.root))
+        outcome = replay_from_store(ServiceConfig(), small_setup, str(small_store.root))
         assert outcome.n_events > 0
 
 

@@ -18,15 +18,16 @@ from _guarded_oracle import without_health
 
 from repro.engine import hotpath
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
-from repro.service.api import replicate_setup
+from repro.service.api import ServiceConfig, replay, replicate_setup
 from repro.service.detector import FleetFaultDetector, detect_naive
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(3, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(3, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -156,7 +157,7 @@ class TestExactBitEquality:
                 assert a.tobytes() == b.tobytes()
 
     def test_replay_events_identical_to_naive(self, small_setup):
-        arena = replay(small_setup, chunk=200)
+        arena = replay(ServiceConfig(chunk=200), small_setup)
         naive = detect_naive(small_setup.trained, small_setup.eval_data)
         assert _by_node(without_health(arena.events)) == _by_node(naive)
         assert arena.n_windows == sum(
@@ -166,7 +167,7 @@ class TestExactBitEquality:
 
     def test_serving_chunk_events_identical(self, small_setup):
         """Small serving bursts split windows across many ticks."""
-        arena = replay(small_setup, chunk=10)
+        arena = replay(ServiceConfig(chunk=10), small_setup)
         naive = detect_naive(small_setup.trained, small_setup.eval_data)
         assert _by_node(without_health(arena.events)) == _by_node(naive)
 
@@ -176,8 +177,8 @@ class TestReducedPrecisionModes:
         "mode", [m for m in SIGNATURE_MODES if m != "exact"]
     )
     def test_mode_runs_and_mostly_agrees(self, small_setup, mode):
-        exact = replay(small_setup, chunk=200)
-        reduced = replay(small_setup, chunk=200, mode=mode)
+        exact = replay(ServiceConfig(chunk=200), small_setup)
+        reduced = replay(ServiceConfig(chunk=200, mode=mode), small_setup)
         assert reduced.n_windows == exact.n_windows
         det_e = FleetFaultDetector(small_setup.trained)
         det_r = FleetFaultDetector(small_setup.trained, mode=mode)

@@ -1,9 +1,11 @@
 """Round-trip and cache-key tests for ``repro.monitoring.storage``."""
 
+import gc
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,27 @@ class TestSegmentNPZMmap:
         loaded = load_segment_npz(compressed, mmap_mode="r")
         for orig, back in zip(segment.components, loaded.components):
             assert np.array_equal(back.matrix, orig.matrix)
+
+
+class TestLoadNpzArrays:
+    def test_truncated_archive_leaks_no_file_handle(self, tmp_path):
+        """A failed eager load closes the file it opened: no
+        ``ResourceWarning: unclosed file`` surfaces at the next gc."""
+        path = tmp_path / "half.npz"
+        np.savez(path, x=np.arange(1000.0))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load_npz_arrays(path)
+            except Exception:
+                pass
+            else:
+                pytest.fail("a truncated archive must not load")
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestAtomicSavez:

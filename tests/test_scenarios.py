@@ -363,11 +363,11 @@ class TestFleetContract:
 
         real = chaos.run_with_kills
 
-        def skewed(setup, *, sink_factory, **kwargs):
+        def skewed(config, setup, *, sink_factory, **kwargs):
             def factory():
                 return [FloatFirstWindow(s) for s in sink_factory()]
 
-            return real(setup, sink_factory=factory, **kwargs)
+            return real(config, setup, sink_factory=factory, **kwargs)
 
         monkeypatch.setattr(chaos, "run_with_kills", skewed)
         with pytest.raises(AssertionError, match=r"fleet-detect-chaos.*kills@2,4"):
@@ -381,8 +381,8 @@ class TestFleetContract:
 
         real = fastreplay.replay_from_store
 
-        def lossy(setup, store, *, sinks, **kwargs):
-            outcome = real(setup, store, sinks=sinks, **kwargs)
+        def lossy(config, setup, store, *, sinks, **kwargs):
+            outcome = real(config, setup, store, sinks=sinks, **kwargs)
             sinks[0].lines[0] = sinks[0].lines[0][:-1]
             return outcome
 

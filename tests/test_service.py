@@ -12,16 +12,18 @@ from _guarded_oracle import without_health
 from repro.analysis.rootcause import explain_difference, findings_payload
 from repro.ml.forest import RandomForestClassifier
 from repro.service.alerts import AlertPolicy, event_line
+from repro.service.api import ServiceConfig, replay
 from repro.service.classify import train_fleet
 from repro.service.detector import FleetFaultDetector, detect_naive
-from repro.service.replay import fleet_recipes, node_path, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, node_path, prepare_fleet
 
 
 @pytest.fixture(scope="module")
 def small_setup():
     """A trained 2-node fault fleet plus its held-out replay data."""
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -139,7 +141,7 @@ class TestTrainFleet:
 
 class TestDetectorEquivalence:
     def test_batched_equals_naive_per_node_loop(self, small_setup):
-        outcome = replay(small_setup, chunk=173)
+        outcome = replay(ServiceConfig(chunk=173), small_setup)
         naive = detect_naive(small_setup.trained, small_setup.eval_data)
         assert sorted(without_health(outcome.events), key=_event_key) == sorted(
             naive, key=_event_key
@@ -155,7 +157,7 @@ class TestDetectorEquivalence:
             assert all(0.0 <= c <= 1.0 for c in confidences)
 
     def test_open_events_carry_attribution(self, small_setup):
-        outcome = replay(small_setup, chunk=200)
+        outcome = replay(ServiceConfig(chunk=200), small_setup)
         opens = [e for e in outcome.events if e["event"] == "open"]
         assert opens, "expected at least one alert on a fault segment"
         for event in opens:
@@ -171,7 +173,7 @@ class TestDetectorEquivalence:
     def test_event_lines_are_valid_json(self, small_setup):
         import json
 
-        outcome = replay(small_setup, chunk=200)
+        outcome = replay(ServiceConfig(chunk=200), small_setup)
         for event in outcome.events:
             assert json.loads(event_line(event)) == event
 

@@ -3,6 +3,8 @@ replication, the repro-alerts/v1 canonical payload, and the graceful
 SIGINT path (finish the in-flight tick, flush open alerts, write a
 final checkpoint, exit 130)."""
 
+import dataclasses
+import inspect
 import json
 import os
 import signal
@@ -24,8 +26,10 @@ from repro.service.api import (
     replay,
     replicate_setup,
 )
+from repro.service.chaos import run_with_kills
+from repro.service.fastreplay import replay_from_store
 from repro.service.net import ListAlertSink
-from repro.service.replay import SERVICE_DEFAULTS
+from repro.service.replay import prepare_fleet
 from repro.service.servecore import flush_open_alerts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,12 +42,34 @@ def setup():
 
 
 class TestServiceConfig:
-    def test_defaults_match_service_defaults(self):
+    def test_full_preset_defaults_are_pinned(self):
+        """The field defaults are the only copy of the service defaults:
+        alert streams and cache keys depend on them, so they cannot
+        drift unnoticed."""
         config = ServiceConfig()
-        for knob, value in SERVICE_DEFAULTS.items():
-            assert getattr(config, knob) == value
+        assert dataclasses.asdict(config) == {
+            "nodes": 3, "t": 6000, "segment": "fault", "noise_std": 0.0,
+            "blocks": 20, "trees": 30, "train_frac": 0.5, "chunk": 256,
+            "open_after": 2, "close_after": 2, "min_confidence": 0.0,
+            "top_blocks": 3, "seed": 0, "healthy_label": 0,
+            "backend": "fused", "mode": "exact", "guard": True,
+            "replicate": 0, "model_path": None, "cache_dir": None,
+        }
         assert config.guard is True
         assert config.backend == "fused"
+
+    @pytest.mark.parametrize(
+        "function",
+        [prepare_fleet, replay, replay_from_store, run_with_kills],
+        ids=lambda f: f.__name__,
+    )
+    def test_config_is_the_only_knob_carrier(self, function):
+        """Service knobs reach the tick loops only through the config:
+        no parameter of a replay entry point is named after a field."""
+        fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+        params = set(inspect.signature(function).parameters)
+        assert "config" in params
+        assert not params & fields
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -10,14 +10,16 @@ documented guard policy.
 import numpy as np
 import pytest
 
+from repro.service.api import ServiceConfig, replay
 from repro.service.chaos import ChaosConfig, ChaosInjector, run_with_kills
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -97,13 +99,12 @@ class TestFaultMapping:
 
     def guarded_replay(self, setup, **chaos_kw):
         return replay(
-            setup, chunk=200, guard=True,
-            chaos=ChaosConfig(seed=1, **chaos_kw),
+            ServiceConfig(chunk=200), setup, chaos=ChaosConfig(seed=1, **chaos_kw),
         )
 
     def test_drop_thins_windows_without_guard_events(self, small_setup):
         out = self.guarded_replay(small_setup, drop=0.3)
-        clean = replay(small_setup, chunk=200, guard=True)
+        clean = replay(ServiceConfig(chunk=200), small_setup)
         assert out.chaos_stats["drop"] > 0
         assert out.n_windows < clean.n_windows
         assert not [e for e in out.events if e["event"] == "guard"]
@@ -112,7 +113,7 @@ class TestFaultMapping:
         """A re-delivered frame replaces the queued one: no guard event,
         and the detection output is the clean run's."""
         out = self.guarded_replay(small_setup, duplicate=0.5)
-        clean = replay(small_setup, chunk=200, guard=True)
+        clean = replay(ServiceConfig(chunk=200), small_setup)
         assert out.chaos_stats["duplicate"] > 0
         assert out.events == clean.events
 
@@ -120,17 +121,14 @@ class TestFaultMapping:
         """A frame stamped with an old tick is below the cursor: it is
         dropped as late, so its node misses the tick (no guard event)."""
         out = self.guarded_replay(small_setup, reorder=0.5)
-        clean = replay(small_setup, chunk=200, guard=True)
+        clean = replay(ServiceConfig(chunk=200), small_setup)
         assert out.chaos_stats["reorder"] > 0
         assert out.n_windows < clean.n_windows
         assert not [e for e in out.events if e["event"] == "guard"]
 
     def test_corrupt_maps_to_corrupt_values(self, small_setup):
-        from repro.service.guard import GuardConfig
-
         out = replay(
-            small_setup, chunk=200,
-            guard=GuardConfig(quarantine_after=2, backoff_ticks=2),
+            ServiceConfig(chunk=200), small_setup,
             chaos=ChaosConfig(seed=1, corrupt=0.9),
         )
         ge = [e for e in out.events if e["event"] == "guard"]
@@ -169,14 +167,10 @@ class TestKillAndRestore:
     def test_chaos_kill_restore_identical(self, small_setup, tmp_path):
         chaos = ChaosConfig(seed=2, drop=0.05, duplicate=0.05,
                             reorder=0.05, corrupt=0.05)
-        uninterrupted = replay(
-            small_setup, chunk=200, guard=True, chaos=chaos
-        )
+        uninterrupted = replay(ServiceConfig(chunk=200), small_setup, chaos=chaos)
         killed = run_with_kills(
-            small_setup,
-            checkpoint_path=tmp_path / "chaos.npz",
-            kills=[2, 5],
-            chunk=200, guard=True, chaos=chaos,
+            ServiceConfig(chunk=200), small_setup,
+            checkpoint_path=tmp_path / "chaos.npz", kills=[2, 5], chaos=chaos,
         )
         assert killed.events == uninterrupted.events
         assert killed.n_alerts == uninterrupted.n_alerts
@@ -185,25 +179,17 @@ class TestKillAndRestore:
         from repro.service.alerts import JSONLAlertSink
 
         full_path = tmp_path / "full.jsonl"
-        replay(
-            small_setup, chunk=200, guard=True,
-            sinks=[JSONLAlertSink(full_path)],
-        )
+        replay(ServiceConfig(chunk=200), small_setup, sinks=[JSONLAlertSink(full_path)])
         seg_path = tmp_path / "killed.jsonl"
         run_with_kills(
-            small_setup,
-            checkpoint_path=tmp_path / "ck.npz",
-            kills=[3],
-            chunk=200, guard=True,
-            sink_factory=lambda: [JSONLAlertSink(seg_path)],
+            ServiceConfig(chunk=200), small_setup, checkpoint_path=tmp_path / "ck.npz",
+            kills=[3], sink_factory=lambda: [JSONLAlertSink(seg_path)],
         )
         assert seg_path.read_bytes() == full_path.read_bytes()
 
     def test_kills_must_leave_tick_zero(self, small_setup, tmp_path):
         with pytest.raises(ValueError, match="tick 0"):
             run_with_kills(
-                small_setup,
-                checkpoint_path=tmp_path / "ck.npz",
-                kills=[0],
-                chunk=200, guard=True,
+                ServiceConfig(chunk=200), small_setup,
+                checkpoint_path=tmp_path / "ck.npz", kills=[0],
             )

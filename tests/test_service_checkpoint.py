@@ -15,13 +15,14 @@ from _checkpoint_driver import restamp_backend
 
 from repro.engine.hotpath import SIGNATURE_MODES
 from repro.service.alerts import JSONLAlertSink
+from repro.service.api import ServiceConfig, replay
 from repro.service.chaos import ChaosConfig, run_with_kills
 from repro.service.checkpoint import (
     CheckpointError,
     fleet_fingerprint,
     load_checkpoint,
 )
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 REDUCED_MODES = tuple(m for m in SIGNATURE_MODES if m != "exact")
 
@@ -29,14 +30,16 @@ REDUCED_MODES = tuple(m for m in SIGNATURE_MODES if m != "exact")
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
 @pytest.fixture(scope="module")
 def other_setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=3
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=3),
     )
 
 
@@ -45,17 +48,17 @@ class TestRoundTrip:
     def test_interrupt_resume_identical(self, small_setup, tmp_path, backend):
         """The checkpoint is restamped ``backend`` before the resume:
         ``"staged"`` is what the retired staged tick path wrote."""
-        full = replay(small_setup, chunk=200, guard=True)
+        full = replay(ServiceConfig(chunk=200), small_setup)
         ck = tmp_path / "ck.npz"
         replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=4,
+            ServiceConfig(chunk=200), small_setup, checkpoint_path=ck,
+            checkpoint_every=1, stop_after=4,
         )
         assert restamp_backend(ck, backend) == "fused"
         assert load_checkpoint(ck).manifest["backend"] == backend
         resumed = replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, checkpoint_every=1, resume=True,
+            ServiceConfig(chunk=200), small_setup, checkpoint_path=ck,
+            checkpoint_every=1, resume=True,
         )
         assert resumed.events == full.events
         assert resumed.n_alerts == full.n_alerts
@@ -64,36 +67,28 @@ class TestRoundTrip:
 
     def test_resume_reemits_prefix_into_sinks(self, small_setup, tmp_path):
         full_path = tmp_path / "full.jsonl"
-        replay(
-            small_setup, chunk=200, guard=True,
-            sinks=[JSONLAlertSink(full_path)],
-        )
+        replay(ServiceConfig(chunk=200), small_setup, sinks=[JSONLAlertSink(full_path)])
         ck = tmp_path / "ck.npz"
         seg_path = tmp_path / "segmented.jsonl"
         replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=4,
-            sinks=[JSONLAlertSink(seg_path)],
+            ServiceConfig(chunk=200), small_setup, checkpoint_path=ck,
+            checkpoint_every=1, stop_after=4, sinks=[JSONLAlertSink(seg_path)],
         )
         replay(
-            small_setup, chunk=200, guard=True,
-            checkpoint_path=ck, resume=True,
+            ServiceConfig(chunk=200), small_setup, checkpoint_path=ck, resume=True,
             sinks=[JSONLAlertSink(seg_path)],
         )
         assert seg_path.read_bytes() == full_path.read_bytes()
 
     def test_kill_at_every_tick(self, small_setup, tmp_path):
         """The brute-force drill: die before every single tick."""
-        full = replay(small_setup, chunk=200, guard=True)
+        full = replay(ServiceConfig(chunk=200), small_setup)
         n_ticks = -(-max(
             m.shape[1] for m in small_setup.eval_data.values()
         ) // 200)
         killed = run_with_kills(
-            small_setup,
-            checkpoint_path=tmp_path / "every.npz",
-            kills=list(range(1, n_ticks)),
-            chunk=200,
-            guard=True,
+            ServiceConfig(chunk=200), small_setup,
+            checkpoint_path=tmp_path / "every.npz", kills=list(range(1, n_ticks)),
         )
         assert killed.events == full.events
 
@@ -102,14 +97,14 @@ class TestTypedMismatches:
     def _checkpoint(self, setup, tmp_path, **kwargs):
         ck = tmp_path / "mismatch.npz"
         replay(
-            setup, chunk=200, guard=True,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=2, **kwargs,
+            ServiceConfig(chunk=200, **kwargs), setup,
+            checkpoint_path=ck, checkpoint_every=1, stop_after=2,
         )
         return ck
 
     def _resume_error(self, setup, ck, **kwargs):
         with pytest.raises(CheckpointError) as exc_info:
-            replay(setup, checkpoint_path=ck, resume=True, **kwargs)
+            replay(ServiceConfig(**kwargs), setup, checkpoint_path=ck, resume=True)
         return exc_info.value
 
     def test_different_fleet_rejected(
@@ -157,11 +152,11 @@ class TestTypedMismatches:
         self, small_setup, tmp_path, mode
     ):
         """The same mode resumes fine even off-exact."""
-        full = replay(small_setup, chunk=200, guard=True, mode=mode)
+        full = replay(ServiceConfig(chunk=200, mode=mode), small_setup)
         ck = self._checkpoint(small_setup, tmp_path, mode=mode)
         resumed = replay(
-            small_setup, chunk=200, guard=True, mode=mode,
-            checkpoint_path=ck, resume=True,
+            ServiceConfig(chunk=200, mode=mode), small_setup, checkpoint_path=ck,
+            resume=True,
         )
         assert resumed.events == full.events
 
@@ -187,9 +182,9 @@ class TestTypedMismatches:
 
     def test_replay_guards_checkpoint_knobs(self, small_setup, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_path"):
-            replay(small_setup, chunk=200, checkpoint_every=1)
+            replay(ServiceConfig(chunk=200), small_setup, checkpoint_every=1)
         with pytest.raises(ValueError, match="checkpoint_path"):
-            replay(small_setup, chunk=200, resume=True)
+            replay(ServiceConfig(chunk=200), small_setup, resume=True)
 
     def test_fingerprint_tracks_lineage(self, small_setup, other_setup):
         fp1 = fleet_fingerprint(small_setup.trained)

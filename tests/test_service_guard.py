@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.api import ServiceConfig, replay
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import (
     FAULT_CLASSES,
@@ -19,13 +20,14 @@ from repro.service.guard import (
     GuardConfig,
     GuardedDetector,
 )
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -215,7 +217,7 @@ class TestHealthLifecycle:
         assert node["dropped_blocks"] == 1
 
     def test_alert_events_carry_health(self, small_setup):
-        out = replay(small_setup, chunk=200, guard=True)
+        out = replay(ServiceConfig(chunk=200), small_setup)
         alert_events = [e for e in out.events if e["event"] != "guard"]
         assert alert_events, "replay should alert"
         assert all(e["health"] in HEALTH_STATES for e in alert_events)
@@ -247,7 +249,7 @@ class TestGuardEquivalence:
             plain_events += plain.process_block(
                 {p: m[:, lo : lo + 200] for p, m in small_setup.eval_data.items()}
             )
-        guarded = replay(small_setup, chunk=200, guard=True)
+        guarded = replay(ServiceConfig(chunk=200), small_setup)
         stripped = [
             {k: v for k, v in e.items() if k != "health"}
             for e in guarded.events
@@ -266,9 +268,9 @@ class TestGuardEquivalence:
         under chaos or not."""
         from repro.service.chaos import ChaosConfig
 
-        with pytest.raises(ValueError, match="always guards"):
+        with pytest.raises(ValueError, match="every tick loop guards"):
             replay(
-                small_setup, chunk=200, guard=False,
+                ServiceConfig(chunk=200, guard=False), small_setup,
                 chaos=ChaosConfig(drop=0.1),
             )
 

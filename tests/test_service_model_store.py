@@ -11,19 +11,21 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.service.api import ServiceConfig, replay
 from repro.service.model_store import (
     FLEET_MODEL_FORMAT,
     ModelStoreError,
     load_fleet_npz,
     save_fleet_npz,
 )
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 
 @pytest.fixture(scope="module")
 def setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
@@ -69,8 +71,8 @@ class TestRoundTrip:
             wl=setup.wl,
             ws=setup.ws,
         )
-        fresh = replay(setup, chunk=200)
-        reloaded = replay(loaded_setup, chunk=200)
+        fresh = replay(ServiceConfig(chunk=200), setup)
+        reloaded = replay(ServiceConfig(chunk=200), loaded_setup)
         assert reloaded.events == fresh.events
         assert len(fresh.events) > 0
 
@@ -85,13 +87,12 @@ class TestPrepareFleetModelPath:
     def test_trains_then_loads_on_second_run(self, tmp_path, monkeypatch):
         recipes = fleet_recipes(2, t=2000)
         model = tmp_path / "fleet.npz"
-        first = prepare_fleet(
-            recipes, blocks=8, trees=5, train_frac=0.5, seed=0,
-            model_path=model,
+        config = ServiceConfig(
+            blocks=8, trees=5, train_frac=0.5, seed=0, model_path=model
         )
+        first = prepare_fleet(recipes, config)
         assert model.exists()
-        # Second run must load, not retrain.  (The module is shadowed by
-        # the package's `replay` function export — go through importlib.)
+        # Second run must load, not retrain.
         import importlib
 
         replay_mod = importlib.import_module("repro.service.replay")
@@ -100,37 +101,25 @@ class TestPrepareFleetModelPath:
             raise AssertionError("train_fleet called despite saved model")
 
         monkeypatch.setattr(replay_mod, "train_fleet", boom)
-        second = prepare_fleet(
-            recipes, blocks=8, trees=5, train_frac=0.5, seed=0,
-            model_path=model,
-        )
+        second = prepare_fleet(recipes, config)
         assert (
-            replay(second, chunk=200).events
-            == replay(first, chunk=200).events
+            replay(ServiceConfig(chunk=200), second).events
+            == replay(ServiceConfig(chunk=200), first).events
         )
 
     def test_geometry_mismatch_refuses_to_load(self, tmp_path):
         recipes = fleet_recipes(2, t=2000)
         model = tmp_path / "fleet.npz"
-        prepare_fleet(
-            recipes, blocks=8, trees=5, train_frac=0.5, seed=0,
-            model_path=model,
+        config = ServiceConfig(
+            blocks=8, trees=5, train_frac=0.5, seed=0, model_path=model
         )
+        prepare_fleet(recipes, config)
         with pytest.raises(ValueError, match="blocks"):
-            prepare_fleet(
-                recipes, blocks=12, trees=5, train_frac=0.5, seed=0,
-                model_path=model,
-            )
+            prepare_fleet(recipes, config.replace(blocks=12))
         with pytest.raises(ValueError, match="wl"):
-            prepare_fleet(
-                recipes, blocks=8, trees=5, train_frac=0.5, seed=0,
-                wl=30, ws=10, model_path=model,
-            )
+            prepare_fleet(recipes, config, wl=30, ws=10)
         with pytest.raises(ValueError, match="nodes"):
-            prepare_fleet(
-                fleet_recipes(3, t=2000), blocks=8, trees=5,
-                train_frac=0.5, seed=0, model_path=model,
-            )
+            prepare_fleet(fleet_recipes(3, t=2000), config)
 
     def test_not_a_model_archive_raises(self, tmp_path):
         bogus = tmp_path / "bogus.npz"

@@ -17,7 +17,8 @@ import pytest
 
 from repro import cli
 from repro.service.alerts import JSONLAlertSink, MarkdownAlertSink
-from repro.service.replay import fleet_recipes, prepare_fleet, replay
+from repro.service.api import ServiceConfig, replay
+from repro.service.replay import fleet_recipes, prepare_fleet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,14 +26,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture(scope="module")
 def small_setup():
     return prepare_fleet(
-        fleet_recipes(2, t=2000), blocks=8, trees=5, train_frac=0.5, seed=0
+        fleet_recipes(2, t=2000),
+        ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
     )
 
 
 class TestInProcessDeterminism:
     def test_two_replays_identical_events(self, small_setup):
-        first = replay(small_setup, chunk=200)
-        second = replay(small_setup, chunk=200)
+        first = replay(ServiceConfig(chunk=200), small_setup)
+        second = replay(ServiceConfig(chunk=200), small_setup)
         assert first.events == second.events
         assert first.n_windows == second.n_windows
 
@@ -40,7 +42,7 @@ class TestInProcessDeterminism:
         paths = []
         for i in range(2):
             out = tmp_path / f"alerts{i}.jsonl"
-            replay(small_setup, chunk=200, sinks=[JSONLAlertSink(out)])
+            replay(ServiceConfig(chunk=200), small_setup, sinks=[JSONLAlertSink(out)])
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].stat().st_size > 0
@@ -75,8 +77,7 @@ class TestInProcessDeterminism:
     def test_markdown_sink_summarizes_events(self, small_setup, tmp_path):
         md = tmp_path / "alerts.md"
         outcome = replay(
-            small_setup,
-            chunk=200,
+            ServiceConfig(chunk=200), small_setup,
             sinks=[MarkdownAlertSink(md, title="Alerts")],
         )
         text = md.read_text()
@@ -87,14 +88,11 @@ class TestInProcessDeterminism:
     def test_fresh_setup_reproduces_events(self):
         outcomes = [
             replay(
+                ServiceConfig(chunk=200),
                 prepare_fleet(
                     fleet_recipes(2, t=2000),
-                    blocks=8,
-                    trees=5,
-                    train_frac=0.5,
-                    seed=0,
+                    ServiceConfig(blocks=8, trees=5, train_frac=0.5, seed=0),
                 ),
-                chunk=200,
             )
             for _ in range(2)
         ]
@@ -316,7 +314,7 @@ class TestSinkFailureDegradation:
 
         monkeypatch.setattr(sink._fh, "write", exploding_write)
         self._failing_open(monkeypatch, fail_from=1)
-        outcome = replay(small_setup, chunk=200, sinks=[sink])
+        outcome = replay(ServiceConfig(chunk=200), small_setup, sinks=[sink])
         assert outcome.n_events == len(outcome.events) > 0
         err = capsys.readouterr().err
         assert "degraded" in err
