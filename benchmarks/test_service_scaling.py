@@ -157,6 +157,74 @@ def test_guarded_overhead_under_five_percent():
     )
 
 
+def test_checkpoint_save_is_flat_in_uptime(tmp_path, monkeypatch):
+    """A 250-node durable serving core (perfbench's fleet shape: 4 base
+    nodes replicated, 30-sample ticks) checkpointing every 10 ticks.
+
+    Records the archive's member count, its bytes after 20 and after 100
+    ticks (whole archive, and every member but the manifest, whose
+    per-node alert-policy JSON moves with the open alerts) and the
+    median save time.  ``tests/test_bench_guard.py`` floors the member
+    count at 16 and allows no growth between the two uptimes.
+    """
+    import statistics
+    import zipfile
+
+    from repro.service import checkpoint
+    from repro.service.api import build_detector, build_setup
+    from repro.service.protocol import Frame
+    from repro.service.servecore import ServeCore, ServerCheckpoint
+
+    nodes, chunk, ticks, every = 250, 30, 100, 10
+    config = ServiceConfig(
+        nodes=4, t=2 * chunk * ticks, blocks=BLOCKS, trees=TREES,
+        chunk=chunk, seed=0, replicate=nodes,
+    )
+    setup = build_setup(config)
+    path = tmp_path / "ckpt.npz"
+    core = ServeCore(
+        build_detector(config, setup),
+        checkpoint=ServerCheckpoint(
+            path=path,
+            every=every,
+            fingerprint=checkpoint.fleet_fingerprint(setup.trained),
+            chunk=chunk,
+        ),
+    )
+    real_save, spent = checkpoint.save_checkpoint, []
+
+    def timed_save(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return real_save(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", timed_save)
+    sizes = {}
+    for tick in range(ticks):
+        lo = tick * chunk
+        for p, m in setup.eval_data.items():
+            core.feed(Frame(p, tick, m[:, lo : lo + chunk]))
+        core.poll(0.0)
+        if tick + 1 in (20, ticks):
+            with zipfile.ZipFile(path) as zf:
+                members = {i.filename: i.file_size for i in zf.infolist()}
+            arrays = sum(
+                size for name, size in members.items()
+                if name != "manifest.npy"
+            )
+            sizes[tick + 1] = (len(members), path.stat().st_size, arrays)
+    assert len(spent) == ticks // every
+    for uptime, (members, total, arrays) in sizes.items():
+        _summary[f"checkpoint_bytes_250_t{uptime}"] = total
+        _summary[f"checkpoint_array_bytes_250_t{uptime}"] = arrays
+    _summary["checkpoint_members_250"] = sizes[ticks][0]
+    _summary["checkpoint_save_ms_250"] = round(
+        statistics.median(spent) * 1e3, 2
+    )
+
+
 def test_zz_write_summary():
     """Persist the results (named so it runs after the benchmarks).
 

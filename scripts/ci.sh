@@ -27,7 +27,8 @@ python -m pytest tests/test_bench_guard.py -q
 echo "== persistence tests with file-handle leaks as errors =="
 python -X dev -m pytest tests/test_monitoring_storage.py \
     tests/test_service_checkpoint.py tests/test_service_model_store.py \
-    tests/test_fastreplay.py tests/test_checkpoint_contract.py -q \
+    tests/test_fastreplay.py tests/test_checkpoint_contract.py \
+    tests/test_checkpoint_bounded.py -q \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 

@@ -70,6 +70,12 @@ __all__ = ["SIGNATURE_MODES", "TickArena"]
 #: Supported signature computation modes of the arena.
 SIGNATURE_MODES = ("exact", "float32")
 
+#: The retained state arrays of one geometry group, in
+#: :meth:`TickArena.export_state` order (``load_state`` reads the last
+#: three as counts, anchors, emit counts).
+_STATE_PARTS = ("ring", "csum", "pending", "counts", "anchors", "emitted")
+_STATE_ATTRS = {**{p: p for p in _STATE_PARTS}, "pending": "pending_buf"}
+
 _LEAF = -1
 
 #: Re-anchor interval of float32 mode: single-precision running
@@ -652,79 +658,54 @@ class TickArena:
         return sig
 
     # ------------------------------------------------------------------
-    def node_state(self, path: str) -> dict:
-        """Snapshot one node's retained streaming state.
+    def export_state(self) -> dict[str, np.ndarray]:
+        """Every group's retained streaming state, array by array.
 
-        Same layout as
-        :meth:`repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        (the arena's per-node ring is the streaming core's ``(n, wl +
-        1)`` ring transposed back), so checkpoints store the streaming
-        core's format unchanged.
+        Member ``g{j}_{part}`` is group ``j``'s whole ``part`` array
+        (``_STATE_PARTS``): ring, running sums, pending snapshot
+        slots, and per-node counts, re-anchor points and emit counts.
+        The arrays are the arena's own (no copy): write them out before
+        the next tick changes them.
         """
-        g, i = self._node[path]
-        count = int(g.counts[i])
-        starts = np.array(_open_starts(count, g.wl, g.ws), dtype=np.int64)
-        snaps = g.pending(i, starts)  # fancy index: a (k, n) copy
         return {
-            "ring": g.ring[i].T.copy(),
-            "csum": g.csum[i].copy(),
-            "count": count,
-            "emitted": int(g.emitted[i]),
-            "anchor": int(g.anchors[i]),
-            "pending_starts": starts,
-            "pending_snaps": snaps,
+            f"g{j}_{part}": getattr(g, _STATE_ATTRS[part])
+            for j, g in enumerate(self.groups)
+            for part in _STATE_PARTS
         }
 
-    def restore_states(self, states: Mapping[str, dict]) -> None:
-        """Restore a :meth:`node_state` snapshot for **every** node.
+    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore an :meth:`export_state` snapshot into every group.
 
-        Each node's ``pending_starts`` must be exactly the windows open
-        at its ``count`` (what :meth:`node_state` and the streaming
-        core write); anything else is a corrupt state and raises
-        ``ValueError``.  Nothing about batching is restored: the next
-        tick batches whichever nodes share a count and anchor.
+        Everything is checked before anything is written: a missing
+        member raises ``KeyError``; a shape that does not fit, or
+        counts, re-anchor points and emit counts no run can produce,
+        raise ``ValueError``.  Nothing about batching is restored: the
+        next tick batches whichever nodes share a count and anchor.
         """
-        missing = [p for p in self.paths if p not in states]
-        if missing:
-            raise KeyError(f"missing restore state for node(s) {missing!r}")
-        for g in self.groups:
-            for i, p in enumerate(g.paths):
-                st = states[p]
-                ring = np.asarray(st["ring"], dtype=g.dtype)
-                csum = np.asarray(st["csum"], dtype=g.dtype)
-                starts = np.asarray(st["pending_starts"], dtype=np.int64)
-                snaps = np.asarray(st["pending_snaps"], dtype=g.dtype)
-                count = int(st["count"])
-                if ring.shape != (g.n, g.size):
+        staged = []
+        for j, g in enumerate(self.groups):
+            for part in _STATE_PARTS:
+                target = getattr(g, _STATE_ATTRS[part])
+                value = np.asarray(arrays[f"g{j}_{part}"], dtype=target.dtype)
+                if value.shape != target.shape:
                     raise ValueError(
-                        f"node {p!r}: ring shape {ring.shape} does not "
-                        f"match ({g.n}, {g.size})"
+                        f"group {j} {part} shape {value.shape} does not "
+                        f"match {target.shape}"
                     )
-                if csum.shape != (g.n,):
-                    raise ValueError(
-                        f"node {p!r}: csum shape {csum.shape} does not "
-                        f"match ({g.n},)"
-                    )
-                if snaps.shape != (starts.shape[0], g.n):
-                    raise ValueError(
-                        f"node {p!r}: pending snapshot shape "
-                        f"{snaps.shape} does not match "
-                        f"({starts.shape[0]}, {g.n})"
-                    )
-                open_starts = list(_open_starts(count, g.wl, g.ws))
-                if starts.tolist() != open_starts:
-                    raise ValueError(
-                        f"node {p!r}: pending starts {starts.tolist()} "
-                        f"are not the windows open at count {count} "
-                        f"({open_starts})"
-                    )
-                g.ring[i] = ring.T
-                g.csum[i] = csum
-                g.counts[i] = count
-                g.emitted[i] = int(st["emitted"])
-                g.anchors[i] = int(st["anchor"])
-                for s, snap in zip(open_starts, snaps):
-                    g.pending(i, s)[...] = snap
+                staged.append((target, value))
+            counts, anchors, emitted = (v for _, v in staged[-3:])
+            if ((anchors < 0) | (anchors > counts)).any():
+                raise ValueError(f"group {j}: re-anchor points outside [0, count]")
+            # A node has emitted exactly the windows complete at its count.
+            if not np.array_equal(
+                emitted, np.maximum(0, (counts - g.wl) // g.ws + 1)
+            ):
+                raise ValueError(
+                    f"group {j}: emit counts are not the windows complete "
+                    "at the sample counts"
+                )
+        for target, value in staged:
+            target[...] = value
 
     # ------------------------------------------------------------------
     def tick(self, data: Mapping[str, np.ndarray]):
@@ -763,17 +744,10 @@ class TickArena:
                 nonfinite.append(p)
                 continue
             blocks[p] = B
-        # Plan this tick's emit rows before touching any state.
-        total_k = 0
-        for p, B in blocks.items():
-            g, i = self._node[p]
-            t0 = int(g.counts[i])
-            total_k += len(_emits_between(t0, t0 + B.shape[1], self.wl, self.ws))
-        self._ensure_capacity(total_k)
-        assigned = self._assigned
-        assigned.clear()
-        feat2 = self._feat
-        row = 0
+        # Plan this tick's emit rows before touching any state: one
+        # count per batched group (its nodes share it), one per node
+        # otherwise.
+        plans = []
         for g in self.groups:
             present = [
                 (i, p) for i, p in enumerate(g.paths) if p in blocks
@@ -783,14 +757,32 @@ class TickArena:
             m = blocks[present[0][1]].shape[1]
             # One batched call when every node brings one burst length
             # from one count and one anchor; otherwise node by node.
-            if (
+            batched = (
                 len(present) == g.c
                 and all(blocks[p].shape[1] == m for _, p in present)
                 and g.counts.min() == g.counts.max()
                 and g.anchors.min() == g.anchors.max()
-            ):
+            )
+            if batched:
                 t0 = int(g.counts[0])
-                k_tick = len(_emits_between(t0, t0 + m, self.wl, self.ws))
+                ks = [len(_emits_between(t0, t0 + m, self.wl, self.ws))] * g.c
+            else:
+                ks = [
+                    len(_emits_between(
+                        int(g.counts[i]), int(g.counts[i]) + blocks[p].shape[1],
+                        self.wl, self.ws,
+                    ))
+                    for i, p in present
+                ]
+            plans.append((g, present, batched, ks))
+        self._ensure_capacity(sum(sum(ks) for *_, ks in plans))
+        assigned = self._assigned
+        assigned.clear()
+        feat2 = self._feat
+        row = 0
+        for g, present, batched, ks in plans:
+            if batched:
+                k_tick = ks[0]
                 hi = row + g.c * k_tick
                 bad = self._feed(
                     g,
@@ -806,15 +798,12 @@ class TickArena:
                         assigned[p] = (row + i * k_tick, k_tick)
                 row = hi
                 continue
-            for i, p in present:
-                B = blocks[p]
-                t0 = int(g.counts[i])
-                k_i = len(_emits_between(t0, t0 + B.shape[1], self.wl, self.ws))
+            for (i, p), k_i in zip(present, ks):
                 hi = row + k_i
                 if self._feed(
                     g,
                     slice(i, i + 1),
-                    [B],
+                    [blocks[p]],
                     feat2[row:hi].reshape(1, k_i, self.n_features),
                 ):
                     nonfinite.append(p)

@@ -192,6 +192,26 @@ def _temp_sibling(path: Path) -> Path:
     return path.with_name(f"{path.name}.tmp{os.getpid()}-{uuid.uuid4().hex}")
 
 
+#: Largest slice of an array's buffer handed to one member write.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_member(fid, arr: np.ndarray) -> None:
+    """Write one ``.npy`` member exactly as ``np.lib.format.write_array``
+    does.  A C-contiguous plain array goes out as its header plus
+    ``memoryview`` slices of its own buffer; ``write_array`` copies it
+    through 16 MiB chunks instead, which costs that much resident
+    memory per large member.  Anything else falls back to numpy."""
+    if not arr.flags.c_contiguous or arr.dtype.kind not in "biufcmMSU":
+        npformat.write_array(fid, arr)
+        return
+    # A plain dtype's header always fits version 1.0, as numpy picks.
+    npformat.write_array_header_1_0(fid, npformat.header_data_from_array_1_0(arr))
+    data = memoryview(arr.reshape(-1).view(np.uint8))
+    for lo in range(0, data.nbytes, _WRITE_SLICE):
+        fid.write(data[lo : lo + _WRITE_SLICE])
+
+
 def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
     """``np.savez`` via temp file + fsync + rename + directory fsync.
 
@@ -201,13 +221,21 @@ def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
     ``os.replace`` (so the renamed entry can never point at unflushed
     data) and the parent directory is fsynced after it (so a crash
     cannot roll back the rename and leave a torn partition behind a
-    completed compaction).
+    completed compaction).  The archive is byte-identical to
+    ``np.savez``'s, but members are written without a bulk copy
+    (:func:`_write_member`).
     """
     path = Path(path)
     tmp = _temp_sibling(path)
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, **arrays)
+            # np.savez's container: stored members, always zip64.
+            with zipfile.ZipFile(
+                fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+            ) as zf:
+                for name, arr in arrays.items():
+                    with zf.open(f"{name}.npy", "w", force_zip64=True) as fid:
+                        _write_member(fid, np.asanyarray(arr))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -701,7 +701,7 @@ class TeleStore:
 def _checkpoint_next_lo(path: str | Path) -> int:
     """First un-ingested sample a detector checkpoint resumes at.
 
-    Parses the ``repro-detector-checkpoint/v1`` manifest directly (no
+    Parses the ``repro-detector-checkpoint/v2`` manifest directly (no
     service import: retention is a storage-layer concern), raising
     :class:`TeleStoreError` for anything that is not a readable
     checkpoint — retention must never *silently* ignore a pin.
@@ -716,7 +716,7 @@ def _checkpoint_next_lo(path: str | Path) -> int:
     if "manifest" not in arrays:
         raise TeleStoreError(f"{path}: no checkpoint manifest")
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-    if manifest.get("format") != "repro-detector-checkpoint/v1":
+    if manifest.get("format") != "repro-detector-checkpoint/v2":
         raise TeleStoreError(
             f"{path}: unsupported checkpoint format "
             f"{manifest.get('format')!r}"

@@ -77,7 +77,7 @@ def to_payload(event: dict) -> dict:
 
     Returns a dict whose iteration order follows the schema's per-type
     key order (unknown keys keep their insertion order, after the known
-    ones).  All wire renderings — JSONL sinks, checkpoint event arrays,
+    ones).  All wire renderings — JSONL sinks, checkpoint event journals,
     HTTP ops responses — serialize this payload, so the byte stream is
     a pure function of the event values regardless of how a producer
     happened to build the dict.

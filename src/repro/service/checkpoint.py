@@ -1,35 +1,45 @@
 """Versioned checkpoint/restore of full serving state.
 
-A mid-run crash of the online detector used to lose everything the
-fleet had streamed: per-node ring buffers, pending window snapshots,
-alert hysteresis, open alerts.  :func:`save_checkpoint` snapshots the
-**complete** state into one atomic ``.npz`` archive (the
-``atomic_savez`` temp-file + rename discipline and manifest-as-uint8
-convention of :mod:`repro.monitoring.storage`):
+:func:`save_checkpoint` snapshots the **complete** serving state — the
+tick arena's streams, alert hysteresis and open alerts, guard health,
+routing state — into one atomic ``.npz`` archive (the ``atomic_savez``
+temp-file + rename discipline and manifest-as-uint8 convention of
+:mod:`repro.monitoring.storage`) plus an append-only event journal
+beside it, so a save costs O(state), not O(uptime).
 
-* per-node :class:`~repro.engine.streaming.IncrementalSignatureCore`
-  state — normalization ring, running sum, pending window-start
-  snapshots, counts (the tick arena exports exactly this layout);
-* per-node :class:`~repro.service.alerts.AlertPolicy` hysteresis state,
-  including the open alert;
-* the alert events emitted so far plus bookkeeping (``next_lo``,
-  event/alert counts, scoring history);
-* the :class:`~repro.service.guard.GuardedDetector` health state;
-* the serving core's tick cursor, journal index and queued frames;
-* a **model lineage fingerprint** (:func:`fleet_fingerprint`, SHA-256
-  over every model array) plus the detector knobs, so a checkpoint can
-  never silently resume against a different fleet or configuration.
+``repro-detector-checkpoint/v2`` archive members:
+
+* ``manifest`` — JSON: a **model lineage fingerprint**
+  (:func:`fleet_fingerprint`), mode, pinned knobs, tick geometry,
+  per-node alert policies and window counts, guard state, event and
+  alert counts, the serving core's cursor and journal index, and the
+  committed extent of the event journal;
+* ``g{j}_{part}`` — one member per geometry group array of the tick
+  arena (:meth:`~repro.engine.hotpath.TickArena.export_state`);
+* ``hist_labels``, ``hist_conf``, ``hist_lengths`` — only when the
+  detector records history: every node's scoring history concatenated
+  in path order, plus per-node lengths;
+* ``server_queues``, ``server_pending`` — routed-but-unprocessed
+  frames and strays, as encoded-frame blobs.
+
+The events emitted so far live in ``<checkpoint>.events``
+(:func:`events_path`), one :func:`~repro.service.alerts.event_line` per
+event.  A save truncates it to the extent the previous checkpoint
+committed (a crashed save's tail), appends the events since then,
+fsyncs, and only then renames the archive whose manifest records the
+new extent and its CRC-32; a restore reads exactly that extent.  A core
+that did not resume starts the journal over.
 
 There is one writer, :meth:`repro.service.servecore.ServeCore.
 write_checkpoint`, and one reader, :meth:`~repro.service.servecore.
-ServeCore.recover`, whether the core serves the network or replays
-from memory.  The contract — test-enforced per scenario under a
+ServeCore.recover`.  The contract — test-enforced per scenario under a
 PYTHONHASHSEED subprocess sweep — is *byte identity*: crash → restore →
-replay-the-remaining-ticks produces alert JSONL identical to an
-uninterrupted run.  Manifests record ``"backend": "fused"``; exact-mode
-checkpoints stamped ``"staged"`` by the retired backend hold the same
-state layout and still restore.  Any geometry, knob, mode or lineage
-mismatch raises :class:`CheckpointError` naming the offending field —
+re-emit the journal → replay the remaining ticks produces alert JSONL
+identical to an uninterrupted run.  The manifest's ``"backend"`` stamp
+is not read; version 1 archives (per-node members, events inside),
+including every one the retired staged backend wrote, are refused.  Any
+lineage, geometry, knob or mode mismatch and any corrupt state or
+journal raises :class:`CheckpointError` naming the offending field —
 never silent drift.
 """
 
@@ -37,12 +47,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.monitoring.storage import atomic_savez, load_npz_arrays
-from repro.service.alerts import ALERTS_SCHEMA, to_payload
+from repro.service.alerts import ALERTS_SCHEMA, event_line
 from repro.service.classify import TrainedFleet
 from repro.service.detector import FleetFaultDetector
 
@@ -50,13 +63,15 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointError",
     "DetectorCheckpoint",
+    "EventsMark",
+    "events_path",
     "fleet_fingerprint",
     "load_checkpoint",
     "restore_checkpoint",
     "save_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = "repro-detector-checkpoint/v1"
+CHECKPOINT_FORMAT = "repro-detector-checkpoint/v2"
 
 #: Detector knobs a checkpoint pins: resuming under different values would
 #: continue a *different* event sequence, so mismatches are typed errors.
@@ -75,6 +90,20 @@ class CheckpointError(ValueError):
     def __init__(self, message: str, *, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class EventsMark(NamedTuple):
+    """The committed extent of a checkpoint's event journal: its first
+    ``nbytes`` bytes, whose CRC-32 is ``crc32``."""
+
+    nbytes: int = 0
+    crc32: int = 0
+
+
+def events_path(path: str | Path) -> Path:
+    """The event journal beside the checkpoint archive ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".events")
 
 
 def fleet_fingerprint(trained: TrainedFleet) -> str:
@@ -121,6 +150,28 @@ def _detector_params(detector: FleetFaultDetector) -> dict:
     }
 
 
+def _append_events(path: Path, events: list[dict], mark: EventsMark) -> EventsMark:
+    """Truncate the journal to ``mark``, append ``events`` and fsync.
+
+    Bytes past ``mark`` are a crashed save's uncommitted tail.  A
+    journal shorter than ``mark`` has lost committed events, which no
+    later save can put back, so it is refused.
+    """
+    data = "".join(event_line(e) + "\n" for e in events).encode("utf-8")
+    with open(path, "ab") as fh:
+        if fh.tell() < mark.nbytes:
+            raise CheckpointError(
+                f"{path}: event journal holds {fh.tell()} bytes, the last "
+                f"checkpoint committed {mark.nbytes}",
+                field="events",
+            )
+        fh.truncate(mark.nbytes)
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return EventsMark(mark.nbytes + len(data), zlib.crc32(data, mark.crc32))
+
+
 def save_checkpoint(
     path: str | Path,
     detector: FleetFaultDetector,
@@ -129,18 +180,21 @@ def save_checkpoint(
     chunk: int,
     next_lo: int,
     events: list[dict],
+    events_mark: EventsMark,
     n_events: int,
     n_alerts: int,
     guard_state: dict,
     server_state: dict,
     extra_arrays: dict[str, np.ndarray],
-) -> Path:
-    """Snapshot the full serving state as one atomic ``.npz`` archive.
+) -> EventsMark:
+    """Snapshot the full serving state; return the new journal extent.
 
-    ``next_lo`` is the first un-ingested sample column.  ``events`` is
-    the alert stream emitted so far (re-emitted into fresh sinks on
-    resume, which is what makes the resumed JSONL byte-identical end to
-    end).  ``guard_state`` is the guard's health state.
+    ``next_lo`` is the first un-ingested sample column.  ``events`` are
+    the alert events emitted since the checkpoint that committed
+    ``events_mark`` (an empty mark: since start); they are appended to
+    the event journal (:func:`events_path`), which a resume re-emits
+    into fresh sinks — what makes the resumed JSONL byte-identical end
+    to end.  ``guard_state`` is the guard's health state.
     ``server_state`` (tick cursor, WAL index) goes into the manifest and
     ``extra_arrays`` (the routed-but-unprocessed queue contents as
     encoded-frame blobs) into the archive, so a restart resumes routing
@@ -149,23 +203,27 @@ def save_checkpoint(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     paths = detector.paths
-    arrays: dict[str, np.ndarray] = {}
-    node_meta: dict[str, dict] = {}
-    for i, node in enumerate(paths):
-        st = detector.arena.node_state(node)
-        arrays[f"node{i}_ring"] = st["ring"]
-        arrays[f"node{i}_csum"] = st["csum"]
-        arrays[f"node{i}_pending_starts"] = st["pending_starts"]
-        arrays[f"node{i}_pending_snaps"] = st["pending_snaps"]
-        labels, confs = detector.history[node]
-        arrays[f"node{i}_hist_labels"] = np.asarray(labels, dtype=np.int64)
-        arrays[f"node{i}_hist_conf"] = np.asarray(confs, dtype=np.float64)
-        node_meta[node] = {
-            "count": st["count"],
-            "emitted": st["emitted"],
-            "anchor": st["anchor"],
-            "windows": detector.windows_seen(node),
-        }
+    arrays = detector.arena.export_state()
+    if detector.record_history:
+        labels = [detector.history[p][0] for p in paths]
+        confs = [detector.history[p][1] for p in paths]
+        arrays["hist_lengths"] = np.array(
+            [len(h) for h in labels], dtype=np.int64
+        )
+        arrays["hist_labels"] = np.fromiter(
+            (x for h in labels for x in h), dtype=np.int64
+        )
+        arrays["hist_conf"] = np.fromiter(
+            (x for h in confs for x in h), dtype=np.float64
+        )
+    for name, arr in extra_arrays.items():
+        if name in arrays or name.startswith("hist_") or name == "manifest":
+            raise ValueError(
+                f"extra checkpoint array {name!r} collides with a "
+                "reserved archive member"
+            )
+        arrays[name] = np.asarray(arr)
+    mark = _append_events(events_path(path), events, events_mark)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "alerts_schema": ALERTS_SCHEMA,
@@ -176,30 +234,20 @@ def save_checkpoint(
         "next_lo": int(next_lo),
         "paths": list(paths),
         "params": _detector_params(detector),
-        "nodes": node_meta,
+        "windows": [detector.windows_seen(p) for p in paths],
         "policies": {p: detector.policy(p).state_dict() for p in paths},
         "guard": guard_state,
         "n_events": int(n_events),
         "n_alerts": int(n_alerts),
+        "events_bytes": mark.nbytes,
+        "events_crc32": mark.crc32,
         "server": server_state,
     }
-    reserved = set(arrays) | {"manifest", "events"}
-    for name, arr in extra_arrays.items():
-        if name in reserved:
-            raise ValueError(
-                f"extra checkpoint array {name!r} collides with a "
-                "reserved archive member"
-            )
-        arrays[name] = np.asarray(arr)
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
-    arrays["events"] = np.frombuffer(
-        json.dumps([to_payload(e) for e in events]).encode("utf-8"),
-        dtype=np.uint8,
-    )
     atomic_savez(path, **arrays)
-    return path
+    return mark
 
 
 class DetectorCheckpoint:
@@ -208,33 +256,36 @@ class DetectorCheckpoint:
     def __init__(self, manifest: dict, events: list[dict], arrays: dict):
         self.manifest = manifest
         self.events = events
-        self._arrays = arrays
-
-    def node_state(self, index: int, path: str) -> dict:
-        meta = self.manifest["nodes"][path]
-        return {
-            "ring": self._arrays[f"node{index}_ring"],
-            "csum": self._arrays[f"node{index}_csum"],
-            "pending_starts": self._arrays[f"node{index}_pending_starts"],
-            "pending_snaps": self._arrays[f"node{index}_pending_snaps"],
-            "count": int(meta["count"]),
-            "emitted": int(meta["emitted"]),
-            "anchor": int(meta["anchor"]),
-        }
-
-    def node_history(self, index: int) -> tuple[list[int], list[float]]:
-        return (
-            self._arrays[f"node{index}_hist_labels"].tolist(),
-            self._arrays[f"node{index}_hist_conf"].tolist(),
-        )
+        #: Every archive member but the manifest.
+        self.arrays = arrays
 
     def array(self, name: str) -> np.ndarray | None:
-        """An extra archive member (server queue blobs), if present."""
-        return self._arrays.get(name)
+        """An archive member (server queue blobs, history), if present."""
+        return self.arrays.get(name)
+
+
+def _read_events(path: Path, manifest: dict) -> list[dict]:
+    """The committed extent of the event journal beside ``path``."""
+    journal = events_path(path)
+    nbytes = int(manifest["events_bytes"])
+    try:
+        with open(journal, "rb") as fh:
+            data = fh.read(nbytes)
+    except FileNotFoundError:
+        data = None
+    if data is None or len(data) < nbytes or (
+        zlib.crc32(data) != int(manifest["events_crc32"])
+    ):
+        raise CheckpointError(
+            f"{journal}: event journal is missing, shorter than the "
+            f"{nbytes} bytes the checkpoint committed, or altered",
+            field="events",
+        )
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
 
 
 def load_checkpoint(path: str | Path) -> DetectorCheckpoint:
-    """Load and structurally validate a checkpoint archive.
+    """Load and structurally validate a checkpoint and its event journal.
 
     Truncated, corrupt or non-checkpoint files raise
     :class:`CheckpointError` (never a raw numpy/zip/KeyError), so a
@@ -254,22 +305,14 @@ def load_checkpoint(path: str | Path) -> DetectorCheckpoint:
                 f"{path}: not a detector checkpoint (no manifest)",
                 field="manifest",
             )
-        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+        manifest = json.loads(bytes(arrays.pop("manifest")).decode("utf-8"))
         if manifest.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint format "
                 f"{manifest.get('format')!r}",
                 field="format",
             )
-        events = json.loads(bytes(arrays["events"]).decode("utf-8"))
-        for i, node in enumerate(manifest["paths"]):
-            for part in ("ring", "csum", "pending_starts", "pending_snaps"):
-                if f"node{i}_{part}" not in arrays:
-                    raise CheckpointError(
-                        f"{path}: checkpoint missing array "
-                        f"node{i}_{part} for node {node!r}",
-                        field=f"node{i}_{part}",
-                    )
+        events = _read_events(path, manifest)
     except CheckpointError:
         raise
     except Exception as exc:  # zip/json/numpy decode failures
@@ -279,6 +322,29 @@ def load_checkpoint(path: str | Path) -> DetectorCheckpoint:
     return DetectorCheckpoint(manifest, events, arrays)
 
 
+def _restore_history(ckpt: DetectorCheckpoint, detector) -> None:
+    lengths = ckpt.array("hist_lengths")
+    labels, confs = ckpt.array("hist_labels"), ckpt.array("hist_conf")
+    if (
+        lengths is None
+        or labels is None
+        or confs is None
+        or lengths.shape != (len(detector.paths),)
+        or (lengths < 0).any()
+        or labels.shape != confs.shape
+        or labels.shape != (int(lengths.sum()),)
+    ):
+        raise CheckpointError(
+            "checkpoint scoring history does not fit this fleet",
+            field="history",
+        )
+    bounds = np.cumsum(lengths)[:-1]
+    for node, lab, conf in zip(
+        detector.paths, np.split(labels, bounds), np.split(confs, bounds)
+    ):
+        detector.history[node] = (lab.tolist(), conf.tolist())
+
+
 def restore_checkpoint(
     ckpt: DetectorCheckpoint,
     detector: FleetFaultDetector,
@@ -286,14 +352,16 @@ def restore_checkpoint(
     fingerprint: str,
     chunk: int,
     guard,
-) -> tuple[list[dict], int, int, int]:
+) -> tuple[list[dict], int, int, EventsMark]:
     """Restore a checkpoint into a freshly constructed detector and its
     :class:`~repro.service.guard.GuardedDetector` ``guard``.
 
     Validates lineage, geometry, mode compatibility and every
     pinned detector knob before touching any state — a mismatch raises
     :class:`CheckpointError` with the offending ``field``.  Returns
-    ``(events, next_lo, n_events, n_alerts)``.
+    ``(events, n_events, n_alerts, events_mark)``: the journaled events
+    to re-emit, the event and alert counts, and the journal extent the
+    next save continues from.
     """
     m = ckpt.manifest
     if m["fingerprint"] != fingerprint:
@@ -330,26 +398,21 @@ def restore_checkpoint(
                 field=knob,
             )
     try:
-        detector.arena.restore_states(
-            {
-                node: ckpt.node_state(i, node)
-                for i, node in enumerate(m["paths"])
-            }
-        )
+        detector.arena.load_state(ckpt.arrays)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint stream state does not fit this fleet ({exc})",
             field="streams",
         ) from exc
-    for i, node in enumerate(m["paths"]):
+    if detector.record_history:
+        _restore_history(ckpt, detector)
+    for node, windows in zip(m["paths"], m["windows"]):
         detector.policy(node).load_state(m["policies"][node])
-        detector._windows[node] = int(m["nodes"][node]["windows"])
-        if detector.record_history:
-            detector.history[node] = ckpt.node_history(i)
+        detector._windows[node] = int(windows)
     guard.load_state(m["guard"])
     return (
         list(ckpt.events),
-        int(m["next_lo"]),
         int(m["n_events"]),
         int(m["n_alerts"]),
+        EventsMark(int(m["events_bytes"]), int(m["events_crc32"])),
     )

@@ -43,6 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.service.alerts import AlertSink, event_line
+from repro.service.checkpoint import (
+    CheckpointError,
+    EventsMark,
+    load_checkpoint,
+    restore_checkpoint,
+)
 from repro.service.guard import GuardedDetector
 from repro.service.protocol import Frame, FrameDecoder, FrameError, encode_ack
 from repro.service.wal import (
@@ -424,9 +430,11 @@ class ServeCore:
         self.wal = wal if isinstance(wal, WalWriter) else None
         self._wal_dir = Path(wal) if wal and self.wal is None else None
         self._wal_fsync = wal_fsync
-        #: Emitted events retained for checkpoint archives (only when
-        #: checkpointing — a non-durable core keeps nothing).
+        #: Events emitted since the last checkpoint, bound for its event
+        #: journal (only when checkpointing — a non-durable core keeps
+        #: nothing), and the journal extent that checkpoint committed.
         self._events: list[dict] = []
+        self._events_mark = EventsMark()
         self._n_events = 0
         self._n_alerts = 0
         self._ticks_done = 0
@@ -678,13 +686,14 @@ class ServeCore:
         stray_blob = bytearray()
         for node, values in self.strays.items():
             stray_blob += encode_frame_payload(node, 0, values)
-        save_checkpoint(
+        self._events_mark = save_checkpoint(
             cp.path,
             self.guarded.inner,
             fingerprint=cp.fingerprint,
             chunk=cp.chunk,
             next_lo=self.cursor * cp.chunk,
             events=self._events,
+            events_mark=self._events_mark,
             n_events=self._n_events,
             n_alerts=self._n_alerts,
             guard_state=self.guarded.state_dict(),
@@ -698,6 +707,7 @@ class ServeCore:
                 "server_pending": np.frombuffer(bytes(stray_blob), dtype=np.uint8),
             },
         )
+        self._events.clear()
         self.stats.checkpoints += 1
         if self.wal is not None:
             self.wal.prune_through(wal_index)
@@ -708,8 +718,6 @@ class ServeCore:
         decoder = FrameDecoder()
         frames, errors = decoder.feed(blob.tobytes())
         if errors or decoder.eof():
-            from repro.service.checkpoint import CheckpointError
-
             raise CheckpointError(
                 "checkpoint queue blob does not decode cleanly",
                 field="server_pending" if strays else "server_queues",
@@ -732,12 +740,6 @@ class ServeCore:
         wal_start = 0
         cp = self.checkpoint
         if cp is not None and cp.path.exists():
-            from repro.service.checkpoint import (
-                CheckpointError,
-                load_checkpoint,
-                restore_checkpoint,
-            )
-
             ckpt = load_checkpoint(cp.path)
             server = ckpt.manifest.get("server")
             if server is None:
@@ -748,7 +750,7 @@ class ServeCore:
                     "state: tick cursor, journal index and queues)",
                     field="server",
                 )
-            events, _, n_events, n_alerts = restore_checkpoint(
+            events, n_events, n_alerts, self._events_mark = restore_checkpoint(
                 ckpt,
                 self.guarded.inner,
                 fingerprint=cp.fingerprint,
@@ -758,7 +760,6 @@ class ServeCore:
             for event in events:
                 for sink in self.sinks:
                     sink.emit(event)
-            self._events = list(events)
             self._n_events = n_events
             self._n_alerts = n_alerts
             self._ticks_done = int(server["ticks_done"])

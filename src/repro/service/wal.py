@@ -101,8 +101,12 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 #: Default bytes per segment before rotation.
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
-#: Appended records accumulate in memory and hit the file in batches of
-#: this many bytes (or at every sync point).  Every ``write`` releases
+#: Appended records accumulate in the segment file's write buffer of
+#: this many bytes and hit the file when it fills (or at every sync
+#: point).  The buffer is allocated once per segment: a buffer grown and
+#: released every tick faults its pages in afresh every tick, unless
+#: some larger allocation has happened to raise the allocator's mmap
+#: threshold.  Every ``write`` releases
 #: the GIL around the syscall — against a CPU-bound sender thread on a
 #: shared core, reacquiring it costs a full scheduler switch interval
 #: (~5 ms), thousands of times the write itself.  The batch size is
@@ -305,7 +309,6 @@ class WalWriter:
         #: the ops ``/health`` route reports as degraded when it grows).
         self.pending = 0
         self._fh = None
-        self._buf = bytearray()
         self._seg_bytes = 0
         self._closed = False
 
@@ -347,20 +350,14 @@ class WalWriter:
         return writer, recovery.records
 
     # -- appending -----------------------------------------------------
-    def _drain_buf(self) -> None:
-        if self._buf:
-            self._fh.write(self._buf)
-            del self._buf[:]
-
     def _rotate(self) -> None:
         if self._fh is not None:
-            self._drain_buf()
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self.fsyncs += 1
             self._fh.close()
         path = self.root / f"wal-{self.next_index:012d}.seg"
-        self._fh = path.open("wb")
+        self._fh = path.open("wb", buffering=FLUSH_BYTES)
         self._fh.write(_SEG_HEADER.pack(_SEG_MAGIC, self.next_index))
         self._seg_bytes = _SEG_HEADER.size
         _fsync_dir(self.root)
@@ -370,12 +367,10 @@ class WalWriter:
             raise WalError("journal writer is closed")
         if self._fh is None or self._seg_bytes >= self.segment_bytes:
             self._rotate()
-        self._buf += _REC_HEADER.pack(
-            rtype, len(payload), _crc(rtype, payload)
+        self._fh.write(
+            _REC_HEADER.pack(rtype, len(payload), _crc(rtype, payload))
         )
-        self._buf += payload
-        if len(self._buf) >= FLUSH_BYTES:
-            self._drain_buf()
+        self._fh.write(payload)
         size = _REC_HEADER.size + len(payload)
         self._seg_bytes += size
         self.bytes_written += size
@@ -414,7 +409,6 @@ class WalWriter:
         """Flush + fsync the live segment (no-op when nothing pends)."""
         if self._fh is None or self.pending == 0:
             return
-        self._drain_buf()
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self.fsyncs += 1
@@ -451,7 +445,6 @@ class WalWriter:
             return
         self._closed = True
         if self._fh is not None:
-            self._drain_buf()
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self.fsyncs += 1

@@ -13,9 +13,8 @@ shared artifact cache), then either:
   detector, fresh sinks) restoring the checkpoint and finishing.  OUT
   ends up holding the complete stream because resume re-emits the
   checkpointed prefix into the truncating sink.  Before restoring, the
-  checkpoint manifest's ``"backend"`` field is rewritten to STAMP, so a
-  ``staged`` stamp exercises checkpoints written by the retired staged
-  tick path.
+  checkpoint manifest's ``"backend"`` field is rewritten to STAMP;
+  restore does not read the stamp, so either must resume identically.
 
 Scenarios that name a fault schedule replay under it in both modes, so
 the contract is exercised on hostile input too.  Every replay is

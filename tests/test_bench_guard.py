@@ -254,6 +254,29 @@ class TestServiceGuard:
             "the serving import pulled in scipy"
         )
 
+    def test_checkpoint_is_bounded_in_uptime(self):
+        """``benchmarks/test_service_scaling.py`` records a 250-node
+        serving checkpoint: one archive member per geometry group array,
+        not six per node (the version 1 layout wrote 1,504 members), and
+        no growth from 20 to 100 ticks of uptime — the events live in
+        the append-only journal beside the archive.  Only the manifest's
+        per-node alert-policy JSON may move, by at most 1% of the
+        archive."""
+        summary = _load_summary(SERVICE_SUMMARY_JSON)
+        assert "checkpoint_members_250" in summary, (
+            "BENCH_service.json is missing checkpoint_members_250 "
+            "(run pytest benchmarks/test_service_scaling.py -m slow)"
+        )
+        assert summary["checkpoint_members_250"] <= 16
+        assert (
+            summary["checkpoint_array_bytes_250_t100"]
+            == summary["checkpoint_array_bytes_250_t20"]
+        )
+        assert (
+            summary["checkpoint_bytes_250_t100"]
+            <= 1.01 * summary["checkpoint_bytes_250_t20"]
+        )
+
     def test_no_service_speedup_below_one(self):
         summary = _load_summary(SERVICE_SUMMARY_JSON)
         speedups = {

@@ -8,7 +8,7 @@ uninterrupted run — with the two runs in separate processes under
 dependence can hide in either the replay or the checkpoint codecs.
 Each scenario resumes once from a checkpoint as written (stamped
 ``"backend": "fused"``) and once from the same checkpoint restamped
-``"staged"``, the stamp of the retired staged tick path.
+``"staged"``: restore does not read the stamp.
 """
 
 import os

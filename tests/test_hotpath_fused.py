@@ -406,6 +406,17 @@ def _tick_record(arena, out):
     ]
 
 
+def _node_state(arena, path):
+    """Copies of one node's rows of every exported group array."""
+    g, i = arena._node[path]
+    prefix = f"g{arena.groups.index(g)}_"
+    return {
+        key: value[i].copy()
+        for key, value in arena.export_state().items()
+        if key.startswith(prefix)
+    }
+
+
 class TestRestore:
     @staticmethod
     def _arena(setup):
@@ -445,11 +456,11 @@ class TestRestore:
             live.tick(data)
             for p, B in data.items():
                 streams[p].push_block(B)
-        states = {p: live.node_state(p) for p in paths}
-        assert [s["count"] for s in states.values()] == [80, 80, 80]
-        assert [s["anchor"] for s in states.values()] == [60, 80, 60]
+        state = live.export_state()
+        assert state["g0_counts"].tolist() == [80, 80, 80]
+        assert state["g0_anchors"].tolist() == [60, 80, 60]
         restored = self._arena(setup)
-        restored.restore_states(states)
+        restored.load_state(state)
         for _ in range(20):
             data = feed((20, 20, 20))
             want = _tick_record(live, live.tick(data))
@@ -458,24 +469,38 @@ class TestRestore:
                 ref = streams[path].push_block(data[path])
                 assert sigs == [r.tobytes() for r in ref]
 
-    def test_pending_starts_must_be_the_open_windows(self, small_setup):
+    def test_state_no_run_produces_is_refused(self, small_setup):
+        """A state that does not fit the groups, or counts, re-anchor
+        points and emit counts no run can produce, raise before any
+        array is written."""
         setup = small_setup
         arena = self._arena(setup)
         arena.tick({p: m[:, :75] for p, m in setup.eval_data.items()})
-        states = {p: arena.node_state(p) for p in setup.eval_data}
-        path = sorted(states)[1]
-        assert states[path]["pending_starts"].tolist() == [20, 30, 40, 50, 60, 70]
+        state = {k: v.copy() for k, v in arena.export_state().items()}
+        assert state["g0_emitted"].tolist() == [2, 2, 2]
         fresh = self._arena(setup)
-        fresh.restore_states(states)  # the genuine state restores
-        shifted = dict(states[path])
-        shifted["pending_starts"] = shifted["pending_starts"] + 10
-        with pytest.raises(ValueError, match="not the windows open"):
-            fresh.restore_states({**states, path: shifted})
-        dropped = dict(states[path])
-        dropped["pending_starts"] = dropped["pending_starts"][1:]
-        dropped["pending_snaps"] = dropped["pending_snaps"][1:]
-        with pytest.raises(ValueError, match="not the windows open"):
-            fresh.restore_states({**states, path: dropped})
+        fresh.load_state(state)  # the genuine state restores
+        for key, value in state.items():
+            assert np.array_equal(fresh.export_state()[key], value), key
+        blank = {k: v.copy() for k, v in self._arena(setup).export_state().items()}
+        emitted = state["g0_emitted"].copy()
+        emitted[1] += 1
+        anchors = state["g0_anchors"].copy()
+        anchors[2] = 76
+        for bad, match in [
+            ({"g0_emitted": emitted}, "emit counts"),
+            ({"g0_anchors": anchors}, "re-anchor"),
+            ({"g0_ring": state["g0_ring"][:, 1:]}, "ring shape"),
+        ]:
+            target = self._arena(setup)
+            with pytest.raises(ValueError, match=match):
+                target.load_state({**state, **bad})
+            for key, value in blank.items():
+                assert np.array_equal(target.export_state()[key], value), key
+        missing = dict(state)
+        del missing["g0_pending"]
+        with pytest.raises(KeyError, match="g0_pending"):
+            self._arena(setup).load_state(missing)
 
 
 class TestNonFiniteScreen:
@@ -510,7 +535,7 @@ class TestNonFiniteScreen:
             }
             want = dict(data)
             if t in (2, 5):
-                before = screened.node_state(victim)
+                before = _node_state(screened, victim)
                 poisoned = data[victim].copy()
                 poisoned[3, m // 2] = np.nan if t == 2 else -np.inf
                 data[victim] = poisoned
@@ -522,7 +547,7 @@ class TestNonFiniteScreen:
             if t in (2, 5):
                 assert (victim, [], [], []) in got
                 assert screened.nonfinite == [victim]
-                after = screened.node_state(victim)
+                after = _node_state(screened, victim)
                 for key, value in before.items():
                     assert np.array_equal(after[key], value), key
             else:
@@ -628,7 +653,7 @@ class TestTiles:
             data = {p: setup.eval_data[p][:, lo : lo + self.CHUNK] for p in paths}
             want = dict(data)
             if t in (2, 5):
-                before = screened.node_state(bad)
+                before = _node_state(screened, bad)
                 poisoned = data[bad].copy()
                 poisoned[7, 3] = np.nan if t == 2 else np.inf
                 data[bad] = poisoned
@@ -640,32 +665,44 @@ class TestTiles:
             if t in (2, 5):
                 assert screened.nonfinite == [bad]
                 assert (bad, [], [], []) in got
-                after = screened.node_state(bad)
+                after = _node_state(screened, bad)
                 for key, value in before.items():
                     assert np.array_equal(after[key], value), key
 
     def test_state_round_trip_across_tiles(self, small_setup, monkeypatch):
-        """``node_state`` is the streaming core's ``state_dict`` bit for
-        bit (the checkpoint format), and a fresh arena restored from it
-        continues bit-identically."""
+        """Each node's rows of the exported group arrays hold the
+        streaming core's ``state_dict`` bit for bit (the ring transposed,
+        the open windows' snapshots in their slots), and a fresh arena
+        loaded from them continues bit-identically."""
         setup = replicate_setup(small_setup, 2 * self.T + 3)
         self._small_tiles(monkeypatch, "exact")
         paths = sorted(setup.eval_data)
         live = self._arena(setup, "exact")
         upto = 7 * self.CHUNK + 3
         live.tick({p: setup.eval_data[p][:, :upto] for p in paths})
-        states = {p: live.node_state(p) for p in paths}
         for p in paths[:4]:
             stream = setup.trained.engine.stream(p)
             stream.push_block(setup.eval_data[p][:, :upto])
             core = stream._core.state_dict()
-            assert sorted(core) == sorted(states[p])
+            g, i = live._node[p]
+            starts = np.asarray(core["pending_starts"])
+            got = {
+                "ring": g.ring[i].T,
+                "csum": g.csum[i],
+                "count": g.counts[i],
+                "emitted": g.emitted[i],
+                "anchor": g.anchors[i],
+                "pending_starts": starts,
+                "pending_snaps": g.pending(i, starts),
+            }
+            assert sorted(core) == sorted(got)
+            assert starts.tolist() == list(hotpath._open_starts(upto, g.wl, g.ws))
             for key, value in core.items():
-                got = np.asarray(states[p][key])
-                assert got.shape == np.shape(value), key
-                assert got.tobytes() == np.asarray(value).tobytes(), key
+                value = np.asarray(value)
+                assert got[key].shape == value.shape, key
+                assert got[key].tobytes() == value.astype(got[key].dtype).tobytes(), key
         restored = self._arena(setup, "exact")
-        restored.restore_states(states)
+        restored.load_state(live.export_state())
         for t in range(12):
             lo = upto + t * self.CHUNK
             data = {p: setup.eval_data[p][:, lo : lo + self.CHUNK] for p in paths}

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,6 +237,43 @@ class TestAtomicSavez:
         assert data.shape == (4096,) and data[0] in (1, 2)
         assert (data == data[0]).all()
         assert os.listdir(tmp_path) == ["shared.npz"]
+
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            {"c": np.arange(24.0).reshape(2, 3, 4)},
+            {"f": np.asfortranarray(np.arange(12).reshape(3, 4))},
+            {"empty": np.empty((0, 5)), "scalar": np.array(3 + 4j)},
+            {
+                "manifest": np.frombuffer(b'{"format": "x"}', dtype=np.uint8),
+                "strided": np.arange(40)[::3],
+                "big": np.zeros((3, 200_000), dtype=np.float32),
+            },
+        ],
+        ids=["c-contiguous", "f-contiguous", "empty", "manifest"],
+    )
+    def test_archive_equals_np_savez_byte_for_byte(self, tmp_path, arrays):
+        # Zip members carry their write time: pin the clock.
+        with mock.patch("time.time", return_value=1.7e9):
+            atomic_savez(tmp_path / "ours.npz", **arrays)
+            np.savez(tmp_path / "numpy.npz", **arrays)
+        ours = (tmp_path / "ours.npz").read_bytes()
+        assert ours == (tmp_path / "numpy.npz").read_bytes()
+
+    def test_large_member_is_written_without_a_copy(self, tmp_path):
+        """np.savez copies a member through 16 MiB chunks; the archive
+        writer hands out slices of the array's own buffer."""
+        big = np.ones(2 << 20)  # 16 MiB
+        atomic_savez(tmp_path / "warm.npz", x=big[:8])
+        tracemalloc.start()
+        try:
+            atomic_savez(tmp_path / "big.npz", x=big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(load_npz_arrays(tmp_path / "big.npz")["x"], big)
 
 
 class TestCacheKeyStability:

@@ -28,6 +28,7 @@ from repro.service.api import (
 )
 from repro.service.checkpoint import (
     CheckpointError,
+    events_path,
     fleet_fingerprint,
     load_checkpoint,
 )
@@ -130,10 +131,15 @@ class TestCrashRestartByteIdentity:
             # mid-tick journal tail.  (The event loop is idle here —
             # nothing else is appending.)
             server_a.core.wal.sync()
-            # Crash-consistent clone: checkpoint first, then the WAL —
-            # exactly the order the live process writes them, so the
-            # clone can never hold a checkpoint newer than its journal.
+            # Crash-consistent clone: checkpoint first, then its event
+            # journal and the WAL — a save appends to both before it
+            # renames the archive, so the clone can never hold a
+            # checkpoint newer than its journals.
             shutil.copy(tmp_path / "live.npz", tmp_path / "crash.npz")
+            shutil.copy(
+                events_path(tmp_path / "live.npz"),
+                events_path(tmp_path / "crash.npz"),
+            )
             shutil.copytree(tmp_path / "wal-live", tmp_path / "wal-crash")
         server_a.request_stop()
         thread_a.join(30)

@@ -1,9 +1,10 @@
 """Checkpoint/restore: byte-identity round trips and typed mismatches.
 
 The contract: crash -> restore -> replay-the-remaining-ticks produces an
-event stream identical to an uninterrupted run — including checkpoints
-stamped ``"backend": "staged"`` by the retired staged tick path, whose
-state layout the arena shares.  Anything a checkpoint cannot honestly
+event stream identical to an uninterrupted run, whatever the manifest's
+``"backend"`` stamp says (restore does not read it; the archives the
+retired staged tick path wrote are version 1, which is refused).
+Anything a checkpoint cannot honestly
 resume (different fleet lineage, geometry, knobs, signature mode, a
 corrupt archive) is a :class:`CheckpointError` naming the offending
 field — never silent drift, never a raw traceback.
@@ -46,8 +47,8 @@ def other_setup():
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", ("staged", "fused"))
     def test_interrupt_resume_identical(self, small_setup, tmp_path, backend):
-        """The checkpoint is restamped ``backend`` before the resume:
-        ``"staged"`` is what the retired staged tick path wrote."""
+        """The checkpoint is restamped ``backend`` before the resume;
+        the stamp never changes what restores."""
         full = replay(ServiceConfig(chunk=200), small_setup)
         ck = tmp_path / "ck.npz"
         replay(

@@ -31,7 +31,7 @@ def _write(root, planes, *, partition_ticks=8, meta=None):
 
 
 def _fake_checkpoint(path, next_lo):
-    manifest = {"format": "repro-detector-checkpoint/v1", "next_lo": next_lo}
+    manifest = {"format": "repro-detector-checkpoint/v2", "next_lo": next_lo}
     atomic_savez(
         path,
         manifest=np.frombuffer(
