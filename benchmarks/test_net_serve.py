@@ -38,8 +38,9 @@ from repro.service.api import (
     replay,
     replicate_setup,
 )
-from repro.service.net import FleetServer, ListAlertSink, loadgen
+from repro.service.net import FleetServer, ListAlertSink, LoadgenOptions, loadgen
 from repro.service.protocol import FrameDecoder, encode_binary
+from repro.service.servecore import ServeOptions
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "net_serve.csv"
@@ -95,13 +96,15 @@ def test_loopback_serve_sustains_fleet(base_config, base_setup, nodes):
     net_sink = ListAlertSink()
     server = FleetServer(
         build_detector(base_config, setup),
+        ServeOptions(exit_on_idle=True),
         sinks=(net_sink,),
-        exit_on_idle=True,
     )
     thread = server.start_background()
     assert server.ready.wait(120), "server failed to start"
     load = loadgen(
-        setup, ("127.0.0.1", server.port), chunk=CHUNK, fmt="binary"
+        setup,
+        LoadgenOptions(connect=f"127.0.0.1:{server.port}", format="binary"),
+        chunk=CHUNK,
     )
     thread.join(600)
     assert not thread.is_alive(), "server did not drain and exit"
@@ -189,16 +192,16 @@ def test_wal_overhead(base_config, base_setup, tmp_path):
     journal = _journal_root(tmp_path)
     server = FleetServer(
         build_detector(base_config, setup),
+        ServeOptions(exit_on_idle=True, wal=journal / "wal", wal_fsync="tick"),
         sinks=(net_sink,),
-        exit_on_idle=True,
-        wal=journal / "wal",
-        wal_fsync="tick",
     )
     try:
         thread = server.start_background()
         assert server.ready.wait(120), "server failed to start"
         load = loadgen(
-            setup, ("127.0.0.1", server.port), chunk=CHUNK, fmt="binary"
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}", format="binary"),
+            chunk=CHUNK,
         )
         thread.join(600)
         assert not thread.is_alive(), "server did not drain and exit"

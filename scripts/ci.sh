@@ -28,7 +28,7 @@ echo "== persistence tests with file-handle leaks as errors =="
 python -X dev -m pytest tests/test_monitoring_storage.py \
     tests/test_service_checkpoint.py tests/test_service_model_store.py \
     tests/test_fastreplay.py tests/test_checkpoint_contract.py \
-    tests/test_checkpoint_bounded.py -q \
+    tests/test_checkpoint_bounded.py tests/test_telestore.py -q \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 

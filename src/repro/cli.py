@@ -43,12 +43,15 @@ Subcommands
     --from-store DIR`` replays a recorded window through the detector at
     max speed with byte-identical alert JSONL to live ingestion.
 
-The service flags of ``detect``/``serve``/``loadgen``/``store record``
-and the fault flags of ``netchaos`` are not written here: they are
-generated from the fields of ``ServiceConfig`` and ``NetChaosConfig``
-(help text included) by :mod:`repro.service.knobs`, so a new config
-field is a new flag.  The four service commands share one preset, so
-the same flags build the same ``ServiceConfig`` in each of them.
+Most flags are not written here: :mod:`repro.service.knobs` generates
+them, help text included, from the fields of one dataclass per concern,
+so a new field is a new flag and its default has one copy —
+``ServiceConfig`` (``detect``/``serve``/``loadgen``/``store record``,
+one shared preset), ``ServeOptions`` and ``SuperviseOptions``
+(``serve``), ``LoadgenOptions`` (``loadgen``), :class:`DetectOptions`
+(``detect``) and ``NetChaosConfig`` (``netchaos``).  Each validates
+itself, so a rejected or contradictory flag exits 2 before the fleet
+trains, and each reaches its callee whole.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+
+from repro.service.knobs import at_least, knob
 
 __all__ = ["main", "console_main"]
 
@@ -66,10 +72,14 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _usage_error(message: str) -> int:
-    """Report a rejected command line; exit status 2, as argparse uses."""
-    _status(f"error: {message}")
-    return 2
+class _UsageError(Exception):
+    """A rejected command line, raised before any work; :func:`main`
+    reports it and exits 2, as argparse does."""
+
+
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        raise _UsageError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -104,7 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = get_scenario(args.name)
     except KeyError as exc:
-        return _usage_error(exc.args[0])
+        raise _UsageError(exc.args[0]) from None
     options = options_from_args(args)
     result = execute(spec, options=options, sinks=sinks_from_args(args))
     stats = result.cache_stats
@@ -159,27 +169,103 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Online detection service (repro serve / repro detect / repro loadgen)
 # ----------------------------------------------------------------------
-def _add_service_options(parser: argparse.ArgumentParser) -> None:
-    """One generated flag per ``ServiceConfig`` field, plus ``--smoke``."""
+@dataclass(frozen=True)
+class DetectOptions:
+    """``repro detect``'s outputs, checkpoint and store window, validated
+    once: a flag the chosen mode would ignore, or could only fail on
+    after the fleet has trained, is rejected here."""
+
+    alerts: str | None = knob(
+        None,
+        "write the alert event stream as JSON lines here (default: "
+        "stdout); byte-identical across processes",
+    )
+    csv: str | None = knob(None, "also write the scored summary row as CSV")
+    markdown: str | None = knob(None, "also write a markdown alert summary table")
+    checkpoint: str | None = knob(
+        None,
+        "checkpoint the full detector state to this .npz while replaying; "
+        "with --resume, restore it and replay only the remaining ticks "
+        "(byte-identical alert stream to an uninterrupted run)",
+    )
+    checkpoint_every: int = knob(1, "ticks between checkpoints (needs --checkpoint)")
+    resume: bool = knob(
+        False,
+        "restore --checkpoint before replaying (typed error on "
+        "lineage/geometry/knob mismatch, never silent drift)",
+    )
+    stop_after: int | None = knob(
+        None,
+        "stop before processing this tick index (simulated crash for "
+        "checkpoint drills)",
+    )
+    from_store: str | None = knob(
+        None,
+        "replay a recorded telemetry store (see `repro store record`) "
+        "instead of the live feed: partition-sized blocks stream into the "
+        "detector at max speed, alert JSONL byte-identical to live "
+        "ingestion of the same window",
+        metavar="DIR",
+    )
+    t0: int | None = knob(
+        None,
+        "first store tick to replay (default: store start; scored windows "
+        "need --t0 aligned to the window stride)",
+    )
+    t1: int | None = knob(
+        None, "replay up to this store tick, exclusive (default: store end)"
+    )
+
+    def __post_init__(self):
+        if self.from_store:
+            if self.checkpoint or self.resume:
+                raise ValueError(
+                    "--from-store and --checkpoint/--resume are exclusive"
+                )
+            if self.stop_after is not None:
+                raise ValueError(
+                    "--stop-after applies to live replay, not --from-store"
+                )
+        elif self.t0 is not None or self.t1 is not None:
+            raise ValueError(
+                "--t0/--t1 select a store window and require --from-store"
+            )
+        at_least(0, self, "t0", "t1")
+        if None not in (self.t0, self.t1) and self.t0 > self.t1:
+            raise ValueError(f"--t0 {self.t0} is past --t1 {self.t1}")
+        if self.resume and not self.checkpoint:
+            raise ValueError("--resume requires --checkpoint")
+        at_least(1, self, "checkpoint_every")
+
+
+def _service_command(sub, name: str, func, *tables, **kwargs):
+    """A ``name`` subcommand running ``func``, with one generated flag
+    per field of ``ServiceConfig`` and of each of ``tables``, plus
+    ``--smoke``."""
     from repro.service.api import ServiceConfig
     from repro.service.knobs import add_flags
 
-    add_flags(parser, ServiceConfig)
+    parser = sub.add_parser(name, **kwargs)
+    for table in (ServiceConfig, *tables):
+        add_flags(parser, table)
     parser.add_argument(
         "--smoke", action="store_true",
         help="seconds-scale preset (2 nodes, t=2500, 6 trees) used by CI",
     )
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace, base):
-    """``base`` with the command line's generated flags applied; a value
-    the config rejects is a usage error (exit 2), not a traceback."""
+    """``base`` (a config, or a config class) with the command line's
+    generated flags applied; a value it rejects is a usage error
+    (exit 2), not a traceback."""
     from repro.service.knobs import from_args
 
     try:
         return from_args(args, base)
     except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc))) from None
+        raise _UsageError(str(exc)) from None
 
 
 def _service_config(args: argparse.Namespace):
@@ -203,35 +289,13 @@ def _build_service_setup(args: argparse.Namespace):
     return setup, config, context
 
 
-def _alert_sinks(args: argparse.Namespace) -> list:
-    """``--alerts`` JSON lines, or the event stream on stdout."""
+def _alert_sinks(path: str | None) -> list:
+    """JSON lines to ``path``, or the event stream on stdout."""
     from repro.service.alerts import JSONLAlertSink, StreamAlertSink
 
-    if args.alerts:
-        return [JSONLAlertSink(args.alerts)]
+    if path:
+        return [JSONLAlertSink(path)]
     return [StreamAlertSink(sys.stdout)]
-
-
-def _checkpoint_every_error(args: argparse.Namespace) -> str | None:
-    if args.checkpoint_every < 1:
-        return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-    return None
-
-
-def _detect_flags_error(args: argparse.Namespace) -> str | None:
-    """The first contradiction among ``repro detect``'s flags, if any:
-    a flag the chosen mode would ignore, or could only fail on after
-    the fleet has trained."""
-    if args.from_store:
-        if args.checkpoint or args.resume:
-            return "--from-store and --checkpoint/--resume are exclusive"
-        if args.stop_after is not None:
-            return "--stop-after applies to live replay, not --from-store"
-    elif args.t0 is not None or args.t1 is not None:
-        return "--t0/--t1 select a store window and require --from-store"
-    if args.resume and not args.checkpoint:
-        return "--resume requires --checkpoint"
-    return _checkpoint_every_error(args)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -240,37 +304,31 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.service.alerts import MarkdownAlertSink
     from repro.service.api import replay
 
-    error = _detect_flags_error(args)
-    if error:
-        return _usage_error(error)
+    options = _config_from_args(args, DetectOptions)
     setup, config, context = _build_service_setup(args)
-    sinks = _alert_sinks(args)
-    if args.markdown:
-        sinks.append(MarkdownAlertSink(args.markdown))
-    if args.from_store:
+    sinks = _alert_sinks(options.alerts)
+    if options.markdown:
+        sinks.append(MarkdownAlertSink(options.markdown))
+    if options.from_store:
         from repro.service.fastreplay import replay_from_store
 
         outcome = replay_from_store(
-            config, setup, args.from_store, t0=args.t0, t1=args.t1, sinks=sinks
+            config, setup, options.from_store, t0=options.t0, t1=options.t1,
+            sinks=sinks,
         )
     else:
+        every = options.checkpoint_every if options.checkpoint else 0
         outcome = replay(
-            config,
-            setup,
-            sinks=sinks,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=(
-                int(args.checkpoint_every) if args.checkpoint else 0
-            ),
-            resume=args.resume,
-            stop_after=args.stop_after,
+            config, setup, sinks=sinks, checkpoint_path=options.checkpoint,
+            checkpoint_every=every, resume=options.resume,
+            stop_after=options.stop_after,
         )
     if outcome.interrupted:
         # The replay loop already finished the in-flight tick, flushed
         # every open alert into the sinks and wrote a final checkpoint;
         # exit with the conventional Ctrl-C status via console_main.
-        if args.checkpoint:
-            _status(f"[detect] interrupted; checkpoint at {args.checkpoint}")
+        if options.checkpoint:
+            _status(f"[detect] interrupted; checkpoint at {options.checkpoint}")
         raise KeyboardInterrupt
     row = outcome.row(f"{config.segment}-fleet-{setup.n_nodes}")
     _status(
@@ -278,10 +336,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             FLEET_DETECT_HEADERS, [row], title="Fleet detection replay"
         )
     )
-    if args.csv:
-        save_csv(args.csv, FLEET_DETECT_HEADERS, [row])
-    if args.alerts:
-        _status(f"[detect] wrote {outcome.n_alerts} alerts to {args.alerts}")
+    if options.csv:
+        save_csv(options.csv, FLEET_DETECT_HEADERS, [row])
+    if options.alerts:
+        _status(f"[detect] wrote {outcome.n_alerts} alerts to {options.alerts}")
     if outcome.health is not None:
         states = outcome.health["states"]
         if (
@@ -290,12 +348,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             or outcome.health["unknown_nodes"]
         ):
             _status(f"[detect] fleet health: {states}")
-    if args.checkpoint and args.stop_after is not None:
+    if options.checkpoint and options.stop_after is not None:
         _status(
-            f"[detect] stopped before tick {args.stop_after}; resume "
-            f"with --resume --checkpoint {args.checkpoint}"
+            f"[detect] stopped before tick {options.stop_after}; resume "
+            f"with --resume --checkpoint {options.checkpoint}"
         )
-    if args.cache_dir:
+    if config.cache_dir:
         stats = context.stats
         _status(
             f"[detect] cache: {stats['segment_hits']} hits, "
@@ -304,115 +362,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro serve`` flags consumed by the supervisor itself; stripped
-#: from the child argv (value = flag takes an argument).
-_SUPERVISOR_FLAGS = {
-    "--supervise": False,
-    "--max-restarts": True,
-    "--restart-backoff": True,
-    "--min-uptime": True,
-}
-
-
-def _child_argv(argv: list[str]) -> list[str]:
-    """The original argv minus the supervisor-only flags (both
-    ``--flag value`` and ``--flag=value`` spellings)."""
-    out: list[str] = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        flag = token.split("=", 1)[0]
-        if flag in _SUPERVISOR_FLAGS:
-            skip = _SUPERVISOR_FLAGS[flag] and "=" not in token
-            continue
-        out.append(token)
-    return out
-
-
-def _supervise_serve(args: argparse.Namespace) -> int:
-    """Crash-restart loop around a child ``repro serve`` process.
-
-    The child is this exact invocation minus the supervisor flags, so
-    a respawn re-binds the same listeners, re-reads the same WAL and
-    checkpoint, and recovers to the pre-crash state.  Clean exits and
-    Ctrl-C pass through (0 / 130); flag errors (2) are fatal —
-    restarting cannot fix them.  Anything else (including ``kill -9``)
-    is a crash: respawn with exponential backoff, and trip the
-    crash-loop breaker after ``--max-restarts`` consecutive exits
-    faster than ``--min-uptime``.
-    """
-    import signal
-    import subprocess
-    import time
-
-    cmd = [sys.executable, "-m", "repro", *_child_argv(args.argv)]
-    backoff = float(args.restart_backoff)
-    min_uptime = float(args.min_uptime)
-    quick_crashes = 0
-    restarts = 0
-    while True:
-        started = time.monotonic()
-        proc = subprocess.Popen(cmd)
-        _status(f"[supervise] child pid {proc.pid} (restarts: {restarts})")
-        try:
-            rc = proc.wait()
-        except KeyboardInterrupt:
-            # Pass the interrupt down and give the child its graceful
-            # drain (finish the tick, flush alerts, final checkpoint).
-            try:
-                proc.send_signal(signal.SIGINT)
-                proc.wait(timeout=30)
-            except (subprocess.TimeoutExpired, OSError):
-                proc.kill()
-                proc.wait()
-            return 130
-        uptime = time.monotonic() - started
-        if rc == 0:
-            return 0
-        if rc in (130, -signal.SIGINT):
-            return 130
-        if rc == 2:
-            _status("[supervise] child rejected its flags; not restarting")
-            return 2
-        if uptime >= min_uptime:
-            quick_crashes = 0
-        else:
-            quick_crashes += 1
-            if quick_crashes > int(args.max_restarts):
-                _status(
-                    f"[supervise] crash loop: {quick_crashes} consecutive "
-                    f"exits under {min_uptime:.0f}s; giving up"
-                )
-                return 1
-        delay = min(backoff * (2.0 ** quick_crashes), 30.0)
-        restarts += 1
-        _status(
-            f"[supervise] child exited rc={rc} after {uptime:.1f}s; "
-            f"restarting in {delay:.2f}s"
-        )
-        time.sleep(delay)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import os
 
+    from repro.service.net import SuperviseOptions, supervise
+    from repro.service.servecore import ServeOptions
+
     # Rejected here, not after the fleet trains: a supervisor would
     # otherwise restart a child that fails the same way every time.
-    error = _checkpoint_every_error(args)
-    if error:
-        return _usage_error(error)
-    try:
-        backpressure = _listen_options(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
-        _service_config(args)  # e.g. --no-guard
-    except SystemExit as exc:  # already reported as a usage error
-        return exc.code
-    if args.supervise:
-        return _supervise_serve(args)
+    options = _config_from_args(args, ServeOptions)
+    supervisor = _config_from_args(args, SuperviseOptions)
+    _service_config(args)  # e.g. --no-guard
+    if supervisor.supervise:
+        return supervise(supervisor, args.argv)
 
     from repro.service.api import serve
 
@@ -423,31 +385,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         setup, config, _ = _build_service_setup(args)
         durability = ""
-        if args.wal:
-            durability = f", wal={args.wal} (fsync={args.wal_fsync})"
-        if args.checkpoint:
-            durability += f", checkpoint={args.checkpoint}"
+        if options.wal:
+            durability = f", wal={options.wal} (fsync={options.wal_fsync})"
+        if options.checkpoint:
+            durability += f", checkpoint={options.checkpoint}"
         _status(
             f"[serve] {setup.n_nodes} nodes, burst={config.chunk} "
-            f"samples, listening on {args.listen} "
-            f"(backpressure: {args.backpressure}, queue {args.queue_max}"
-            f"{durability})"
+            f"samples, listening on {options.listen} "
+            f"(backpressure: {options.backpressure}, queue "
+            f"{options.queue_max}{durability})"
         )
-        stats = serve(
-            config,
-            setup,
-            listen=args.listen,
-            ops=args.ops,
-            sinks=tuple(_alert_sinks(args)),
-            backpressure=backpressure,
-            tick_timeout=float(args.tick_timeout),
-            exit_on_idle=args.exit_on_idle,
-            port_file=args.port_file,
-            wal_dir=args.wal,
-            wal_fsync=args.wal_fsync,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=int(args.checkpoint_every),
-        )
+        stats = serve(config, setup, options, sinks=_alert_sinks(args.alerts))
     finally:
         if pid_file is not None:
             try:
@@ -456,7 +404,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
     bp = stats["backpressure"]
     wal_note = ""
-    if args.wal:
+    if options.wal:
         wal_note = (
             f"; wal {stats['wal_appended']} appended, "
             f"{stats['wal_replayed']} replayed, "
@@ -474,77 +422,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _listen_options(args: argparse.Namespace):
-    """Validate the ``serve --listen`` flags; return the backpressure
-    config.  Raises ``ValueError`` for a malformed ``--listen``/``--ops``
-    address or a ``--queue-max`` below 1."""
-    from repro.service.net import parse_address
-    from repro.service.servecore import BackpressureConfig
-
-    parse_address(args.listen)
-    if args.ops:
-        parse_address(args.ops)
-    return BackpressureConfig(
-        queue_max=int(args.queue_max), policy=args.backpressure
-    )
-
-
-def _address(flags: str, address: str | None, port_file: str | None):
-    """The ``(address, label)`` that exactly one of ``flags`` (``--X``
-    HOST:PORT / ``--X-port-file`` PATH) names.  Raises ``ValueError``
-    for neither, both, or a malformed address.
-
-    A port file yields a callable that re-reads it on every connect
-    attempt: a supervised server restart lands on a fresh ephemeral
-    port, and the next reconnect follows it there.  A missing or
-    still-empty file raises (``OSError``/``ValueError``), which the
-    connect backoff treats as retryable.
-    """
-    from repro.service.net import parse_address
-
-    if bool(address) == bool(port_file):
-        raise ValueError(f"exactly one of {flags} is required")
-    if address:
-        return parse_address(address), address
-    path = Path(port_file)
-
-    def resolve() -> tuple[str, int]:
-        return ("127.0.0.1", int(path.read_text(encoding="utf-8").strip()))
-
-    return resolve, f"port-file {port_file}"
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.net import loadgen
+    from repro.service.net import LoadgenOptions, loadgen
 
-    try:
-        address, target = _address(
-            "--connect/--port-file", args.connect, args.port_file
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    options = _config_from_args(args, LoadgenOptions)
     setup, config, _ = _build_service_setup(args)
     _status(
-        f"[loadgen] {setup.n_nodes} nodes -> {target} "
-        f"({args.format} frames, burst={config.chunk}"
-        f"{', resume' if args.resume else ''})"
+        f"[loadgen] {setup.n_nodes} nodes -> {options.target[1]} "
+        f"({options.format} frames, burst={config.chunk}"
+        f"{', resume' if options.resume else ''})"
     )
-    stats = loadgen(
-        setup,
-        address,
-        chunk=config.chunk,
-        fmt=args.format,
-        interval=float(args.interval),
-        max_ticks=args.max_ticks,
-        send_eof=not args.no_eof,
-        resume=args.resume,
-        connect_timeout=float(args.connect_timeout),
-        ack_timeout=float(args.ack_timeout),
-        total_timeout=args.total_timeout,
-    )
+    stats = loadgen(setup, options, chunk=config.chunk)
     rate = stats["bytes"] / stats["seconds"] / 1e6 if stats["seconds"] else 0.0
     resume_note = ""
-    if args.resume:
+    if options.resume:
         resume_note = (
             f"; {stats['acked_ticks']} ticks acked, "
             f"{stats['reconnects']} reconnects, "
@@ -562,18 +453,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _cmd_netchaos(args: argparse.Namespace) -> int:
     import time
 
-    from repro.service.net import parse_address
+    from repro.service.net import address_of, parse_address
     from repro.service.netchaos import ChaosProxy, NetChaosConfig
 
     try:
-        upstream, origin = _address(
-            "--upstream/--upstream-port-file",
-            args.upstream,
-            args.upstream_port_file,
+        upstream, origin = address_of(
+            "--upstream/--upstream-port-file", args.upstream, args.upstream_port_file
         )
         host, port = parse_address(args.listen)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from None
     config = _config_from_args(args, NetChaosConfig())
     proxy = ChaosProxy(
         upstream, config, host=host, port=port, port_file=args.port_file
@@ -604,11 +493,7 @@ def _cmd_netchaos(args: argparse.Namespace) -> int:
 def _cmd_store_record(args: argparse.Namespace) -> int:
     from repro.service.fastreplay import record_fleet
 
-    if args.partition_ticks < 1:
-        # Rejected here, not after the fleet trains.
-        return _usage_error(
-            f"--partition-ticks must be >= 1, got {args.partition_ticks}"
-        )
+    _at_least("--partition-ticks", args.partition_ticks, 1)
     setup, config, _ = _build_service_setup(args)
     store = record_fleet(
         setup,
@@ -634,14 +519,9 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
-    from repro.monitoring.telestore import TeleStore, TeleStoreError
+    from repro.monitoring.telestore import TeleStore
 
-    store = TeleStore(args.root)
-    try:
-        checked = store.verify()
-    except TeleStoreError as exc:
-        _status(f"error: {exc}")
-        return 1
+    checked = TeleStore(args.root).verify()
     _status(f"[store] verified {checked} partition(s): all content hashes ok")
     return 0
 
@@ -649,6 +529,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 def _cmd_store_compact(args: argparse.Namespace) -> int:
     from repro.monitoring.telestore import TeleStore
 
+    _at_least("--target-ticks", args.target_ticks, 1)
     store = TeleStore(args.root)
     merged = store.compact(args.target_ticks)
     _status(
@@ -659,16 +540,13 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_prune(args: argparse.Namespace) -> int:
-    from repro.monitoring.telestore import RetentionError, TeleStore
+    from repro.monitoring.telestore import TeleStore
 
+    _at_least("--keep-last", args.keep_last, 0)
     store = TeleStore(args.root)
-    try:
-        dropped = store.prune(
-            keep_last=int(args.keep_last), checkpoints=args.checkpoint or ()
-        )
-    except RetentionError as exc:
-        _status(f"error: {exc}")
-        return 1
+    dropped = store.prune(
+        keep_last=args.keep_last, checkpoints=args.checkpoint or ()
+    )
     _status(
         f"[store] pruned {dropped} partition(s); "
         f"[{store.t0}, {store.t1}) retained"
@@ -677,14 +555,16 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The service and chaos flags are generated from their config
-    # dataclasses (see ``repro.service.knobs``).
+    # The service, server, client, replay and chaos flags are generated
+    # from their dataclasses (see ``repro.service.knobs``).
     from repro.scenarios.options import add_shared_options
     from repro.service.knobs import add_flags
+    from repro.service.net import LoadgenOptions, SuperviseOptions
     from repro.service.netchaos import NetChaosConfig
+    from repro.service.servecore import ServeOptions
 
     # No prefix matching anywhere: an abbreviated flag would slip past
-    # the supervisor's exact-spelling filter (``_child_argv``).
+    # the supervisor's exact-spelling filter (``child_argv``).
     strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = strict(
         prog="repro",
@@ -720,79 +600,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all.set_defaults(func=_cmd_run_all)
 
-    p_detect = sub.add_parser(
-        "detect",
+    _service_command(
+        sub, "detect", _cmd_detect, DetectOptions,
         help="replay a (cached) fault fleet through the online "
         "detection service",
     )
-    _add_service_options(p_detect)
-    p_detect.add_argument(
-        "--alerts", default=None,
-        help="write the alert event stream as JSON lines here "
-        "(default: stdout); byte-identical across processes",
-    )
-    p_detect.add_argument(
-        "--csv", default=None,
-        help="also write the scored summary row as CSV",
-    )
-    p_detect.add_argument(
-        "--markdown", default=None,
-        help="also write a markdown alert summary table",
-    )
-    p_detect.add_argument(
-        "--checkpoint", default=None,
-        help="checkpoint the full detector state to this .npz while "
-        "replaying; with --resume, restore it and replay only the "
-        "remaining ticks (byte-identical alert stream to an "
-        "uninterrupted run)",
-    )
-    p_detect.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="ticks between checkpoints (default 1; needs --checkpoint)",
-    )
-    p_detect.add_argument(
-        "--resume", action="store_true",
-        help="restore --checkpoint before replaying (typed error on "
-        "lineage/geometry/knob mismatch, never silent drift)",
-    )
-    p_detect.add_argument(
-        "--stop-after", type=int, default=None,
-        help="stop before processing this tick index (simulated crash "
-        "for checkpoint drills)",
-    )
-    p_detect.add_argument(
-        "--from-store", default=None, metavar="DIR",
-        help="replay a recorded telemetry store (see `repro store "
-        "record`) instead of the live feed: partition-sized blocks "
-        "stream into the detector at max speed, alert JSONL "
-        "byte-identical to live ingestion of the same window",
-    )
-    p_detect.add_argument(
-        "--t0", type=int, default=None,
-        help="first store tick to replay (default: store start; scored "
-        "windows need --t0 aligned to the window stride)",
-    )
-    p_detect.add_argument(
-        "--t1", type=int, default=None,
-        help="replay up to this store tick, exclusive (default: store end)",
-    )
-    p_detect.set_defaults(func=_cmd_detect)
-
-    p_serve = sub.add_parser(
-        "serve",
+    p_serve = _service_command(
+        sub, "serve", _cmd_serve, ServeOptions, SuperviseOptions,
         help="serve the fleet live: a TCP ingestion server (+ HTTP ops "
         "API) fed by `repro loadgen` or real agents",
-    )
-    _add_service_options(p_serve)
-    p_serve.add_argument(
-        "--listen", required=True, metavar="HOST:PORT",
-        help="accept repro-ticks/v1 frames (newline-JSON or binary) on "
-        "this TCP address (port 0 = ephemeral; see --port-file)",
-    )
-    p_serve.add_argument(
-        "--ops", default=None, metavar="HOST:PORT",
-        help="also serve the HTTP ops API here (/health /fleet /alerts "
-        "/alerts/<id>/ack|suppress /stats)",
     )
     p_serve.add_argument(
         "--alerts", default=None,
@@ -800,145 +616,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(byte-identical to `repro detect` of the same flags)",
     )
     p_serve.add_argument(
-        "--queue-max", type=int, default=1024,
-        help="per-node ingress queue bound (default 1024 bursts)",
-    )
-    p_serve.add_argument(
-        "--backpressure", choices=("drop-oldest", "coalesce"),
-        default="drop-oldest",
-        help="full-queue policy: drop-oldest evicts the stalest queued "
-        "burst, coalesce replaces the newest (default drop-oldest)",
-    )
-    p_serve.add_argument(
-        "--tick-timeout", type=float, default=5.0,
-        help="seconds the tick barrier waits for a complete fleet "
-        "before processing a partial burst; a hole a resuming "
-        "(ack-subscribed) sender can fill is re-requested instead "
-        "(default 5)",
-    )
-    p_serve.add_argument(
-        "--exit-on-idle", action="store_true",
-        help="stop once every connection has closed and the queues "
-        "drained (CI / load-test mode)",
-    )
-    p_serve.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound ingestion port here once listening "
-        "(how scripts discover a --listen host:0 port; with --ops the "
-        "bound ops port lands in PATH.ops)",
-    )
-    p_serve.add_argument(
-        "--checkpoint", default=None,
-        help="checkpoint detector state to this .npz; the snapshot also "
-        "carries the server's routing state and WAL position, taken "
-        "between ticks every --checkpoint-every ticks; Ctrl-C flushes "
-        "open alerts and writes a final checkpoint before exiting 130",
-    )
-    p_serve.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="ticks between checkpoints (default 1; needs --checkpoint)",
-    )
-    p_serve.add_argument(
-        "--wal", default=None, metavar="DIR",
-        help="write-ahead repro-wal/v1 frame journal directory: every "
-        "accepted frame is journaled before "
-        "processing, and on restart the journal replays from the last "
-        "checkpoint watermark — kill -9 mid-tick, restart, and the "
-        "alert JSONL is byte-identical to an uninterrupted run",
-    )
-    p_serve.add_argument(
-        "--wal-fsync", choices=("always", "tick", "off"), default="tick",
-        help="journal durability: fsync per record (always), per "
-        "processed tick (tick, default), or leave flushing to the OS "
-        "(off — survives process crashes, not machine crashes)",
-    )
-    p_serve.add_argument(
         "--pid-file", default=None, metavar="PATH",
         help="write this process's pid here (rewritten by each "
         "supervised restart; removed on clean exit) so drills and "
         "scripts can target kill signals",
     )
-    p_serve.add_argument(
-        "--supervise", action="store_true",
-        help="run serving in a child process and restart it on crash "
-        "with exponential backoff; with --wal/--checkpoint each respawn "
-        "recovers to the pre-crash state (clean exit and Ctrl-C pass "
-        "through)",
-    )
-    p_serve.add_argument(
-        "--max-restarts", type=int, default=5,
-        help="crash-loop breaker: give up after this many consecutive "
-        "child exits faster than --min-uptime (default 5)",
-    )
-    p_serve.add_argument(
-        "--restart-backoff", type=float, default=0.5,
-        help="base seconds between restarts, doubled per consecutive "
-        "quick crash, capped at 30 (default 0.5)",
-    )
-    p_serve.add_argument(
-        "--min-uptime", type=float, default=5.0,
-        help="seconds a child must stay up to reset the crash-loop "
-        "counter (default 5)",
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
+    _service_command(
+        sub, "loadgen", _cmd_loadgen, LoadgenOptions,
         help="drive a `repro serve --listen` server with the exact "
         "deterministic feed `repro detect` would replay",
     )
-    _add_service_options(p_loadgen)
-    p_loadgen.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="ingestion address of the running server (or use "
-        "--port-file)",
-    )
-    p_loadgen.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="read the server's bound port from this file (the serve "
-        "--port-file path), re-read on every reconnect so a supervised "
-        "restart's fresh ephemeral port is followed automatically",
-    )
-    p_loadgen.add_argument(
-        "--format", choices=("binary", "json"), default="binary",
-        help="frame encoding (default binary; json exercises the "
-        "newline-JSON path)",
-    )
-    p_loadgen.add_argument(
-        "--interval", type=float, default=0.0,
-        help="seconds to pause between ticks (default 0 = full speed)",
-    )
-    p_loadgen.add_argument(
-        "--max-ticks", type=int, default=None,
-        help="stop after this many ticks (default: the full horizon)",
-    )
-    p_loadgen.add_argument(
-        "--no-eof", action="store_true",
-        help="skip the trailing {\"op\": \"eof\"} control frame",
-    )
-    p_loadgen.add_argument(
-        "--resume", action="store_true",
-        help="crash-tolerant mode: subscribe to per-tick acks and, on "
-        "reset/refused/stall, reconnect with backoff and resend from "
-        "the last acked tick (eof only after everything is acked)",
-    )
-    p_loadgen.add_argument(
-        "--connect-timeout", type=float, default=30.0,
-        help="seconds of capped-backoff connection retries before "
-        "giving up (default 30; also covers the port-file race at "
-        "server startup)",
-    )
-    p_loadgen.add_argument(
-        "--ack-timeout", type=float, default=5.0,
-        help="seconds without ack progress before --resume tears the "
-        "connection down and resends (default 5)",
-    )
-    p_loadgen.add_argument(
-        "--total-timeout", type=float, default=None,
-        help="overall wall-clock budget; exceeded = TimeoutError "
-        "(default: none)",
-    )
-    p_loadgen.set_defaults(func=_cmd_loadgen)
 
     p_chaos = sub.add_parser(
         "netchaos",
@@ -976,71 +663,65 @@ def build_parser() -> argparse.ArgumentParser:
         dest="store_command", required=True, parser_class=strict
     )
 
-    p_record = store_sub.add_parser(
-        "record",
+    p_record = _service_command(
+        store_sub, "record", _cmd_store_record,
         help="record a fleet's held-out feed into a new store directory",
     )
     p_record.add_argument("root", help="store directory to create")
-    _add_service_options(p_record)
     p_record.add_argument(
         "--partition-ticks", type=int, default=1024,
         help="ticks per immutable partition file (default 1024)",
     )
-    p_record.set_defaults(func=_cmd_store_record)
-
-    p_stat = store_sub.add_parser(
-        "stat", help="print the store manifest + partition index as JSON"
-    )
-    p_stat.add_argument("root", help="store directory")
-    p_stat.set_defaults(func=_cmd_store_stat)
-
-    p_verify = store_sub.add_parser(
-        "verify",
-        help="recompute every partition's SHA-256 content hash against "
-        "the index (catches bit rot and truncation)",
-    )
-    p_verify.add_argument("root", help="store directory")
-    p_verify.set_defaults(func=_cmd_store_verify)
-
-    p_compact = store_sub.add_parser(
-        "compact",
-        help="merge adjacent small partitions (crash-safe: new files "
-        "first, index flip second, unlink last)",
-    )
-    p_compact.add_argument("root", help="store directory")
-    p_compact.add_argument(
+    store = {}
+    for name, command, help in (
+        ("stat", _cmd_store_stat,
+         "print the store manifest + partition index as JSON"),
+        ("verify", _cmd_store_verify,
+         "recompute every partition's SHA-256 content hash against the "
+         "index (catches bit rot and truncation)"),
+        ("compact", _cmd_store_compact,
+         "merge adjacent small partitions (crash-safe: new files first, "
+         "index flip second, unlink last)"),
+        ("prune", _cmd_store_prune,
+         "drop the oldest partitions; refuses (typed error) to drop data "
+         "a detector checkpoint still references"),
+    ):
+        store[name] = store_sub.add_parser(name, help=help)
+        store[name].add_argument("root", help="store directory")
+        store[name].set_defaults(func=command)
+    store["compact"].add_argument(
         "--target-ticks", type=int, default=None,
         help="merged partition size (default: the store's partition_ticks)",
     )
-    p_compact.set_defaults(func=_cmd_store_compact)
-
-    p_prune = store_sub.add_parser(
-        "prune",
-        help="drop the oldest partitions; refuses (typed error) to drop "
-        "data a detector checkpoint still references",
-    )
-    p_prune.add_argument("root", help="store directory")
-    p_prune.add_argument(
+    store["prune"].add_argument(
         "--keep-last", type=int, required=True,
         help="number of newest partitions to retain",
     )
-    p_prune.add_argument(
+    store["prune"].add_argument(
         "--checkpoint", action="append", default=None,
         help="detector checkpoint .npz whose resume point must stay "
         "replayable (repeatable; <root>/checkpoints/*.npz are always "
         "respected)",
     )
-    p_prune.set_defaults(func=_cmd_store_prune)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.monitoring.telestore import TeleStoreError
+
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(raw)
     # The supervisor respawns this exact invocation minus its own flags.
     args.argv = raw
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        _status(f"error: {exc}")
+        return 2
+    except TeleStoreError as exc:  # not a store, a failed check, a refused prune
+        _status(f"error: {exc}")
+        return 1
 
 
 def console_main() -> None:  # pragma: no cover - setuptools entry point

@@ -708,14 +708,17 @@ def _checkpoint_next_lo(path: str | Path) -> int:
     """
     path = Path(path)
     try:
-        arrays = load_npz_arrays(path)
+        # Only the manifest member is read: the state arrays of a
+        # serving checkpoint run to tens of MB.
+        with open(path, "rb") as fh, np.load(fh) as data:
+            raw = data["manifest"] if "manifest" in data.files else None
     except Exception as exc:
         raise TeleStoreError(
             f"{path}: unreadable checkpoint ({exc})"
         ) from exc
-    if "manifest" not in arrays:
+    if raw is None:
         raise TeleStoreError(f"{path}: no checkpoint manifest")
-    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    manifest = json.loads(bytes(raw).decode("utf-8"))
     if manifest.get("format") != "repro-detector-checkpoint/v2":
         raise TeleStoreError(
             f"{path}: unsupported checkpoint format "

@@ -664,39 +664,35 @@ def _store_driver(config, setup, ev, notes):
     yield outcome.row("store"), sink.text()
 
 
-def _serve_once(config, setup, sink, *, netchaos=None, server_kwargs=None,
-                **loadgen_kwargs):
-    """Serve the fleet once on a loopback server fed by ``loadgen``,
-    through a :class:`~repro.service.netchaos.ChaosProxy` when
-    ``netchaos`` is given.  Returns the server stats, the loadgen stats
-    and the proxy stats (``None`` without a proxy)."""
+def _serve_once(config, setup, sink, *, server, netchaos=None, **client):
+    """Serve the fleet once on a loopback server with ``server`` options,
+    fed by ``loadgen`` with ``client`` options, through a
+    :class:`~repro.service.netchaos.ChaosProxy` when ``netchaos`` is
+    given.  Returns the server stats, the loadgen stats and the proxy
+    stats (``None`` without a proxy)."""
     from repro.service.api import build_detector
-    from repro.service.net import FleetServer, loadgen
+    from repro.service.net import FleetServer, LoadgenOptions, loadgen
     from repro.service.netchaos import ChaosProxy
 
-    server = FleetServer(
-        build_detector(config, setup),
-        sinks=(sink,),
-        exit_on_idle=True,
-        **(server_kwargs or {}),
-    )
-    thread = server.start_background()
-    if not server.ready.wait(30):
+    fleet = FleetServer(build_detector(config, setup), server, sinks=(sink,))
+    thread = fleet.start_background()
+    if not fleet.ready.wait(30):
         raise RuntimeError("ingestion server failed to start")
-    address = ("127.0.0.1", server.port)
+    port = fleet.port
     proxy = None
     if netchaos is not None:
-        proxy = ChaosProxy(address, netchaos)
+        proxy = ChaosProxy(("127.0.0.1", port), netchaos)
         proxy.start()
-        address = ("127.0.0.1", proxy.port)
+        port = proxy.port
     try:
-        gen = loadgen(setup, address, chunk=config.chunk, **loadgen_kwargs)
+        options = LoadgenOptions(connect=f"127.0.0.1:{port}", **client)
+        gen = loadgen(setup, options, chunk=config.chunk)
     finally:
         proxy_stats = proxy.stop() if proxy is not None else None
     thread.join(120)
     if thread.is_alive():
         raise RuntimeError("ingestion server failed to drain")
-    return server.stats.snapshot(), gen, proxy_stats
+    return fleet.stats.snapshot(), gen, proxy_stats
 
 
 def _served_row(run: str, setup, stats: dict) -> tuple:
@@ -710,10 +706,14 @@ def _served_row(run: str, setup, stats: dict) -> tuple:
 def _net_driver(config, setup, ev, notes):
     """The fleet served over loopback TCP, once per frame encoding."""
     from repro.service.net import ListAlertSink
+    from repro.service.servecore import ServeOptions
 
     for fmt in ev.get("formats", ("binary", "json")):
         sink = ListAlertSink()
-        stats, _, _ = _serve_once(config, setup, sink, fmt=fmt)
+        stats, _, _ = _serve_once(
+            config, setup, sink, server=ServeOptions(exit_on_idle=True),
+            format=fmt,
+        )
         run = f"net {fmt}"
         notes.append(
             f"{run}: {stats['ticks']} ticks, {stats['samples_per_s']} "
@@ -730,6 +730,7 @@ def _netchaos_driver(config, setup, ev, notes):
     a drill the schedule never touched proves nothing."""
     from repro.service.net import ListAlertSink
     from repro.service.netchaos import NetChaosConfig
+    from repro.service.servecore import ServeOptions
 
     # Rate calibration: frames here are a couple hundred KB, and a
     # corrupted or truncated frame costs a full ack-timeout stall plus a
@@ -758,10 +759,13 @@ def _netchaos_driver(config, setup, ev, notes):
             netchaos=netchaos,
             # Partial ticks are timing, not data; a generous barrier
             # keeps the replayed tick boundaries exact under stalls.
-            server_kwargs={"tick_timeout": float(ev.get("tick_timeout", 60.0))},
+            server=ServeOptions(
+                exit_on_idle=True,
+                tick_timeout=float(ev.get("tick_timeout", 60.0)),
+            ),
             # The CRC-checked encoding: corruption must be *detected*,
             # never silently mis-parsed.
-            fmt="binary",
+            format="binary",
             resume=True,
             ack_timeout=float(ev.get("ack_timeout", 2.0)),
             total_timeout=float(ev.get("total_timeout", 240.0)),

@@ -102,7 +102,7 @@ from repro.service.replay import (
     prepare_fleet,
 )
 
-from repro.service.net import FleetServer, loadgen, parse_address
+from repro.service.net import FleetServer, LoadgenOptions, loadgen, parse_address
 from repro.service.netchaos import ChaosProxy, NetChaosConfig
 from repro.service.ops import AlertLog
 from repro.service.protocol import (
@@ -117,6 +117,7 @@ from repro.service.protocol import (
 from repro.service.servecore import (
     BackpressureConfig,
     ServeCore,
+    ServeOptions,
     ServerCheckpoint,
     ServerStats,
 )
@@ -143,12 +144,14 @@ __all__ = [
     "GuardConfig",
     "GuardedDetector",
     "JSONLAlertSink",
+    "LoadgenOptions",
     "MarkdownAlertSink",
     "ModelStoreError",
     "NetChaosConfig",
     "PROTOCOL",
     "ReplayOutcome",
     "ServeCore",
+    "ServeOptions",
     "ServerCheckpoint",
     "ServerStats",
     "ServiceConfig",

@@ -46,7 +46,7 @@ from repro.service.replay import (
     prepare_fleet,
     score_events,
 )
-from repro.service.servecore import ServeCore, ServerCheckpoint
+from repro.service.servecore import ServeCore, ServeOptions, ServerCheckpoint
 
 __all__ = [
     "ServiceConfig",
@@ -540,49 +540,31 @@ def replay(
 def serve(
     config: ServiceConfig,
     setup: FleetReplaySetup | None = None,
+    options: ServeOptions | None = None,
     *,
-    listen: str = "127.0.0.1:0",
-    ops: str | None = None,
-    wal_dir: str | Path | None = None,
-    wal_fsync: str = "tick",
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
-    **server_kwargs,
+    sinks: Sequence[AlertSink] = (),
 ):
     """Run the network-facing ingestion server for a config (blocking).
 
-    Builds the guarded detector via :func:`build_detector` and hands it
-    to :class:`repro.service.net.FleetServer`; returns the final stats
-    payload.  ``server_kwargs`` pass through (``sinks``,
-    ``backpressure``, ``exit_on_idle``, ``port_file``, ...).
-
-    ``wal_dir``/``checkpoint_path`` switch on crash durability: frames
-    are journaled (``repro-wal/v1``, fsync policy ``wal_fsync``) and
-    detector + routing state snapshotted every ``checkpoint_every``
-    ticks, pinned to this setup's lineage fingerprint — a restart with
-    the same flags restores and replays to the exact crash state.
+    Serves :func:`build_detector`'s detector on a
+    :class:`repro.service.net.FleetServer` with ``options`` and returns
+    the final stats payload.  ``options.wal``/``options.checkpoint``
+    switch on crash durability; the checkpoint is pinned to this
+    setup's lineage fingerprint, so a restart with the same flags
+    restores and replays to the exact crash state.
     """
-    from repro.service.net import FleetServer, parse_address
+    from repro.service.net import FleetServer
 
+    options = options or ServeOptions()
     if setup is None:
         setup = build_setup(config)
-    host, port = parse_address(listen)
-    ops_addr = parse_address(ops) if ops else None
     checkpoint = None
-    if checkpoint_path is not None:
+    if options.checkpoint is not None:
         checkpoint = _server_checkpoint(
-            config, setup, checkpoint_path, int(checkpoint_every)
+            config, setup, options.checkpoint, options.checkpoint_every
         )
     server = FleetServer(
-        build_detector(config, setup),
-        host=host,
-        port=port,
-        ops_host=ops_addr[0] if ops_addr else None,
-        ops_port=ops_addr[1] if ops_addr else None,
-        wal=wal_dir,
-        wal_fsync=wal_fsync,
-        checkpoint=checkpoint,
-        **server_kwargs,
+        build_detector(config, setup), options, sinks=sinks, checkpoint=checkpoint
     )
     server.run()
     return server.stats.snapshot()

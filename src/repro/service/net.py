@@ -20,29 +20,70 @@ loop clock is the core's only clock.  Ticks compute on the loop
 (single CPU): arriving data waits in kernel socket buffers meanwhile,
 which is the backpressure TCP gives for free.  The ops HTTP surface
 (:mod:`repro.service.ops`) runs on a second listener of the same loop.
+
+Around the server: :func:`supervise`, the crash-restart loop of
+``repro serve --supervise`` (:class:`SuperviseOptions`), and
+:func:`loadgen`, the deterministic client of ``repro loadgen``
+(:class:`LoadgenOptions`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.service.knobs import at_least, knob, takes_value
 from repro.service.protocol import FrameDecoder
-from repro.service.servecore import ListAlertSink, ServeCore
+from repro.service.servecore import (
+    ListAlertSink,
+    ServeCore,
+    ServeOptions,
+    parse_address,
+)
 
-__all__ = ["FleetServer", "ListAlertSink", "loadgen", "parse_address"]
+__all__ = [
+    "FleetServer",
+    "ListAlertSink",
+    "LoadgenOptions",
+    "SuperviseOptions",
+    "address_of",
+    "loadgen",
+    "parse_address",
+    "supervise",
+]
+
+#: Unacked ticks a resuming ``loadgen`` keeps in flight.
+MAX_WINDOW = 64
+
+FRAME_FORMATS = ("binary", "json")
 
 
-def parse_address(address: str) -> tuple[str, int]:
-    """``"host:port"`` → ``(host, port)`` (port 0 = ephemeral)."""
-    host, sep, port = address.rpartition(":")
-    if sep and host and port.isascii() and port.isdigit():
-        if int(port) <= 65535:
-            return host, int(port)
-    raise ValueError(f"address must be host:port, got {address!r}")
+def address_of(flags: str, address: str | None, port_file: str | None):
+    """The ``(address, label)`` that exactly one of ``flags`` (``--X``
+    HOST:PORT / ``--X-port-file`` PATH) names.  Raises ``ValueError``
+    for neither, both, or a malformed address.
+
+    A port file yields a callable that re-reads it on every connect
+    attempt: a supervised server restart lands on a fresh ephemeral
+    port, and the next reconnect follows it there.  A missing or
+    still-empty file raises (``OSError``/``ValueError``), which the
+    connect backoff treats as retryable.
+    """
+    if bool(address) == bool(port_file):
+        raise ValueError(f"exactly one of {flags} is required")
+    if address:
+        return parse_address(address), address
+    path = Path(port_file)
+
+    def resolve() -> tuple[str, int]:
+        return ("127.0.0.1", int(path.read_text(encoding="utf-8").strip()))
+
+    return resolve, f"port-file {port_file}"
 
 
 class FleetServer:
@@ -52,51 +93,48 @@ class FleetServer:
     ----------
     detector:
         The detector to serve (wrapped in a guard if bare).
-    host, port:
-        Ingestion listener (port 0 binds an ephemeral port; the bound
-        port lands in :attr:`port` and optionally ``port_file``).
-    ops_host, ops_port:
-        Optional HTTP ops listener (``None`` host disables; port 0 ok).
+    options:
+        :class:`~repro.service.servecore.ServeOptions`: the ingestion
+        and optional ops listeners (port 0 binds an ephemeral port; the
+        bound ports land in :attr:`port`/:attr:`ops_bound_port`, and in
+        ``port_file`` and ``<port_file>.ops``, deleted again on shutdown
+        so supervisors can never connect to a stale port), and the
+        core's queue, barrier, idle and journal settings.
     sinks:
         :class:`~repro.service.alerts.AlertSink` consumers of the live
         event stream (the ops alert log is always added).
-    port_file:
-        Write the bound ingestion port here once listening (how
-        scripted callers discover an ephemeral port).  When the ops
-        listener is enabled, its bound port lands in a companion
-        ``<port_file>.ops`` file.  Both are deleted again on shutdown
-        so supervisors can never connect to a stale port.
-    core:
-        The remaining keywords (``backpressure``, ``tick_timeout``,
-        ``exit_on_idle``, ``idle_grace``, ``wal``, ``wal_fsync``,
-        ``checkpoint``) configure the :class:`ServeCore`.
+    checkpoint:
+        The core's :class:`~repro.service.servecore.ServerCheckpoint`
+        (:func:`repro.service.api.serve` builds it from
+        ``options.checkpoint``).
     """
 
     def __init__(
         self,
         detector,
+        options: ServeOptions | None = None,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        ops_host: str | None = None,
-        ops_port: int | None = None,
         sinks: tuple = (),
-        port_file: str | Path | None = None,
-        **core,
+        checkpoint=None,
     ):
         from repro.service.ops import AlertLog
 
+        options = options or ServeOptions()
         self.alert_log = AlertLog()
         self.core = ServeCore(
-            detector, sinks=tuple(sinks) + (self.alert_log,), **core
+            detector,
+            sinks=tuple(sinks) + (self.alert_log,),
+            backpressure=options.queue_policy,
+            tick_timeout=options.tick_timeout,
+            exit_on_idle=options.exit_on_idle,
+            wal=options.wal,
+            wal_fsync=options.wal_fsync,
+            checkpoint=checkpoint,
         )
         self.guarded = self.core.guarded
         self.stats = self.core.stats
-        self.host = host
-        self.requested_port = int(port)
-        self.ops_host = ops_host
-        self.requested_ops_port = int(ops_port) if ops_port is not None else 0
-        self.port_file = Path(port_file) if port_file else None
+        self.options = options
+        self.port_file = Path(options.port_file) if options.port_file else None
         self._wake: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         #: Bound ports, valid once :attr:`ready` is set.
@@ -131,14 +169,14 @@ class FleetServer:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         server = await self._loop.create_server(
-            lambda: _AgentConnection(self), self.host, self.requested_port
+            lambda: _AgentConnection(self), *parse_address(self.options.listen)
         )
         self.port = server.sockets[0].getsockname()[1]
         ops_server = None
-        if self.ops_host is not None:
+        if self.options.ops:
             ops = OpsProtocolServer(self)
             ops_server = await asyncio.start_server(
-                ops.handle, self.ops_host, self.requested_ops_port
+                ops.handle, *parse_address(self.options.ops)
             )
             self.ops_bound_port = ops_server.sockets[0].getsockname()[1]
         if self.port_file is not None:
@@ -250,6 +288,118 @@ class _AgentConnection(asyncio.BufferedProtocol):
         self.server._wake.set()
 
 
+@dataclass(frozen=True)
+class SuperviseOptions:
+    """The ``repro serve --supervise`` crash-restart loop, validated
+    once; each field is a ``repro serve`` flag the supervisor keeps to
+    itself (:func:`child_argv`)."""
+
+    supervise: bool = knob(
+        False,
+        "run serving in a child process and restart it on crash with "
+        "exponential backoff; with --wal/--checkpoint each respawn recovers "
+        "to the pre-crash state (clean exit and Ctrl-C pass through)",
+    )
+    max_restarts: int = knob(
+        5,
+        "crash-loop breaker: give up after this many consecutive child "
+        "exits faster than --min-uptime",
+    )
+    restart_backoff: float = knob(
+        0.5,
+        "base seconds between restarts, doubled per consecutive quick "
+        "crash, capped at 30",
+    )
+    min_uptime: float = knob(
+        5.0, "seconds a child must stay up to reset the crash-loop counter"
+    )
+
+    def __post_init__(self):
+        at_least(0, self, "max_restarts", "restart_backoff", "min_uptime")
+
+
+def child_argv(argv: list[str]) -> list[str]:
+    """``argv`` minus the supervisor's own flags (both ``--flag value``
+    and ``--flag=value`` spellings)."""
+    flags = takes_value(SuperviseOptions)
+    out: list[str] = []
+    skip = False
+    for token in argv:
+        if skip:
+            skip = False
+            continue
+        flag = token.split("=", 1)[0]
+        if flag in flags:
+            skip = flags[flag] and "=" not in token
+            continue
+        out.append(token)
+    return out
+
+
+def supervise(options: SuperviseOptions, argv: list[str]) -> int:
+    """Crash-restart loop around a child ``repro <argv>`` process.
+
+    The child is this exact invocation minus the supervisor flags, so
+    a respawn re-binds the same listeners, re-reads the same WAL and
+    checkpoint, and recovers to the pre-crash state.  Clean exits and
+    Ctrl-C pass through (0 / 130); flag errors (2) are fatal —
+    restarting cannot fix them.  Anything else (including ``kill -9``)
+    is a crash: respawn with exponential backoff, and trip the
+    crash-loop breaker after ``max_restarts`` consecutive exits
+    faster than ``min_uptime``.
+    """
+    import signal
+    import subprocess
+
+    def status(message: str) -> None:
+        print(f"[supervise] {message}", file=sys.stderr)
+
+    cmd = [sys.executable, "-m", "repro", *child_argv(argv)]
+    quick_crashes = 0
+    restarts = 0
+    while True:
+        started = time.monotonic()
+        proc = subprocess.Popen(cmd)
+        status(f"child pid {proc.pid} (restarts: {restarts})")
+        try:
+            rc = proc.wait()
+        except KeyboardInterrupt:
+            # Pass the interrupt down and give the child its graceful
+            # drain (finish the tick, flush alerts, final checkpoint).
+            try:
+                proc.send_signal(signal.SIGINT)
+                proc.wait(timeout=30)
+            except (subprocess.TimeoutExpired, OSError):
+                proc.kill()
+                proc.wait()
+            return 130
+        uptime = time.monotonic() - started
+        if rc == 0:
+            return 0
+        if rc in (130, -signal.SIGINT):
+            return 130
+        if rc == 2:
+            status("child rejected its flags; not restarting")
+            return 2
+        if uptime >= options.min_uptime:
+            quick_crashes = 0
+        else:
+            quick_crashes += 1
+            if quick_crashes > options.max_restarts:
+                status(
+                    f"crash loop: {quick_crashes} consecutive exits under "
+                    f"{options.min_uptime:.0f}s; giving up"
+                )
+                return 1
+        delay = min(options.restart_backoff * (2.0 ** quick_crashes), 30.0)
+        restarts += 1
+        status(
+            f"child exited rc={rc} after {uptime:.1f}s; "
+            f"restarting in {delay:.2f}s"
+        )
+        time.sleep(delay)
+
+
 class _AckStall(ConnectionError):
     """The server stopped acking: reconnect and resend from the tail."""
 
@@ -289,32 +439,81 @@ def _connect_with_backoff(address, *, timeout: float):
             delay = min(delay * 2, 1.0)
 
 
-def loadgen(
-    setup,
-    address,
-    *,
-    chunk: int,
-    fmt: str = "binary",
-    interval: float = 0.0,
-    max_ticks: int | None = None,
-    send_eof: bool = True,
-    resume: bool = False,
-    connect_timeout: float = 30.0,
-    ack_timeout: float = 5.0,
-    max_window: int = 64,
-    total_timeout: float | None = None,
-) -> dict:
+@dataclass(frozen=True)
+class LoadgenOptions:
+    """Where and how ``loadgen`` drives a server, validated once; each
+    field is a ``repro loadgen`` flag (:mod:`repro.service.knobs`)."""
+
+    connect: str | None = knob(
+        None,
+        "ingestion address of the running server (or use --port-file)",
+        metavar="HOST:PORT",
+    )
+    port_file: str | None = knob(
+        None,
+        "read the server's bound port from this file (the serve "
+        "--port-file path), re-read on every reconnect so a supervised "
+        "restart's fresh ephemeral port is followed automatically",
+        metavar="PATH",
+    )
+    format: str = knob(
+        "binary",
+        "frame encoding (json exercises the newline-JSON path)",
+        choices=FRAME_FORMATS,
+    )
+    interval: float = knob(0.0, "seconds to pause between ticks (0 = full speed)")
+    max_ticks: int | None = knob(
+        None, "stop after this many ticks (default: the full horizon)"
+    )
+    eof: bool = knob(True, 'trailing {"op": "eof"} control frame')
+    resume: bool = knob(
+        False,
+        "crash-tolerant mode: subscribe to per-tick acks and, on "
+        "reset/refused/stall, reconnect with backoff and resend from the "
+        "last acked tick (eof only after everything is acked)",
+    )
+    connect_timeout: float = knob(
+        30.0,
+        "seconds of capped-backoff connection retries before giving up "
+        "(also covers the port-file race at server startup)",
+    )
+    ack_timeout: float = knob(
+        5.0,
+        "seconds without ack progress before --resume tears the "
+        "connection down and resends",
+    )
+    total_timeout: float | None = knob(
+        None,
+        "overall wall-clock budget; exceeded = TimeoutError (default: none)",
+    )
+
+    def __post_init__(self):
+        self.target  # exactly one well-formed --connect/--port-file
+        if self.format not in FRAME_FORMATS:
+            raise ValueError(f"--format must be one of {FRAME_FORMATS}")
+        at_least(
+            0, self, "interval", "max_ticks", "connect_timeout", "ack_timeout",
+            "total_timeout",
+        )
+
+    @property
+    def target(self):
+        """``(address, label)`` of the server (see :func:`address_of`)."""
+        return address_of("--connect/--port-file", self.connect, self.port_file)
+
+
+def loadgen(setup, options: LoadgenOptions, *, chunk: int) -> dict:
     """Drive a server with the exact feed ``replay()`` would process.
 
-    Connects a blocking socket to ``address`` (``(host, port)`` or a
-    callable returning one) and streams one frame per (node, tick)
-    over the held-out period of ``setup`` — tick *t* carries samples
-    ``[t*chunk, (t+1)*chunk)``, nodes in sorted order, so a clean run
-    reproduces the in-process replay's burst grouping (and therefore
-    its alert bytes) exactly.  Connection-refused errors retry with
-    capped exponential backoff (``connect_timeout`` budget).
+    Connects a blocking socket to ``options.target`` and streams one
+    frame per (node, tick) over the held-out period of ``setup`` — tick
+    *t* carries samples ``[t*chunk, (t+1)*chunk)``, nodes in sorted
+    order, so a clean run reproduces the in-process replay's burst
+    grouping (and therefore its alert bytes) exactly.  Connection-refused
+    errors retry with capped exponential backoff (``connect_timeout``
+    budget).
 
-    With ``resume=True`` the client subscribes to per-tick acks and
+    With ``options.resume`` the client subscribes to per-tick acks and
     survives transport faults: on a reset, a refused reconnect or an
     ack stall (``ack_timeout`` seconds without progress — the shape a
     corrupted-and-dropped frame leaves behind) it reconnects with
@@ -322,8 +521,8 @@ def loadgen(
     The first ack on each connection is the server's watermark, so
     ticks it already processed are skipped; a later repeat of the last
     ack reports a hole and rewinds the same connection to the tick
-    after it.  At most ``max_window`` unacked ticks are in flight, and
-    the eof control frame is only sent once every tick is acked — which
+    after it.  At most :data:`MAX_WINDOW` unacked ticks are in flight,
+    and the eof control frame is only sent once every tick is acked — which
     is what lets a server behind a chaos proxy (or SIGKILLed and
     supervised back up) still converge to the clean byte-identical
     alert stream.
@@ -345,12 +544,12 @@ def loadgen(
         encode_json,
     )
 
-    if fmt not in ("binary", "json"):
-        raise ValueError(f"fmt must be 'binary' or 'json', got {fmt!r}")
+    address = options.target[0]
+    binary = options.format == "binary"
     horizon = max(m.shape[1] for m in setup.eval_data.values())
     n_ticks = (horizon + chunk - 1) // chunk
-    if max_ticks is not None:
-        n_ticks = min(n_ticks, int(max_ticks))
+    if options.max_ticks is not None:
+        n_ticks = min(n_ticks, options.max_ticks)
     paths = sorted(setup.eval_data)
     stats = {
         "ticks": n_ticks,
@@ -374,7 +573,7 @@ def loadgen(
             m = setup.eval_data[path]
             if lo >= m.shape[1]:
                 continue
-            if fmt == "binary":
+            if binary:
                 key = (id(m), ti)
                 cached = payload_cache.get(key)
                 if cached is None:
@@ -389,6 +588,7 @@ def loadgen(
         return bytes(out), n_frames
 
     start = time.perf_counter()
+    total_timeout = options.total_timeout
     overall_deadline = (
         time.monotonic() + total_timeout if total_timeout else None
     )
@@ -400,17 +600,17 @@ def loadgen(
                 f"(acked {last_acked + 1}/{n_ticks} ticks)"
             )
 
-    if not resume:
-        sock = _connect_with_backoff(address, timeout=connect_timeout)
+    if not options.resume:
+        sock = _connect_with_backoff(address, timeout=options.connect_timeout)
         try:
             for ti in range(n_ticks):
                 out, n_frames = tick_bytes(ti)
                 sock.sendall(out)
                 stats["frames"] += n_frames
                 stats["bytes"] += len(out)
-                if interval > 0.0:
-                    time.sleep(interval)
-            if send_eof:
+                if options.interval > 0.0:
+                    time.sleep(options.interval)
+            if options.eof:
                 sock.sendall(encode_eof())
         finally:
             sock.close()
@@ -436,7 +636,7 @@ def loadgen(
         nonlocal sock, decoder, synced
         if sock is not None:
             return
-        sock = _connect_with_backoff(address, timeout=connect_timeout)
+        sock = _connect_with_backoff(address, timeout=options.connect_timeout)
         decoder = FrameDecoder()
         synced = False
         sock.sendall(encode_acks_subscribe())
@@ -477,10 +677,10 @@ def loadgen(
             if last_acked > floor:
                 floor = last_acked
                 stall_t0 = time.monotonic()
-            elif time.monotonic() - stall_t0 > ack_timeout:
+            elif time.monotonic() - stall_t0 > options.ack_timeout:
                 raise _AckStall(
                     f"no ack progress past tick {last_acked} "
-                    f"for {ack_timeout:.1f}s"
+                    f"for {options.ack_timeout:.1f}s"
                 )
 
     retryable = (
@@ -503,16 +703,16 @@ def loadgen(
                 if ti >= n_ticks:
                     break
                 check_overall()
-                if ti - last_acked > max_window:
-                    await_progress(ti - max_window)
+                if ti - last_acked > MAX_WINDOW:
+                    await_progress(ti - MAX_WINDOW)
                 out, n_frames = tick_bytes(ti)
                 sock.sendall(out)
                 stats["frames"] += n_frames
                 stats["bytes"] += len(out)
                 ti += 1
                 drain_acks(0.0)
-                if interval > 0.0:
-                    time.sleep(interval)
+                if options.interval > 0.0:
+                    time.sleep(options.interval)
             await_progress(n_ticks - 1)
         except retryable as exc:
             if isinstance(exc, _Rewind):
@@ -523,7 +723,7 @@ def loadgen(
             resend_from = last_acked + 1
             stats["resent_frames"] += max(ti - resend_from, 0) * len(paths)
             ti = resend_from
-    if send_eof:
+    if options.eof:
         # Every tick is acked (processed and, per the server's fsync
         # policy, journaled): eof is now safe — nothing left to resend.
         try:

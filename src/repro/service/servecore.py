@@ -50,8 +50,10 @@ from repro.service.checkpoint import (
     restore_checkpoint,
 )
 from repro.service.guard import GuardedDetector
+from repro.service.knobs import at_least, knob
 from repro.service.protocol import Frame, FrameDecoder, FrameError, encode_ack
 from repro.service.wal import (
+    FSYNC_POLICIES,
     REC_ERROR,
     REC_FRAME,
     REC_WATERMARK,
@@ -66,9 +68,11 @@ __all__ = [
     "ListAlertSink",
     "NodeQueue",
     "ServeCore",
+    "ServeOptions",
     "ServerCheckpoint",
     "ServerStats",
     "flush_open_alerts",
+    "parse_address",
 ]
 
 BACKPRESSURE_POLICIES = ("drop-oldest", "coalesce")
@@ -82,12 +86,105 @@ WAL_LAG_DEGRADED = 4096
 TIMEOUT_STREAK_DEGRADED = 3
 
 
+def parse_address(address: str) -> tuple[str, int]:
+    """``"host:port"`` → ``(host, port)`` (port 0 = ephemeral)."""
+    host, sep, port = address.rpartition(":")
+    if sep and host and port.isascii() and port.isdigit():
+        if int(port) <= 65535:
+            return host, int(port)
+    raise ValueError(f"address must be host:port, got {address!r}")
+
+
+@dataclass(frozen=True)
+class ServeOptions:
+    """How one ingestion server listens, queues, journals and
+    checkpoints, validated once; each field is a ``repro serve`` flag
+    (:mod:`repro.service.knobs`) and its default the only copy."""
+
+    listen: str = knob(
+        "127.0.0.1:0",
+        "accept repro-ticks/v1 frames (newline-JSON or binary) on this TCP "
+        "address (port 0 = ephemeral; see --port-file)",
+        required=True,
+        metavar="HOST:PORT",
+    )
+    ops: str | None = knob(
+        None,
+        "also serve the HTTP ops API here (/health /fleet /alerts "
+        "/alerts/<id>/ack|suppress /stats)",
+        metavar="HOST:PORT",
+    )
+    port_file: str | None = knob(
+        None,
+        "write the bound ingestion port here once listening (how scripts "
+        "discover a --listen host:0 port; with --ops the bound ops port "
+        "lands in PATH.ops)",
+        metavar="PATH",
+    )
+    queue_max: int = knob(1024, "per-node ingress queue bound, in bursts")
+    backpressure: str = knob(
+        "drop-oldest",
+        "full-queue policy: drop-oldest evicts the stalest queued burst, "
+        "coalesce replaces the newest",
+        choices=BACKPRESSURE_POLICIES,
+    )
+    tick_timeout: float = knob(
+        5.0,
+        "seconds the tick barrier waits for a complete fleet before "
+        "processing a partial burst; a hole a resuming (ack-subscribed) "
+        "sender can fill is re-requested instead",
+    )
+    exit_on_idle: bool = knob(
+        False,
+        "stop once every connection has closed and the queues drained "
+        "(CI / load-test mode)",
+    )
+    wal: str | None = knob(
+        None,
+        "write-ahead repro-wal/v1 frame journal directory: every accepted "
+        "frame is journaled before processing, and on restart the journal "
+        "replays from the last checkpoint watermark — kill -9 mid-tick, "
+        "restart, and the alert JSONL is byte-identical to an "
+        "uninterrupted run",
+        metavar="DIR",
+    )
+    wal_fsync: str = knob(
+        "tick",
+        "journal durability: fsync per record (always), per processed "
+        "tick (tick), or leave flushing to the OS (off — survives process "
+        "crashes, not machine crashes)",
+        choices=FSYNC_POLICIES,
+    )
+    checkpoint: str | None = knob(
+        None,
+        "checkpoint detector state to this .npz; the snapshot also carries "
+        "the server's routing state and WAL position, taken between ticks "
+        "every --checkpoint-every ticks; Ctrl-C flushes open alerts and "
+        "writes a final checkpoint before exiting 130",
+    )
+    checkpoint_every: int = knob(1, "ticks between checkpoints (needs --checkpoint)")
+
+    def __post_init__(self):
+        parse_address(self.listen)
+        if self.ops:
+            parse_address(self.ops)
+        at_least(0, self, "tick_timeout")
+        at_least(1, self, "checkpoint_every")
+        if self.wal_fsync not in FSYNC_POLICIES:
+            raise ValueError(f"--wal-fsync must be one of {FSYNC_POLICIES}")
+        self.queue_policy  # validates --queue-max and --backpressure
+
+    @property
+    def queue_policy(self) -> "BackpressureConfig":
+        return BackpressureConfig(self.queue_max, self.backpressure)
+
+
 @dataclass(frozen=True)
 class BackpressureConfig:
     """Bounded-queue policy applied to every node's ingress queue."""
 
-    queue_max: int = 1024
-    policy: str = "drop-oldest"
+    queue_max: int = ServeOptions.queue_max
+    policy: str = ServeOptions.backpressure
 
     def __post_init__(self):
         if self.queue_max < 1:
@@ -385,11 +482,11 @@ class ServeCore:
         *,
         sinks: tuple = (),
         backpressure: BackpressureConfig | None = None,
-        tick_timeout: float = 5.0,
+        tick_timeout: float = ServeOptions.tick_timeout,
         exit_on_idle: bool = False,
         idle_grace: float = 1.0,
         wal: WalWriter | str | Path | None = None,
-        wal_fsync: str = "tick",
+        wal_fsync: str = ServeOptions.wal_fsync,
         checkpoint: ServerCheckpoint | None = None,
     ):
         if not isinstance(detector, GuardedDetector):

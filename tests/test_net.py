@@ -22,14 +22,20 @@ from repro.service.api import (
     build_setup,
     replay,
 )
-from repro.service.net import FleetServer, ListAlertSink, loadgen, parse_address
+from repro.service.net import (
+    FleetServer,
+    ListAlertSink,
+    LoadgenOptions,
+    loadgen,
+    parse_address,
+)
 from repro.service.protocol import (
     Frame,
     encode_binary,
     encode_eof,
     encode_json,
 )
-from repro.service.servecore import BackpressureConfig, NodeQueue
+from repro.service.servecore import BackpressureConfig, NodeQueue, ServeOptions
 
 CFG = ServiceConfig.smoke()
 
@@ -52,9 +58,11 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("must not be reached")
 
 
-def _serve(setup, *, config=CFG, **kwargs):
+def _serve(setup, *, config=CFG, sinks=(), **options):
     server = FleetServer(
-        build_detector(config, setup), exit_on_idle=True, **kwargs
+        build_detector(config, setup),
+        ServeOptions(exit_on_idle=True, **options),
+        sinks=sinks,
     )
     thread = server.start_background()
     assert server.ready.wait(10)
@@ -145,7 +153,11 @@ class TestLoopbackIdentity:
         _, ref_text = reference
         sink = ListAlertSink()
         server, thread = _serve(setup, sinks=(sink,))
-        loadgen(setup, ("127.0.0.1", server.port), chunk=CFG.chunk, fmt=fmt)
+        loadgen(
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}", format=fmt),
+            chunk=CFG.chunk,
+        )
         thread.join(60)
         assert not thread.is_alive()
         assert sink.text() == ref_text
@@ -195,7 +207,7 @@ class TestLoopbackIdentity:
         via <port_file>.ops — the only channel a scripted caller has."""
         port_file = tmp_path / "port"
         server, thread = _serve(
-            setup, port_file=port_file, ops_host="127.0.0.1", ops_port=0
+            setup, port_file=port_file, ops="127.0.0.1:0"
         )
         ops_file = tmp_path / "port.ops"
         assert int(ops_file.read_text()) == server.ops_bound_port
@@ -280,9 +292,8 @@ class TestGuardRouting:
             # The garbage connection closed; feed a real run afterwards.
             loadgen(
                 setup,
-                ("127.0.0.1", server.port),
+                LoadgenOptions(connect=f"127.0.0.1:{server.port}"),
                 chunk=CFG.chunk,
-                fmt="binary",
             )
         finally:
             keep.close()
@@ -412,6 +423,7 @@ class TestServeListenFlagConflicts:
             ["--listen", "localhost"],
             ["--ops", "127.0.0.1:http"],
             ["--no-guard"],
+            ["--tick-timeout", "-1"],
         ],
     )
     def test_rejected_flags_fail_before_training(
@@ -421,10 +433,10 @@ class TestServeListenFlagConflicts:
         a supervisor spawns a child (which would fail the same way on
         every restart)."""
         from repro import cli
-        from repro.service import api
+        from repro.service import api, net
 
         monkeypatch.setattr(api, "build_setup", _unreachable)
-        monkeypatch.setattr(cli, "_supervise_serve", _unreachable)
+        monkeypatch.setattr(net, "supervise", _unreachable)
         argv = ["serve", "--smoke", "--listen", "127.0.0.1:0", *extra]
         assert cli.main([*argv, *supervise]) == 2
         assert "error:" in capsys.readouterr().err
@@ -453,9 +465,9 @@ class TestServeListenFlagConflicts:
 
 
 class TestContradictoryFlags:
-    """`repro detect` and `repro serve` reject flags the chosen mode would
-    ignore or only fail on late: exit 2 and `error:`, before the fleet
-    trains."""
+    """`repro detect`, `repro serve` and `repro loadgen` reject flags the
+    chosen mode would ignore or only fail on late: exit 2 and `error:`,
+    before the fleet trains."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -489,6 +501,36 @@ class TestContradictoryFlags:
                 ],
                 "--checkpoint-every must be >= 1",
             ),
+            (
+                ["detect", "--from-store", "st", "--t0", "50", "--t1", "10"],
+                "--t0 50 is past --t1 10",
+            ),
+            (["detect", "--from-store", "st", "--t0", "-1"], "--t0 must be >= 0"),
+            (["detect", "--from-store", "st", "--t1", "-1"], "--t1 must be >= 0"),
+            (
+                ["loadgen", "--connect", "127.0.0.1:1", "--interval", "-1"],
+                "--interval must be >= 0",
+            ),
+            (
+                ["loadgen", "--connect", "127.0.0.1:1", "--max-ticks", "-3"],
+                "--max-ticks must be >= 0",
+            ),
+            (
+                ["loadgen", "--connect", "127.0.0.1:1", "--connect-timeout", "-5"],
+                "--connect-timeout must be >= 0",
+            ),
+            (
+                ["loadgen", "--connect", "127.0.0.1:1", "--ack-timeout", "-1"],
+                "--ack-timeout must be >= 0",
+            ),
+            (
+                ["loadgen", "--connect", "127.0.0.1:1", "--total-timeout", "-1"],
+                "--total-timeout must be >= 0",
+            ),
+            (
+                ["serve", "--listen", "127.0.0.1:0", "--tick-timeout", "-0.5"],
+                "--tick-timeout must be >= 0",
+            ),
         ],
         ids=[
             "resume-no-checkpoint",
@@ -499,6 +541,15 @@ class TestContradictoryFlags:
             "detect-every-negative",
             "serve-every-0",
             "serve-every-negative",
+            "t0-past-t1",
+            "t0-negative",
+            "t1-negative",
+            "loadgen-interval-negative",
+            "loadgen-max-ticks-negative",
+            "loadgen-connect-timeout-negative",
+            "loadgen-ack-timeout-negative",
+            "loadgen-total-timeout-negative",
+            "serve-tick-timeout-negative",
         ],
     )
     def test_rejected_before_training(self, argv, message, monkeypatch, capsys):
@@ -549,8 +600,9 @@ class TestSupervisorArgv:
         strips only exact spellings from the child argv, so a prefix
         match would make the child a supervisor too."""
         from repro import cli
+        from repro.service import net
 
-        monkeypatch.setattr(cli, "_supervise_serve", _unreachable)
+        monkeypatch.setattr(net, "supervise", _unreachable)
         for k in range(3, len("--supervise")):
             with pytest.raises(SystemExit) as exc_info:
                 cli.main(["serve", "--listen", "127.0.0.1:0", "--supervise"[:k]])
@@ -585,15 +637,13 @@ class TestSupervisorArgv:
     )
     def test_child_argv_never_supervises(self, flags):
         from repro import cli
+        from repro.service.net import SuperviseOptions, child_argv
 
         argv = ["serve", "--smoke", "--listen", "127.0.0.1:0", *flags]
         parser = cli.build_parser()
         assert parser.parse_args(argv).supervise is True
-        child = parser.parse_args(cli._child_argv(argv))
-        assert child.supervise is False
-        assert (child.max_restarts, child.restart_backoff, child.min_uptime) == (
-            5, 0.5, 5.0
-        )
+        child = parser.parse_args(child_argv(argv))
+        assert cli._config_from_args(child, SuperviseOptions) == SuperviseOptions()
         assert child.listen == "127.0.0.1:0" and child.smoke
 
 
@@ -702,9 +752,7 @@ class TestOpsAPI:
         # connection closing so the ops queries below hit live state.
         server = FleetServer(
             build_detector(CFG, setup),
-            ops_host="127.0.0.1",
-            ops_port=0,
-            tick_timeout=0.5,
+            ServeOptions(ops="127.0.0.1:0", tick_timeout=0.5),
         )
         thread = server.start_background()
         assert server.ready.wait(10)
@@ -721,8 +769,9 @@ class TestOpsAPI:
 
         # Drive the full feed so alerts exist, then inspect them.
         loadgen(
-            setup, ("127.0.0.1", server.port), chunk=CFG.chunk, fmt="binary",
-            send_eof=False,
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}", eof=False),
+            chunk=CFG.chunk,
         )
         import time
 

@@ -18,7 +18,7 @@ from repro.service.api import ServiceConfig, build_detector, build_setup
 from repro.service.checkpoint import fleet_fingerprint
 from repro.service.net import FleetServer
 from repro.service.protocol import Frame, FrameError
-from repro.service.servecore import BackpressureConfig, ServerCheckpoint
+from repro.service.servecore import ServeOptions, ServerCheckpoint
 
 CFG = ServiceConfig.smoke(chunk=20, replicate=6)
 SUBSCRIBE = Frame("", 0, None, control="acks")
@@ -58,8 +58,7 @@ def check_barrier(core) -> None:
 def _core(setup, tmp_path, policy):
     core = FleetServer(
         build_detector(CFG, setup),
-        backpressure=BackpressureConfig(queue_max=2, policy=policy),
-        wal=tmp_path / "wal",
+        ServeOptions(queue_max=2, backpressure=policy, wal=tmp_path / "wal"),
         checkpoint=ServerCheckpoint(
             path=tmp_path / "ckpt.npz",
             every=7,

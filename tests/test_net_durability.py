@@ -32,7 +32,7 @@ from repro.service.checkpoint import (
     fleet_fingerprint,
     load_checkpoint,
 )
-from repro.service.net import FleetServer, ListAlertSink, loadgen
+from repro.service.net import FleetServer, ListAlertSink, LoadgenOptions, loadgen
 from repro.service.protocol import (
     Frame,
     FrameDecoder,
@@ -40,7 +40,7 @@ from repro.service.protocol import (
     encode_binary,
     encode_eof,
 )
-from repro.service.servecore import ServerCheckpoint
+from repro.service.servecore import ServeOptions, ServerCheckpoint
 from repro.service.wal import REC_FRAME, recover_wal
 
 CFG = ServiceConfig.smoke()
@@ -94,20 +94,20 @@ class TestCrashRestartByteIdentity:
         sink_a = ListAlertSink()
         server_a = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(wal=tmp_path / "wal-live"),
             sinks=(sink_a,),
-            wal=tmp_path / "wal-live",
-            checkpoint=_checkpoint(
-                tmp_path / "live.npz", fingerprint
-            ),
+            checkpoint=_checkpoint(tmp_path / "live.npz", fingerprint),
         )
         thread_a = server_a.start_background()
         assert server_a.ready.wait(10)
         loadgen(
             setup,
-            ("127.0.0.1", server_a.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server_a.port}",
+                max_ticks=self.KILL_AT,
+                eof=False,
+            ),
             chunk=CFG.chunk,
-            max_ticks=self.KILL_AT,
-            send_eof=False,
         )
         assert _wait(lambda: server_a.stats.ticks >= self.KILL_AT)
         # One frame of the next (never-completed) tick: the journal's
@@ -149,9 +149,8 @@ class TestCrashRestartByteIdentity:
         sink_b = ListAlertSink()
         server_b = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, wal=tmp_path / "wal-crash"),
             sinks=(sink_b,),
-            exit_on_idle=True,
-            wal=tmp_path / "wal-crash",
             checkpoint=_checkpoint(tmp_path / "crash.npz", fingerprint),
         )
         thread_b = server_b.start_background()
@@ -163,10 +162,12 @@ class TestCrashRestartByteIdentity:
         # late-dropped, the rest completes the stream.
         stats = loadgen(
             setup,
-            ("127.0.0.1", server_b.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server_b.port}",
+                resume=True,
+                total_timeout=120.0,
+            ),
             chunk=CFG.chunk,
-            resume=True,
-            total_timeout=120.0,
         )
         thread_b.join(60)
         assert not thread_b.is_alive()
@@ -183,13 +184,16 @@ class TestCrashRestartByteIdentity:
         sink_a = ListAlertSink()
         server_a = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, wal=tmp_path / "wal"),
             sinks=(sink_a,),
-            exit_on_idle=True,
-            wal=tmp_path / "wal",
         )
         thread_a = server_a.start_background()
         assert server_a.ready.wait(10)
-        loadgen(setup, ("127.0.0.1", server_a.port), chunk=CFG.chunk)
+        loadgen(
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server_a.port}"),
+            chunk=CFG.chunk,
+        )
         thread_a.join(60)
         assert not thread_a.is_alive()
         assert sink_a.text() == ref_text
@@ -199,9 +203,8 @@ class TestCrashRestartByteIdentity:
         sink_b = ListAlertSink()
         server_b = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, wal=tmp_path / "wal"),
             sinks=(sink_b,),
-            exit_on_idle=True,
-            wal=tmp_path / "wal",
         )
         thread_b = server_b.start_background()
         assert server_b.ready.wait(30)
@@ -244,8 +247,7 @@ class TestHealthSurface:
     def test_health_payload_and_wal_stats(self, setup, tmp_path):
         server = FleetServer(
             build_detector(CFG, setup),
-            exit_on_idle=True,
-            wal=tmp_path / "wal",
+            ServeOptions(exit_on_idle=True, wal=tmp_path / "wal"),
         )
         thread = server.start_background()
         assert server.ready.wait(10)
@@ -254,7 +256,11 @@ class TestHealthSurface:
         assert payload["ready"] is True
         assert payload["status"] == "ok" and payload["reasons"] == []
         assert payload["wal"] is not None
-        loadgen(setup, ("127.0.0.1", server.port), chunk=CFG.chunk)
+        loadgen(
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}"),
+            chunk=CFG.chunk,
+        )
         thread.join(60)
         assert not thread.is_alive()
         stats = server.stats.snapshot()
@@ -266,7 +272,10 @@ class TestHealthSurface:
         assert server.health()["ready"] is False
 
     def test_degraded_reasons(self, setup):
-        server = FleetServer(build_detector(CFG, setup), tick_timeout=1.0)
+        server = FleetServer(
+            build_detector(CFG, setup),
+            ServeOptions(tick_timeout=1.0),
+        )
         core = server.core
         # Barrier-timeout streak: a dead agent forcing partial ticks.
         core.connect(object())
@@ -296,27 +305,28 @@ class TestIdleGrace:
         sink = ListAlertSink()
         server = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True),
             sinks=(sink,),
-            exit_on_idle=True,
-            idle_grace=5.0,
         )
+        server.core.idle_grace = 5.0
         thread = server.start_background()
         assert server.ready.wait(10)
         loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server.port}",
+                max_ticks=2,
+                eof=False,
+            ),
             chunk=CFG.chunk,
-            max_ticks=2,
-            send_eof=False,
         )
         # Inside the grace window with no connection open: still up.
         time.sleep(0.5)
         assert thread.is_alive()
         loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}", resume=True),
             chunk=CFG.chunk,
-            resume=True,
         )
         thread.join(60)
         assert not thread.is_alive()
@@ -330,17 +340,16 @@ class TestIdleGrace:
         sink = ListAlertSink()
         server = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True),
             sinks=(sink,),
-            exit_on_idle=True,
-            idle_grace=0.3,
         )
+        server.core.idle_grace = 0.3
         thread = server.start_background()
         assert server.ready.wait(10)
         loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}", eof=False),
             chunk=CFG.chunk,
-            send_eof=False,
         )
         thread.join(30)
         assert not thread.is_alive()
@@ -352,16 +361,18 @@ class TestPortFileCleanup:
         port_file = tmp_path / "serve.port"
         server = FleetServer(
             build_detector(CFG, setup),
-            exit_on_idle=True,
-            ops_host="127.0.0.1",
-            port_file=port_file,
+            ServeOptions(exit_on_idle=True, ops="127.0.0.1:0", port_file=port_file),
         )
         thread = server.start_background()
         assert server.ready.wait(10)
         ops_file = tmp_path / "serve.port.ops"
         assert int(port_file.read_text()) == server.port
         assert int(ops_file.read_text()) == server.ops_bound_port
-        loadgen(setup, ("127.0.0.1", server.port), chunk=CFG.chunk)
+        loadgen(
+            setup,
+            LoadgenOptions(connect=f"127.0.0.1:{server.port}"),
+            chunk=CFG.chunk,
+        )
         thread.join(60)
         assert not thread.is_alive()
         # Stale port files would point supervisors at a dead port.
@@ -370,33 +381,29 @@ class TestPortFileCleanup:
 
 
 class TestConnectBackoff:
-    def test_loadgen_retries_until_server_binds(self, setup, reference):
+    def test_loadgen_retries_until_server_binds(self, setup, reference, tmp_path):
         """The port-file race: loadgen starts before the server has
-        bound its port and must retry with backoff, not crash."""
+        bound its port (the port file does not exist yet) and must
+        retry with backoff, not crash."""
         _, ref_text = reference
+        port_file = tmp_path / "serve.port"
         state: dict = {}
-
-        def address():
-            if "port" not in state:
-                raise ConnectionRefusedError("server not up yet")
-            return ("127.0.0.1", state["port"])
-
         sink = ListAlertSink()
 
         def bind_later():
             time.sleep(0.4)
             server = FleetServer(
                 build_detector(CFG, setup),
+                ServeOptions(exit_on_idle=True, port_file=str(port_file)),
                 sinks=(sink,),
-                exit_on_idle=True,
             )
             state["thread"] = server.start_background()
             assert server.ready.wait(10)
-            state["port"] = server.port
 
         starter = threading.Thread(target=bind_later)
         starter.start()
-        loadgen(setup, address, chunk=CFG.chunk, connect_timeout=15.0)
+        options = LoadgenOptions(port_file=str(port_file), connect_timeout=15.0)
+        loadgen(setup, options, chunk=CFG.chunk)
         starter.join(15)
         state["thread"].join(60)
         assert not state["thread"].is_alive()
@@ -435,7 +442,7 @@ class TestJournalReuse:
         monkeypatch.setattr(wal, "encode_binary", _unreachable)
         server = FleetServer(
             build_detector(CFG, setup),
-            wal=tmp_path / "wal",
+            ServeOptions(wal=tmp_path / "wal"),
             checkpoint=_checkpoint(tmp_path / "ckpt.npz", fingerprint),
         )
         core = server.core
@@ -463,7 +470,9 @@ class TestRecoveryReplay:
         one snapshot that folds the replay in (not one per tick)."""
         sink_a = ListAlertSink()
         core = FleetServer(
-            build_detector(CFG, setup), sinks=(sink_a,), wal=tmp_path / "wal"
+            build_detector(CFG, setup),
+            ServeOptions(wal=tmp_path / "wal"),
+            sinks=(sink_a,),
         ).core
         core.recover()
         frames, _ = FrameDecoder().feed(
@@ -493,8 +502,8 @@ class TestRecoveryReplay:
         sink_b = ListAlertSink()
         core = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(wal=tmp_path / "wal"),
             sinks=(sink_b,),
-            wal=tmp_path / "wal",
             checkpoint=_checkpoint(tmp_path / "ckpt.npz", fingerprint),
         ).core
         acks = []
@@ -544,19 +553,20 @@ class TestResumeAcks:
         sink = ListAlertSink()
         server = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, tick_timeout=0.3),
             sinks=(sink,),
-            exit_on_idle=True,
-            tick_timeout=0.3,
         )
         thread = server.start_background()
         assert server.ready.wait(10)
         stats = loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server.port}",
+                resume=True,
+                ack_timeout=30.0,
+                total_timeout=60.0,
+            ),
             chunk=CFG.chunk,
-            resume=True,
-            ack_timeout=30.0,
-            total_timeout=60.0,
         )
         thread.join(60)
         assert not thread.is_alive()
@@ -583,19 +593,22 @@ class TestResumeAcks:
 
         monkeypatch.setattr(net, "_patch_binary_path", lose_tick_1_once)
         server = FleetServer(
-            build_detector(CFG, setup), exit_on_idle=True, tick_timeout=0.3
+            build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, tick_timeout=0.3),
         )
         thread = server.start_background()
         assert server.ready.wait(10)
         n_ticks = min(m.shape[1] for m in setup.eval_data.values()) // CFG.chunk
         stats = loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server.port}",
+                max_ticks=n_ticks,
+                resume=True,
+                ack_timeout=30.0,
+                total_timeout=60.0,
+            ),
             chunk=CFG.chunk,
-            max_ticks=n_ticks,
-            resume=True,
-            ack_timeout=30.0,
-            total_timeout=60.0,
         )
         thread.join(60)
         assert not thread.is_alive()
@@ -614,11 +627,10 @@ class TestResumeAcks:
         sink = ListAlertSink()
         server = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(exit_on_idle=True, wal=tmp_path / "wal"),
             sinks=(sink,),
-            exit_on_idle=True,
-            idle_grace=10.0,
-            wal=tmp_path / "wal",
         )
+        server.core.idle_grace = 10.0
         thread = server.start_background()
         assert server.ready.wait(10)
         resent = b"".join(_tick_frames(setup, t) for t in range(3))
@@ -641,10 +653,12 @@ class TestResumeAcks:
         assert server.core.wal.next_index == next_index
         stats = loadgen(
             setup,
-            ("127.0.0.1", server.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server.port}",
+                resume=True,
+                total_timeout=60.0,
+            ),
             chunk=CFG.chunk,
-            resume=True,
-            total_timeout=60.0,
         )
         thread.join(60)
         assert not thread.is_alive()
@@ -658,7 +672,8 @@ class TestResumeAcks:
         client is back to fill it."""
         _, ref_text = reference
         server_a = FleetServer(
-            build_detector(CFG, setup), tick_timeout=60.0, wal=tmp_path / "live"
+            build_detector(CFG, setup),
+            ServeOptions(tick_timeout=60.0, wal=tmp_path / "live"),
         )
         thread_a = server_a.start_background()
         assert server_a.ready.wait(10)
@@ -678,10 +693,12 @@ class TestResumeAcks:
         sink = ListAlertSink()
         server_b = FleetServer(
             build_detector(CFG, setup),
+            ServeOptions(
+                exit_on_idle=True,
+                tick_timeout=0.1,
+                wal=tmp_path / "crash",
+            ),
             sinks=(sink,),
-            exit_on_idle=True,
-            tick_timeout=0.1,
-            wal=tmp_path / "crash",
         )
         thread_b = server_b.start_background()
         assert server_b.ready.wait(30)
@@ -689,10 +706,12 @@ class TestResumeAcks:
         assert server_b.health()["tick"] == 1
         stats = loadgen(
             setup,
-            ("127.0.0.1", server_b.port),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{server_b.port}",
+                resume=True,
+                total_timeout=60.0,
+            ),
             chunk=CFG.chunk,
-            resume=True,
-            total_timeout=60.0,
         )
         thread_b.join(60)
         assert not thread_b.is_alive()

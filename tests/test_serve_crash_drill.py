@@ -20,7 +20,7 @@ import pytest
 
 from repro.service.api import ServiceConfig, build_setup, replay
 from repro.service.alerts import JSONLAlertSink
-from repro.service.net import loadgen
+from repro.service.net import LoadgenOptions, loadgen
 
 ROOT = Path(__file__).resolve().parent.parent
 CFG = ServiceConfig.smoke()
@@ -109,10 +109,12 @@ def test_sigkill_restart_is_byte_identical(
         _wait_for(port_file.exists, 120, "first server to bind")
         loadgen(
             setup,
-            ("127.0.0.1", _port(port_file)),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{_port(port_file)}",
+                max_ticks=KILL_AFTER_TICKS,
+                eof=False,
+            ),
             chunk=CFG.chunk,
-            max_ticks=KILL_AFTER_TICKS,
-            send_eof=False,
         )
         # A checkpoint on disk proves at least one tick is durable;
         # beyond that the kill point is deliberately uncontrolled.
@@ -133,10 +135,12 @@ def test_sigkill_restart_is_byte_identical(
         _wait_for(port_file.exists, 120, "restarted server to bind")
         stats = loadgen(
             setup,
-            ("127.0.0.1", _port(port_file)),
+            LoadgenOptions(
+                connect=f"127.0.0.1:{_port(port_file)}",
+                resume=True,
+                total_timeout=120.0,
+            ),
             chunk=CFG.chunk,
-            resume=True,
-            total_timeout=120.0,
         )
         proc.wait(timeout=120)
     finally:

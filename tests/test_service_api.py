@@ -105,9 +105,11 @@ class TestServiceConfig:
 
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["detect", "--smoke", f"--{field}", value])
-        assert exc_info.value.code == 2
+        try:  # a value argparse rejects exits at parse time
+            code = cli.main(["detect", "--smoke", f"--{field}", value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert cli_message in capsys.readouterr().err
 
     def test_guard_cannot_be_disabled(self, monkeypatch, capsys):
@@ -123,9 +125,7 @@ class TestServiceConfig:
             raise AssertionError("the fleet must not train")
 
         monkeypatch.setattr(api, "build_setup", unreachable)
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["detect", "--smoke", "--no-guard"])
-        assert exc_info.value.code == 2
+        assert cli.main(["detect", "--smoke", "--no-guard"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_smoke_preset_matches_cli(self):

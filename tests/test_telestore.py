@@ -2,6 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,13 +34,14 @@ def _write(root, planes, *, partition_ticks=8, meta=None):
     return TeleStore(root)
 
 
-def _fake_checkpoint(path, next_lo):
+def _fake_checkpoint(path, next_lo, **arrays):
     manifest = {"format": "repro-detector-checkpoint/v2", "next_lo": next_lo}
     atomic_savez(
         path,
         manifest=np.frombuffer(
             json.dumps(manifest).encode("utf-8"), dtype=np.uint8
         ),
+        **arrays,
     )
 
 
@@ -243,6 +248,65 @@ class TestPrune:
         bogus.write_bytes(b"not an archive")
         with pytest.raises(TeleStoreError, match="unreadable checkpoint"):
             store.prune(keep_last=1, checkpoints=[bogus])
+
+    def test_pin_reads_only_the_manifest(self, tmp_path):
+        """A pin costs its manifest, not its state arrays: a 4 MiB
+        member is never read."""
+        store = _write(
+            tmp_path / "s", {"n": np.zeros((1, 20))}, partition_ticks=5
+        )
+        ckpt = tmp_path / "big.npz"
+        _fake_checkpoint(ckpt, next_lo=10, state=np.ones(1 << 19))
+        tracemalloc.start()
+        try:
+            assert store.prune(keep_last=2, checkpoints=[ckpt]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestStoreCommands:
+    """``repro store`` reports a bad root or value as ``error: ...``,
+    never a traceback: exit 1 for a root that is not a store, exit 2
+    for a rejected value, before any work."""
+
+    def _run(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "store", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        assert "error: " in proc.stderr
+        return proc.returncode
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stat"], ["verify"], ["compact"], ["prune", "--keep-last", "1"]],
+        ids=["stat", "verify", "compact", "prune"],
+    )
+    def test_not_a_store_exits_1(self, argv, tmp_path):
+        assert self._run(argv[0], str(tmp_path), *argv[1:]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compact", "--target-ticks", "0"],
+            ["prune", "--keep-last", "-1"],
+        ],
+        ids=["target-ticks", "keep-last"],
+    )
+    def test_rejected_value_exits_2_before_work(self, argv, tmp_path):
+        store = _write(
+            tmp_path / "s", {"n": np.zeros((1, 20))}, partition_ticks=5
+        )
+        assert self._run(argv[0], str(store.root), *argv[1:]) == 2
+        assert len(TeleStore(store.root).partitions) == 4
 
 
 _DTYPES = st.sampled_from(
